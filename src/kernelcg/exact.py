@@ -34,7 +34,8 @@ def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
     if not (sigma2 > 0.0):
         raise ValueError("noise level sigma2 must be positive")
     K = gram(kernel, X)
-    factor = linalg.cholesky(K + sigma2 * np.eye(X.shape[0]))
+    K[np.diag_indices_from(K)] += sigma2
+    factor = linalg.cholesky(K)
     alpha = linalg.chol_solve(factor, y)
     return ExactGpModel(kernel=kernel, X=X, y=y, sigma2=float(sigma2), factor=factor, alpha=alpha)
 

@@ -256,7 +256,8 @@ def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
 def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
     n = data.n_train
     try:
-        K = gram(config.kernel, data.X) + config.sigma2 * np.eye(n)
+        K = gram(config.kernel, data.X)
+        K[np.diag_indices_from(K)] += config.sigma2
         op = solvers.dense_operator(K)
         eps = solvers.default_cg_tolerance(data.y) if config.cg_eps is None else config.cg_eps
         run = solvers.cg_textbook if method == "cg-textbook" else solvers.cg_reorth
@@ -353,13 +354,30 @@ def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]
     return out
 
 
+def _worker_count() -> int:
+    """Threads for baseline repetitions, from KERNELCG_THREADS (default 1)."""
+    text = os.environ.get("KERNELCG_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"KERNELCG_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRecord]:
     """Run every configured method over the step schedule; see module docs.
 
     Per-method failures are recorded in the reason column and never abort
     the other methods. Returns individual records followed by aggregate
     rows per baseline method.
+
+    Raises:
+        ValueError: if KERNELCG_THREADS is set to anything but a positive
+            integer (checked before any work starts).
     """
+    workers = _worker_count()
     oracle = _fit_oracle(config, data)
     records: list[ExperimentRecord] = []
     n = data.n_train
@@ -389,23 +407,20 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
                 records.append(_failure("pbr", step, budget_for(config, n, step), "0", error))
             baselines = [m for m in baselines if m != "pbr"]
 
-    workers = int(os.environ.get("KERNELCG_THREADS", "1"))
-    for method in baselines:
-        reps = 1 if method == "pbr" else config.repetitions  # pbr is deterministic
-        tasks = [(step, rep) for step in config.steps for rep in range(reps)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(
-                    lambda t: _baseline_once(config, data, oracle, method, t[0], t[1], pbr_expansion),
-                    tasks,
-                ))
-        else:
-            rows = [_baseline_once(config, data, oracle, method, step, rep, pbr_expansion)
-                    for step, rep in tasks]
-        rows.sort(key=lambda r: (r.step, int(r.run)))
-        records.extend(rows)
-        if reps > 1:
-            records.extend(_aggregate(rows, config.steps))
+    # The pool starts no thread unless a task is submitted to it.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for method in baselines:
+            reps = 1 if method == "pbr" else config.repetitions  # pbr is deterministic
+            tasks = [(step, rep) for step in config.steps for rep in range(reps)]
+
+            def run_task(task, method=method):
+                return _baseline_once(config, data, oracle, method, task[0], task[1], pbr_expansion)
+
+            rows = list(pool.map(run_task, tasks) if workers > 1 else map(run_task, tasks))
+            rows.sort(key=lambda r: (r.step, int(r.run)))
+            records.extend(rows)
+            if reps > 1:
+                records.extend(_aggregate(rows, config.steps))
     return records
 
 

@@ -6,6 +6,12 @@ Two families are provided: the ARD squared-exponential kernel
 ``d^2 = sum_i lam_i (x_i - z_i)^2``. The per-dimension weights ``lam`` form
 a diagonal precision metric (units 1/length^2), so larger entries mean
 shorter correlation lengths.
+
+Gram matrices are assembled in row blocks: :func:`gram` allocates the output
+once and fills it block by block, accumulating ``d^2`` one input axis at a
+time from explicit coordinate differences and then converting it to kernel
+values in place. No N x M x D temporary is built; scratch is bounded by a
+fixed number of entries per block (see :func:`gram` for the ceiling).
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ _FAMILIES = (SQUARED_EXPONENTIAL, MATERN52)
 # Above this input dimension, squared distances are accumulated with Kahan
 # compensation so results do not depend on summation order.
 _COMPENSATED_DIM = 32
+
+# Gram matrices are filled in row blocks of at most this many entries (one
+# row when a row is longer), which bounds every temporary.
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,41 +73,59 @@ def _as_points(X, dim: int) -> np.ndarray:
     return X
 
 
-def _sqdist(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Pairwise weighted squared distances, bit-symmetric for X == Z.
+def _sqdist_into(lam: np.ndarray, X: np.ndarray, Z: np.ndarray, out: np.ndarray) -> None:
+    """Write the weighted squared distances between the rows of X and Z into `out`.
 
-    Computed from explicit coordinate differences (never the expanded
-    ``|x|^2 + |z|^2 - 2 x.z`` form) so entries are exact mirror images when
-    the two point sets coincide and can never go negative.
+    Accumulated one axis at a time from explicit coordinate differences
+    (never the expanded ``|x|^2 + |z|^2 - 2 x.z`` form), so entries are exact
+    mirror images when the two point sets coincide and can never go
+    negative. Above _COMPENSATED_DIM axes the sum carries a Kahan
+    compensation term. Scratch is one array of out's size, three with the
+    compensation.
     """
-    diff2 = (X[:, None, :] - Z[None, :, :]) ** 2
-    w = diff2 * kernel.lam
-    if kernel.dim <= _COMPENSATED_DIM:
-        return w.sum(axis=-1)
-    # Kahan compensated accumulation over the dimension axis.
-    total = np.zeros(w.shape[:2])
-    carry = np.zeros_like(total)
-    for d in range(kernel.dim):
-        y = w[:, :, d] - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+    term = np.empty_like(out)
+    compensated = lam.size > _COMPENSATED_DIM
+    if compensated:
+        carry = np.zeros_like(out)
+        total = np.empty_like(out)
+    out.fill(0.0)
+    for d, lam_d in enumerate(lam):
+        np.subtract.outer(X[:, d], Z[:, d], out=term)
+        term *= term
+        term *= lam_d
+        if not compensated:
+            out += term
+            continue
+        term -= carry  # y = w - carry
+        np.add(out, term, out=total)  # t = total + y
+        np.subtract(total, out, out=carry)
+        carry -= term  # carry = (t - total) - y
+        out[...] = total
 
 
-def _from_sqdist(kernel: Kernel, d2: np.ndarray) -> np.ndarray:
+def _kernel_from_sqdist(kernel: Kernel, d2: np.ndarray) -> None:
+    """Overwrite squared distances with kernel values.
+
+    Keeps the operation order of the closed forms in the module docstring;
+    Matern uses at most three d2-sized temporaries, SE none.
+    """
     if kernel.family == SQUARED_EXPONENTIAL:
-        return kernel.theta_f * np.exp(-0.5 * d2)
-    d = np.sqrt(d2)
-    sqrt5_d = np.sqrt(5.0) * d
-    return kernel.theta_f * (1.0 + sqrt5_d + (5.0 / 3.0) * d2) * np.exp(-sqrt5_d)
+        d2 *= -0.5
+        np.exp(d2, out=d2)
+        d2 *= kernel.theta_f
+        return
+    sqrt5_d = np.sqrt(d2)
+    sqrt5_d *= np.sqrt(5.0)
+    decay = np.exp(-sqrt5_d)
+    d2 *= 5.0 / 3.0
+    d2 += 1.0 + sqrt5_d
+    d2 *= kernel.theta_f
+    d2 *= decay
 
 
 def kernel_eval(kernel: Kernel, x, z) -> float:
     """Evaluate k(x, z) for a single pair of points."""
-    x = _as_points(x, kernel.dim)
-    z = _as_points(z, kernel.dim)
-    return float(_from_sqdist(kernel, _sqdist(kernel, x, z))[0, 0])
+    return float(gram(kernel, x, z)[0, 0])
 
 
 def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
@@ -105,7 +133,17 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
 
     When the two input sets coincide the output is bit-exactly symmetric
     with diagonal exactly theta_f (zero distance evaluates exactly).
+
+    Memory ceiling: the N x M output plus at most four scratch blocks of
+    max(_BLOCK_ENTRIES, M) floats each; no N x M x D or second N x M array
+    is ever built.
     """
     X = _as_points(X, kernel.dim)
     Z = X if Z is None else _as_points(Z, kernel.dim)
-    return _from_sqdist(kernel, _sqdist(kernel, X, Z))
+    out = np.empty((X.shape[0], Z.shape[0]))
+    rows = max(1, _BLOCK_ENTRIES // max(1, Z.shape[0]))
+    for start in range(0, X.shape[0], rows):
+        block = out[start : start + rows]
+        _sqdist_into(kernel.lam, X[start : start + rows], Z, block)
+        _kernel_from_sqdist(kernel, block)
+    return out

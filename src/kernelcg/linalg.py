@@ -52,10 +52,13 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
     scale = float(np.mean(np.diag(A))) if A.size else 0.0
     if scale <= 0.0:
         scale = 1.0
-    eye = np.eye(A.shape[0])
     for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
+        shifted = A
+        if jitter:
+            shifted = A.copy()
+            shifted[np.diag_indices_from(shifted)] += jitter
         try:
-            L = np.linalg.cholesky(A + jitter * eye if jitter else A)
+            L = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
         return CholeskyFactor(L=L, jitter=jitter)

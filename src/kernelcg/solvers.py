@@ -194,7 +194,8 @@ def cg_predict_mean(
     """
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).reshape(-1)
-    K = gram(kernel, X) + sigma2 * np.eye(X.shape[0])
+    K = gram(kernel, X)
+    K[np.diag_indices_from(K)] += sigma2
     op = dense_operator(K)
     eps = default_cg_tolerance(y) if eps is None else float(eps)
     run = cg_reorth if reorth else cg_textbook

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,14 @@ def test_mean_matches_complete_degeneracy_lowrank():
     a = exact.predict_mean(model, X_star)
     b = lowrank_mean(low, X_star)
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
+
+
+def test_fit_holds_no_n_by_n_temporary_beyond_gram_and_factor():
+    kernel, X, y, sigma2 = _random_problem(7, 400)
+    tracemalloc.start()
+    try:
+        exact.fit(kernel, X, y, sigma2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 400 * 400 * 8

@@ -277,3 +277,30 @@ def test_determinism_independent_of_worker_count(tmp_path, monkeypatch):
     monkeypatch.setenv("KERNELCG_THREADS", "4")
     emit_csv(run_experiment(config, data), threaded)
     assert _strip_seconds(serial) == _strip_seconds(threaded)
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3", ""])
+def test_invalid_thread_count_rejected_before_any_work(monkeypatch, value):
+    def fit_oracle(config, data):
+        raise AssertionError("the oracle was fitted before the thread count was checked")
+
+    monkeypatch.setattr(harness, "_fit_oracle", fit_oracle)
+    monkeypatch.setenv("KERNELCG_THREADS", value)
+    with pytest.raises(ValueError, match="KERNELCG_THREADS must be a positive integer"):
+        run_experiment(_small_config(), _small_dataset())
+
+
+def test_one_thread_pool_serves_every_baseline(monkeypatch):
+    pools = []
+
+    class CountingPool(harness.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("KERNELCG_THREADS", "2")
+    records = run_experiment(_small_config(methods=("sor", "fitc", "vfe"), steps=(1, 2)),
+                             _small_dataset())
+    assert len(pools) == 1
+    assert {r.method for r in records} == {"sor", "fitc", "vfe"}

@@ -1,6 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from kernelcg import kernels
 from kernelcg.kernels import Kernel, gram, kernel_eval, matern52_kernel, se_kernel
 
 
@@ -91,3 +98,107 @@ def test_high_dimension_compensated_sum_matches():
     K = gram(kernel, X, Z)
     naive = np.array([[np.exp(-0.5 * np.sum(0.3 * (x - z) ** 2)) for z in Z] for x in X])
     assert np.allclose(K, naive, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the row-blocked assembly.
+
+
+def _broadcast_gram(kernel, X, Z):
+    """Plain N x M x D broadcast assembly, the reference for gram."""
+    d2 = ((X[:, None, :] - Z[None, :, :]) ** 2 * kernel.lam).sum(axis=-1)
+    if kernel.family == "se":
+        return kernel.theta_f * np.exp(-0.5 * d2)
+    sqrt5_d = np.sqrt(5.0) * np.sqrt(d2)
+    return kernel.theta_f * (1.0 + sqrt5_d + (5.0 / 3.0) * d2) * np.exp(-sqrt5_d)
+
+
+@st.composite
+def _problems(draw, max_dim=40, max_points=12):
+    """A kernel with two point sets (either may be empty) in its dimension."""
+    dim = draw(st.integers(1, max_dim))
+    n = draw(st.integers(0, max_points))
+    m = draw(st.integers(0, max_points))
+    coords = st.floats(-3.0, 3.0)
+    X = draw(hnp.arrays(float, (n, dim), elements=coords))
+    Z = draw(hnp.arrays(float, (m, dim), elements=coords))
+    lam = draw(hnp.arrays(float, dim, elements=st.floats(0.05, 5.0)))
+    theta_f = draw(st.floats(0.1, 10.0))
+    family = draw(st.sampled_from(["se", "matern52"]))
+    return Kernel(family, lam, theta_f), X, Z
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_PROPERTY
+@given(_problems(max_dim=7))
+def test_gram_equals_broadcast_reference_up_to_seven_dims(problem):
+    kernel, X, Z = problem
+    assert np.array_equal(gram(kernel, X, Z), _broadcast_gram(kernel, X, Z))
+
+
+@_PROPERTY
+@given(_problems())
+def test_gram_close_to_broadcast_reference_up_to_forty_dims(problem):
+    # From eight axes on the reference sums in another order (and above 32
+    # gram compensates), so only the last bits may differ.
+    kernel, X, Z = problem
+    K = gram(kernel, X, Z)
+    assert K.shape == (X.shape[0], Z.shape[0])
+    assert np.all(np.abs(K - _broadcast_gram(kernel, X, Z)) <= 1e-15 * kernel.theta_f)
+
+
+@_PROPERTY
+@given(_problems())
+def test_gram_symmetric_psd_with_exact_diagonal(problem):
+    kernel, X, _ = problem
+    K = gram(kernel, X)
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == kernel.theta_f)
+    if X.shape[0]:
+        assert np.min(np.linalg.eigvalsh(K)) >= -1e-12 * X.shape[0] * kernel.theta_f
+
+
+@_PROPERTY
+@given(_problems(), st.integers(1, 40))
+def test_gram_independent_of_block_size(problem, block_entries):
+    # Small blocks put the row-block boundaries everywhere: partial last
+    # blocks, and rows longer than a block (one row per block).
+    kernel, X, Z = problem
+    with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+        blocked = gram(kernel, X, Z)
+    assert np.array_equal(blocked, gram(kernel, X, Z))
+
+
+@pytest.mark.parametrize("n, m", [
+    (700, 100),  # 327 rows per block: the last block holds 46
+    (3, kernels._BLOCK_ENTRIES + 5),  # one row per block
+    (0, 9),
+    (9, 0),
+])
+def test_gram_block_boundaries_at_the_real_block_size(n, m):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, (n, 3))
+    Z = rng.uniform(-1, 1, (m, 3))
+    for kernel in (se_kernel([1.0, 2.0, 0.5], 1.3), matern52_kernel([1.0, 2.0, 0.5], 1.3)):
+        assert np.array_equal(gram(kernel, X, Z), _broadcast_gram(kernel, X, Z))
+
+
+@pytest.mark.parametrize("kernel", [
+    se_kernel(np.full(4, 0.5), 1.2),
+    matern52_kernel(np.full(4, 0.5), 1.2),
+    se_kernel(np.full(40, 0.05), 1.2),  # the compensated sum
+], ids=["se", "matern52", "se-40d"])
+def test_gram_memory_within_stated_ceiling(kernel):
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-1, 1, (600, kernel.dim))
+    Z = rng.uniform(-1, 1, (500, kernel.dim))
+    tracemalloc.start()
+    try:
+        K = gram(kernel, X, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = max(kernels._BLOCK_ENTRIES, Z.shape[0]) * K.itemsize
+    assert peak <= K.nbytes + 4 * block + 64 * 1024

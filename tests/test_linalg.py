@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,7 @@ def test_cholesky_jitter_reported_on_singular_input():
     f = linalg.cholesky(ones)
     assert f.jitter > 0.0
     assert np.allclose(f.L @ f.L.T, ones + f.jitter * np.eye(3), rtol=1e-8, atol=1e-10)
+    assert np.array_equal(ones, np.ones((3, 3)))  # the jittered matrix is a copy
 
 
 def test_cholesky_with_truncation_reports_column():
@@ -229,3 +232,15 @@ def test_sym_kron_sample_empirical_covariance():
     emp = draws.T @ draws / n_draws
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws)
     assert np.all(np.abs(emp - target) <= 5.0 * se + 1e-12)
+
+
+def test_cholesky_without_jitter_allocates_only_the_factor():
+    A = random_spd(np.random.default_rng(3), 300)
+    tracemalloc.start()
+    try:
+        f = linalg.cholesky(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.jitter == 0.0
+    assert peak < 1.5 * A.nbytes
