@@ -2,7 +2,10 @@
 
 The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output); see CONFIG_TEMPLATE for the
-recognized keys and an example.
+recognized keys and an example. The dataset and kernel sections are
+required. A bad config, an unreadable or malformed file, or an invalid
+KERNELCG_THREADS value ends a command with one "error:" line on stderr and
+exit status 1.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def _parse_metric(text: str, dim: int) -> np.ndarray:
     if len(values) == 1:
         return np.full(dim, values[0])
     if len(values) != dim:
-        raise SystemExit(f"kernel metric has {len(values)} entries but the dataset has {dim} dimensions")
+        raise SystemExit(f"error: kernel metric has {len(values)} entries but the dataset has {dim} dimensions")
     return np.asarray(values)
 
 
@@ -93,7 +96,7 @@ def _build_dataset(cfg: configparser.ConfigParser):
         metric = _parse_metric(kcfg.get("metric", "1.0"), d)
         kernel = se_kernel(metric, kcfg.getfloat("theta_f", 1.0))
         return structured.grid_dataset(g, d, kernel, seed=seed)
-    raise SystemExit(f"unknown dataset source {source!r}")
+    raise SystemExit(f"error: unknown dataset source {source!r}")
 
 
 def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:
@@ -105,7 +108,7 @@ def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:
         return se_kernel(metric, theta_f)
     if family == "matern52":
         return matern52_kernel(metric, theta_f)
-    raise SystemExit(f"unknown kernel family {family!r}")
+    raise SystemExit(f"error: unknown kernel family {family!r}")
 
 
 def _cmd_gen_toy(args) -> int:
@@ -127,7 +130,10 @@ def _cmd_run(args) -> int:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cfg.read(args.config)
     if not read:
-        raise SystemExit(f"cannot read config file {args.config}")
+        raise SystemExit(f"error: cannot read config file {args.config}")
+    for name in ("dataset", "kernel"):
+        if not cfg.has_section(name):
+            raise SystemExit(f"error: {args.config} has no [{name}] section")
     data = _build_dataset(cfg)
     kernel = _build_kernel(cfg, data.dim)
     methods = tuple(
@@ -199,7 +205,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_metrics)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, configparser.Error) as error:  # config, data files, KERNELCG_THREADS
+        raise SystemExit("error: " + " ".join(str(error).split())) from None
 
 
 if __name__ == "__main__":

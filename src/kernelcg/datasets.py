@@ -216,7 +216,11 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`write_dataset_csv`."""
+    """Read a dataset written by :func:`write_dataset_csv`.
+
+    Raises:
+        ValueError: naming the row, on a split label other than train or test.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -224,9 +228,11 @@ def read_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: expected trailing columns y,split, got {header}")
         dim = len(header) - 2
         train, test = [], []
-        for row in reader:
+        for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if row[-1] not in ("train", "test"):
+                raise ValueError(f"{path}: row {row_number}: split label {row[-1]!r} is neither train nor test")
             values = [float(c) for c in row[: dim + 1]]
             (train if row[-1] == "train" else test).append(values)
     train = np.asarray(train)

@@ -23,12 +23,18 @@ At P = M the directions span everything and the kernel reduces to the
 subset-of-regressors kernel with X_U = X_M; at M = N, P = N the regressor is
 exact. Only the span of S matters: right-multiplying S by any invertible
 matrix leaves all predictions unchanged.
+
+The prior over the kernel has zero mean and a covariance generated by the
+data kernel itself, times a positive `prior_scale` (other priors are in
+:func:`kernelcg.lowrank.general_inducing_posterior`). The scale cancels from
+mean, covariance, learned kernel and evidence; it only multiplies the
+posterior uncertainty over the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -36,31 +42,11 @@ from scipy.linalg import solve_triangular
 from . import linalg
 from .kernels import Kernel, _as_points, gram
 from .lowrank import choose_inducing
-from .solvers import MvmOperator, cg_reorth, default_cg_tolerance, dense_operator
+from .solvers import BREAKDOWN, MAXSTEPS, MvmOperator, cg_reorth, default_cg_tolerance, dense_operator
 
 # Row-block size for assembling R = k(X, X_M) S without materializing the
 # full N x M cross-Gram.
 _R_BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class KernelPriorConfig:
-    """Parameters of the Gaussian prior over the kernel.
-
-    The closed-form estimator assumes a zero prior mean and covariance
-    generated by the data kernel itself; those defaults are required here
-    (use :func:`kernelcg.lowrank.general_inducing_posterior` for other
-    priors). The scale never enters mean, covariance, learned kernel or
-    evidence - it cancels - and only multiplies the posterior uncertainty.
-    """
-
-    mu0: Optional[Callable] = None
-    w: Optional[Kernel] = None
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (self.scale > 0.0):
-            raise ValueError("prior scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,57 +64,13 @@ class KmcgModel:
     factor2: Optional[linalg.CholeskyFactor]  # chol(sigma2 S^T Z + R^T R)
     mean_weights: np.ndarray  # S (R^T R + sigma2 S^T K_M S)^{-1} R^T y, length M
     steps: int  # effective P after truncation
-    cg_steps: int  # directions the solver produced
-    reason: str
-    prior: KernelPriorConfig
+    cg_steps: int  # directions the solver produced within the budget
+    reason: str  # why CG stopped within the budget: converged, maxsteps or breakdown
+    prior_scale: float  # scale of the prior over the kernel
 
     @property
     def inducing_count(self) -> int:
         return self.X_M.shape[0]
-
-
-def _assemble(kernel, X, idx, y, sigma2, S, Z, R, reason, prior) -> KmcgModel:
-    """Build the factors, truncating directions until both Choleskies succeed.
-
-    CG direction matrices lose conditioning in floating point; if a pivot of
-    either S^T Z or sigma2 S^T Z + R^T R fails, the trailing directions are
-    dropped and the factorization retried on the leading block.
-    """
-    X_M = X[idx]
-    shared = R is Z
-    p = S.shape[1]
-    while p > 0:
-        S_p, Z_p = S[:, :p], Z[:, :p]
-        R_p = Z_p if shared else R[:, :p]
-        A1 = S_p.T @ Z_p
-        A1 = 0.5 * (A1 + A1.T)
-        L1, ok1 = linalg.cholesky_with_truncation(A1)
-        if ok1 < p:
-            p = ok1
-            continue
-        A2 = sigma2 * A1 + R_p.T @ R_p
-        A2 = 0.5 * (A2 + A2.T)
-        L2, ok2 = linalg.cholesky_with_truncation(A2)
-        if ok2 < p:
-            p = ok2
-            continue
-        factor1 = linalg.CholeskyFactor(L1)
-        factor2 = linalg.CholeskyFactor(L2)
-        mean_weights = S_p @ linalg.chol_solve(factor2, R_p.T @ y)
-        return KmcgModel(
-            kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
-            S=S_p, Z=Z_p, R=R_p, factor1=factor1, factor2=factor2,
-            mean_weights=mean_weights, steps=p, cg_steps=S.shape[1],
-            reason=reason, prior=prior,
-        )
-    empty_m = np.zeros((X_M.shape[0], 0))
-    empty_r = empty_m if shared else np.zeros((X.shape[0], 0))
-    return KmcgModel(
-        kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
-        S=empty_m, Z=empty_m, R=empty_r, factor1=None, factor2=None,
-        mean_weights=np.zeros(X_M.shape[0]), steps=0, cg_steps=S.shape[1],
-        reason=reason, prior=prior,
-    )
 
 
 def _cross_products(kernel, X, X_M, S) -> np.ndarray:
@@ -141,14 +83,72 @@ def _cross_products(kernel, X, X_M, S) -> np.ndarray:
     return R
 
 
-def _validate_prior(prior: Optional[KernelPriorConfig]) -> KernelPriorConfig:
-    prior = KernelPriorConfig() if prior is None else prior
-    if prior.mu0 is not None or prior.w is not None:
-        raise ValueError(
-            "the closed-form estimator requires the default prior (zero mean, "
-            "covariance generated by the data kernel); see general_inducing_posterior"
-        )
-    return prior
+def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_scale) -> list[KmcgModel]:
+    """One model per step budget, all from one CG trace and one pair of factors.
+
+    CG directions are incremental: the first p directions of a run to
+    max(budgets) are exactly the directions of a p-step run. The leading
+    p x p block of a Cholesky factor is the factor of the leading block, so
+    the two truncating factorizations of S^T Z and sigma2 S^T Z + R^T R at
+    the trace's full length hold every budget's factors. CG direction
+    matrices lose conditioning in floating point; a budget keeps only the
+    directions before the first pivot that fails in either factorization.
+    A budget of None means M.
+    """
+    if not (prior_scale > 0.0):
+        raise ValueError("prior_scale must be positive")
+    X = _as_points(X, kernel.dim)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n = X.shape[0]
+    if y.size != n:
+        raise ValueError(f"{n} inputs but {y.size} targets")
+    if not (sigma2 > 0.0):
+        raise ValueError("sigma2 must be positive")
+    sigma2 = float(sigma2)
+    M = n if M is None else int(M)
+    idx = choose_inducing(n, M, seed)
+    X_M = X[idx]
+    y_M = y[idx]
+    if operator is None:
+        operator = dense_operator(gram(kernel, X_M))
+    elif operator.dim != M:
+        raise ValueError(f"operator dim {operator.dim} does not match inducing size {M}")
+    budgets = [M if p is None else int(p) for p in budgets]
+
+    eps = default_cg_tolerance(y_M) if eps is None else float(eps)
+    trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M))
+    S, Z = trace.S, trace.Z
+    shared = M == n
+    R = Z if shared else _cross_products(kernel, X, X_M, S)
+    A1 = S.T @ Z
+    A1 = 0.5 * (A1 + A1.T)
+    L1, ok1 = linalg.cholesky_with_truncation(A1)
+    A2 = sigma2 * A1 + R.T @ R
+    A2 = 0.5 * (A2 + A2.T)
+    L2, ok2 = linalg.cholesky_with_truncation(A2)
+    Ry = R.T @ y
+
+    models = []
+    for p in budgets:
+        q = min(p, trace.steps, ok1, ok2)
+        S_q, Z_q = S[:, :q], Z[:, :q]
+        if q:
+            factor1 = linalg.CholeskyFactor(L1[:q, :q].copy())
+            factor2 = linalg.CholeskyFactor(L2[:q, :q].copy())
+            mean_weights = S_q @ linalg.chol_solve(factor2, Ry[:q])
+        else:
+            factor1 = factor2 = None
+            mean_weights = np.zeros(M)
+        # A breakdown is met only when step trace.steps + 1 is tried, which a
+        # budget of exactly trace.steps never does.
+        within = p > trace.steps or (p == trace.steps and trace.reason != BREAKDOWN)
+        models.append(KmcgModel(
+            kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
+            S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
+            mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
+            reason=trace.reason if within else MAXSTEPS, prior_scale=prior_scale,
+        ))
+    return models
 
 
 def kmcg_fit(
@@ -161,41 +161,20 @@ def kmcg_fit(
     max_steps=None,
     seed=0,
     operator: Optional[MvmOperator] = None,
-    prior: Optional[KernelPriorConfig] = None,
+    prior_scale: float = 1.0,
 ) -> KmcgModel:
     """Collect CG directions on the inducing Gram and build the estimator.
 
     The inducing subset X_M is all of X when M = N, otherwise a uniform
     draw without replacement governed by `seed`. CG runs on K_M y_M = ...
-    from x0 = 0 with eps defaulting to 0.01 ||y_M||; its solution is
-    discarded, only the directions matter. A structured `operator` may
-    replace the dense Gram product (it must apply v -> K_M v).
+    from x0 = 0 for at most min(max_steps, M) steps (max_steps defaults to
+    M) with eps defaulting to 0.01 ||y_M||; its solution is discarded, only
+    the directions matter. A structured `operator` may replace the dense
+    Gram product (it must apply v -> K_M v). `prior_scale` must be positive
+    (see the module docstring).
     """
-    prior = _validate_prior(prior)
-    X = _as_points(X, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = X.shape[0]
-    if y.size != n:
-        raise ValueError(f"{n} inputs but {y.size} targets")
-    if not (sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive")
-    M = n if M is None else int(M)
-    idx = choose_inducing(n, M, seed)
-    X_M = X[idx]
-    y_M = y[idx]
-
-    if operator is None:
-        operator = dense_operator(gram(kernel, X_M))
-    elif operator.dim != M:
-        raise ValueError(f"operator dim {operator.dim} does not match inducing size {M}")
-
-    eps = default_cg_tolerance(y_M) if eps is None else float(eps)
-    max_steps = M if max_steps is None else int(max_steps)
-    trace = cg_reorth(operator, y_M, eps=eps, max_steps=max_steps)
-
-    S, Z = trace.S, trace.Z
-    R = Z if M == n else _cross_products(kernel, X, X_M, S)
-    return _assemble(kernel, X, idx, y, float(sigma2), S, Z, R, trace.reason, prior)
+    (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator, prior_scale)
+    return model
 
 
 def kmcg_models_for_steps(
@@ -208,36 +187,16 @@ def kmcg_models_for_steps(
     eps=None,
     seed=0,
     operator: Optional[MvmOperator] = None,
-    prior: Optional[KernelPriorConfig] = None,
+    prior_scale: float = 1.0,
 ) -> dict[int, KmcgModel]:
     """Models for several step budgets from a single CG trace.
 
-    CG directions are incremental: the first P directions of a long run are
-    exactly the directions of a P-step run, so one trace at max(steps)
-    serves every budget.
+    Each model is the one ``kmcg_fit(..., max_steps=p)`` builds, up to
+    rounding in the last bits, with the same cg_steps and reason.
     """
-    prior = _validate_prior(prior)
-    X = _as_points(X, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = X.shape[0]
-    M = n if M is None else int(M)
-    idx = choose_inducing(n, M, seed)
-    X_M = X[idx]
-    y_M = y[idx]
-    if operator is None:
-        operator = dense_operator(gram(kernel, X_M))
-    eps = default_cg_tolerance(y_M) if eps is None else float(eps)
-    budget = min(max(steps), M)
-    trace = cg_reorth(operator, y_M, eps=eps, max_steps=budget)
-    R_full = trace.Z if M == n else _cross_products(kernel, X, X_M, trace.S)
-    out = {}
-    for p in steps:
-        p_eff = min(int(p), trace.steps)
-        S = trace.S[:, :p_eff]
-        Z = trace.Z[:, :p_eff]
-        R = Z if M == n else R_full[:, :p_eff]
-        out[int(p)] = _assemble(kernel, X, idx, y, float(sigma2), S, Z, R, trace.reason, prior)
-    return out
+    steps = [int(p) for p in steps]
+    models = _fit_budgets(kernel, X, y, sigma2, steps, M, eps, seed, operator, prior_scale)
+    return dict(zip(steps, models))
 
 
 def _projected_features(model: KmcgModel, points) -> np.ndarray:
@@ -335,10 +294,10 @@ def kmcg_uncertainty(model: KmcgModel, x, z) -> float:
     k_xz = float(gram(k, x, z)[0, 0])
     prior = k.theta_f * k.theta_f + k_xz * k_xz
     if model.steps == 0:
-        return 0.5 * model.prior.scale * prior
+        return 0.5 * model.prior_scale * prior
     G = kmcg_kernel_gram(model, np.vstack([x, z]))
     posterior = G[0, 0] * G[1, 1] + G[0, 1] * G[0, 1]
-    return 0.5 * model.prior.scale * (prior - posterior)
+    return 0.5 * model.prior_scale * (prior - posterior)
 
 
 def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
@@ -351,7 +310,7 @@ def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
     prior = np.outer(np.diag(K), np.diag(K)) + K * K
     G = kmcg_kernel_gram(model, X_s)
     posterior = np.outer(np.diag(G), np.diag(G)) + G * G
-    return 0.5 * model.prior.scale * (prior - posterior)
+    return 0.5 * model.prior_scale * (prior - posterior)
 
 
 def error_bound_ratio(model: KmcgModel, x, z, k_true: float) -> float:
@@ -377,4 +336,4 @@ def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator) -> np.ndarray:
     W = gram(model.kernel, X_s)
     W_hat = kmcg_kernel_gram(model, X_s)
     draw = linalg.sym_kron_sample(W, W_hat, rng)
-    return W_hat + np.sqrt(model.prior.scale) * draw
+    return W_hat + np.sqrt(model.prior_scale) * draw

@@ -15,10 +15,6 @@ with Phi_ij = phi_i(X_j). The covariance comes in two flavours: "plain"
 kernel for the prior term:
 
     cov_dtc(x*,z*) = k(x*,z*) - phi(x*)^T Sigma^{-1} phi(z*) + cov_plain(x*,z*)
-
-The dtc form regularizes the bracket with sigma2*Sigma, which keeps it
-consistent with the plain form; the alternative sigma2*I convention is
-available behind ``identity_noise_bracket``.
 """
 
 from __future__ import annotations
@@ -124,7 +120,6 @@ def lowrank_var(
     X_star,
     X_star2=None,
     mode: str = "plain",
-    identity_noise_bracket: bool = False,
 ) -> np.ndarray:
     """Predictive covariance in plain or dtc mode.
 
@@ -135,12 +130,7 @@ def lowrank_var(
         raise ValueError(f"unknown variance mode {mode!r}")
     P_star = np.asarray(model.expansion.phi(X_star), dtype=float)
     P_star2 = P_star if X_star2 is None else np.asarray(model.expansion.phi(X_star2), dtype=float)
-    if identity_noise_bracket:
-        A = model.Phi @ model.Phi.T + model.sigma2 * np.eye(model.expansion.rank)
-        bracket = linalg.cholesky(0.5 * (A + A.T))
-    else:
-        bracket = model.factor
-    plain = model.sigma2 * (P_star @ linalg.chol_solve(bracket, P_star2.T))
+    plain = model.sigma2 * (P_star @ linalg.chol_solve(model.factor, P_star2.T))
     if mode == "plain":
         return plain
     kernel = model.expansion.prior_kernel

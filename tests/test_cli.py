@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from kernelcg import cli
 from kernelcg.datasets import read_dataset_csv
@@ -101,3 +107,54 @@ path = {records_path}
 def test_steps_parser_forms():
     assert cli._parse_steps("1:4") == (1, 2, 3, 4)
     assert cli._parse_steps("1, 5, 9") == (1, 5, 9)
+
+
+_TOY_CONFIG = """
+[dataset]
+source = toy
+
+[kernel]
+metric = 0.25
+sigma2 = 0.01
+
+[schedule]
+steps = 1:2
+repetitions = 1
+
+[output]
+path = {records}
+"""
+
+
+@pytest.mark.parametrize("section", ["dataset", "kernel"])
+def test_run_without_required_section_is_one_line_error(tmp_path, section):
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=tmp_path / "records.csv")
+    config_path.write_text(text.replace(f"[{section}]", "[unused]"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    message = raised.value.code
+    assert message.startswith("error:") and f"[{section}]" in message and "\n" not in message
+
+
+def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):
+    config_path = tmp_path / "config.ini"
+    config_path.write_text("source = toy\n")
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    message = raised.value.code
+    assert message.startswith("error:") and "section" in message and "\n" not in message
+
+
+def test_run_with_bad_thread_count_exits_with_one_error_line(tmp_path):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(_TOY_CONFIG.format(records=records_path))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, KERNELCG_THREADS="two",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "kernelcg.cli", "run", "--config", str(config_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: KERNELCG_THREADS must be a positive integer, got 'two'"]
+    assert not records_path.exists()

@@ -99,6 +99,13 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(back.y_star, data.y_star)
 
 
+def test_dataset_csv_rejects_unknown_split_label(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x0,y,split\n0.0,1.0,train\n1.0,2.0,tset\n")
+    with pytest.raises(ValueError, match=r"row 3.*'tset'"):
+        read_dataset_csv(path)
+
+
 def test_masked_series_loader(tmp_path):
     path = tmp_path / "series.csv"
     lines = ["time,value,mask"] + [f"{0.5 * i},{np.sin(i)},{int(i % 3 != 0)}" for i in range(12)]

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from kernelcg import exact, harness, kmcg
+from kernelcg import exact, harness, kmcg, solvers
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.harness import (
     ExperimentConfig,
@@ -11,7 +13,6 @@ from kernelcg.harness import (
     metric_relerr,
     metric_relerr_detail,
     metric_smse,
-    metric_var_err,
     read_records_csv,
     run_experiment,
 )
@@ -60,7 +61,8 @@ def test_relerr_guard_excludes_tiny_denominators():
 
 
 def test_var_and_ev_metrics():
-    assert metric_var_err([1.0, 4.0], [1.1, 3.6]) == pytest.approx((0.1 + 0.1) / 2)
+    # eps_var is the relative error of the pointwise variances
+    assert metric_relerr([1.0, 4.0], [1.1, 3.6]) == pytest.approx((0.1 + 0.1) / 2)
     assert metric_ev_err(-10.0, -12.0) == pytest.approx(0.2)
     assert metric_ev_err(-10.0, -10.0) == 0.0
 
@@ -130,6 +132,28 @@ def test_kmcg_matches_sor_record_with_aligned_seeds():
     by_method = {r.method: r for r in records if r.run == "0"}
     assert by_method["kmcg"].effective_p == 4
     assert by_method["kmcg"].eps_f == pytest.approx(by_method["sor"].eps_f, abs=1e-8)
+
+
+SHARED_DELAY = 0.25
+
+
+def _delayed(function):
+    def slow(*args, **kwargs):
+        time.sleep(SHARED_DELAY)
+        return function(*args, **kwargs)
+    return slow
+
+
+@pytest.mark.parametrize("method, module, name", [
+    ("kmcg", kmcg, "kmcg_models_for_steps"),
+    ("cg-reorth", solvers, "cg_reorth"),
+])
+def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, module, name):
+    monkeypatch.setattr(module, name, _delayed(getattr(module, name)))
+    config = _small_config(methods=(method,), steps=(4, 1, 2), repetitions=1)
+    records = {r.step: r for r in run_experiment(config, _small_dataset())}
+    assert records[4].seconds >= SHARED_DELAY
+    assert records[1].seconds < SHARED_DELAY and records[2].seconds < SHARED_DELAY
 
 
 def test_cg_methods_have_no_variance_metrics():

@@ -1,11 +1,15 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernelcg import exact, kmcg
+from kernelcg import exact, kmcg, linalg, solvers
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import (
-    KernelPriorConfig,
     error_bound_ratio,
     kmcg_evidence,
     kmcg_evidence_terms,
@@ -283,29 +287,40 @@ def test_sample_empirical_variance_matches_uncertainty():
 # --- invariances -----------------------------------------------------------------------
 
 
-def test_span_invariance_under_direction_transform():
-    kernel, X, y, sigma2, rng = _problem(27, 30)
-    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=8)
-    p = model.steps
-    T = rng.standard_normal((p, p)) + 3.0 * np.eye(p)
-    transformed = kmcg._assemble(
-        kernel, model.X, model.indices, y, sigma2,
-        model.S @ T, model.Z @ T, model.Z @ T, model.reason, model.prior,
-    )
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 30), st.integers(1, 6), st.booleans())
+def test_span_invariance_under_direction_transform(seed, n, max_steps, subset):
+    # S -> S T (and Z -> Z T) for a well-conditioned invertible T: the
+    # trace is transformed where the fit receives it, so the whole fit path
+    # (cross products, both factorizations, the mean weights) sees S T.
+    kernel, X, y, sigma2, rng = _problem(seed, n)
+    M = n // 2 if subset else None
+
+    def transformed_trace(*args, **kwargs):
+        trace = solvers.cg_reorth(*args, **kwargs)
+        p = trace.steps
+        Q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        T = Q1 @ np.diag(rng.uniform(0.5, 2.0, p)) @ Q2  # condition number <= 4
+        return dataclasses.replace(trace, S=trace.S @ T, Z=trace.Z @ T)
+
+    fit = dict(M=M, seed=seed, eps=0.0, max_steps=max_steps)
+    model = kmcg_fit(kernel, X, y, sigma2, **fit)
+    with mock.patch.object(kmcg, "cg_reorth", transformed_trace):
+        transformed = kmcg_fit(kernel, X, y, sigma2, **fit)
+    assert transformed.steps == model.steps
     X_star = rng.uniform(0, 2, (10, 2))
     assert np.allclose(kmcg_mean(transformed, X_star), kmcg_mean(model, X_star), rtol=1e-8, atol=1e-10)
     assert np.allclose(kmcg_var(transformed, X_star), kmcg_var(model, X_star), rtol=1e-8, atol=1e-10)
     assert kmcg_evidence(transformed) == pytest.approx(kmcg_evidence(model), rel=1e-8)
-    assert kmcg_kernel_eval(transformed, X[0], X[1]) == pytest.approx(
-        kmcg_kernel_eval(model, X[0], X[1]), rel=1e-8
-    )
+    assert np.allclose(kmcg_kernel_gram(transformed, X_star), kmcg_kernel_gram(model, X_star),
+                       rtol=1e-8, atol=1e-10)
 
 
 def test_prior_scale_only_scales_uncertainty():
     kernel, X, y, sigma2, rng = _problem(28, 20)
     base = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6)
-    scaled = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6,
-                      prior=KernelPriorConfig(scale=4.0))
+    scaled = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6, prior_scale=4.0)
     X_star = rng.uniform(0, 2, (8, 2))
     assert np.array_equal(kmcg_mean(base, X_star), kmcg_mean(scaled, X_star))
     assert np.array_equal(kmcg_var(base, X_star), kmcg_var(scaled, X_star))
@@ -317,10 +332,8 @@ def test_prior_scale_only_scales_uncertainty():
 
 def test_nondefault_prior_rejected():
     kernel, X, y, sigma2, _ = _problem(29, 10)
-    with pytest.raises(ValueError):
-        kmcg_fit(kernel, X, y, sigma2, prior=KernelPriorConfig(w=kernel))
-    with pytest.raises(ValueError):
-        KernelPriorConfig(scale=0.0)
+    with pytest.raises(ValueError, match="prior_scale"):
+        kmcg_fit(kernel, X, y, sigma2, prior_scale=0.0)
 
 
 def test_models_for_steps_match_individual_fits():
@@ -331,3 +344,78 @@ def test_models_for_steps_match_individual_fits():
         single = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=p)
         assert models[p].steps == single.steps
         assert np.allclose(kmcg_mean(models[p], X_star), kmcg_mean(single, X_star), rtol=1e-12)
+
+
+def test_models_for_steps_report_each_budget_stop_like_individual_fits():
+    # Budgets 1 and 2 stop at their budget; only the longest one sees CG
+    # converge (after 5 steps on this problem).
+    data = gen_toy(seed=1)
+    kernel = toy_kernel()
+    models = kmcg_models_for_steps(kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, steps=(1, 2, 40))
+    for p, model in models.items():
+        single = kmcg_fit(kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, max_steps=p)
+        assert (model.steps, model.cg_steps, model.reason) == (single.steps, single.cg_steps, single.reason)
+    assert [models[p].reason for p in (1, 2)] == ["maxsteps", "maxsteps"]
+
+
+def test_breakdown_reported_only_past_the_last_direction():
+    # On an indefinite operator CG breaks down at step 2; a budget of one
+    # step never tries step 2, so it stops for its budget.
+    kernel, X, y, sigma2, _ = _problem(31, 4)
+    A = np.diag([1.0, 2.0, -3.0, 4.0])
+    operator = solvers.MvmOperator(dim=4, apply=lambda v: A @ v)
+    models = kmcg_models_for_steps(kernel, X, np.ones(4), sigma2, steps=(1, 3), eps=0.0, operator=operator)
+    for p, model in models.items():
+        single = kmcg_fit(kernel, X, np.ones(4), sigma2, eps=0.0, max_steps=p, operator=operator)
+        assert (model.steps, model.cg_steps, model.reason) == (single.steps, single.cg_steps, single.reason)
+    assert (models[1].reason, models[3].reason) == ("maxsteps", "breakdown")
+
+
+def test_models_for_steps_validate_inputs():
+    kernel, X, y, sigma2, _ = _problem(32, 12)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma2"):
+            kmcg_models_for_steps(kernel, X, y, bad, steps=(1, 2))
+    with pytest.raises(ValueError, match="targets"):
+        kmcg_models_for_steps(kernel, X, y[:-1], sigma2, steps=(1, 2))
+    operator = solvers.dense_operator(gram(kernel, X))
+    with pytest.raises(ValueError, match="operator dim"):
+        kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), M=6, operator=operator)
+    with pytest.raises(ValueError, match="prior_scale"):
+        kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), prior_scale=-1.0)
+
+
+def test_one_pair_of_factorizations_serves_every_budget():
+    kernel, X, y, sigma2, _ = _problem(33, 30)
+    calls = []
+    factorize = linalg.cholesky_with_truncation
+
+    def counting(A):
+        calls.append(A.shape[0])
+        return factorize(A)
+
+    with mock.patch.object(linalg, "cholesky_with_truncation", counting):
+        models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 5, 9), eps=0.0)
+    assert calls == [9, 9]
+    for p, model in models.items():
+        single = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=p)
+        assert np.max(np.abs(model.factor1.L - single.factor1.L)) <= 1e-13 * np.max(np.abs(single.factor1.L))
+        assert np.max(np.abs(model.factor2.L - single.factor2.L)) <= 1e-13 * np.max(np.abs(single.factor2.L))
+
+
+def test_failed_pivot_truncates_every_longer_budget():
+    # A zero third direction (and product) makes the third pivot of both
+    # factorizations exactly zero: budgets from 3 on keep two directions.
+    kernel, X, y, sigma2, _ = _problem(34, 20)
+
+    def zero_third_direction(*args, **kwargs):
+        trace = solvers.cg_reorth(*args, **kwargs)
+        S, Z = trace.S.copy(), trace.Z.copy()
+        S[:, 2] = Z[:, 2] = 0.0
+        return dataclasses.replace(trace, S=S, Z=Z)
+
+    with mock.patch.object(kmcg, "cg_reorth", zero_third_direction):
+        models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 3, 6), eps=0.0)
+    assert [models[p].steps for p in (2, 3, 6)] == [2, 2, 2]
+    assert [models[p].cg_steps for p in (2, 3, 6)] == [2, 3, 6]
+    assert np.array_equal(models[6].factor1.L, models[2].factor1.L)

@@ -104,14 +104,6 @@ def test_dtc_minus_plain_is_prior_defect():
     assert np.allclose(dtc - plain, defect, atol=1e-10)
 
 
-def test_identity_noise_bracket_variant():
-    kernel, X, y, sigma2, _ = _problem(7, 15)
-    model = lowrank_fit(sor_expansion(kernel, X[:5]), X, y, sigma2)
-    a = lowrank_var(model, X[:3], mode="dtc")
-    b = lowrank_var(model, X[:3], mode="dtc", identity_noise_bracket=True)
-    assert a.shape == b.shape and not np.allclose(a, b)
-
-
 # --- evidence ---------------------------------------------------------------
 
 
