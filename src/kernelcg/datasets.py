@@ -121,32 +121,13 @@ def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Da
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, a header row is required") from None
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in _header(path, reader)]
         if target_column not in header:
             raise ValueError(
                 f"{path}: target column {target_column!r} not found; available: {header}"
             )
         target_idx = header.index(target_column)
-        rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
-                raise ValueError(
-                    f"{path}: row {row_number}, column {header[bad]!r}: non-numeric cell {row[bad]!r}"
-                ) from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+        _, data = _numeric_rows(path, reader, header)
     y_all = data[:, target_idx]
     X_all = np.delete(data, target_idx, axis=1)
     n = data.shape[0]
@@ -169,21 +150,58 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def _header(path, reader) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, a header row is required") from None
+
+
+def _numeric_rows(path, reader, header) -> tuple[list[int], np.ndarray]:
+    """The file row numbers and values of every non-empty data row.
+
+    A row whose cell count differs from the header's, or a cell that is not
+    a number, raises ValueError naming the row (and the column); so does a
+    file with no data rows.
+    """
+    numbers, rows = [], []
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
+            raise ValueError(
+                f"{path}: row {row_number}, column {header[bad]!r}: non-numeric cell {row[bad]!r}"
+            ) from None
+        numbers.append(row_number)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return numbers, np.asarray(rows, dtype=float)
+
+
 def load_masked_series_csv(path):
     """Load an equispaced series CSV with columns time, value, mask.
 
     Rows with mask 1 are observed (training); rows with mask 0 are held out.
-    Returns (times, values, mask) as arrays over the full grid.
+    Returns (times, values, mask) as arrays over the full grid. A ragged
+    row, a non-numeric cell or a mask other than 0 or 1 raises ValueError
+    naming the row, as :func:`load_csv` does.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = [h.strip().lower() for h in next(reader)]
+        header = [h.strip().lower() for h in _header(path, reader)]
         if header[:3] != ["time", "value", "mask"]:
             raise ValueError(f"{path}: expected header time,value,mask, got {header}")
-        rows = [(float(r[0]), float(r[1]), int(r[2])) for r in reader if r]
-    times = np.asarray([r[0] for r in rows])
-    values = np.asarray([r[1] for r in rows])
-    mask = np.asarray([r[2] for r in rows], dtype=bool)
+        numbers, data = _numeric_rows(path, reader, header)
+    times, values, mask = data[:, 0], data[:, 1], data[:, 2]
+    bad = np.flatnonzero((mask != 0.0) & (mask != 1.0))
+    if bad.size:
+        raise ValueError(f"{path}: row {numbers[bad[0]]}, column 'mask': {mask[bad[0]]:g} is neither 0 nor 1")
+    mask = mask == 1.0
     if times.size >= 2:
         gaps = np.diff(times)
         if np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(abs(gaps[0]), 1.0):

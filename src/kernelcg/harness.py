@@ -19,9 +19,8 @@ one CG trace serves every budget (kmcg at M = N, cg-reorth, cg-textbook),
 the shared work (Gram assembly, the trace and, for kmcg, the factorizations)
 is charged once, to the record of the largest budget; every other record of
 that method carries only the time of its own prediction. The `reason`
-of a kmcg record says why CG stopped within its budget (converged, maxsteps
-or breakdown); cg-reorth and cg-textbook records carry the stop reason of
-their shared trace, run to the largest budget. Baselines say "ok",
+of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
+budget (converged, maxsteps or breakdown). Baselines say "ok",
 aggregate rows "aggregate", and a failed method "error: " and the exception.
 """
 
@@ -269,7 +268,7 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
             mean = K_star @ x_hat
             seconds = shared_seconds.pop(step, 0.0) + (time.perf_counter() - start)
             records.append(_record(method, step, n, "0", oracle, mean, None, None,
-                                   data.y_star, seconds, p, trace.reason))
+                                   data.y_star, seconds, p, solvers.stop_reason_within(trace, step)))
         except Exception as error:
             records.append(_failure(method, step, n, "0", error))
     return records

@@ -42,11 +42,13 @@ from scipy.linalg import solve_triangular
 from . import linalg
 from .kernels import Kernel, _as_points, gram
 from .lowrank import choose_inducing
-from .solvers import BREAKDOWN, MAXSTEPS, MvmOperator, cg_reorth, default_cg_tolerance, dense_operator
+from .solvers import MvmOperator, cg_reorth, default_cg_tolerance, dense_operator, stop_reason_within
 
-# Row-block size for assembling R = k(X, X_M) S without materializing the
-# full N x M cross-Gram.
-_R_BLOCK_ROWS = 2048
+# Entries of one row block of a cross-Gram k(X, X_M) (16 MiB). glibc malloc
+# serves requests above its mmap threshold, which adapts up to 32 MiB, with
+# fresh mappings that every use faults in again; blocks below it reuse freed
+# heap pages from one prediction to the next. Each block re-reads W once.
+_CROSS_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -73,14 +75,18 @@ class KmcgModel:
         return self.X_M.shape[0]
 
 
-def _cross_products(kernel, X, X_M, S) -> np.ndarray:
-    """R = k(X, X_M) S assembled in row blocks (O(N M) memory ceiling)."""
-    n = X.shape[0]
-    R = np.empty((n, S.shape[1]))
-    for start in range(0, n, _R_BLOCK_ROWS):
-        stop = min(start + _R_BLOCK_ROWS, n)
-        R[start:stop] = gram(kernel, X[start:stop], X_M) @ S
-    return R
+def _cross_products(kernel, X, X_M, W) -> np.ndarray:
+    """k(X, X_M) W assembled in row blocks of k(X, X_M).
+
+    W is a vector or a matrix with M rows. Memory: the output plus one
+    block of at most max(_CROSS_BLOCK_ENTRIES, M) floats (and the
+    temporaries of `gram` for it); the full cross-Gram is never built.
+    """
+    rows = max(1, _CROSS_BLOCK_ENTRIES // X_M.shape[0])
+    out = np.empty((X.shape[0],) + W.shape[1:])
+    for start in range(0, X.shape[0], rows):
+        out[start : start + rows] = gram(kernel, X[start : start + rows], X_M) @ W
+    return out
 
 
 def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_scale) -> list[KmcgModel]:
@@ -139,14 +145,11 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
         else:
             factor1 = factor2 = None
             mean_weights = np.zeros(M)
-        # A breakdown is met only when step trace.steps + 1 is tried, which a
-        # budget of exactly trace.steps never does.
-        within = p > trace.steps or (p == trace.steps and trace.reason != BREAKDOWN)
         models.append(KmcgModel(
             kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
             mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
-            reason=trace.reason if within else MAXSTEPS, prior_scale=prior_scale,
+            reason=stop_reason_within(trace, p), prior_scale=prior_scale,
         ))
     return models
 
@@ -200,8 +203,18 @@ def kmcg_models_for_steps(
 
 
 def _projected_features(model: KmcgModel, points) -> np.ndarray:
-    """S^T k(X_M, points), the P x n feature block all predictions share."""
-    return model.S.T @ gram(model.kernel, model.X_M, _as_points(points, model.kernel.dim))
+    """S^T k(X_M, points), the P x n feature block all predictions share.
+
+    Summed over row blocks of k(X_M, points), so S is read once however many
+    points there are. Memory: the output, one block of at most
+    max(_CROSS_BLOCK_ENTRIES, n) floats and one P x n partial product.
+    """
+    points = _as_points(points, model.kernel.dim)
+    rows = max(1, _CROSS_BLOCK_ENTRIES // points.shape[0])
+    U = model.S[:rows].T @ gram(model.kernel, model.X_M[:rows], points)
+    for start in range(rows, model.X_M.shape[0], rows):
+        U += model.S[start : start + rows].T @ gram(model.kernel, model.X_M[start : start + rows], points)
+    return U
 
 
 def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
@@ -227,7 +240,7 @@ def kmcg_kernel_eval(model: KmcgModel, x, z) -> float:
 def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
     """Posterior mean prediction k(x*, X_M) @ mean_weights per test point."""
     X_star = _as_points(X_star, model.kernel.dim)
-    return gram(model.kernel, X_star, model.X_M) @ model.mean_weights
+    return _cross_products(model.kernel, X_star, model.X_M, model.mean_weights)
 
 
 def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
@@ -313,15 +326,25 @@ def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
     return 0.5 * model.prior_scale * (prior - posterior)
 
 
+# Posterior kernel variances below this multiple of prior_scale * theta_f^4
+# are rounding noise; see error_bound_ratio.
+_VAR_RESOLUTION = 1e-8
+
+
 def error_bound_ratio(model: KmcgModel, x, z, k_true: float) -> float:
-    """Squared kernel error over its posterior variance, with 0/0 -> 0."""
+    """Squared kernel error over its posterior variance, with 0/0 -> 0.
+
+    Near full identification the variance is a cancellation of products of
+    scale prior_scale * theta_f^4 and can round to zero or below while the
+    squared error sits at the same rounding scale. The variance is
+    therefore taken as at least the resolution floor
+    1e-8 * prior_scale * theta_f^4; a resolvable variance is used as is.
+    """
     err2 = (float(k_true) - kmcg_kernel_eval(model, x, z)) ** 2
-    var = kmcg_uncertainty(model, x, z)
     if err2 == 0.0:
         return 0.0
-    if var <= 0.0:
-        return float("inf")
-    return err2 / var
+    floor = _VAR_RESOLUTION * model.prior_scale * model.kernel.theta_f**4
+    return err2 / max(kmcg_uncertainty(model, x, z), floor)
 
 
 def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator) -> np.ndarray:

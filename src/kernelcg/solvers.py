@@ -3,8 +3,15 @@ Galerkin (projection-method) solution extracted from collected directions.
 
 The textbook recursion is known to lose residual orthogonality in floating
 point; ``cg_reorth`` counters this by explicitly re-orthogonalizing every new
-residual against all stored residuals (two-pass modified Gram-Schmidt). In
-exact arithmetic the two variants coincide.
+residual against all stored residuals with classical Gram-Schmidt applied
+twice (CGS2, two matrix-vector products per pass; Giraud, Langou and
+Rozloznik 2005 show it orthogonalizes as well as two-pass modified
+Gram-Schmidt). In exact arithmetic the two variants coincide.
+
+A trace keeps directions, products and residuals as rows of buffers that
+start small and at least double when full, capped at the step limit, and
+returns transposed views of the rows filled; see :func:`cg_reorth` for the
+memory this takes.
 
 Traces record every search direction s_i together with the product
 z_i = A s_i actually computed, which is exactly the information downstream
@@ -30,6 +37,9 @@ BREAKDOWN = "breakdown"
 # ||b|| carries no information; the solver stops rather than orthogonalize
 # rounding noise.
 _COLLAPSE_FACTOR = 8.0
+
+# Rows a trace buffer holds before its first growth.
+_FIRST_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,18 @@ class CgTrace:
     reason: str
 
 
+def _with_room(buf: np.ndarray, rows: int, limit: int) -> np.ndarray:
+    """`buf`, or a copy of it with room for `rows` rows.
+
+    Capacity at least doubles on each copy and never exceeds `limit`.
+    """
+    if rows <= buf.shape[0]:
+        return buf
+    grown = np.empty((min(max(2 * buf.shape[0], rows), limit),) + buf.shape[1:])
+    grown[: buf.shape[0]] = buf
+    return grown
+
+
 def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) -> CgTrace:
     b = np.asarray(b, dtype=float).reshape(-1)
     x = np.zeros(op.dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1).copy()
@@ -68,17 +90,22 @@ def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) ->
     s = -r
     collapse_tol = _COLLAPSE_FACTOR * np.finfo(float).eps * np.linalg.norm(b)
 
-    S_cols: list[np.ndarray] = []
-    Z_cols: list[np.ndarray] = []
-    res_cols = [r.copy()]
-    norms = [float(np.linalg.norm(r))]
-    basis: list[np.ndarray] = []  # normalized residuals, reorth mode only
-    if reorth and norms[-1] > 0.0:
-        basis.append(r / norms[-1])
+    # Row k of S and Z holds step k's direction and product; row k of `res`
+    # holds residual r_k, which has norm norms[k].
+    limit = max(max_steps, 0)
+    first = min(limit, _FIRST_ROWS)
+    S = np.empty((first, op.dim))
+    Z = np.empty((first, op.dim))
+    res = np.empty((first + 1, op.dim))
+    norms = np.empty(first + 1)
+    res[0] = r
+    norms[0] = np.linalg.norm(r)
+    rr = float(r @ r)
 
+    k = 0
     reason = MAXSTEPS
-    for _ in range(max_steps):
-        if not (norms[-1] > eps):
+    while k < limit:
+        if not (norms[k] > eps):
             reason = CONVERGED
             break
         z = op.apply(s)
@@ -88,44 +115,57 @@ def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) ->
             # trace gathered so far.
             reason = BREAKDOWN
             break
-        S_cols.append(s)
-        Z_cols.append(z)
-        rr_old = float(r @ r)
-        alpha = rr_old / curvature
+        S = _with_room(S, k + 1, limit)
+        Z = _with_room(Z, k + 1, limit)
+        res = _with_room(res, k + 2, limit + 1)
+        norms = _with_room(norms, k + 2, limit + 1)
+        S[k] = s
+        Z[k] = z
+        alpha = rr / curvature
         x = x + alpha * s
         r_new = r + alpha * z
         if reorth:
+            # CGS2: project out every stored residual, twice. The stored
+            # residuals are mutually orthogonal, so they are the basis.
+            basis = res[: k + 1]
+            sq = norms[: k + 1] ** 2
             for _pass in range(2):
-                for q in basis:
-                    r_new = r_new - (q @ r_new) * q
-        rn = float(np.linalg.norm(r_new))
-        res_cols.append(r_new.copy())
-        norms.append(rn)
-        if reorth:
-            if rn <= collapse_tol:
-                r = r_new
-                reason = CONVERGED
-                break
-            basis.append(r_new / rn)
-        beta = float(r_new @ r_new) / rr_old
-        s = -r_new + beta * s
-        r = r_new
+                r_new -= ((basis @ r_new) / sq) @ basis
+        k += 1
+        res[k] = r_new
+        norms[k] = np.linalg.norm(r_new)
+        if reorth and norms[k] <= collapse_tol:
+            reason = CONVERGED
+            break
+        rr_new = float(r_new @ r_new)
+        s = -r_new + (rr_new / rr) * s
+        r, rr = r_new, rr_new
     else:
-        if not (norms[-1] > eps):
+        if not (norms[k] > eps):
             reason = CONVERGED
 
-    n = op.dim
-    S = np.column_stack(S_cols) if S_cols else np.zeros((n, 0))
-    Z = np.column_stack(Z_cols) if Z_cols else np.zeros((n, 0))
     return CgTrace(
         x=x,
-        S=S,
-        Z=Z,
-        residuals=np.column_stack(res_cols),
-        residual_norms=np.asarray(norms),
-        steps=S.shape[1],
+        S=S[:k].T,
+        Z=Z[:k].T,
+        residuals=res[: k + 1].T,
+        residual_norms=norms[: k + 1],
+        steps=k,
         reason=reason,
     )
+
+
+def stop_reason_within(trace: CgTrace, budget: int) -> str:
+    """Why the same CG run capped at `budget` steps stops.
+
+    `trace` must have run with a step limit of at least `budget`. A budget
+    the trace ran past stops for its budget. A breakdown is met only when
+    step trace.steps + 1 is tried, which a budget of exactly trace.steps
+    never does.
+    """
+    if budget > trace.steps or (budget == trace.steps and trace.reason != BREAKDOWN):
+        return trace.reason
+    return MAXSTEPS
 
 
 def default_cg_tolerance(b) -> float:
@@ -139,7 +179,8 @@ def cg_textbook(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrac
     Each step performs one operator application z = A s, a line search
     alpha = r.r / s.z, and the coupled updates of solution, residual and
     direction. Breakdown (nonpositive curvature) truncates the trace.
-    eps defaults to 0.01 * ||b||_2; pass eps=0 to force max_steps steps.
+    eps defaults to 0.01 * ||b||_2; pass eps=0 to force max_steps steps
+    (max_steps defaults to op.dim). Memory is that of :func:`cg_reorth`.
     """
     max_steps = op.dim if max_steps is None else int(max_steps)
     eps = default_cg_tolerance(b) if eps is None else float(eps)
@@ -151,7 +192,14 @@ def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
 
     Additionally stops once the reorthogonalized residual norm collapses to
     machine scale relative to ||b||, since further directions would be pure
-    rounding noise. eps defaults to 0.01 * ||b||_2.
+    rounding noise. eps defaults to 0.01 * ||b||_2 and max_steps to op.dim.
+
+    Memory: after P steps the trace holds S, Z and the residuals in row
+    buffers of at most max(2 (P + 1), 17) rows of N floats each, never more
+    than max_steps + 1 rows; while a buffer grows its old rows are held
+    once more. The ceiling is therefore about 7 N max(P + 1, 17) floats plus
+    what the operator allocates, O(N P) in the steps taken and independent
+    of max_steps: the default max_steps = N allocates no N x N array.
     """
     max_steps = op.dim if max_steps is None else int(max_steps)
     eps = default_cg_tolerance(b) if eps is None else float(eps)

@@ -91,3 +91,59 @@ def random_spd(rng: np.random.Generator, n: int, cond: float = 100.0) -> np.ndar
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.geomspace(1.0, 1.0 / cond, n)
     return (Q * eigs) @ Q.T
+
+
+def cg_list_loop(apply, b, eps: float, max_steps: int, reorth: bool, x0=None):
+    """CG with Python column lists, as the solver was first written.
+
+    reorth=True orthogonalizes each new residual against the normalized
+    stored residuals one vector at a time, two passes of modified
+    Gram-Schmidt, and stops once a residual collapses below 8 machine
+    epsilons times ||b||. Returns (x, S, Z, residuals, norms, steps, reason).
+    """
+    b = np.asarray(b, dtype=float).reshape(-1)
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float).reshape(-1)
+    r = apply(x) - b
+    s = -r
+    collapse_tol = 8.0 * np.finfo(float).eps * np.linalg.norm(b)
+    S_cols, Z_cols, res_cols = [], [], [r.copy()]
+    norms = [float(np.linalg.norm(r))]
+    basis = [r / norms[-1]] if reorth and norms[-1] > 0.0 else []
+    reason = "maxsteps"
+    for _ in range(max_steps):
+        if not (norms[-1] > eps):
+            reason = "converged"
+            break
+        z = apply(s)
+        curvature = float(s @ z)
+        if curvature <= 0.0 or not np.isfinite(curvature):
+            reason = "breakdown"
+            break
+        S_cols.append(s)
+        Z_cols.append(z)
+        rr_old = float(r @ r)
+        alpha = rr_old / curvature
+        x = x + alpha * s
+        r_new = r + alpha * z
+        if reorth:
+            for _pass in range(2):
+                for q in basis:
+                    r_new = r_new - (q @ r_new) * q
+        rn = float(np.linalg.norm(r_new))
+        res_cols.append(r_new.copy())
+        norms.append(rn)
+        if reorth:
+            if rn <= collapse_tol:
+                reason = "converged"
+                break
+            basis.append(r_new / rn)
+        beta = float(r_new @ r_new) / rr_old
+        s = -r_new + beta * s
+        r = r_new
+    else:
+        if not (norms[-1] > eps):
+            reason = "converged"
+    n = b.size
+    S = np.column_stack(S_cols) if S_cols else np.zeros((n, 0))
+    Z = np.column_stack(Z_cols) if Z_cols else np.zeros((n, 0))
+    return x, S, Z, np.column_stack(res_cols), np.asarray(norms), S.shape[1], reason

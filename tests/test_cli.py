@@ -158,3 +158,15 @@ def test_run_with_bad_thread_count_exits_with_one_error_line(tmp_path):
     assert done.returncode == 1
     assert done.stderr.splitlines() == ["error: KERNELCG_THREADS must be a positive integer, got 'two'"]
     assert not records_path.exists()
+
+
+def test_run_on_ragged_masked_series_is_one_line_error(tmp_path):
+    series = tmp_path / "series.csv"
+    series.write_text("time,value,mask\n0,1,1\n1,2\n2,1,0\n")
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=tmp_path / "records.csv")
+    config_path.write_text(text.replace("source = toy", f"source = series-csv\npath = {series}"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    message = raised.value.code
+    assert message.startswith("error:") and "row 3 has 2 cells" in message and "\n" not in message

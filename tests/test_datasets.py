@@ -122,3 +122,20 @@ def test_masked_series_rejects_irregular_grid(tmp_path):
     path.write_text("time,value,mask\n0,1,1\n1,1,1\n3,1,0\n")
     with pytest.raises(ValueError, match="not equispaced"):
         load_masked_series_csv(path)
+
+
+def test_masked_series_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("time,value,mask\n0,1,1\n1,2\n2,1,0\n")
+    with pytest.raises(ValueError, match="row 3 has 2 cells, expected 3"):
+        load_masked_series_csv(path)
+
+
+def test_masked_series_reports_bad_cell(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("time,value,mask\n0,1,1\n1,oops,1\n2,1,0\n")
+    with pytest.raises(ValueError, match="row 3, column 'value': non-numeric cell 'oops'"):
+        load_masked_series_csv(path)
+    path.write_text("time,value,mask\n0,1,1\n1,2,1\n2,1,2\n")
+    with pytest.raises(ValueError, match="row 4, column 'mask': 2 is neither 0 nor 1"):
+        load_masked_series_csv(path)

@@ -328,3 +328,14 @@ def test_one_thread_pool_serves_every_baseline(monkeypatch):
                              _small_dataset())
     assert len(pools) == 1
     assert {r.method for r in records} == {"sor", "fitc", "vfe"}
+
+
+@pytest.mark.parametrize("method", ["cg-reorth", "cg-textbook"])
+def test_cg_records_report_the_stop_within_each_budget(method):
+    # One trace serves budgets 1, 2 and 40; CG converges after a few steps,
+    # so only the largest budget reports convergence.
+    config = ExperimentConfig(kernel=toy_kernel(), sigma2=TOY_DEFAULT_SIGMA2, methods=(method,),
+                              steps=(1, 2, 40), repetitions=1, master_seed=0)
+    records = run_experiment(config, gen_toy(seed=1))
+    assert [(r.step, r.reason) for r in records] == [(1, "maxsteps"), (2, "maxsteps"), (40, "converged")]
+    assert [r.effective_p for r in records][:2] == [1, 2]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,36 @@ def test_subset_fit_assembles_cross_products():
     assert model.R.shape == (40, model.steps)
     want = gram(kernel, X, model.X_M) @ model.S
     assert np.allclose(model.R, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("block_entries", [1, 100, 1 << 21])
+def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch, block_entries):
+    # One row per block, partial last blocks, and one block for everything.
+    kernel, X, y, sigma2, rng = _problem(3, 40)
+    model = kmcg_fit(kernel, X, y, sigma2, M=12, seed=4, eps=0.0, max_steps=6)
+    X_star = rng.uniform(0, 2, (23, 2))
+    monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
+    K_star = gram(kernel, X_star, model.X_M)
+    assert np.allclose(kmcg_mean(model, X_star), K_star @ model.mean_weights, rtol=1e-13, atol=1e-15)
+    assert np.allclose(kmcg._projected_features(model, X_star), model.S.T @ K_star.T, rtol=1e-13, atol=1e-15)
+    assert np.allclose(model.R, gram(kernel, X, model.X_M) @ model.S, rtol=1e-12)
+
+
+@pytest.mark.parametrize("predict", [kmcg_mean, kmcg._projected_features])
+def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict):
+    # 4000 test points against M = 300 would be a 9.6 MB cross-Gram; with
+    # 4096-entry blocks only the (P x) n output and one small block are live.
+    kernel, X, y, sigma2, rng = _problem(3, 300)
+    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=5)
+    X_star = rng.uniform(0, 2, (4000, 2))
+    monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", 1 << 12)
+    tracemalloc.start()
+    try:
+        predict(model, X_star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4000 * 300 * 8 / 10
 
 
 # --- degeneracy oracle --------------------------------------------------------
@@ -222,6 +253,21 @@ def test_error_ratio_zero_when_identified():
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15)
     k_true = float(gram(kernel, X[:1], X[1:2])[0, 0])
     assert error_bound_ratio(model, X[0], X[1], k_true) <= 1e-6
+
+
+def test_error_ratio_rates_unresolvable_variance_against_the_floor(monkeypatch):
+    # A variance below 1e-8 * prior_scale * theta_f^4 is rounding noise
+    # (it can be 0 or negative near full identification); the ratio uses
+    # that floor instead and stays finite.
+    kernel, X, y, sigma2, _ = _problem(20, 15, lam=8.0)
+    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15, prior_scale=2.0)
+    k_true = kmcg.kmcg_kernel_eval(model, X[0], X[1]) + 1e-12
+    floor = 1e-8 * 2.0 * kernel.theta_f**4
+    for var in (0.0, -1e-15, 0.5 * floor):
+        monkeypatch.setattr(kmcg, "kmcg_uncertainty", lambda *args, var=var: var)
+        assert error_bound_ratio(model, X[0], X[1], k_true) == pytest.approx(1e-24 / floor, rel=1e-3)
+    monkeypatch.setattr(kmcg, "kmcg_uncertainty", lambda *args: 4.0 * floor)
+    assert error_bound_ratio(model, X[0], X[1], k_true) == pytest.approx(1e-24 / (4.0 * floor), rel=1e-3)
 
 
 def test_error_ratio_bounded_by_two_random_problems():

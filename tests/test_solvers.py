@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcg import exact, solvers
+from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.solvers import cg_reorth, cg_textbook, dense_operator, fom_solution
-from brute import gauss_solve, random_spd
+from brute import cg_list_loop, gauss_solve, random_spd
 
 
 def spectral_matrix(rng, n, eigenvalues):
@@ -200,3 +205,156 @@ def test_breakdown_truncates_trace():
     trace = cg_textbook(dense_operator(A), b, eps=1e-12, max_steps=5)
     assert trace.reason == solvers.BREAKDOWN
     assert trace.steps == 0
+
+
+# --- trace storage against the list-based reference loops ---------------------
+
+
+def _witness_operator(seed=7, n=200):
+    """Clustered-input SE Gram shifted to condition >= 1e12 (see the witness test)."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, 1, (n // 2, 1))
+    X = np.vstack([centers, centers + 1e-4 * rng.standard_normal((n // 2, 1))])
+    K = gram(se_kernel([1.0], 1.0), X)
+    K[np.diag_indices_from(K)] += abs(min(np.linalg.eigvalsh(K)[0], 0.0)) + 1e-13
+    return K, rng.standard_normal(n)
+
+
+def _reference_cases():
+    """(A, b, eps, max_steps, x0) covering every stop reason and buffer growth."""
+    cases = []
+    for seed, n, cond in ((0, 12, 1e2), (1, 40, 1e4), (2, 90, 1e6), (3, 150, 1e3)):
+        rng = np.random.default_rng(seed)
+        A = random_spd(rng, n, cond)
+        b = rng.standard_normal(n)
+        cases.append((A, b, 0.0, n, None))  # runs out of steps or collapses
+        cases.append((A, b, 1e-6 * np.linalg.norm(b), n, None))  # converges
+        cases.append((A, b, 0.0, n // 3, rng.standard_normal(n)))  # budget, x0
+    cases.append((np.diag([1.0, 2.0, -3.0, 4.0]), np.ones(4), 0.0, 4, None))  # breakdown
+    cases.append((np.eye(5), np.zeros(5), 0.0, 5, None))  # zero right-hand side
+    K, b = _witness_operator()
+    cases.append((K, b, 0.0, K.shape[0], None))  # 200 steps, four buffer growths
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_reference_cases())))
+def test_textbook_trace_bit_identical_to_list_loop(case):
+    A, b, eps, max_steps, x0 = _reference_cases()[case]
+    op = dense_operator(A)
+    trace = cg_textbook(op, b, x0=x0, eps=eps, max_steps=max_steps)
+    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, max_steps, False, x0)
+    assert (trace.steps, trace.reason) == (steps, reason)
+    for got, want in ((trace.x, x), (trace.S, S), (trace.Z, Z),
+                      (trace.residuals, residuals), (trace.residual_norms, norms)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# CGS2 and the MGS2 reference differ in rounding only; on problems of
+# condition <= 1e4 stopped well above rounding scale the difference stays
+# below this relative tolerance (about 1e4 * cond * machine epsilon; the
+# largest seen over 300 random problems was 4e-12).
+MGS2_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reorth_trace_matches_mgs2_list_loop(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(5, 120))
+    A = random_spd(rng, n, 10 ** rng.uniform(0, 4))
+    b = rng.standard_normal(n)
+    eps = 1e-6 * np.linalg.norm(b)
+    op = dense_operator(A)
+    trace = cg_reorth(op, b, eps=eps, max_steps=n)
+    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, n, True)
+    assert (trace.steps, trace.reason) == (steps, reason)
+
+    def column_error(got, want):
+        return np.max(np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0))
+
+    assert column_error(trace.S, S) <= MGS2_RTOL
+    assert column_error(trace.Z, Z) <= MGS2_RTOL
+    scale = np.linalg.norm(b)
+    assert np.max(np.linalg.norm(trace.residuals - residuals, axis=0)) <= MGS2_RTOL * scale
+    assert np.max(np.abs(trace.residual_norms - norms)) <= MGS2_RTOL * scale
+
+
+def test_reorth_collapse_stops_like_mgs2_list_loop():
+    # Three distinct eigenvalues: the fourth residual is rounding noise.
+    rng = np.random.default_rng(4)
+    A = spectral_matrix(rng, 30, [1.0, 5.0, 10.0])
+    b = rng.standard_normal(30)
+    op = dense_operator(A)
+    trace = cg_reorth(op, b, eps=0.0, max_steps=30)
+    _, S, _, _, _, steps, reason = cg_list_loop(op.apply, b, 0.0, 30, True)
+    assert (trace.steps, trace.reason) == (steps, reason) == (3, solvers.CONVERGED)
+    assert np.allclose(trace.S, S, rtol=MGS2_RTOL, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.floats(0.0, 8.0))
+def test_reorth_orthogonality_and_conjugacy_property(seed, n, log_cond):
+    # Over 300 such problems the residual defect stayed below 2e-16 and the
+    # conjugacy defect below 7e-10.
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, n, 10.0**log_cond)
+    trace = cg_reorth(dense_operator(A), rng.standard_normal(n), eps=0.0, max_steps=n)
+    if trace.steps >= 2:
+        assert orthogonality_defect(trace.residuals[:, :-1]) <= 1e-12
+        S, Z = trace.S, trace.Z
+        scale = np.sqrt(np.sum(S * Z, axis=0))
+        C = np.abs(S.T @ Z) / np.outer(scale, scale)
+        np.fill_diagonal(C, 0.0)
+        assert np.max(C) <= 1e-8
+
+
+@pytest.mark.parametrize("spectrum", ["three-eigenvalues", "condition-10"])
+@pytest.mark.parametrize("run", [cg_reorth, cg_textbook])
+def test_trace_memory_grows_with_steps_taken_not_max_steps(run, spectrum):
+    # max_steps=None means op.dim = 4096 steps. These traces converge in 3
+    # and 29 steps (the second past two buffer growths), so memory must
+    # follow the steps taken, far below one N x N array.
+    n = 4096
+    if spectrum == "three-eigenvalues":
+        diagonal = np.resize([1.0, 5.0, 10.0], n)
+    else:
+        diagonal = np.linspace(1.0, 10.0, n)
+    op = solvers.MvmOperator(dim=n, apply=lambda v: diagonal * v)
+    b = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        trace = run(op, b, eps=1e-8 * np.linalg.norm(b))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.reason == solvers.CONVERGED and 3 <= trace.steps <= 40
+    # The docstring's ceiling, 7 N max(P + 1, 17) floats, plus ten N-vectors.
+    assert peak <= (7 * max(trace.steps + 1, 17) + 10) * n * 8
+    assert peak <= n * n * 8 / 10
+
+
+# --- stop reason within a budget ------------------------------------------------
+
+
+def test_stop_reason_within_matches_runs_capped_at_each_budget():
+    data = gen_toy(seed=1)
+    K = gram(toy_kernel(), data.X)
+    K[np.diag_indices_from(K)] += TOY_DEFAULT_SIGMA2
+    op = dense_operator(K)
+    for run in (cg_reorth, cg_textbook):
+        trace = run(op, data.y, max_steps=40)
+        assert trace.reason == solvers.CONVERGED and trace.steps < 40
+        for budget in range(1, trace.steps + 3):
+            capped = run(op, data.y, max_steps=budget)
+            assert solvers.stop_reason_within(trace, budget) == capped.reason
+        reasons = [solvers.stop_reason_within(trace, p) for p in (1, 2, 40)]
+        assert reasons == [solvers.MAXSTEPS, solvers.MAXSTEPS, solvers.CONVERGED]
+
+
+def test_stop_reason_within_breakdown_only_past_the_last_direction():
+    op = dense_operator(np.diag([1.0, 2.0, -3.0, 4.0]))
+    trace = cg_textbook(op, np.ones(4), eps=0.0, max_steps=4)
+    assert (trace.steps, trace.reason) == (1, solvers.BREAKDOWN)
+    for budget in (1, 2, 4):
+        capped = cg_textbook(op, np.ones(4), eps=0.0, max_steps=budget)
+        assert solvers.stop_reason_within(trace, budget) == capped.reason
+    assert solvers.stop_reason_within(trace, 1) == solvers.MAXSTEPS
