@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import Kernel, _as_points, gram
@@ -60,11 +59,13 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
     """Pointwise posterior variance (diagonal of :func:`predict_cov`).
 
     Uses k(x, x) = theta_f, which holds for every stationary kernel here.
+    Memory and cost: the N x n* cross-Gram plus two arrays of its size
+    (see :func:`kernelcg.linalg.chol_quad_diag`), O(N^2 n*) flops; no
+    n* x n* array.
     """
     X_star = _as_points(X_star, model.kernel.dim)
     K_s = gram(model.kernel, model.X, X_star)
-    half = solve_triangular(model.factor.L, K_s, lower=True)
-    return np.full(X_star.shape[0], model.kernel.theta_f) - np.sum(half * half, axis=0)
+    return np.full(X_star.shape[0], model.kernel.theta_f) - linalg.chol_quad_diag(model.factor, K_s)
 
 
 def log_evidence(model: ExactGpModel) -> float:

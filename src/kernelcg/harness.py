@@ -22,6 +22,12 @@ that method carries only the time of its own prediction. The `reason`
 of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
 budget (converged, maxsteps or breakdown). Baselines say "ok",
 aggregate rows "aggregate", and a failed method "error: " and the exception.
+
+Records use pointwise predictive variances only: `eps_var` compares
+exact.predict_var with kmcg.kmcg_var_diag, lowrank.lowrank_var_diag (sor)
+and the variances dtc_predict, fitc_predict and vfe_predict return. No
+method forms k(X*, X*) or any other n* x n* array, so memory grows with
+n* times the largest of N, M and P, not with n*^2.
 """
 
 from __future__ import annotations
@@ -85,8 +91,15 @@ def metric_relerr_detail(exact_values, approx_values) -> tuple[float, int]:
 
 
 def metric_ev_err(exact_ev: float, approx_ev: float) -> float:
-    """Relative error of the scalar evidence."""
-    return abs((float(exact_ev) - float(approx_ev)) / float(exact_ev))
+    """Relative error of the scalar evidence.
+
+    An exact evidence of 0 gives no scale to be relative to: the error is
+    nan, as :func:`metric_relerr` gives when every point is excluded.
+    """
+    exact_ev = float(exact_ev)
+    if exact_ev == 0.0:
+        return float("nan")
+    return abs((exact_ev - float(approx_ev)) / exact_ev)
 
 
 def metric_smse(y_star, pred) -> float:
@@ -235,7 +248,7 @@ def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
                 config.kernel, data.X, data.y, config.sigma2, M=m, eps=config.cg_eps,
                 max_steps=step, seed=_inducing_seed(config, step, 0))
             mean = kmcg.kmcg_mean(model, data.X_star)
-            var = np.diag(kmcg.kmcg_var(model, data.X_star))
+            var = kmcg.kmcg_var_diag(model, data.X_star)
             evidence = kmcg.kmcg_evidence(model)
             seconds = shared_seconds.pop(step, 0.0) + (time.perf_counter() - start)
             records.append(_record("kmcg", step, m, "0", oracle, mean, var, evidence,
@@ -292,20 +305,17 @@ def _baseline_once(config, data, oracle, method, step, rep, pbr_expansion):
             model = lowrank.lowrank_fit(lowrank.sor_expansion(config.kernel, X_U),
                                         data.X, data.y, config.sigma2)
             mean = lowrank.lowrank_mean(model, data.X_star)
-            var = np.diag(lowrank.lowrank_var(model, data.X_star))
+            var = lowrank.lowrank_var_diag(model, data.X_star)
             evidence = lowrank.lowrank_evidence(model)
         elif method == "dtc":
-            mean, cov, evidence = lowrank.dtc_predict(config.kernel, data.X, data.y,
+            mean, var, evidence = lowrank.dtc_predict(config.kernel, data.X, data.y,
                                                       config.sigma2, X_U, data.X_star)
-            var = np.diag(cov)
         elif method == "fitc":
-            mean, cov, evidence = lowrank.fitc_predict(config.kernel, data.X, data.y,
+            mean, var, evidence = lowrank.fitc_predict(config.kernel, data.X, data.y,
                                                        config.sigma2, X_U, data.X_star)
-            var = np.diag(cov)
         elif method == "vfe":
-            mean, cov, evidence = lowrank.vfe_predict(config.kernel, data.X, data.y,
+            mean, var, evidence = lowrank.vfe_predict(config.kernel, data.X, data.y,
                                                       config.sigma2, X_U, data.X_star)
-            var = np.diag(cov)
         else:
             raise ValueError(f"unknown baseline {method}")
         seconds = time.perf_counter() - start

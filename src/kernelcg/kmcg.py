@@ -260,6 +260,28 @@ def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
     return K_ss - V1a.T @ V1b + model.sigma2 * (V2a.T @ V2b)
 
 
+def kmcg_var_diag(model: KmcgModel, X_star) -> np.ndarray:
+    """Pointwise predictive variance, the diagonal of :func:`kmcg_var`.
+
+    theta_f - ||L1^{-1} U||^2 + sigma2 ||L2^{-1} U||^2 per test point, with
+    U = S^T k(X_M, X*) from the shared projected features and k(x, x) =
+    theta_f (every stationary kernel here). Costs O(n* M P + n* P^2) flops;
+    memory is the P x n* features, two arrays of their size and one block
+    of k(X_M, X*) (see _projected_features): O(n* P) beyond that block,
+    no k(X*, X*) and no n* x n* product.
+    """
+    X_star = _as_points(X_star, model.kernel.dim)
+    prior = np.full(X_star.shape[0], model.kernel.theta_f)
+    if model.steps == 0:
+        return prior
+    U = _projected_features(model, X_star)
+    return (
+        prior
+        - linalg.chol_quad_diag(model.factor1, U)
+        + model.sigma2 * linalg.chol_quad_diag(model.factor2, U)
+    )
+
+
 def kmcg_evidence(model: KmcgModel) -> float:
     """Log evidence of the learned-kernel regressor.
 

@@ -96,6 +96,20 @@ def chol_solve(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     return solve_triangular(factor.L, Y, lower=True, trans="T")
 
 
+def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray) -> np.ndarray:
+    """Diagonal of U^T (L L^T)^{-1} U: the column sums of (L^{-1} U)^2.
+
+    One forward substitution, no back substitution and no n x n product:
+    for U of shape P x n this costs O(P^2 n) and holds two P x n arrays
+    (L^{-1} U and its square) besides U.
+    """
+    U = np.asarray(U, dtype=float)
+    if U.shape[0] != factor.dim:
+        raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {U.shape}")
+    V = solve_triangular(factor.L, U, lower=True)
+    return np.sum(V * V, axis=0)
+
+
 def logdet(factor: CholeskyFactor) -> float:
     """Log determinant of the factored matrix: 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(factor.L))))

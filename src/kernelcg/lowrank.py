@@ -15,6 +15,10 @@ with Phi_ij = phi_i(X_j). The covariance comes in two flavours: "plain"
 kernel for the prior term:
 
     cov_dtc(x*,z*) = k(x*,z*) - phi(x*)^T Sigma^{-1} phi(z*) + cov_plain(x*,z*)
+
+:func:`lowrank_var` returns the covariance, :func:`lowrank_var_diag` only its
+diagonal (the pointwise variance) without forming it. The DTC, FITC and VFE
+baselines return pointwise variances.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, gram
@@ -140,6 +143,29 @@ def lowrank_var(
     K_ss = gram(kernel, _as_points(X_star, kernel.dim), _as_points(X_star2, kernel.dim))
     approx_prior = P_star @ linalg.chol_solve(model.sigma_factor, P_star2.T)
     return K_ss - approx_prior + plain
+
+
+def lowrank_var_diag(model: LowRankModel, X_star, mode: str = "plain") -> np.ndarray:
+    """Pointwise predictive variance, the diagonal of :func:`lowrank_var`.
+
+    plain: sigma2 phi* (Phi Phi^T + sigma2 Sigma)^{-1} phi*
+    dtc:   theta_f - phi* Sigma^{-1} phi* + plain, with theta_f = k(x*, x*)
+           of the prior kernel (every stationary kernel here)
+
+    Costs O(n* M^2) flops and O(n* M) memory: the n* x M features and two
+    arrays of their size; no n* x n* array.
+    """
+    if mode not in ("plain", "dtc"):
+        raise ValueError(f"unknown variance mode {mode!r}")
+    P_star_t = np.asarray(model.expansion.phi(X_star), dtype=float).T
+    plain = model.sigma2 * linalg.chol_quad_diag(model.factor, P_star_t)
+    if mode == "plain":
+        return plain
+    kernel = model.expansion.prior_kernel
+    if kernel is None:
+        raise ValueError("dtc mode requires an expansion with a prior_kernel")
+    prior = np.full(P_star_t.shape[1], kernel.theta_f)
+    return prior - linalg.chol_quad_diag(model.sigma_factor, P_star_t) + plain
 
 
 def lowrank_evidence(model: LowRankModel) -> float:
@@ -424,7 +450,15 @@ def _inducing_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star, heterosc
 
     Q = K_nm K_mm^{-1} K_mn; lam is diag(K - Q) + sigma2 for the
     heteroscedastic (FITC) case and a constant sigma2 otherwise (DTC/VFE).
-    Returns (mean, cov, evidence, trace_K_minus_Q).
+    Returns (mean, var, evidence, trace_K_minus_Q), where var is the
+    pointwise predictive variance
+
+        var(x*) = theta_f - q(x*, x*) + k(x*, X_U) B^{-1} k(X_U, x*)
+
+    with q the Nystrom kernel and B = K_mm + K_mn diag(lam)^{-1} K_nm
+    (k(x, x) = theta_f for every stationary kernel here). The test points
+    cost O(n* M^2) flops and O(n* M) memory: no k(X*, X*) and no
+    n* x n* product.
     """
     X = _as_points(X, kernel.dim)
     X_U = _as_points(X_U, kernel.dim)
@@ -435,8 +469,7 @@ def _inducing_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star, heterosc
     K_mm = gram(kernel, X_U)
     factor_mm = linalg.cholesky(K_mm)
     K_mn = gram(kernel, X_U, X)
-    half = solve_triangular(factor_mm.L, K_mn, lower=True)
-    q_diag = np.sum(half * half, axis=0)
+    q_diag = linalg.chol_quad_diag(factor_mm, K_mn)
     trace_correction = float(np.sum(kernel.theta_f - q_diag))
 
     if heteroscedastic:
@@ -452,25 +485,26 @@ def _inducing_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star, heterosc
 
     K_sm = gram(kernel, X_star, X_U)
     mean = K_sm @ w
-
-    K_ss = gram(kernel, X_star)
-    q_ss = K_sm @ linalg.chol_solve(factor_mm, K_sm.T)
-    cov = K_ss - q_ss + K_sm @ linalg.chol_solve(factor_b, K_sm.T)
+    var = (
+        np.full(X_star.shape[0], kernel.theta_f)
+        - linalg.chol_quad_diag(factor_mm, K_sm.T)
+        + linalg.chol_quad_diag(factor_b, K_sm.T)
+    )
 
     quad = float(y @ (y / lam) - beta @ w)
     logdet_cov = float(np.sum(np.log(lam))) + linalg.logdet(factor_b) - linalg.logdet(factor_mm)
     evidence = -0.5 * quad - 0.5 * logdet_cov - 0.5 * n * np.log(2.0 * np.pi)
-    return mean, cov, evidence, trace_correction
+    return mean, var, evidence, trace_correction
 
 
 def fitc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
     """Fully independent training conditional baseline.
 
     The implied prior keeps the exact diagonal: Q + diag(K - Q) + sigma2 I.
-    Returns (mean, covariance, evidence).
+    Returns (mean, pointwise variance, evidence).
     """
-    mean, cov, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=True)
-    return mean, cov, evidence
+    mean, var, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=True)
+    return mean, var, evidence
 
 
 def vfe_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -478,15 +512,18 @@ def vfe_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
 
     Predictions coincide with DTC; the evidence is the DTC evidence minus
     the nonnegative slack trace(K - Q) / (2 sigma2), making it a lower bound
-    on the exact evidence. Returns (mean, covariance, evidence).
+    on the exact evidence. Returns (mean, pointwise variance, evidence).
     """
-    mean, cov, evidence, trace_correction = _inducing_predict(
+    mean, var, evidence, trace_correction = _inducing_predict(
         kernel, X, y, sigma2, X_U, X_star, heteroscedastic=False
     )
-    return mean, cov, evidence - 0.5 * trace_correction / sigma2
+    return mean, var, evidence - 0.5 * trace_correction / sigma2
 
 
 def dtc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
-    """Deterministic training conditional: SoR mean with exact-prior variance."""
-    mean, cov, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=False)
-    return mean, cov, evidence
+    """Deterministic training conditional: SoR mean with exact-prior variance.
+
+    Returns (mean, pointwise variance, evidence).
+    """
+    mean, var, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=False)
+    return mean, var, evidence

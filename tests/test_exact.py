@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from kernelcg import exact, linalg
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
@@ -71,6 +72,18 @@ def test_predict_cov_far_field_and_diagonal():
     X_star = rng.uniform(0, 2, (10, 2))
     assert np.min(np.diag(exact.predict_cov(model, X_star))) >= -1e-10
     assert np.allclose(np.diag(exact.predict_cov(model, X_star)), exact.predict_var(model, X_star))
+
+
+def test_predict_mean_and_var_bit_identical_to_the_direct_formulas():
+    # The direct formulas: k(X*, X) alpha, and theta_f minus the column
+    # sums of (L^{-1} k(X, X*))^2.
+    kernel, X, y, sigma2 = _random_problem(8, 60)
+    model = exact.fit(kernel, X, y, sigma2)
+    X_star = np.random.default_rng(9).uniform(0, 2, (45, 2))
+    half = solve_triangular(model.factor.L, gram(kernel, X, X_star), lower=True)
+    want_var = np.full(45, kernel.theta_f) - np.sum(half * half, axis=0)
+    assert np.array_equal(exact.predict_var(model, X_star), want_var)
+    assert np.array_equal(exact.predict_mean(model, X_star), gram(kernel, X_star, X) @ model.alpha)
 
 
 def test_predict_cov_matches_elimination_oracle():

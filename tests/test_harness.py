@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ def test_var_and_ev_metrics():
     assert metric_relerr([1.0, 4.0], [1.1, 3.6]) == pytest.approx((0.1 + 0.1) / 2)
     assert metric_ev_err(-10.0, -12.0) == pytest.approx(0.2)
     assert metric_ev_err(-10.0, -10.0) == 0.0
+
+
+def test_ev_err_is_nan_for_a_zero_exact_evidence():
+    assert np.isnan(metric_ev_err(0.0, -1.5))
+    assert np.isnan(metric_ev_err(0.0, 0.0))
+    for exact_ev, approx_ev in ((-10.0, -12.0), (3.7, 3.7000001), (-1e-300, 2.0), (5e3, -4.2e3)):
+        want = abs((float(exact_ev) - float(approx_ev)) / float(exact_ev))
+        assert metric_ev_err(exact_ev, approx_ev) == want
 
 
 def test_smse_conventions():
@@ -339,3 +348,26 @@ def test_cg_records_report_the_stop_within_each_budget(method):
     records = run_experiment(config, gen_toy(seed=1))
     assert [(r.step, r.reason) for r in records] == [(1, "maxsteps"), (2, "maxsteps"), (40, "converged")]
     assert [r.effective_p for r in records][:2] == [1, 2]
+
+
+def test_run_experiment_forms_no_test_by_test_array(monkeypatch):
+    # Every method at n* = 3000 test points and N = 200: one n* x n* float64
+    # array is 72 MB, the ceiling a quarter of that. Pointwise variances
+    # take memory linear in n*.
+    monkeypatch.delenv("KERNELCG_THREADS", raising=False)
+    from kernelcg.datasets import Dataset
+
+    rng = np.random.default_rng(12)
+    n_star = 3000
+    data = Dataset(X=rng.uniform(0, 2, (200, 2)), y=rng.standard_normal(200),
+                   X_star=rng.uniform(0, 2, (n_star, 2)), y_star=rng.standard_normal(n_star), seed=12)
+    config = _small_config(methods=harness.METHODS, steps=(1, 2, 5), repetitions=1)
+    tracemalloc.start()
+    try:
+        records = run_experiment(config, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {r.method for r in records} == set(harness.METHODS)
+    assert not [r.reason for r in records if r.reason.startswith("error:")]
+    assert peak < n_star * n_star * 8 / 4

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelcg import exact, kmcg, linalg, solvers
@@ -22,6 +22,7 @@ from kernelcg.kmcg import (
     kmcg_sample,
     kmcg_uncertainty,
     kmcg_var,
+    kmcg_var_diag,
 )
 from brute import gauss_solve, mvn_logpdf
 
@@ -361,6 +362,24 @@ def test_span_invariance_under_direction_transform(seed, n, max_steps, subset):
     assert kmcg_evidence(transformed) == pytest.approx(kmcg_evidence(model), rel=1e-8)
     assert np.allclose(kmcg_kernel_gram(transformed, X_star), kmcg_kernel_gram(model, X_star),
                        rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 30), st.integers(0, 30), st.booleans())
+@example(seed=0, n=12, max_steps=0, subset=False)
+@example(seed=1, n=12, max_steps=0, subset=True)
+def test_pointwise_variance_is_the_covariance_diagonal(seed, n, max_steps, subset):
+    kernel, X, y, sigma2, rng = _problem(seed, n)
+    M = n // 2 if subset else None
+    model = kmcg_fit(kernel, X, y, sigma2, M=M, seed=seed, eps=0.0, max_steps=max_steps)
+    X_star = np.vstack([rng.uniform(0, 2, (12, 2)), X[:3], np.full((1, 2), 1e3)])
+    got = kmcg_var_diag(model, X_star)
+    assert got.shape == (16,)
+    assert got[-1] == pytest.approx(kernel.theta_f)
+    want = np.diag(kmcg_var(model, X_star))
+    if model.steps == 0:
+        assert np.array_equal(got, want)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * kernel.theta_f)
 
 
 def test_prior_scale_only_scales_uncertainty():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcg import linalg
 from brute import dense_gamma, dense_kron, dense_sym_kron, cofactor_det, random_spd
@@ -174,6 +176,25 @@ def test_chol_solve_round_trip_high_condition():
     b = rng.standard_normal(8)
     x = linalg.chol_solve(linalg.cholesky(A), b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 40), st.floats(0.0, 6.0))
+def test_chol_quad_diag_is_the_diagonal_of_the_quadratic_form(seed, p, n, log_cond):
+    rng = np.random.default_rng(seed)
+    factor = linalg.cholesky(random_spd(rng, p, cond=10.0**log_cond))
+    U = rng.standard_normal((p, n))
+    got = linalg.chol_quad_diag(factor, U)
+    want = np.diag(U.T @ linalg.chol_solve(factor, U))
+    assert got.shape == (n,)
+    assert np.all(got >= 0.0)
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_chol_quad_diag_rejects_mismatched_rows():
+    factor = linalg.cholesky(np.eye(3))
+    with pytest.raises(ValueError):
+        linalg.chol_quad_diag(factor, np.ones((2, 4)))
 
 
 def test_logdet_cases():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelcg import exact, lowrank
 from kernelcg.kernels import gram, kernel_eval, se_kernel
@@ -13,6 +15,7 @@ from kernelcg.lowrank import (
     lowrank_fit,
     lowrank_mean,
     lowrank_var,
+    lowrank_var_diag,
     pbr_predict,
     se_eigen_expansion,
     sor_expansion,
@@ -345,9 +348,9 @@ def test_fitc_complete_inducing_equals_exact():
     kernel, X, y, sigma2, rng = _problem(23, 20)
     oracle = exact.fit(kernel, X, y, sigma2)
     X_star = rng.uniform(0, 2, (7, 2))
-    mean, cov, evidence = fitc_predict(kernel, X, y, sigma2, X, X_star)
+    mean, var, evidence = fitc_predict(kernel, X, y, sigma2, X, X_star)
     assert np.allclose(mean, exact.predict_mean(oracle, X_star), rtol=1e-8, atol=1e-10)
-    assert np.allclose(cov, exact.predict_cov(oracle, X_star), rtol=1e-8, atol=1e-8)
+    assert np.allclose(var, exact.predict_var(oracle, X_star), rtol=1e-8, atol=1e-8)
     assert evidence == pytest.approx(exact.log_evidence(oracle), rel=1e-8)
 
 
@@ -389,6 +392,59 @@ def test_vfe_evidence_lower_bound():
         # trace correction is nonnegative: VFE evidence <= DTC evidence
         _, _, dtc_ev = lowrank.dtc_predict(kernel, X, y, sigma2, X_U, X[:2])
         assert evidence <= dtc_ev + 1e-12
+
+
+def _brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic):
+    """K_** - Q_*n (Q_nn + Lam)^{-1} Q_n*, the N x N form of the DTC/FITC
+    predictive covariance, by Gaussian elimination."""
+    K_un = gram(kernel, X_U, X)
+    K_us = gram(kernel, X_U, X_star)
+    W = gauss_solve(gram(kernel, X_U), np.hstack([K_un, K_us]))
+    Q_nn = K_un.T @ W[:, : X.shape[0]]
+    Q_sn = K_us.T @ W[:, : X.shape[0]]
+    lam = np.full(X.shape[0], sigma2)
+    if heteroscedastic:
+        lam = lam + kernel.theta_f - np.diag(Q_nn)
+    return gram(kernel, X_star) - Q_sn @ gauss_solve(Q_nn + np.diag(lam), Q_sn.T)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12), st.floats(-2.0, 0.0))
+def test_inducing_baseline_variances_match_brute_force_covariance(seed, n, m, log_sigma2):
+    kernel, X, y, _, rng = _problem(seed, n)
+    sigma2 = 10.0**log_sigma2
+    X_U = X[choose_inducing(n, min(m, n), seed=seed)]
+    X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2]])
+    dtc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=False))
+    fitc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=True))
+    for predict, want in ((lowrank.dtc_predict, dtc), (vfe_predict, dtc), (fitc_predict, fitc)):
+        _, var, _ = predict(kernel, X, y, sigma2, X_U, X_star)
+        assert var.shape == (10,)
+        assert np.allclose(var, want, rtol=0.0, atol=1e-9 * kernel.theta_f)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12), st.sampled_from(["plain", "dtc"]))
+def test_lowrank_pointwise_variance_is_the_covariance_diagonal(seed, n, m, mode):
+    kernel, X, y, sigma2, rng = _problem(seed, n)
+    X_U = X[choose_inducing(n, min(m, n), seed=seed)]
+    model = lowrank_fit(sor_expansion(kernel, X_U), X, y, sigma2)
+    X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2], np.full((1, 2), 1e3)])
+    got = lowrank_var_diag(model, X_star, mode=mode)
+    assert got.shape == (11,)
+    assert np.allclose(got, np.diag(lowrank_var(model, X_star, mode=mode)), rtol=0.0,
+                       atol=1e-12 * kernel.theta_f)
+
+
+def test_lowrank_pointwise_variance_rejects_what_the_covariance_rejects():
+    kernel, X, y, sigma2, _ = _problem(31, 10)
+    expansion = sor_expansion(kernel, X[:4])
+    model = lowrank_fit(expansion, X, y, sigma2)
+    with pytest.raises(ValueError, match="unknown variance mode"):
+        lowrank_var_diag(model, X[:2], mode="fitc")
+    bare = lowrank_fit(FeatureExpansion(phi=expansion.phi, Sigma=expansion.Sigma), X, y, sigma2)
+    with pytest.raises(ValueError, match="prior_kernel"):
+        lowrank_var_diag(bare, X[:2], mode="dtc")
 
 
 def test_choose_inducing_contract():
