@@ -93,6 +93,8 @@ def _build_dataset(cfg: configparser.ConfigParser):
         g = section.getint("g", 10)
         d = section.getint("d", 2)
         kcfg = cfg["kernel"]
+        if kcfg.get("family", "se").strip() != "se":
+            raise SystemExit("error: the grid source draws its targets from an se kernel; [kernel] family must be se")
         metric = _parse_metric(kcfg.get("metric", "1.0"), d)
         kernel = se_kernel(metric, kcfg.getfloat("theta_f", 1.0))
         return structured.grid_dataset(g, d, kernel, seed=seed)

@@ -18,14 +18,18 @@ The `seconds` of a record is the wall time of the work done for it. Where
 one CG trace serves every budget (kmcg at M = N, cg-reorth, cg-textbook),
 the shared work (Gram assembly, the trace and, for kmcg, the factorizations)
 is charged once, to the record of the largest budget; every other record of
-that method carries only the time of its own prediction. The `reason`
+that method carries only the time of its own prediction. sor, dtc, fitc and
+vfe are fitted together on each (step, repetition) subset, and each piece
+of work they share (the subset, K_UU, its factor and K_UN; the sigma2 I fit
+of sor, dtc and vfe) is charged once, to the record of the first method in
+METHODS order that uses it; each record adds its own extra work. The `reason`
 of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
 budget (converged, maxsteps or breakdown). Baselines say "ok",
 aggregate rows "aggregate", and a failed method "error: " and the exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
-exact.predict_var with kmcg.kmcg_var_diag, lowrank.lowrank_var_diag (sor)
-and the variances dtc_predict, fitc_predict and vfe_predict return. No
+exact.predict_var with kmcg.kmcg_var_diag and lowrank.lowrank_var_diag
+(plain for sor, dtc for dtc, fitc and vfe). No
 method forms k(X*, X*) or any other n* x n* array, so memory grows with
 n* times the largest of N, M and P, not with n*^2.
 """
@@ -287,42 +291,38 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
     return records
 
 
-def _baseline_once(config, data, oracle, method, step, rep, pbr_expansion):
-    n = data.n_train
-    m = budget_for(config, n, step)
-    run = str(rep)
+def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentRecord]:
+    """The listed inducing baselines (sor, dtc, fitc, vfe) on one inducing subset.
+
+    Shared work is done once (see lowrank._InducingFits) and charged to the
+    first method, in METHODS order, that uses it.
+    """
+    m = budget_for(config, data.n_train, step)
+    start = time.perf_counter()
+    X_U = data.X[lowrank.choose_inducing(data.n_train, m, _inducing_seed(config, step, rep))]
+    fits = lowrank._InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
+    records = []
+    for method in methods:
+        try:
+            mean, var, evidence = fits.predict(method)
+            records.append(_record(method, step, m, str(rep), oracle, mean, var, evidence,
+                                   data.y_star, time.perf_counter() - start, 0, "ok"))
+        except Exception as error:
+            records.append(_failure(method, step, m, str(rep), error))
+        start = time.perf_counter()
+    return records
+
+
+def _pbr_once(config, data, oracle, step, pbr_expansion) -> ExperimentRecord:
+    m = budget_for(config, data.n_train, step)
     try:
         start = time.perf_counter()
-        if method == "pbr":
-            expansion = lowrank.truncate_expansion(pbr_expansion, min(m, pbr_expansion.eigenvalues.size))
-            mean = lowrank.pbr_predict(expansion, data.X, data.y, config.sigma2, data.X_star)
-            seconds = time.perf_counter() - start
-            return _record(method, step, m, run, oracle, mean, None, None,
-                           data.y_star, seconds, 0, "ok")
-        idx = lowrank.choose_inducing(n, m, _inducing_seed(config, step, rep))
-        X_U = data.X[idx]
-        if method == "sor":
-            model = lowrank.lowrank_fit(lowrank.sor_expansion(config.kernel, X_U),
-                                        data.X, data.y, config.sigma2)
-            mean = lowrank.lowrank_mean(model, data.X_star)
-            var = lowrank.lowrank_var_diag(model, data.X_star)
-            evidence = lowrank.lowrank_evidence(model)
-        elif method == "dtc":
-            mean, var, evidence = lowrank.dtc_predict(config.kernel, data.X, data.y,
-                                                      config.sigma2, X_U, data.X_star)
-        elif method == "fitc":
-            mean, var, evidence = lowrank.fitc_predict(config.kernel, data.X, data.y,
-                                                       config.sigma2, X_U, data.X_star)
-        elif method == "vfe":
-            mean, var, evidence = lowrank.vfe_predict(config.kernel, data.X, data.y,
-                                                      config.sigma2, X_U, data.X_star)
-        else:
-            raise ValueError(f"unknown baseline {method}")
-        seconds = time.perf_counter() - start
-        return _record(method, step, m, run, oracle, mean, var, evidence,
-                       data.y_star, seconds, 0, "ok")
+        expansion = lowrank.truncate_expansion(pbr_expansion, min(m, pbr_expansion.eigenvalues.size))
+        mean = lowrank.pbr_predict(expansion, data.X, data.y, config.sigma2, data.X_star)
+        return _record("pbr", step, m, "0", oracle, mean, None, None, data.y_star,
+                       time.perf_counter() - start, 0, "ok")
     except Exception as error:
-        return _failure(method, step, m, run, error)
+        return _failure("pbr", step, m, "0", error)
 
 
 def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]:
@@ -396,33 +396,32 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
         if method in config.methods:
             records.extend(_run_cg(config, data, oracle, method))
 
-    baselines = [m for m in ("sor", "dtc", "fitc", "vfe", "pbr") if m in config.methods]
+    inducing = [m for m in ("sor", "dtc", "fitc", "vfe") if m in config.methods]
     pbr_expansion = None
-    if "pbr" in baselines:
+    if "pbr" in config.methods:
         try:
             max_rank = max(budget_for(config, n, step) for step in config.steps)
             means = data.X.mean(axis=0)
             sds = np.maximum(data.X.std(axis=0), 1e-8)
             pbr_expansion = lowrank.se_eigen_expansion(config.kernel, means, sds, max_rank)
         except Exception as error:
-            for step in config.steps:
-                records.append(_failure("pbr", step, budget_for(config, n, step), "0", error))
-            baselines = [m for m in baselines if m != "pbr"]
+            records.extend(_failure("pbr", step, budget_for(config, n, step), "0", error)
+                           for step in config.steps)
 
+    subsets = [(step, rep) for step in config.steps for rep in range(config.repetitions)] if inducing else []
+    pbr_steps = config.steps if pbr_expansion is not None else ()
     # The pool starts no thread unless a task is submitted to it.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for method in baselines:
-            reps = 1 if method == "pbr" else config.repetitions  # pbr is deterministic
-            tasks = [(step, rep) for step in config.steps for rep in range(reps)]
-
-            def run_task(task, method=method):
-                return _baseline_once(config, data, oracle, method, task[0], task[1], pbr_expansion)
-
-            rows = list(pool.map(run_task, tasks) if workers > 1 else map(run_task, tasks))
-            rows.sort(key=lambda r: (r.step, int(r.run)))
-            records.extend(rows)
-            if reps > 1:
-                records.extend(_aggregate(rows, config.steps))
+        run_all = pool.map if workers > 1 else map
+        by_subset = run_all(lambda task: _inducing_once(config, data, oracle, inducing, *task), subsets)
+        pbr_rows = run_all(lambda step: _pbr_once(config, data, oracle, step, pbr_expansion), pbr_steps)
+        by_subset, pbr_rows = list(by_subset), list(pbr_rows)
+    for i, method in enumerate(inducing):
+        rows = sorted((subset[i] for subset in by_subset), key=lambda r: (r.step, int(r.run)))
+        records.extend(rows)
+        if config.repetitions > 1:
+            records.extend(_aggregate(rows, config.steps))
+    records.extend(sorted(pbr_rows, key=lambda r: r.step))  # pbr is deterministic: one repetition
     return records
 
 

@@ -1,30 +1,40 @@
 """Finite-rank kernel approximations and the inducing-point baselines.
 
-A rank-M kernel has the form k(x, z) ~= phi(x)^T Sigma^{-1} phi(z). Given
-such an expansion, GP mean, covariance and evidence reduce from O(N^3) to
-O(N M^2) through the matrix-inversion and matrix-determinant lemmas:
+A rank-M kernel has the form k(x, z) ~= phi(x)^T Sigma^{-1} phi(z). With
+noise Lam (sigma2 I, or a per-point diagonal) the model is
+N(y; 0, Phi^T Sigma^{-1} Phi + Lam), Phi_ij = phi_i(X_j), and the
+matrix-inversion and matrix-determinant lemmas reduce it from O(N^3) to
+O(N M^2) with A = Phi Lam^{-1} Phi^T + Sigma:
 
-    mean(x*)   = phi(x*)^T (Phi Phi^T + sigma2 Sigma)^{-1} Phi y
-    cov(x*,z*) = sigma2 phi(x*)^T (Phi Phi^T + sigma2 Sigma)^{-1} phi(z*)
-    evidence   = -(1/2 sigma2) (y^T y - y^T Phi^T (Phi Phi^T + sigma2 Sigma)^{-1} Phi y)
-                 - 1/2 ln|Phi Phi^T / sigma2 + Sigma| + 1/2 ln|Sigma|
-                 - N/2 ln(2 pi sigma2)
+    mean(x*)   = phi(x*)^T A^{-1} Phi Lam^{-1} y
+    cov(x*,z*) = phi(x*)^T A^{-1} phi(z*)
+    evidence   = -1/2 (y^T Lam^{-1} y - y^T Lam^{-1} Phi^T A^{-1} Phi Lam^{-1} y)
+                 - 1/2 (sum log Lam + ln|A| - ln|Sigma|) - N/2 ln(2 pi)
 
-with Phi_ij = phi_i(X_j). The covariance comes in two flavours: "plain"
-(which decays to zero far from the data) and "dtc", which restores the exact
-kernel for the prior term:
+:func:`lowrank_fit` is this one algebra for every finite-rank and
+inducing-point model here, and the only place one is factored. SoR, DTC,
+VFE and FITC all fit N(y; 0, Q + Lam) with the Nystrom kernel
+Q = K_NU K_UU^{-1} K_UN of :func:`sor_expansion` (Quinonero-Candela &
+Rasmussen, 2005): DTC is SoR with dtc variances, VFE subtracts
+tr(K - Q) / 2 sigma2 from its evidence, and FITC has
+Lam = theta_f - diag Q + sigma2. The projected Bayes regressor fits an
+eigenexpansion.
+
+The covariance comes in two flavours: "plain" (which decays to zero far
+from the data) and "dtc", which restores the exact kernel for the prior
+term:
 
     cov_dtc(x*,z*) = k(x*,z*) - phi(x*)^T Sigma^{-1} phi(z*) + cov_plain(x*,z*)
 
 :func:`lowrank_var` returns the covariance, :func:`lowrank_var_diag` only its
-diagonal (the pointwise variance) without forming it. The DTC, FITC and VFE
-baselines return pointwise variances.
+diagonal (the pointwise variance) without forming it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,12 +63,17 @@ class FeatureExpansion:
 
     ``prior_kernel`` is the exact kernel the expansion approximates; it is
     required for the dtc covariance mode and set automatically by
-    :func:`sor_expansion`.
+    :func:`sor_expansion`. ``sigma_factor`` is chol(Sigma), factored when
+    the expansion is built.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     Sigma: np.ndarray
     prior_kernel: Optional[Kernel] = None
+    sigma_factor: linalg.CholeskyFactor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigma_factor", linalg.cholesky(self.Sigma))
 
     @property
     def rank(self) -> int:
@@ -71,11 +86,9 @@ def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
     The induced kernel is k(x, X_U) K_UU^{-1} k(X_U, z).
     """
     X_U = _as_points(X_U, kernel.dim)
-    Sigma = gram(kernel, X_U)
-    linalg.cholesky(Sigma)  # fail early if K_UU is not factorizable
     return FeatureExpansion(
         phi=lambda Xq: gram(kernel, _as_points(Xq, kernel.dim), X_U),
-        Sigma=Sigma,
+        Sigma=gram(kernel, X_U),
         prior_kernel=kernel,
     )
 
@@ -85,33 +98,33 @@ class LowRankModel:
     expansion: FeatureExpansion
     Phi: np.ndarray  # M x N design matrix
     y: np.ndarray
-    sigma2: float
-    factor: linalg.CholeskyFactor  # chol(Phi Phi^T + sigma2 Sigma)
-    sigma_factor: linalg.CholeskyFactor  # chol(Sigma)
-    weights: np.ndarray  # (Phi Phi^T + sigma2 Sigma)^{-1} Phi y
+    sigma2: np.ndarray  # Lam: the noise variance of each training point
+    factor: linalg.CholeskyFactor  # chol(A), A = Phi Lam^{-1} Phi^T + Sigma
+    weights: np.ndarray  # A^{-1} Phi Lam^{-1} y
 
 
-def lowrank_fit(expansion: FeatureExpansion, X, y, sigma2: float) -> LowRankModel:
-    """Assemble the design matrix and factorize Phi Phi^T + sigma2 Sigma."""
-    if not (sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive")
-    y = np.asarray(y, dtype=float).reshape(-1)
+def lowrank_fit(expansion: FeatureExpansion, X, y, sigma2) -> LowRankModel:
+    """Assemble the design matrix and factorize A = Phi Lam^{-1} Phi^T + Sigma.
+
+    sigma2 is Lam: a positive scalar (Lam = sigma2 I) or N positive variances.
+    """
     Phi = np.asarray(expansion.phi(X), dtype=float).T
-    if Phi.shape != (expansion.rank, y.size):
-        raise ValueError(f"feature map produced shape {Phi.T.shape}, expected ({y.size}, {expansion.rank})")
-    A = Phi @ Phi.T + sigma2 * expansion.Sigma
+    if Phi.shape != (expansion.rank, np.size(y)):
+        raise ValueError(f"feature map produced shape {Phi.T.shape}, expected ({np.size(y)}, {expansion.rank})")
+    return _fit_design(expansion, Phi, y, sigma2)
+
+
+def _fit_design(expansion: FeatureExpansion, Phi: np.ndarray, y, sigma2) -> LowRankModel:
+    """:func:`lowrank_fit` on a design matrix Phi that is already assembled."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    lam = np.broadcast_to(np.asarray(sigma2, dtype=float), y.shape)
+    if not np.all(lam > 0.0):
+        raise ValueError("sigma2 must be positive")
+    scaled = Phi / lam
+    A = scaled @ Phi.T + expansion.Sigma
     factor = linalg.cholesky(0.5 * (A + A.T))
-    sigma_factor = linalg.cholesky(expansion.Sigma)
-    weights = linalg.chol_solve(factor, Phi @ y)
-    return LowRankModel(
-        expansion=expansion,
-        Phi=Phi,
-        y=y,
-        sigma2=float(sigma2),
-        factor=factor,
-        sigma_factor=sigma_factor,
-        weights=weights,
-    )
+    weights = linalg.chol_solve(factor, scaled @ y)
+    return LowRankModel(expansion=expansion, Phi=Phi, y=y, sigma2=lam, factor=factor, weights=weights)
 
 
 def lowrank_mean(model: LowRankModel, X_star) -> np.ndarray:
@@ -126,14 +139,14 @@ def lowrank_var(
 ) -> np.ndarray:
     """Predictive covariance in plain or dtc mode.
 
-    plain: sigma2 phi* (Phi Phi^T + sigma2 Sigma)^{-1} phi**
+    plain: phi* A^{-1} phi**
     dtc:   k(x*,x**) - phi* Sigma^{-1} phi** + plain
     """
     if mode not in ("plain", "dtc"):
         raise ValueError(f"unknown variance mode {mode!r}")
     P_star = np.asarray(model.expansion.phi(X_star), dtype=float)
     P_star2 = P_star if X_star2 is None else np.asarray(model.expansion.phi(X_star2), dtype=float)
-    plain = model.sigma2 * (P_star @ linalg.chol_solve(model.factor, P_star2.T))
+    plain = P_star @ linalg.chol_solve(model.factor, P_star2.T)
     if mode == "plain":
         return plain
     kernel = model.expansion.prior_kernel
@@ -141,14 +154,14 @@ def lowrank_var(
         raise ValueError("dtc mode requires an expansion with a prior_kernel")
     X_star2 = X_star if X_star2 is None else X_star2
     K_ss = gram(kernel, _as_points(X_star, kernel.dim), _as_points(X_star2, kernel.dim))
-    approx_prior = P_star @ linalg.chol_solve(model.sigma_factor, P_star2.T)
+    approx_prior = P_star @ linalg.chol_solve(model.expansion.sigma_factor, P_star2.T)
     return K_ss - approx_prior + plain
 
 
 def lowrank_var_diag(model: LowRankModel, X_star, mode: str = "plain") -> np.ndarray:
     """Pointwise predictive variance, the diagonal of :func:`lowrank_var`.
 
-    plain: sigma2 phi* (Phi Phi^T + sigma2 Sigma)^{-1} phi*
+    plain: phi* A^{-1} phi*
     dtc:   theta_f - phi* Sigma^{-1} phi* + plain, with theta_f = k(x*, x*)
            of the prior kernel (every stationary kernel here)
 
@@ -158,28 +171,22 @@ def lowrank_var_diag(model: LowRankModel, X_star, mode: str = "plain") -> np.nda
     if mode not in ("plain", "dtc"):
         raise ValueError(f"unknown variance mode {mode!r}")
     P_star_t = np.asarray(model.expansion.phi(X_star), dtype=float).T
-    plain = model.sigma2 * linalg.chol_quad_diag(model.factor, P_star_t)
+    plain = linalg.chol_quad_diag(model.factor, P_star_t)
     if mode == "plain":
         return plain
     kernel = model.expansion.prior_kernel
     if kernel is None:
         raise ValueError("dtc mode requires an expansion with a prior_kernel")
     prior = np.full(P_star_t.shape[1], kernel.theta_f)
-    return prior - linalg.chol_quad_diag(model.sigma_factor, P_star_t) + plain
+    return prior - linalg.chol_quad_diag(model.expansion.sigma_factor, P_star_t) + plain
 
 
 def lowrank_evidence(model: LowRankModel) -> float:
-    """Log evidence of the degenerate model N(y; 0, Phi^T Sigma^{-1} Phi + sigma2 I)."""
-    n = model.y.size
-    m = model.expansion.rank
-    quad = float(model.y @ model.y - (model.Phi @ model.y) @ model.weights)
-    logdet_bracket = linalg.logdet(model.factor) - m * np.log(model.sigma2)
-    return float(
-        -0.5 * quad / model.sigma2
-        - 0.5 * logdet_bracket
-        + 0.5 * linalg.logdet(model.sigma_factor)
-        - 0.5 * n * np.log(2.0 * np.pi * model.sigma2)
-    )
+    """Log evidence of the degenerate model N(y; 0, Phi^T Sigma^{-1} Phi + Lam)."""
+    lam = model.sigma2
+    quad = model.y @ (model.y / lam) - ((model.Phi / lam) @ model.y) @ model.weights
+    logdet = np.sum(np.log(lam)) + linalg.logdet(model.factor) - linalg.logdet(model.expansion.sigma_factor)
+    return float(-0.5 * (quad + logdet + model.y.size * np.log(2.0 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,59 +449,54 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
 
 
 # ---------------------------------------------------------------------------
-# FITC and VFE baselines.
+# The inducing-point baselines: SoR, DTC, FITC and VFE.
 
 
-def _inducing_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star, heteroscedastic: bool):
-    """Shared machinery for models of the form N(y; 0, Q + diag(lam)).
+class _InducingFits:
+    """SoR, DTC, FITC and VFE on one inducing set, sharing their work.
 
-    Q = K_nm K_mm^{-1} K_mn; lam is diag(K - Q) + sigma2 for the
-    heteroscedastic (FITC) case and a constant sigma2 otherwise (DTC/VFE).
-    Returns (mean, var, evidence, trace_K_minus_Q), where var is the
-    pointwise predictive variance
-
-        var(x*) = theta_f - q(x*, x*) + k(x*, X_U) B^{-1} k(X_U, x*)
-
-    with q the Nystrom kernel and B = K_mm + K_mn diag(lam)^{-1} K_nm
-    (k(x, x) = theta_f for every stationary kernel here). The test points
-    cost O(n* M^2) flops and O(n* M) memory: no k(X*, X*) and no
-    n* x n* product.
+    K_UU, its factor and K_UN are computed once. sor, dtc and vfe share the
+    fit with Lam = sigma2 I, dtc and vfe the dtc variance, fitc and vfe the
+    Nystrom gap diag(K - Q) at the training inputs. Each piece is computed
+    by the first :meth:`predict` that needs it (again if it raised).
     """
-    X = _as_points(X, kernel.dim)
-    X_U = _as_points(X_U, kernel.dim)
-    X_star = _as_points(X_star, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = y.size
 
-    K_mm = gram(kernel, X_U)
-    factor_mm = linalg.cholesky(K_mm)
-    K_mn = gram(kernel, X_U, X)
-    q_diag = linalg.chol_quad_diag(factor_mm, K_mn)
-    trace_correction = float(np.sum(kernel.theta_f - q_diag))
+    def __init__(self, kernel: Kernel, X, y, sigma2: float, X_U, X_star):
+        self.kernel, self.X, self.y, self.sigma2, self.X_U, self.X_star = kernel, X, y, sigma2, X_U, X_star
 
-    if heteroscedastic:
-        lam = kernel.theta_f - q_diag + sigma2
-    else:
-        lam = np.full(n, sigma2)
+    @cached_property
+    def _basis(self) -> tuple[FeatureExpansion, np.ndarray]:
+        expansion = sor_expansion(self.kernel, self.X_U)
+        return expansion, np.asarray(expansion.phi(self.X), dtype=float).T
 
-    scaled = K_mn / lam
-    B = K_mm + scaled @ K_mn.T
-    factor_b = linalg.cholesky(0.5 * (B + B.T))
-    beta = scaled @ y
-    w = linalg.chol_solve(factor_b, beta)
+    @cached_property
+    def _fit(self):
+        model = _fit_design(*self._basis, self.y, self.sigma2)
+        return model, lowrank_mean(model, self.X_star), lowrank_evidence(model)
 
-    K_sm = gram(kernel, X_star, X_U)
-    mean = K_sm @ w
-    var = (
-        np.full(X_star.shape[0], kernel.theta_f)
-        - linalg.chol_quad_diag(factor_mm, K_sm.T)
-        + linalg.chol_quad_diag(factor_b, K_sm.T)
-    )
+    @cached_property
+    def _dtc_var(self) -> np.ndarray:
+        return lowrank_var_diag(self._fit[0], self.X_star, mode="dtc")
 
-    quad = float(y @ (y / lam) - beta @ w)
-    logdet_cov = float(np.sum(np.log(lam))) + linalg.logdet(factor_b) - linalg.logdet(factor_mm)
-    evidence = -0.5 * quad - 0.5 * logdet_cov - 0.5 * n * np.log(2.0 * np.pi)
-    return mean, var, evidence, trace_correction
+    @cached_property
+    def _gap(self) -> np.ndarray:
+        expansion, Phi = self._basis
+        return self.kernel.theta_f - linalg.chol_quad_diag(expansion.sigma_factor, Phi)
+
+    def predict(self, method: str):
+        """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe."""
+        if method == "fitc":
+            model = _fit_design(*self._basis, self.y, self._gap + self.sigma2)
+            X_star = self.X_star
+            return lowrank_mean(model, X_star), lowrank_var_diag(model, X_star, mode="dtc"), lowrank_evidence(model)
+        model, mean, evidence = self._fit
+        if method == "sor":
+            return mean, lowrank_var_diag(model, self.X_star), evidence
+        if method == "dtc":
+            return mean, self._dtc_var, evidence
+        if method == "vfe":
+            return mean, self._dtc_var, evidence - 0.5 * float(np.sum(self._gap)) / self.sigma2
+        raise ValueError(f"unknown inducing baseline {method!r}")
 
 
 def fitc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -503,8 +505,7 @@ def fitc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
     The implied prior keeps the exact diagonal: Q + diag(K - Q) + sigma2 I.
     Returns (mean, pointwise variance, evidence).
     """
-    mean, var, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=True)
-    return mean, var, evidence
+    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("fitc")
 
 
 def vfe_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -514,10 +515,7 @@ def vfe_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
     the nonnegative slack trace(K - Q) / (2 sigma2), making it a lower bound
     on the exact evidence. Returns (mean, pointwise variance, evidence).
     """
-    mean, var, evidence, trace_correction = _inducing_predict(
-        kernel, X, y, sigma2, X_U, X_star, heteroscedastic=False
-    )
-    return mean, var, evidence - 0.5 * trace_correction / sigma2
+    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("vfe")
 
 
 def dtc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -525,5 +523,4 @@ def dtc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
 
     Returns (mean, pointwise variance, evidence).
     """
-    mean, var, evidence, _ = _inducing_predict(kernel, X, y, sigma2, X_U, X_star, heteroscedastic=False)
-    return mean, var, evidence
+    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("dtc")

@@ -1,0 +1,104 @@
+"""High-precision references evaluated with mpmath at 40 significant digits.
+
+Float64 results are checked against these on problems small enough for
+arbitrary-precision arithmetic (N <= 30, M <= 8): every kernel value, sum,
+inverse and determinant is computed at 40 digits from the float64 inputs, so
+the only float64 rounding a comparison sees is the library's own.
+
+:func:`inducing_reference` evaluates the model N(y; 0, Q + Lam) behind SoR,
+DTC, VFE and FITC in its M x M form, with Q = K_NU K_UU^{-1} K_UN and
+A = K_UU + K_UN Lam^{-1} K_NU:
+
+    mean(x*)  = k(x*, X_U) A^{-1} K_UN Lam^{-1} y
+    plain(x*) = k(x*, X_U) A^{-1} k(X_U, x*)                  (SoR variance)
+    dtc(x*)   = theta_f - k(x*, X_U) K_UU^{-1} k(X_U, x*) + plain(x*)
+    evidence  = -1/2 (y^T Lam^{-1} y - b^T A^{-1} b)
+                - 1/2 (sum log Lam + ln|A| - ln|K_UU|) - N/2 ln(2 pi),
+                b = K_UN Lam^{-1} y
+
+Lam = sigma2 I for SoR, DTC and VFE and theta_f - diag Q + sigma2 for FITC;
+VFE subtracts tr(K - Q) / (2 sigma2) from the DTC evidence.
+"""
+
+from __future__ import annotations
+
+import mpmath
+import numpy as np
+
+from kernelcg.kernels import SQUARED_EXPONENTIAL
+
+DIGITS = 40
+
+
+def _kernel(kernel, x, z):
+    d2 = mpmath.fsum(mpmath.mpf(lam) * (mpmath.mpf(a) - mpmath.mpf(b)) ** 2
+                     for lam, a, b in zip(kernel.lam, x, z))
+    if kernel.family == SQUARED_EXPONENTIAL:
+        return kernel.theta_f * mpmath.exp(-d2 / 2)
+    r = mpmath.sqrt(5 * d2)
+    return kernel.theta_f * (1 + r + 5 * d2 / 3) * mpmath.exp(-r)
+
+
+def _gram(kernel, A, B):
+    return mpmath.matrix([[_kernel(kernel, a, b) for b in B] for a in A])
+
+
+def _quad_diag(U, inverse):
+    """The diagonal of U^T inverse U."""
+    V = inverse * U
+    return [mpmath.fdot(U.column(j), V.column(j)) for j in range(U.cols)]
+
+
+def _fit(K_uu, logdet_uu, K_un, K_us, y, lam):
+    """(mean, plain variance, evidence) of N(y; 0, Q + diag(lam))."""
+    n = len(lam)
+    scaled = K_un.copy()
+    for i in range(scaled.rows):
+        for j in range(n):
+            scaled[i, j] /= lam[j]
+    A = K_uu + scaled * K_un.T
+    A_inv = mpmath.inverse(A)
+    b = scaled * mpmath.matrix(y)
+    weights = A_inv * b
+    mean = [(K_us.column(s).T * weights)[0, 0] for s in range(K_us.cols)]
+    plain = _quad_diag(K_us, A_inv)
+    quad = mpmath.fsum(y[j] ** 2 / lam[j] for j in range(n)) - (b.T * weights)[0, 0]
+    logdet = mpmath.fsum(mpmath.log(v) for v in lam) + mpmath.log(mpmath.det(A)) - logdet_uu
+    evidence = -quad / 2 - logdet / 2 - n * mpmath.log(2 * mpmath.pi) / 2
+    return mean, plain, evidence
+
+
+def inducing_reference(kernel, X, y, sigma2, X_U, X_star) -> dict:
+    """{method: (mean, pointwise variance, evidence)} for sor, dtc, vfe and fitc.
+
+    Evaluated at DIGITS significant digits and returned as float64. Keep
+    N <= 30 and M <= 8: an M x M inverse at 40 digits is cheap, an N x N one
+    is not.
+    """
+    with mpmath.workdps(DIGITS):
+        theta = mpmath.mpf(kernel.theta_f)
+        sigma2 = mpmath.mpf(sigma2)
+        y = [mpmath.mpf(v) for v in np.asarray(y, dtype=float)]
+        K_uu = _gram(kernel, X_U, X_U)
+        K_un = _gram(kernel, X_U, X)
+        K_us = _gram(kernel, X_U, X_star)
+        K_uu_inv = mpmath.inverse(K_uu)
+        logdet_uu = mpmath.log(mpmath.det(K_uu))
+        gap = [theta - q for q in _quad_diag(K_un, K_uu_inv)]
+        prior_defect = [theta - q for q in _quad_diag(K_us, K_uu_inv)]
+
+        mean, plain, evidence = _fit(K_uu, logdet_uu, K_un, K_us, y, [sigma2] * len(y))
+        dtc = [d + p for d, p in zip(prior_defect, plain)]
+        vfe_evidence = evidence - mpmath.fsum(gap) / (2 * sigma2)
+        fitc_mean, fitc_plain, fitc_evidence = _fit(K_uu, logdet_uu, K_un, K_us, y, [g + sigma2 for g in gap])
+        fitc_var = [d + p for d, p in zip(prior_defect, fitc_plain)]
+
+        def out(mean, var, evidence):
+            return np.array(mean, dtype=float), np.array(var, dtype=float), float(evidence)
+
+        return {
+            "sor": out(mean, plain, evidence),
+            "dtc": out(mean, dtc, evidence),
+            "vfe": out(mean, dtc, vfe_evidence),
+            "fitc": out(fitc_mean, fitc_var, fitc_evidence),
+        }

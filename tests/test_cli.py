@@ -170,3 +170,18 @@ def test_run_on_ragged_masked_series_is_one_line_error(tmp_path):
         cli.main(["run", "--config", str(config_path)])
     message = raised.value.code
     assert message.startswith("error:") and "row 3 has 2 cells" in message and "\n" not in message
+
+
+def test_run_on_grid_with_matern_kernel_is_one_line_error(tmp_path):
+    # The grid source draws its targets from an SE kernel; fitting
+    # Matern-5/2 to them would compare two different models.
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path)
+    config_path.write_text(text.replace("source = toy", "source = grid\ng = 4\nd = 2")
+                           .replace("metric = 0.25", "family = matern52\nmetric = 0.25"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    message = raised.value.code
+    assert message.startswith("error:") and "family must be se" in message and "\n" not in message
+    assert not records_path.exists()

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelcg import exact, harness, kmcg, solvers
+from kernelcg import exact, harness, kmcg, linalg, lowrank, solvers
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.harness import (
     ExperimentConfig,
@@ -371,3 +371,56 @@ def test_run_experiment_forms_no_test_by_test_array(monkeypatch):
     assert {r.method for r in records} == set(harness.METHODS)
     assert not [r.reason for r in records if r.reason.startswith("error:")]
     assert peak < n_star * n_star * 8 / 4
+
+
+def _by_subset(records):
+    """{(step, run): {method: record}} over the individual baseline records."""
+    out = {}
+    for r in records:
+        if r.run.isdigit():
+            out.setdefault((r.step, r.run), {})[r.method] = r
+    return out
+
+
+def test_sor_dtc_and_vfe_share_one_fit_per_subset():
+    # All three fit N(y; 0, Q + sigma2 I) on the same subset: one fit, so
+    # the shared metrics agree to the last bit.
+    config = _small_config(methods=("sor", "dtc", "vfe"), steps=(1, 2, 4), repetitions=2)
+    subsets = _by_subset(run_experiment(config, _small_dataset(seed=3)))
+    assert len(subsets) == 6
+    for rows in subsets.values():
+        sor, dtc, vfe = rows["sor"], rows["dtc"], rows["vfe"]
+        assert (sor.eps_f, sor.smse, sor.eps_ev) == (dtc.eps_f, dtc.smse, dtc.eps_ev)
+        assert (dtc.eps_f, dtc.eps_var, dtc.smse) == (vfe.eps_f, vfe.eps_var, vfe.smse)
+        assert vfe.eps_ev != dtc.eps_ev
+
+
+def test_inducing_baselines_factor_three_matrices_per_subset(monkeypatch):
+    # K_UU, the shared sor/dtc/vfe fit and the fitc fit.
+    calls = []
+    original = linalg.cholesky
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    data = _small_dataset()
+    config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2)
+    monkeypatch.setattr(linalg, "cholesky", counting)
+    harness._fit_oracle(config, data)
+    oracle_calls = len(calls)
+    calls.clear()
+    records = run_experiment(config, data)
+    assert not [r.reason for r in records if r.reason.startswith("error:")]
+    assert len(calls) - oracle_calls <= 3 * len(config.steps) * config.repetitions
+
+
+def test_shared_inducing_fit_charged_once_per_subset(monkeypatch):
+    # sor is not listed: the first listed method in METHODS order, dtc,
+    # carries the shared fit, fitc and vfe only their own work.
+    monkeypatch.setattr(lowrank, "sor_expansion", _delayed(lowrank.sor_expansion))
+    config = _small_config(methods=("vfe", "fitc", "dtc"), steps=(2,), repetitions=2)
+    subsets = _by_subset(run_experiment(config, _small_dataset()))
+    assert len(subsets) == 2
+    for rows in subsets.values():
+        assert [m for m, r in rows.items() if r.seconds >= SHARED_DELAY] == ["dtc"]

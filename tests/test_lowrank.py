@@ -23,6 +23,7 @@ from kernelcg.lowrank import (
     vfe_predict,
 )
 from brute import gauss_solve, mvn_logpdf
+from mpref import inducing_reference
 
 
 def _problem(seed, n, d=2, lam=2.0, theta=1.5, sigma2=0.1):
@@ -125,6 +126,24 @@ def test_evidence_matches_dense_density():
     Phi = expansion.phi(X).T
     cov = Phi.T @ gauss_solve(expansion.Sigma, Phi) + sigma2 * np.eye(12)
     assert lowrank_evidence(model) == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
+
+
+def test_per_point_noise_matches_dense_model():
+    # sigma2 as a vector Lam: N(y; 0, Phi^T Sigma^{-1} Phi + diag(Lam)).
+    kernel, X, y, _, rng = _problem(32, 12)
+    expansion = sor_expansion(kernel, X[:4])
+    lam = rng.uniform(0.05, 0.5, 12)
+    model = lowrank_fit(expansion, X, y, lam)
+    Phi = expansion.phi(X).T
+    cov = Phi.T @ gauss_solve(expansion.Sigma, Phi) + np.diag(lam)
+    X_star = rng.uniform(0, 2, (5, 2))
+    P_star = expansion.phi(X_star)
+    want = P_star @ gauss_solve(expansion.Sigma, Phi) @ gauss_solve(cov, y)
+    assert np.allclose(lowrank_mean(model, X_star), want, rtol=1e-10, atol=1e-12)
+    assert lowrank_evidence(model) == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
+    for bad in (lam[:5], np.where(np.arange(12) == 3, 0.0, lam)):
+        with pytest.raises(ValueError):
+            lowrank_fit(expansion, X, y, bad)
 
 
 def test_evidence_zero_targets():
@@ -445,6 +464,37 @@ def test_lowrank_pointwise_variance_rejects_what_the_covariance_rejects():
     bare = lowrank_fit(FeatureExpansion(phi=expansion.phi, Sigma=expansion.Sigma), X, y, sigma2)
     with pytest.raises(ValueError, match="prior_kernel"):
         lowrank_var_diag(bare, X[:2], mode="dtc")
+
+
+def _worst_relative(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+
+
+# (metric entry, seed) -> cond(K_UU) on 8 of 30 points in [0, 2]^2. Worst
+# relative error seen, at cond 1.1e5: 2.8e-9 (sor/dtc/vfe mean), 2.2e-9
+# (sor variance), 1.2e-9 (dtc/vfe variance), 9.7e-10 (fitc mean), 1.8e-10
+# (evidence); at cond <= 5.2e4 at most 2.7e-10.
+@pytest.mark.parametrize("lam, seed, cond", [(4.0, 1, 1.5e1), (2.0, 6, 4.1e2), (2.0, 2, 5.2e4), (0.5, 3, 1.1e5)])
+def test_inducing_baselines_match_a_40_digit_reference(lam, seed, cond):
+    rng = np.random.default_rng(seed)
+    kernel = se_kernel([lam, lam], 1.5)
+    X = rng.uniform(0, 2, (30, 2))
+    y = rng.standard_normal(30)
+    X_U = X[choose_inducing(30, 8, seed=seed)]
+    X_star = np.vstack([rng.uniform(0, 2, (3, 2)), X[:2]])
+    sigma2 = 1e-2
+    assert np.linalg.cond(gram(kernel, X_U)) == pytest.approx(cond, rel=0.1)
+    model = lowrank_fit(sor_expansion(kernel, X_U), X, y, sigma2)
+    got = {
+        "sor": (lowrank_mean(model, X_star), lowrank_var_diag(model, X_star), lowrank_evidence(model)),
+        "dtc": lowrank.dtc_predict(kernel, X, y, sigma2, X_U, X_star),
+        "vfe": vfe_predict(kernel, X, y, sigma2, X_U, X_star),
+        "fitc": fitc_predict(kernel, X, y, sigma2, X_U, X_star),
+    }
+    for method, want in inducing_reference(kernel, X, y, sigma2, X_U, X_star).items():
+        for quantity, value, reference in zip(("mean", "variance", "evidence"), got[method], want):
+            error = _worst_relative(value, reference)
+            assert error <= 1e-8, f"{method} {quantity}: relative error {error:.2e}"
 
 
 def test_choose_inducing_contract():
