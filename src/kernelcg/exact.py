@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .kernels import Kernel, _as_points, gram
+from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, gram
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,18 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
     """Pointwise posterior variance (diagonal of :func:`predict_cov`).
 
     Uses k(x, x) = theta_f, which holds for every stationary kernel here.
-    Memory and cost: the N x n* cross-Gram plus two arrays of its size
-    (see :func:`kernelcg.linalg.chol_quad_diag`), O(N^2 n*) flops; no
-    n* x n* array.
+    Blocked over test points: each block of k(X, X*) holds at most
+    max(_CROSS_BLOCK_ENTRIES, N) entries. Memory: the output plus one block
+    and two arrays of its size (see :func:`kernelcg.linalg.chol_quad_diag`);
+    O(N^2 n*) flops; no N x n* or n* x n* array.
     """
     X_star = _as_points(X_star, model.kernel.dim)
-    K_s = gram(model.kernel, model.X, X_star)
-    return np.full(X_star.shape[0], model.kernel.theta_f) - linalg.chol_quad_diag(model.factor, K_s)
+    cols = max(1, _CROSS_BLOCK_ENTRIES // model.X.shape[0])
+    out = np.empty(X_star.shape[0])
+    for start in range(0, X_star.shape[0], cols):
+        K_s = gram(model.kernel, model.X, X_star[start : start + cols])
+        out[start : start + cols] = model.kernel.theta_f - linalg.chol_quad_diag(model.factor, K_s)
+    return out
 
 
 def log_evidence(model: ExactGpModel) -> float:

@@ -16,22 +16,27 @@ deterministic given the master seed and independent of the worker count
 
 The `seconds` of a record is the wall time of the work done for it. Where
 one CG trace serves every budget (kmcg at M = N, cg-reorth, cg-textbook),
-the shared work (Gram assembly, the trace and, for kmcg, the factorizations)
-is charged once, to the record of the largest budget; every other record of
-that method carries only the time of its own prediction. sor, dtc, fitc and
-vfe are fitted together on each (step, repetition) subset, and each piece
-of work they share (the subset, K_UU, its factor and K_UN; the sigma2 I fit
-of sor, dtc and vfe) is charged once, to the record of the first method in
-METHODS order that uses it; each record adds its own extra work. The `reason`
-of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
-budget (converged, maxsteps or breakdown). Baselines say "ok",
-aggregate rows "aggregate", and a failed method "error: " and the exception.
+the shared work (Gram assembly, the trace and, for kmcg, the factorizations
+and the one kmcg.kmcg_predictions pass that predicts every budget) is
+charged once, to the record of the largest budget; every other record of
+that method carries only the time of its own remaining work. sor, dtc, fitc
+and vfe are fitted together on each (step, repetition) subset, and each
+piece of work they share (the subset, K_UU, its factor, K_UN and
+phi(X*) = k(X*, X_U); the sigma2 I fit of sor, dtc and vfe; the prior
+defect of dtc, fitc and vfe) is charged once, to the record of the first
+method in METHODS order that uses it; each record adds its own extra work.
+pbr evaluates the eigenfeatures of X and X* once, at full rank, and fits
+every budget on their leading columns; that feature pass is charged to the
+record of the largest budget. The `reason` of a kmcg, cg-reorth or
+cg-textbook record says why CG stopped within its budget (converged,
+maxsteps or breakdown). Baselines say "ok", aggregate rows "aggregate", and
+a failed method "error: " and the exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
-exact.predict_var with kmcg.kmcg_var_diag and lowrank.lowrank_var_diag
-(plain for sor, dtc for dtc, fitc and vfe). No
-method forms k(X*, X*) or any other n* x n* array, so memory grows with
-n* times the largest of N, M and P, not with n*^2.
+exact.predict_var with kmcg.kmcg_predictions and the pointwise variances of
+lowrank (plain for sor, dtc for dtc, fitc and vfe, from the phi(X*) each
+subset shares). No method forms k(X*, X*) or any other n* x n* array, so
+memory grows with n* times the largest of N, M and P, not with n*^2.
 """
 
 from __future__ import annotations
@@ -232,15 +237,16 @@ def _failure(method, step, budget, run, error) -> ExperimentRecord:
 def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
     n = data.n_train
     m = n if config.kmcg_m is None else min(config.kmcg_m, n)
-    models, shared_seconds = {}, {}
+    models, predictions, shared_seconds = {}, {}, {}
     if m == n:
-        # One CG trace serves every step budget.
+        # One CG trace and one pass over k(X*, X_M) serve every step budget.
         try:
             start = time.perf_counter()
             models = kmcg.kmcg_models_for_steps(
                 config.kernel, data.X, data.y, config.sigma2,
                 steps=config.steps, M=m, eps=config.cg_eps, seed=0,
             )
+            predictions = dict(zip(models, kmcg.kmcg_predictions(list(models.values()), data.X_star)))
             shared_seconds[max(config.steps)] = time.perf_counter() - start
         except Exception as error:
             return [_failure("kmcg", step, m, "0", error) for step in config.steps]
@@ -248,11 +254,12 @@ def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
     for step in config.steps:
         try:
             start = time.perf_counter()
-            model = models[step] if m == n else kmcg.kmcg_fit(
-                config.kernel, data.X, data.y, config.sigma2, M=m, eps=config.cg_eps,
-                max_steps=step, seed=_inducing_seed(config, step, 0))
-            mean = kmcg.kmcg_mean(model, data.X_star)
-            var = kmcg.kmcg_var_diag(model, data.X_star)
+            if m == n:
+                model, (mean, var) = models[step], predictions[step]
+            else:
+                model = kmcg.kmcg_fit(config.kernel, data.X, data.y, config.sigma2, M=m, eps=config.cg_eps,
+                                      max_steps=step, seed=_inducing_seed(config, step, 0))
+                ((mean, var),) = kmcg.kmcg_predictions([model], data.X_star)
             evidence = kmcg.kmcg_evidence(model)
             seconds = shared_seconds.pop(step, 0.0) + (time.perf_counter() - start)
             records.append(_record("kmcg", step, m, "0", oracle, mean, var, evidence,
@@ -313,16 +320,24 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
     return records
 
 
-def _pbr_once(config, data, oracle, step, pbr_expansion) -> ExperimentRecord:
-    m = budget_for(config, data.n_train, step)
-    try:
-        start = time.perf_counter()
-        expansion = lowrank.truncate_expansion(pbr_expansion, min(m, pbr_expansion.eigenvalues.size))
-        mean = lowrank.pbr_predict(expansion, data.X, data.y, config.sigma2, data.X_star)
-        return _record("pbr", step, m, "0", oracle, mean, None, None, data.y_star,
-                       time.perf_counter() - start, 0, "ok")
-    except Exception as error:
-        return _failure("pbr", step, m, "0", error)
+def _run_pbr(config, data, oracle, expansion) -> list[ExperimentRecord]:
+    """pbr at every step from one evaluation of the features of X and X*.
+
+    The largest budget runs first, so its record carries the feature pass
+    (see lowrank._PbrFits).
+    """
+    fits = lowrank._PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
+    records = []
+    for step in sorted(config.steps, reverse=True):
+        m = budget_for(config, data.n_train, step)
+        try:
+            start = time.perf_counter()
+            mean = fits.predict(min(m, expansion.eigenvalues.size))
+            records.append(_record("pbr", step, m, "0", oracle, mean, None, None, data.y_star,
+                                   time.perf_counter() - start, 0, "ok"))
+        except Exception as error:
+            records.append(_failure("pbr", step, m, "0", error))
+    return records
 
 
 def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]:
@@ -409,13 +424,13 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
                            for step in config.steps)
 
     subsets = [(step, rep) for step in config.steps for rep in range(config.repetitions)] if inducing else []
-    pbr_steps = config.steps if pbr_expansion is not None else ()
+    pbr_tasks = [pbr_expansion] if pbr_expansion is not None else []
     # The pool starts no thread unless a task is submitted to it.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run_all = pool.map if workers > 1 else map
         by_subset = run_all(lambda task: _inducing_once(config, data, oracle, inducing, *task), subsets)
-        pbr_rows = run_all(lambda step: _pbr_once(config, data, oracle, step, pbr_expansion), pbr_steps)
-        by_subset, pbr_rows = list(by_subset), list(pbr_rows)
+        pbr_rows = run_all(lambda expansion: _run_pbr(config, data, oracle, expansion), pbr_tasks)
+        by_subset, pbr_rows = list(by_subset), [r for rows in pbr_rows for r in rows]
     for i, method in enumerate(inducing):
         rows = sorted((subset[i] for subset in by_subset), key=lambda r: (r.step, int(r.run)))
         records.extend(rows)

@@ -32,6 +32,14 @@ _COMPENSATED_DIM = 32
 # row when a row is longer), which bounds every temporary.
 _BLOCK_ENTRIES = 1 << 15
 
+# Entries of one block of a cross-Gram k(X*, X) between test and training
+# points (16 MiB), for callers that reduce it block by block instead of
+# holding it whole. glibc malloc serves requests above its mmap threshold,
+# which adapts up to 32 MiB, with fresh mappings that every use faults in
+# again; blocks below it reuse freed heap pages from one prediction to the
+# next.
+_CROSS_BLOCK_ENTRIES = 1 << 21
+
 
 @dataclass(frozen=True)
 class Kernel:

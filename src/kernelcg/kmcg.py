@@ -24,6 +24,18 @@ subset-of-regressors kernel with X_U = X_M; at M = N, P = N the regressor is
 exact. Only the span of S matters: right-multiplying S by any invertible
 matrix leaves all predictions unchanged.
 
+The models of several step budgets from one trace are leading slices of the
+longest budget's (see :func:`kmcg_models_for_steps`): S, Z and R are its
+leading columns and L1, L2 the leading blocks of its factors. Forward
+substitution is row-incremental, so with u = S^T k(X_M, x*) the first q rows
+of L1^{-1} u and L2^{-1} u are those of the q-direction model. Every budget's
+pointwise variance is a prefix sum of squared rows,
+
+    var_q(x*) = theta_f - sum_{i<q} (L1^{-1} u)_i^2 + sigma2 sum_{i<q} (L2^{-1} u)_i^2
+
+and :func:`kmcg_predictions` reads every budget's mean and variance off one
+pass over k(X*, X_M).
+
 The prior over the kernel has zero mean and a covariance generated by the
 data kernel itself, times a positive `prior_scale` (other priors are in
 :func:`kernelcg.lowrank.general_inducing_posterior`). The scale cancels from
@@ -40,15 +52,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import Kernel, _as_points, gram
+from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, gram
 from .lowrank import choose_inducing
 from .solvers import MvmOperator, cg_reorth, default_cg_tolerance, dense_operator, stop_reason_within
-
-# Entries of one row block of a cross-Gram k(X, X_M) (16 MiB). glibc malloc
-# serves requests above its mmap threshold, which adapts up to 32 MiB, with
-# fresh mappings that every use faults in again; blocks below it reuse freed
-# heap pages from one prediction to the next. Each block re-reads W once.
-_CROSS_BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,12 @@ class KmcgModel:
 def _cross_products(kernel, X, X_M, W) -> np.ndarray:
     """k(X, X_M) W assembled in row blocks of k(X, X_M).
 
-    W is a vector or a matrix with M rows. Memory: the output plus one
-    block of at most max(_CROSS_BLOCK_ENTRIES, M) floats (and the
-    temporaries of `gram` for it); the full cross-Gram is never built.
+    W is a vector or a matrix with M rows; each block re-reads it once.
+    Memory: the output plus one block of at most
+    max(_CROSS_BLOCK_ENTRIES, M) floats (and the temporaries of `gram` for
+    it); the full cross-Gram is never built. With W = S the transposed
+    output is U = S^T k(X_M, X), the P x n features every prediction
+    shares, as an F-ordered view that `solve_triangular` takes as is.
     """
     rows = max(1, _CROSS_BLOCK_ENTRIES // X_M.shape[0])
     out = np.empty((X.shape[0],) + W.shape[1:])
@@ -196,25 +205,11 @@ def kmcg_models_for_steps(
 
     Each model is the one ``kmcg_fit(..., max_steps=p)`` builds, up to
     rounding in the last bits, with the same cg_steps and reason.
+    :func:`kmcg_predictions` predicts with all of them from one pass.
     """
     steps = [int(p) for p in steps]
     models = _fit_budgets(kernel, X, y, sigma2, steps, M, eps, seed, operator, prior_scale)
     return dict(zip(steps, models))
-
-
-def _projected_features(model: KmcgModel, points) -> np.ndarray:
-    """S^T k(X_M, points), the P x n feature block all predictions share.
-
-    Summed over row blocks of k(X_M, points), so S is read once however many
-    points there are. Memory: the output, one block of at most
-    max(_CROSS_BLOCK_ENTRIES, n) floats and one P x n partial product.
-    """
-    points = _as_points(points, model.kernel.dim)
-    rows = max(1, _CROSS_BLOCK_ENTRIES // points.shape[0])
-    U = model.S[:rows].T @ gram(model.kernel, model.X_M[:rows], points)
-    for start in range(rows, model.X_M.shape[0], rows):
-        U += model.S[start : start + rows].T @ gram(model.kernel, model.X_M[start : start + rows], points)
-    return U
 
 
 def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
@@ -224,8 +219,9 @@ def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
     B = A if same else _as_points(B, model.kernel.dim)
     if model.steps == 0:
         return np.zeros((A.shape[0], B.shape[0]))
-    Va = solve_triangular(model.factor1.L, _projected_features(model, A), lower=True)
-    Vb = Va if same else solve_triangular(model.factor1.L, _projected_features(model, B), lower=True)
+    Va = solve_triangular(model.factor1.L, _cross_products(model.kernel, A, model.X_M, model.S).T, lower=True)
+    Vb = Va if same else solve_triangular(
+        model.factor1.L, _cross_products(model.kernel, B, model.X_M, model.S).T, lower=True)
     out = Va.T @ Vb
     if same:
         out = 0.5 * (out + out.T)
@@ -251,8 +247,8 @@ def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
     K_ss = gram(model.kernel, X_star, X_star2)
     if model.steps == 0:
         return K_ss
-    Ua = _projected_features(model, X_star)
-    Ub = Ua if same else _projected_features(model, X_star2)
+    Ua = _cross_products(model.kernel, X_star, model.X_M, model.S).T
+    Ub = Ua if same else _cross_products(model.kernel, X_star2, model.X_M, model.S).T
     V1a = solve_triangular(model.factor1.L, Ua, lower=True)
     V1b = V1a if same else solve_triangular(model.factor1.L, Ub, lower=True)
     V2a = solve_triangular(model.factor2.L, Ua, lower=True)
@@ -263,23 +259,66 @@ def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
 def kmcg_var_diag(model: KmcgModel, X_star) -> np.ndarray:
     """Pointwise predictive variance, the diagonal of :func:`kmcg_var`.
 
-    theta_f - ||L1^{-1} U||^2 + sigma2 ||L2^{-1} U||^2 per test point, with
-    U = S^T k(X_M, X*) from the shared projected features and k(x, x) =
-    theta_f (every stationary kernel here). Costs O(n* M P + n* P^2) flops;
-    memory is the P x n* features, two arrays of their size and one block
-    of k(X_M, X*) (see _projected_features): O(n* P) beyond that block,
-    no k(X*, X*) and no n* x n* product.
+    The single-model case of :func:`kmcg_predictions`, with its costs.
     """
-    X_star = _as_points(X_star, model.kernel.dim)
-    prior = np.full(X_star.shape[0], model.kernel.theta_f)
-    if model.steps == 0:
-        return prior
-    U = _projected_features(model, X_star)
-    return (
-        prior
-        - linalg.chol_quad_diag(model.factor1, U)
-        + model.sigma2 * linalg.chol_quad_diag(model.factor2, U)
-    )
+    ((_, var),) = kmcg_predictions([model], X_star)
+    return var
+
+
+def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(mean, pointwise variance) at X_star for each of several models of one fit.
+
+    The models come from one :func:`kmcg_models_for_steps` fit, any of them
+    in any order: every X_M is the longest model's and every S the leading
+    columns of the longest model's S. One pass over k(X*, X_M) gives every
+    mean and U = S^T k(X_M, X*) of the longest model; one forward
+    substitution of U with each of its two factors gives every variance as
+    theta_f - ||L1_q^{-1} U_q||^2 + sigma2 ||L2_q^{-1} U_q||^2, a prefix sum
+    of squared rows (see the module docstring), with k(x, x) = theta_f
+    (every stationary kernel here).
+
+    For k models and P directions in the longest this costs
+    O(n* M (k + P) + n* P^2) flops; memory is the n* x (k + P) products,
+    three P x n* arrays, the outputs and one block of k(X*, X_M) (see
+    _cross_products): no k(X*, X*) and no n* x n* product.
+
+    Raises:
+        ValueError: if a model's X_M or S is not the longest model's.
+    """
+    longest = max(models, key=lambda model: model.steps)
+    for model in models:
+        if not np.array_equal(model.X_M, longest.X_M):
+            raise ValueError("the models have different inducing points; they must come from one fit")
+        if not np.array_equal(model.S, longest.S[:, : model.steps]):
+            raise ValueError("a model's directions are not the leading columns of the longest model's")
+    X_star = _as_points(X_star, longest.kernel.dim)
+    W = np.column_stack([model.mean_weights for model in models] + [longest.S])
+    products = _cross_products(longest.kernel, X_star, longest.X_M, W)
+    if longest.steps:
+        U = products[:, len(models) :].T
+        lost = _prefix_quad_diag(longest.factor1, U)
+        gained = _prefix_quad_diag(longest.factor2, U)
+    theta_f = longest.kernel.theta_f
+    out = []
+    for i, model in enumerate(models):
+        q = model.steps
+        if q:
+            var = theta_f - lost[q - 1] + model.sigma2 * gained[q - 1]
+        else:
+            var = np.full(X_star.shape[0], theta_f)
+        out.append((products[:, i].copy(), var))
+    return out
+
+
+def _prefix_quad_diag(factor: linalg.CholeskyFactor, U: np.ndarray) -> np.ndarray:
+    """Row q - 1 is the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
+
+    L_q^{-1} U_q is the first q rows of L^{-1} U, so these are the running
+    sums of its squared rows; the last row is the sum linalg.chol_quad_diag
+    takes, up to its summation order.
+    """
+    V = solve_triangular(factor.L, U, lower=True)
+    return np.cumsum(np.square(V, out=V), axis=0)
 
 
 def kmcg_evidence(model: KmcgModel) -> float:

@@ -108,14 +108,13 @@ def lowrank_fit(expansion: FeatureExpansion, X, y, sigma2) -> LowRankModel:
 
     sigma2 is Lam: a positive scalar (Lam = sigma2 I) or N positive variances.
     """
-    Phi = np.asarray(expansion.phi(X), dtype=float).T
-    if Phi.shape != (expansion.rank, np.size(y)):
-        raise ValueError(f"feature map produced shape {Phi.T.shape}, expected ({np.size(y)}, {expansion.rank})")
-    return _fit_design(expansion, Phi, y, sigma2)
+    return _fit_design(expansion, np.asarray(expansion.phi(X), dtype=float).T, y, sigma2)
 
 
 def _fit_design(expansion: FeatureExpansion, Phi: np.ndarray, y, sigma2) -> LowRankModel:
     """:func:`lowrank_fit` on a design matrix Phi that is already assembled."""
+    if Phi.shape != (expansion.rank, np.size(y)):
+        raise ValueError(f"feature map produced shape {Phi.T.shape}, expected ({np.size(y)}, {expansion.rank})")
     y = np.asarray(y, dtype=float).reshape(-1)
     lam = np.broadcast_to(np.asarray(sigma2, dtype=float), y.shape)
     if not np.all(lam > 0.0):
@@ -170,15 +169,28 @@ def lowrank_var_diag(model: LowRankModel, X_star, mode: str = "plain") -> np.nda
     """
     if mode not in ("plain", "dtc"):
         raise ValueError(f"unknown variance mode {mode!r}")
-    P_star_t = np.asarray(model.expansion.phi(X_star), dtype=float).T
-    plain = linalg.chol_quad_diag(model.factor, P_star_t)
+    phi_star = np.asarray(model.expansion.phi(X_star), dtype=float)
+    plain = _plain_var(model, phi_star)
     if mode == "plain":
         return plain
-    kernel = model.expansion.prior_kernel
+    return _prior_defect(model.expansion, phi_star) + plain
+
+
+def _plain_var(model: LowRankModel, phi_star: np.ndarray) -> np.ndarray:
+    """phi* A^{-1} phi* for each row of the evaluated features phi(X*)."""
+    return linalg.chol_quad_diag(model.factor, phi_star.T)
+
+
+def _prior_defect(expansion: FeatureExpansion, phi_star: np.ndarray) -> np.ndarray:
+    """theta_f - phi* Sigma^{-1} phi* for each row of the evaluated features phi(X*).
+
+    The dtc variance is this plus the plain one. It does not depend on the
+    fit, so every fit on one expansion can share it.
+    """
+    kernel = expansion.prior_kernel
     if kernel is None:
         raise ValueError("dtc mode requires an expansion with a prior_kernel")
-    prior = np.full(P_star_t.shape[1], kernel.theta_f)
-    return prior - linalg.chol_quad_diag(model.expansion.sigma_factor, P_star_t) + plain
+    return kernel.theta_f - linalg.chol_quad_diag(expansion.sigma_factor, phi_star.T)
 
 
 def lowrank_evidence(model: LowRankModel) -> float:
@@ -328,9 +340,33 @@ def pbr_predict(expansion: EigenExpansion, X, y, sigma2: float, X_star) -> np.nd
     This is the low-rank machinery with the induced kernel
     phi(x)^T Lam phi(z), i.e. Sigma = Lam^{-1}.
     """
-    feat = FeatureExpansion(phi=expansion.phi, Sigma=np.diag(1.0 / expansion.eigenvalues))
-    model = lowrank_fit(feat, X, y, sigma2)
-    return lowrank_mean(model, X_star)
+    return _PbrFits(expansion, X, y, sigma2, X_star).predict(expansion.eigenvalues.size)
+
+
+class _PbrFits:
+    """Projected Bayes regressors of every rank on one eigenexpansion.
+
+    phi(X) and phi(X*) are evaluated once, at full rank, by the first
+    :meth:`predict` (again if it raised). The features of
+    truncate_expansion(expansion, count) are their leading `count` columns,
+    so each rank fits on a slice of them.
+    """
+
+    def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
+        self.expansion, self.X, self.y, self.sigma2, self.X_star = expansion, X, y, sigma2, X_star
+
+    @cached_property
+    def _features(self) -> tuple[np.ndarray, np.ndarray]:
+        phi = self.expansion.phi
+        return np.asarray(phi(self.X), dtype=float), np.asarray(phi(self.X_star), dtype=float)
+
+    def predict(self, count: int) -> np.ndarray:
+        """The prediction of pbr_predict(truncate_expansion(expansion, count), ...)."""
+        truncated = truncate_expansion(self.expansion, count)
+        Phi, phi_star = self._features
+        feat = FeatureExpansion(phi=truncated.phi, Sigma=np.diag(1.0 / truncated.eigenvalues))
+        model = _fit_design(feat, Phi[:, :count].T, self.y, self.sigma2)
+        return phi_star[:, :count] @ model.weights
 
 
 def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -> EigenExpansion:
@@ -455,10 +491,12 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
 class _InducingFits:
     """SoR, DTC, FITC and VFE on one inducing set, sharing their work.
 
-    K_UU, its factor and K_UN are computed once. sor, dtc and vfe share the
-    fit with Lam = sigma2 I, dtc and vfe the dtc variance, fitc and vfe the
-    Nystrom gap diag(K - Q) at the training inputs. Each piece is computed
-    by the first :meth:`predict` that needs it (again if it raised).
+    K_UU, its factor, K_UN and phi(X*) = k(X*, X_U) are computed once. sor,
+    dtc and vfe share the fit with Lam = sigma2 I and its plain variance
+    (sor's, and part of dtc's), dtc, vfe and fitc the prior defect
+    theta_f - phi* K_UU^{-1} phi*, dtc and vfe the dtc variance, fitc and
+    vfe the Nystrom gap diag(K - Q) at the training inputs. Each piece is
+    computed by the first :meth:`predict` that needs it (again if it raised).
     """
 
     def __init__(self, kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -470,13 +508,21 @@ class _InducingFits:
         return expansion, np.asarray(expansion.phi(self.X), dtype=float).T
 
     @cached_property
+    def _phi_star(self) -> np.ndarray:
+        return np.asarray(self._basis[0].phi(self.X_star), dtype=float)
+
+    @cached_property
+    def _defect(self) -> np.ndarray:
+        return _prior_defect(self._basis[0], self._phi_star)
+
+    @cached_property
     def _fit(self):
         model = _fit_design(*self._basis, self.y, self.sigma2)
-        return model, lowrank_mean(model, self.X_star), lowrank_evidence(model)
+        return self._phi_star @ model.weights, _plain_var(model, self._phi_star), lowrank_evidence(model)
 
     @cached_property
     def _dtc_var(self) -> np.ndarray:
-        return lowrank_var_diag(self._fit[0], self.X_star, mode="dtc")
+        return self._defect + self._fit[1]
 
     @cached_property
     def _gap(self) -> np.ndarray:
@@ -487,11 +533,11 @@ class _InducingFits:
         """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe."""
         if method == "fitc":
             model = _fit_design(*self._basis, self.y, self._gap + self.sigma2)
-            X_star = self.X_star
-            return lowrank_mean(model, X_star), lowrank_var_diag(model, X_star, mode="dtc"), lowrank_evidence(model)
-        model, mean, evidence = self._fit
+            phi_star = self._phi_star
+            return phi_star @ model.weights, self._defect + _plain_var(model, phi_star), lowrank_evidence(model)
+        mean, plain, evidence = self._fit
         if method == "sor":
-            return mean, lowrank_var_diag(model, self.X_star), evidence
+            return mean, plain, evidence
         if method == "dtc":
             return mean, self._dtc_var, evidence
         if method == "vfe":

@@ -18,6 +18,15 @@ A = K_UU + K_UN Lam^{-1} K_NU:
 
 Lam = sigma2 I for SoR, DTC and VFE and theta_f - diag Q + sigma2 for FITC;
 VFE subtracts tr(K - Q) / (2 sigma2) from the DTC evidence.
+
+:func:`kmcg_reference` evaluates the KMCG regressor for given directions S
+with the formulas of the `kernelcg.kmcg` module docstring, with
+G = S^T K_M S, R = k(X, X_M) S, A = R^T R + sigma2 G and u = S^T k(X_M, x*):
+
+    mean(x*)  = u^T A^{-1} R^T y
+    var(x*)   = theta_f - u^T G^{-1} u + sigma2 u^T A^{-1} u
+    evidence  = -1/(2 sigma2) (y^T y - y^T R A^{-1} R^T y) - 1/2 ln|A| + 1/2 ln|G|
+                - (N - P)/2 ln sigma2 - N/2 ln(2 pi)
 """
 
 from __future__ import annotations
@@ -102,3 +111,47 @@ def inducing_reference(kernel, X, y, sigma2, X_U, X_star) -> dict:
             "vfe": out(mean, dtc, vfe_evidence),
             "fitc": out(fitc_mean, fitc_var, fitc_evidence),
         }
+
+
+def _leading(A, rows, cols):
+    return mpmath.matrix([[A[i, j] for j in range(cols)] for i in range(rows)])
+
+
+def kmcg_reference(kernel, X, y, sigma2, X_M, S, X_star) -> list:
+    """[(mean, pointwise variance, evidence)] of KMCG on the leading q columns of S, q = 0..P.
+
+    Evaluated at DIGITS significant digits and returned as float64. S is
+    M x P; G, R^T R, R^T y and U are formed once for all P columns, and the
+    q-column model uses their leading blocks. Keep N <= 30 and P <= 8.
+    """
+    with mpmath.workdps(DIGITS):
+        theta = mpmath.mpf(kernel.theta_f)
+        sigma2 = mpmath.mpf(sigma2)
+        y = mpmath.matrix([mpmath.mpf(v) for v in np.asarray(y, dtype=float)])
+        S = mpmath.matrix(np.asarray(S, dtype=float).tolist())
+        n, p = len(y), S.cols
+        K_M = _gram(kernel, X_M, X_M)
+        G = S.T * K_M * S
+        R = (K_M if np.array_equal(X, X_M) else _gram(kernel, X, X_M)) * S
+        RtR, b = R.T * R, R.T * y
+        U = S.T * _gram(kernel, X_M, X_star)
+        yy = (y.T * y)[0, 0]
+        constant = -n * mpmath.log(2 * mpmath.pi) / 2
+        out = [(np.zeros(U.cols), np.full(U.cols, float(theta)),
+                float(-yy / (2 * sigma2) - n * mpmath.log(sigma2) / 2 + constant))]
+        for q in range(1, p + 1):
+            G_q = _leading(G, q, q)
+            A = _leading(RtR, q, q) + sigma2 * G_q
+            A_inv = mpmath.inverse(A)
+            U_q = _leading(U, q, U.cols)
+            w = A_inv * _leading(b, q, 1)
+            mean = U_q.T * w
+            lost = _quad_diag(U_q, mpmath.inverse(G_q))
+            gained = _quad_diag(U_q, A_inv)
+            var = [theta - l + sigma2 * g for l, g in zip(lost, gained)]
+            quad = yy - (_leading(b, q, 1).T * w)[0, 0]
+            evidence = (-quad / (2 * sigma2) - mpmath.log(mpmath.det(A)) / 2 + mpmath.log(mpmath.det(G_q)) / 2
+                        - (n - q) * mpmath.log(sigma2) / 2 + constant)
+            out.append((np.array([mean[j] for j in range(U.cols)], dtype=float), np.array(var, dtype=float),
+                        float(evidence)))
+        return out

@@ -148,3 +148,22 @@ def test_fit_holds_no_n_by_n_temporary_beyond_gram_and_factor():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 400 * 400 * 8
+
+
+def test_predict_var_is_blocked_over_test_points(monkeypatch):
+    # N = 300 and n* = 4000 fit in one default block; with 16384-entry blocks
+    # (54 test points each) the peak stays below a quarter of one N x n*
+    # array and every variance is unchanged.
+    kernel, X, y, sigma2 = _random_problem(13, 300)
+    model = exact.fit(kernel, X, y, sigma2)
+    X_star = np.random.default_rng(14).uniform(0, 2, (4000, 2))
+    want = exact.predict_var(model, X_star)
+    monkeypatch.setattr(exact, "_CROSS_BLOCK_ENTRIES", 1 << 14)
+    tracemalloc.start()
+    try:
+        got = exact.predict_var(model, X_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 4000 * 8 / 4
+    assert np.array_equal(got, want)

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -156,6 +157,7 @@ def _delayed(function):
 @pytest.mark.parametrize("method, module, name", [
     ("kmcg", kmcg, "kmcg_models_for_steps"),
     ("cg-reorth", solvers, "cg_reorth"),
+    ("kmcg", kmcg, "kmcg_predictions"),
 ])
 def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, module, name):
     monkeypatch.setattr(module, name, _delayed(getattr(module, name)))
@@ -424,3 +426,49 @@ def test_shared_inducing_fit_charged_once_per_subset(monkeypatch):
     assert len(subsets) == 2
     for rows in subsets.values():
         assert [m for m, r in rows.items() if r.seconds >= SHARED_DELAY] == ["dtc"]
+
+
+def _pbr_expansion_with_phi(monkeypatch, wrap):
+    """Make the harness's pbr expansion use wrap(phi) as its feature map."""
+    original = lowrank.se_eigen_expansion
+
+    def expansion(*args, **kwargs):
+        built = original(*args, **kwargs)
+        return dataclasses.replace(built, phi=wrap(built.phi))
+
+    monkeypatch.setattr(lowrank, "se_eigen_expansion", expansion)
+
+
+def test_test_point_features_computed_once_per_fit(monkeypatch):
+    # kmcg at M = N assembles k(X*, X_M) once for all budgets, each inducing
+    # subset k(X*, X_U) once for all four baselines, and pbr evaluates its
+    # feature map once on X and once on X* for all budgets.
+    data = _small_dataset()
+    cross = {"kmcg": 0, "lowrank": 0}
+    for name, module in (("kmcg", kmcg), ("lowrank", lowrank)):
+        def counting(kernel, A, B=None, name=name, original=module.gram):
+            cross[name] += int(np.shares_memory(A, data.X_star))
+            return original(kernel, A, B)
+        monkeypatch.setattr(module, "gram", counting)
+    points = []
+
+    def counting_phi(phi):
+        def counted(X):
+            points.append(X)
+            return phi(X)
+        return counted
+
+    _pbr_expansion_with_phi(monkeypatch, counting_phi)
+    config = _small_config(methods=("kmcg", "sor", "dtc", "fitc", "vfe", "pbr"), steps=(1, 2, 4), repetitions=2)
+    records = run_experiment(config, data)
+    assert not [r.reason for r in records if r.reason.startswith("error:")]
+    assert cross == {"kmcg": 1, "lowrank": len(config.steps) * config.repetitions}
+    assert len(points) == 2 and points[0] is data.X and points[1] is data.X_star
+
+
+def test_pbr_feature_pass_charged_once_to_largest_budget(monkeypatch):
+    _pbr_expansion_with_phi(monkeypatch, _delayed)
+    config = _small_config(methods=("pbr",), steps=(4, 1, 2), repetitions=1)
+    records = run_experiment(config, _small_dataset())
+    assert [r.step for r in records] == [1, 2, 4]
+    assert [r.step for r in records if r.seconds >= SHARED_DELAY] == [4]

@@ -19,12 +19,14 @@ from kernelcg.kmcg import (
     kmcg_kernel_gram,
     kmcg_mean,
     kmcg_models_for_steps,
+    kmcg_predictions,
     kmcg_sample,
     kmcg_uncertainty,
     kmcg_var,
     kmcg_var_diag,
 )
 from brute import gauss_solve, mvn_logpdf
+from mpref import kmcg_reference
 
 
 def _problem(seed, n, d=2, lam=2.0, theta=1.5, sigma2=0.1):
@@ -83,11 +85,20 @@ def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch,
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
     K_star = gram(kernel, X_star, model.X_M)
     assert np.allclose(kmcg_mean(model, X_star), K_star @ model.mean_weights, rtol=1e-13, atol=1e-15)
-    assert np.allclose(kmcg._projected_features(model, X_star), model.S.T @ K_star.T, rtol=1e-13, atol=1e-15)
+    assert np.allclose(_shared_features(model, X_star), model.S.T @ K_star.T, rtol=1e-13, atol=1e-15)
     assert np.allclose(model.R, gram(kernel, X, model.X_M) @ model.S, rtol=1e-12)
 
 
-@pytest.mark.parametrize("predict", [kmcg_mean, kmcg._projected_features])
+def _shared_features(model, points):
+    """U = S^T k(X_M, points), the features every prediction shares."""
+    return kmcg._cross_products(model.kernel, points, model.X_M, model.S).T
+
+
+def _predictions_of_one(model, points):
+    return kmcg_predictions([model], points)
+
+
+@pytest.mark.parametrize("predict", [kmcg_mean, _shared_features, _predictions_of_one])
 def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict):
     # 4000 test points against M = 300 would be a 9.6 MB cross-Gram; with
     # 4096-entry blocks only the (P x) n output and one small block are live.
@@ -468,19 +479,80 @@ def test_one_pair_of_factorizations_serves_every_budget():
         assert np.max(np.abs(model.factor2.L - single.factor2.L)) <= 1e-13 * np.max(np.abs(single.factor2.L))
 
 
+def _zero_third_direction(*args, **kwargs):
+    trace = solvers.cg_reorth(*args, **kwargs)
+    S, Z = trace.S.copy(), trace.Z.copy()
+    S[:, 2] = Z[:, 2] = 0.0
+    return dataclasses.replace(trace, S=S, Z=Z)
+
+
 def test_failed_pivot_truncates_every_longer_budget():
     # A zero third direction (and product) makes the third pivot of both
     # factorizations exactly zero: budgets from 3 on keep two directions.
     kernel, X, y, sigma2, _ = _problem(34, 20)
-
-    def zero_third_direction(*args, **kwargs):
-        trace = solvers.cg_reorth(*args, **kwargs)
-        S, Z = trace.S.copy(), trace.Z.copy()
-        S[:, 2] = Z[:, 2] = 0.0
-        return dataclasses.replace(trace, S=S, Z=Z)
-
-    with mock.patch.object(kmcg, "cg_reorth", zero_third_direction):
+    with mock.patch.object(kmcg, "cg_reorth", _zero_third_direction):
         models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 3, 6), eps=0.0)
     assert [models[p].steps for p in (2, 3, 6)] == [2, 2, 2]
     assert [models[p].cg_steps for p in (2, 3, 6)] == [2, 3, 6]
     assert np.array_equal(models[6].factor1.L, models[2].factor1.L)
+
+
+# --- every budget from one pass ------------------------------------------------
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M, truncated", [(None, False), (12, False), (None, True)])
+def test_predictions_match_each_models_own_predictions(M, truncated):
+    # Budget 0 predicts the prior; with a zero third direction budgets 3 and
+    # 6 keep two directions, so the longest model has 2 and its factors
+    # serve budgets of 1 and 2 directions.
+    kernel, X, y, sigma2, rng = _problem(35, 30)
+    with mock.patch.object(kmcg, "cg_reorth", _zero_third_direction if truncated else solvers.cg_reorth):
+        models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(6, 0, 1, 3, 2), M=M, seed=2, eps=0.0)
+    assert [m.steps for m in models.values()] == ([2, 0, 1, 2, 2] if truncated else [6, 0, 1, 3, 2])
+    X_star = np.vstack([rng.uniform(0, 2, (40, 2)), X[:3], np.full((1, 2), 1e3)])
+    got = kmcg_predictions(list(models.values()), X_star)
+    for model, (mean, var) in zip(models.values(), got):
+        if model.steps == 0:
+            assert np.array_equal(mean, np.zeros(44))
+            assert np.array_equal(var, np.full(44, kernel.theta_f))
+        else:
+            assert _relative(mean, kmcg_mean(model, X_star)) <= 1e-13
+        assert _relative(var, kmcg_var_diag(model, X_star)) <= 1e-13
+
+
+def test_predictions_reject_models_of_different_fits():
+    kernel, X, y, sigma2, _ = _problem(36, 20)
+    a = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 4), M=10, seed=1, eps=0.0)
+    b = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 4), M=10, seed=2, eps=0.0)
+    with pytest.raises(ValueError, match="inducing points"):
+        kmcg_predictions([a[4], b[2]], X[:3])
+    other_targets = kmcg_fit(kernel, X, -y + 1.0, sigma2, M=10, seed=1, eps=0.0, max_steps=2)
+    with pytest.raises(ValueError, match="leading columns"):
+        kmcg_predictions([a[4], other_targets], X[:3])
+
+
+@pytest.mark.parametrize("seed, M, lam", [(42, None, 0.5), (41, 12, 2.0)])
+def test_predictions_match_a_40_digit_reference(seed, M, lam):
+    # Every prefix of the longest model's S (q = 0..8) against mpref at 40
+    # digits, N = 30; cond(S^T K_M S) is 1.7e3 at M = N and 5.6e2 at M = 12.
+    # Worst relative errors seen: mean 1.6e-14, variance 1.1e-13, evidence
+    # 7.4e-16 (M = N); mean 8.0e-15, variance 1.9e-14, evidence 3.5e-16
+    # (M = 12).
+    rng = np.random.default_rng(seed)
+    kernel = se_kernel(np.full(2, lam), 1.5)
+    X = rng.uniform(0, 2, (30, 2))
+    y = rng.standard_normal(30)
+    X_star = np.vstack([rng.uniform(0, 2, (4, 2)), X[:1]])
+    models = list(kmcg_models_for_steps(kernel, X, y, 0.1, steps=range(9), M=M, seed=seed, eps=0.0).values())
+    longest = models[-1]
+    assert longest.steps == 8
+    reference = kmcg_reference(kernel, X, y, 0.1, longest.X_M, longest.S, X_star)
+    for model, (mean, var) in zip(models, kmcg_predictions(models, X_star)):
+        want_mean, want_var, want_evidence = reference[model.steps]
+        assert np.max(np.abs(mean - want_mean)) <= 1e-12 * max(np.max(np.abs(want_mean)), 1e-300)
+        assert np.max(np.abs(var - want_var) / want_var) <= 1e-12
+        assert kmcg_evidence(model) == pytest.approx(want_evidence, rel=1e-12)
