@@ -3,10 +3,17 @@ Galerkin (projection-method) solution extracted from collected directions.
 
 The textbook recursion is known to lose residual orthogonality in floating
 point; ``cg_reorth`` counters this by explicitly re-orthogonalizing every new
-residual against all stored residuals with classical Gram-Schmidt applied
-twice (CGS2, two matrix-vector products per pass; Giraud, Langou and
-Rozloznik 2005 show it orthogonalizes as well as two-pass modified
-Gram-Schmidt). In exact arithmetic the two variants coincide.
+residual against all stored residuals with one pass of classical
+Gram-Schmidt (two matrix-vector products with the stored rows). The pass is
+repeated once when it leaves at most kappa = 1/sqrt(2) of the residual's
+norm: only such cancellation can leave a component in the stored span above
+rounding, and a second pass then restores orthogonality to working
+precision (the DGKS test; Giraud, Langou and Rozloznik 2005, "twice is
+enough"). A CG residual is orthogonal to the stored ones in exact
+arithmetic, so the pass removes only drift and keeps almost all of the norm;
+the re-pass fires where the recursion has drifted far, as on ill-conditioned
+problems, or where the residual has shrunk to rounding noise. In exact
+arithmetic the two variants coincide.
 
 A trace keeps directions, products and residuals as rows of buffers that
 start small and at least double when full, capped at the step limit, and
@@ -37,6 +44,10 @@ BREAKDOWN = "breakdown"
 # ||b|| carries no information; the solver stops rather than orthogonalize
 # rounding noise.
 _COLLAPSE_FACTOR = 8.0
+
+# kappa of the DGKS test (Daniel, Gragg, Kaufman and Stewart 1976): a pass
+# keeping at most this fraction of the norm has cancelled, so it is repeated.
+_REPASS_RATIO = 1.0 / np.sqrt(2.0)
 
 # Rows a trace buffer holds before its first growth.
 _FIRST_ROWS = 16
@@ -78,6 +89,19 @@ def _with_room(buf: np.ndarray, rows: int, limit: int) -> np.ndarray:
     grown = np.empty((min(max(2 * buf.shape[0], rows), limit),) + buf.shape[1:])
     grown[: buf.shape[0]] = buf
     return grown
+
+
+def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> None:
+    """Project the mutually orthogonal rows of `basis` out of r in place.
+
+    `sq` holds the rows' squared norms. One classical Gram-Schmidt pass,
+    r <- r - ((basis r) / sq) basis, repeated once when it leaves at most
+    _REPASS_RATIO of the norm r had.
+    """
+    before = np.linalg.norm(r)
+    r -= ((basis @ r) / sq) @ basis
+    if np.linalg.norm(r) <= _REPASS_RATIO * before:
+        r -= ((basis @ r) / sq) @ basis
 
 
 def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) -> CgTrace:
@@ -125,12 +149,9 @@ def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) ->
         x = x + alpha * s
         r_new = r + alpha * z
         if reorth:
-            # CGS2: project out every stored residual, twice. The stored
-            # residuals are mutually orthogonal, so they are the basis.
-            basis = res[: k + 1]
-            sq = norms[: k + 1] ** 2
-            for _pass in range(2):
-                r_new -= ((basis @ r_new) / sq) @ basis
+            # The stored residuals are mutually orthogonal, so they are the
+            # basis; one pass, and a second only if the first cancelled.
+            _orthogonalize(r_new, res[: k + 1], norms[: k + 1] ** 2)
         k += 1
         res[k] = r_new
         norms[k] = np.linalg.norm(r_new)
@@ -193,6 +214,10 @@ def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
     Additionally stops once the reorthogonalized residual norm collapses to
     machine scale relative to ||b||, since further directions would be pure
     rounding noise. eps defaults to 0.01 * ||b||_2 and max_steps to op.dim.
+
+    Cost: step k (counting from 1) makes one operator product and two
+    products of an N-vector with the k stored residual rows (4 N k flops),
+    and two more when the re-pass test of the module docstring fires.
 
     Memory: after P steps the trace holds S, Z and the residuals in row
     buffers of at most max(2 (P + 1), 17) rows of N floats each, never more

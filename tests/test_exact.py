@@ -9,6 +9,7 @@ from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.lowrank import FeatureExpansion, lowrank_fit, lowrank_mean
 from brute import gauss_solve, mvn_logpdf
+from mpref import exact_reference
 
 
 def _random_problem(seed, n, d=2, lam=2.0, theta=1.5, sigma2=0.1):
@@ -167,3 +168,28 @@ def test_predict_var_is_blocked_over_test_points(monkeypatch):
         tracemalloc.stop()
     assert peak < 300 * 4000 * 8 / 4
     assert np.array_equal(got, want)
+
+
+def test_mean_var_and_evidence_match_a_40_digit_reference():
+    # N = 24, n* = 5 (three new points and two training inputs), noise swept
+    # so that cond(K + sigma2 I) runs from 2.8e2 to 1.8e11. The test allows
+    # a relative error of 4 cond eps; the worst seen was 0.69 cond eps (the
+    # mean at cond 2.8e2, 4.2e-14). At cond 1.8e11 the errors were mean
+    # 7.3e-7, variance 2.9e-7 and evidence 1.3e-6.
+    rng = np.random.default_rng(0)
+    kernel = se_kernel([0.5, 0.5], 1.5)
+    X = rng.uniform(0, 2, (24, 2))
+    y = rng.standard_normal(24)
+    X_star = np.vstack([rng.uniform(0, 2, (3, 2)), X[:2]])
+    sigma2s = [1e-1, 1e-4, 1e-7, 1e-10]
+    conds = []
+    for sigma2, want in zip(sigma2s, exact_reference(kernel, X, y, sigma2s, X_star)):
+        conds.append(np.linalg.cond(gram(kernel, X) + sigma2 * np.eye(24)))
+        model = exact.fit(kernel, X, y, sigma2)
+        assert model.factor.jitter == 0.0
+        got = (exact.predict_mean(model, X_star), exact.predict_var(model, X_star), exact.log_evidence(model))
+        bound = 4.0 * conds[-1] * np.finfo(float).eps
+        for quantity, value, reference in zip(("mean", "variance", "evidence"), got, want):
+            error = np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+            assert error <= bound, f"sigma2 {sigma2:.0e} {quantity}: relative error {error:.2e}"
+    assert conds[0] < 1e3 and conds[-1] > 1e11

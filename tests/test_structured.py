@@ -1,4 +1,6 @@
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +201,11 @@ def test_grid_sampling_empirical_covariance():
     emp = draws.T @ draws / n_draws
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws)
     assert np.all(np.abs(emp - target) <= 5.0 * se + 1e-12)
+
+
+def test_structured_grids_demo_runs(capsys):
+    # The demo fits KMCG on a Kronecker operator with eps=0, so CG runs all
+    # N = 100 steps, until its residual collapses to rounding.
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / "05_structured_grids.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "learned-kernel mean error" in out and "structured vs dense product agree" in out
