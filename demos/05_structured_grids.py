@@ -13,7 +13,7 @@ import numpy as np
 from kernelcg import exact, kmcg, lowrank
 from kernelcg.harness import metric_relerr
 from kernelcg.kernels import gram, se_kernel
-from kernelcg.structured import grid_dataset, grid_spec, kron_mvm, masked_toeplitz_spec
+from kernelcg.structured import grid_axes, grid_dataset, grid_spec, kron_mvm, masked_toeplitz_spec
 
 # --- Kronecker grid products ------------------------------------------------
 kernel3 = se_kernel([1.0, 1.0, 1.0], 1.0)
@@ -32,7 +32,7 @@ data = grid_dataset(10, 2, kernel, seed=0)
 oracle = exact.fit(kernel, data.X, data.y, sigma2)
 want = exact.predict_mean(oracle, data.X_star)
 
-gspec = grid_spec(kernel, [np.unique(data.X[:, d]) for d in range(2)])
+gspec = grid_spec(kernel, grid_axes(data.X))
 model = kmcg.kmcg_fit(kernel, data.X, data.y, sigma2, eps=0.0, max_steps=100,
                       operator=gspec.operator())
 eps_kmcg = metric_relerr(want, kmcg.kmcg_mean(model, data.X_star))

@@ -159,6 +159,8 @@ class ExperimentConfig:
             raise ValueError("budget rule fixed-m requires fixed_m")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "steps", tuple(int(p) for p in self.steps))
+        if min(self.steps) < 0:
+            raise ValueError(f"step budgets must be at least 0, got {min(self.steps)}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,17 @@ pointwise variance is a prefix sum of squared rows,
 and :func:`kmcg_predictions` reads every budget's mean and variance off one
 pass over k(X*, X_M).
 
+Every k(., X_M) a model builds (R at M < N, and all prediction and
+learned-kernel features) is assembled in row blocks of at most
+max(2^21, M) entries (16 MiB), never whole. With an SE kernel on inducing
+points laid out exactly as a row-major Cartesian grid
+(:func:`kernelcg.structured.grid_axes`, checked once per fit), each block is
+the row-wise Khatri-Rao product of per-axis kernel rows, N multiplications
+per row instead of D coordinate differences and one exp per entry, with
+entries equal to gram's up to rounding; its extra scratch is the per-axis
+rows and one product of the leading axes (1/G_D of a block). Matern kernels,
+scattered points and random subsets with M < N take the dense path.
+
 The prior over the kernel has zero mean and a covariance generated by the
 data kernel itself, times a positive `prior_scale` (other priors are in
 :func:`kernelcg.lowrank.general_inducing_posterior`). The scale cancels from
@@ -52,9 +63,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, gram
+from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram
 from .lowrank import choose_inducing
 from .solvers import MvmOperator, cg_reorth, default_cg_tolerance, dense_operator, stop_reason_within
+from .structured import GridSpec, grid_axes, grid_spec
 
 
 @dataclass(frozen=True)
@@ -75,26 +87,34 @@ class KmcgModel:
     cg_steps: int  # directions the solver produced within the budget
     reason: str  # why CG stopped within the budget: converged, maxsteps or breakdown
     prior_scale: float  # scale of the prior over the kernel
+    grid: Optional[GridSpec]  # X_M's grid when the kernel is SE and X_M a Cartesian grid, else None
 
     @property
     def inducing_count(self) -> int:
         return self.X_M.shape[0]
 
 
-def _cross_products(kernel, X, X_M, W) -> np.ndarray:
+def _cross_products(kernel, X, X_M, grid, W) -> np.ndarray:
     """k(X, X_M) W assembled in row blocks of k(X, X_M).
 
     W is a vector or a matrix with M rows; each block re-reads it once.
-    Memory: the output plus one block of at most
-    max(_CROSS_BLOCK_ENTRIES, M) floats (and the temporaries of `gram` for
-    it); the full cross-Gram is never built. With W = S the transposed
-    output is U = S^T k(X_M, X), the P x n features every prediction
-    shares, as an F-ordered view that `solve_triangular` takes as is.
+    When `grid` is the GridSpec of X_M (an SE kernel on a row-major
+    Cartesian grid, see :func:`kernelcg.structured.grid_axes`) each block is
+    the Khatri-Rao product of per-axis rows from GridSpec.cross_gram;
+    otherwise `gram` builds it from all M columns. Memory: the output plus
+    one block of at most max(_CROSS_BLOCK_ENTRIES, M) floats and the
+    temporaries of building it (for a grid, the per-axis rows and one
+    product of the leading axes, 1/G_D of a block); the full cross-Gram is
+    never built. With W = S the transposed output is U = S^T k(X_M, X), the
+    P x n features every prediction shares, as an F-ordered view that
+    `solve_triangular` takes as is.
     """
     rows = max(1, _CROSS_BLOCK_ENTRIES // X_M.shape[0])
     out = np.empty((X.shape[0],) + W.shape[1:])
     for start in range(0, X.shape[0], rows):
-        out[start : start + rows] = gram(kernel, X[start : start + rows], X_M) @ W
+        block = X[start : start + rows]
+        K = gram(kernel, block, X_M) if grid is None else grid.cross_gram(block)
+        out[start : start + rows] = K @ W
     return out
 
 
@@ -108,7 +128,11 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
     the trace's full length hold every budget's factors. CG direction
     matrices lose conditioning in floating point; a budget keeps only the
     directions before the first pivot that fails in either factorization.
-    A budget of None means M.
+    A budget of None means M; a negative budget raises ValueError.
+
+    With an SE kernel, X_M is checked once for an exact Cartesian grid
+    (:func:`kernelcg.structured.grid_axes`); the models keep its GridSpec,
+    and every k(., X_M) they build is then a per-axis product.
     """
     if not (prior_scale > 0.0):
         raise ValueError("prior_scale must be positive")
@@ -121,6 +145,9 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
         raise ValueError("sigma2 must be positive")
     sigma2 = float(sigma2)
     M = n if M is None else int(M)
+    budgets = [M if p is None else int(p) for p in budgets]
+    if min(budgets) < 0:
+        raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
     idx = choose_inducing(n, M, seed)
     X_M = X[idx]
     y_M = y[idx]
@@ -128,13 +155,14 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
         operator = dense_operator(gram(kernel, X_M))
     elif operator.dim != M:
         raise ValueError(f"operator dim {operator.dim} does not match inducing size {M}")
-    budgets = [M if p is None else int(p) for p in budgets]
+    axes = grid_axes(X_M) if kernel.family == SQUARED_EXPONENTIAL else None
+    grid = None if axes is None else grid_spec(kernel, axes)
 
     eps = default_cg_tolerance(y_M) if eps is None else float(eps)
     trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M))
     S, Z = trace.S, trace.Z
     shared = M == n
-    R = Z if shared else _cross_products(kernel, X, X_M, S)
+    R = Z if shared else _cross_products(kernel, X, X_M, grid, S)
     A1 = S.T @ Z
     A1 = 0.5 * (A1 + A1.T)
     L1, ok1 = linalg.cholesky_with_truncation(A1)
@@ -158,7 +186,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
             kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
             mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
-            reason=stop_reason_within(trace, p), prior_scale=prior_scale,
+            reason=stop_reason_within(trace, p), prior_scale=prior_scale, grid=grid,
         ))
     return models
 
@@ -219,9 +247,9 @@ def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
     B = A if same else _as_points(B, model.kernel.dim)
     if model.steps == 0:
         return np.zeros((A.shape[0], B.shape[0]))
-    Va = solve_triangular(model.factor1.L, _cross_products(model.kernel, A, model.X_M, model.S).T, lower=True)
-    Vb = Va if same else solve_triangular(
-        model.factor1.L, _cross_products(model.kernel, B, model.X_M, model.S).T, lower=True)
+    features = lambda points: _cross_products(model.kernel, points, model.X_M, model.grid, model.S).T
+    Va = solve_triangular(model.factor1.L, features(A), lower=True)
+    Vb = Va if same else solve_triangular(model.factor1.L, features(B), lower=True)
     out = Va.T @ Vb
     if same:
         out = 0.5 * (out + out.T)
@@ -236,7 +264,7 @@ def kmcg_kernel_eval(model: KmcgModel, x, z) -> float:
 def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
     """Posterior mean prediction k(x*, X_M) @ mean_weights per test point."""
     X_star = _as_points(X_star, model.kernel.dim)
-    return _cross_products(model.kernel, X_star, model.X_M, model.mean_weights)
+    return _cross_products(model.kernel, X_star, model.X_M, model.grid, model.mean_weights)
 
 
 def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
@@ -247,8 +275,8 @@ def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
     K_ss = gram(model.kernel, X_star, X_star2)
     if model.steps == 0:
         return K_ss
-    Ua = _cross_products(model.kernel, X_star, model.X_M, model.S).T
-    Ub = Ua if same else _cross_products(model.kernel, X_star2, model.X_M, model.S).T
+    Ua = _cross_products(model.kernel, X_star, model.X_M, model.grid, model.S).T
+    Ub = Ua if same else _cross_products(model.kernel, X_star2, model.X_M, model.grid, model.S).T
     V1a = solve_triangular(model.factor1.L, Ua, lower=True)
     V1b = V1a if same else solve_triangular(model.factor1.L, Ub, lower=True)
     V2a = solve_triangular(model.factor2.L, Ua, lower=True)
@@ -293,7 +321,7 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError("a model's directions are not the leading columns of the longest model's")
     X_star = _as_points(X_star, longest.kernel.dim)
     W = np.column_stack([model.mean_weights for model in models] + [longest.S])
-    products = _cross_products(longest.kernel, X_star, longest.X_M, W)
+    products = _cross_products(longest.kernel, X_star, longest.X_M, longest.grid, W)
     if longest.steps:
         U = products[:, len(models) :].T
         lost = _prefix_quad_diag(longest.factor1, U)

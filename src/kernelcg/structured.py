@@ -2,22 +2,24 @@
 
 Two structures are supported: product-kernel Grams over Cartesian grids,
 which factorize as K_1 kron ... kron K_D and admit O(N sum G_d) products via
-sequential mode products, and symmetric-Toeplitz Grams over equispaced
-1-D inputs, multiplied in O(T log T) through a circulant embedding. A mask
-layer handles time series with missing observations, whose Gram is a
-submatrix of a Toeplitz matrix (not Toeplitz itself, but products remain
-fast by scatter-multiply-gather).
+sequential mode products (their cross-Grams k(X, grid) are row-wise
+Khatri-Rao products of per-axis rows), and symmetric-Toeplitz Grams over
+equispaced 1-D inputs, multiplied in O(T log T) through a circulant
+embedding. A mask layer handles time series with missing observations,
+whose Gram is a submatrix of a Toeplitz matrix (not Toeplitz itself, but
+products remain fast by scatter-multiply-gather).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
 from .datasets import Dataset
-from .kernels import SQUARED_EXPONENTIAL, Kernel, gram, se_kernel
+from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, gram, se_kernel
 from .solvers import MvmOperator
 
 
@@ -42,9 +44,14 @@ def kron_mvm(factors, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A Cartesian product grid with per-axis Gram factors of a product kernel."""
+    """A Cartesian product grid with the per-axis parts of a product kernel.
+
+    `kernels` holds each axis's 1-D kernel and `factors` its Gram over that
+    axis; both are built by :func:`grid_spec`.
+    """
 
     axes: tuple
+    kernels: tuple
     factors: tuple
 
     @property
@@ -57,8 +64,23 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """All grid coordinates, row-major (first axis slowest), shape (N, D)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return _grid_points(self.axes)
+
+    def cross_gram(self, X) -> np.ndarray:
+        """k(X, grid points), n x N, with columns in the order of :meth:`points`.
+
+        Row i is the Kronecker product of the per-axis rows
+        k_d(X[i, d], axes[d]), each from `gram` on that axis's kernel, built
+        as a row-wise Khatri-Rao product: N multiplications per row and no
+        D-fold coordinate differences. Memory: the n x N output, the n x G_d
+        per-axis rows and one n x N / G_D product of the leading axes.
+        """
+        X = _as_points(X, len(self.axes))
+        out = gram(self.kernels[0], X[:, :1], self.axes[0].reshape(-1, 1))
+        for d in range(1, len(self.axes)):
+            row = gram(self.kernels[d], X[:, d : d + 1], self.axes[d].reshape(-1, 1))
+            out = (out[:, :, None] * row[:, None, :]).reshape(X.shape[0], -1)
+        return out
 
     def operator(self, noise: float = 0.0) -> MvmOperator:
         """MvmOperator applying v -> (K_1 kron ... kron K_D) v + noise * v."""
@@ -73,8 +95,13 @@ class GridSpec:
         return kron_mvm(chols, rng.standard_normal(self.size))
 
 
+def _grid_points(axes) -> np.ndarray:
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
 def grid_spec(kernel: Kernel, axes) -> GridSpec:
-    """Build per-axis Gram factors for a product kernel on the given axes.
+    """Build per-axis kernels and Gram factors for a product kernel on the given axes.
 
     Only the squared-exponential family factorizes across dimensions; the
     amplitude is split evenly so the factors multiply back to theta_f.
@@ -85,10 +112,34 @@ def grid_spec(kernel: Kernel, axes) -> GridSpec:
     if len(axes) != kernel.dim:
         raise ValueError(f"kernel has {kernel.dim} dimensions but {len(axes)} axes were given")
     amp = kernel.theta_f ** (1.0 / len(axes))
-    factors = tuple(
-        gram(se_kernel([kernel.lam[d]], amp), axes[d].reshape(-1, 1)) for d in range(len(axes))
-    )
-    return GridSpec(axes=axes, factors=factors)
+    kernels = tuple(se_kernel([kernel.lam[d]], amp) for d in range(len(axes)))
+    factors = tuple(gram(k, a.reshape(-1, 1)) for k, a in zip(kernels, axes))
+    return GridSpec(axes=axes, kernels=kernels, factors=factors)
+
+
+def grid_axes(points) -> Optional[tuple]:
+    """The axes whose :meth:`GridSpec.points` are exactly `points`, else None.
+
+    Axis d has as many coordinates as column d has distinct values, read off
+    the row-major layout; the points are a grid when these axes rebuild them
+    bit for bit. Counting stops once the product of the counts exceeds N, so
+    scattered points cost two `np.unique` calls. One-dimensional points
+    return None: every point set is a 1-D grid and nothing factorizes.
+    """
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 2 or not X.size:
+        return None
+    n = X.shape[0]
+    sizes = []
+    for d in range(X.shape[1]):
+        sizes.append(np.unique(X[:, d]).size)
+        if np.prod(sizes) > n:
+            return None
+    if np.prod(sizes) != n:
+        return None
+    strides = n // np.cumprod(sizes)
+    axes = tuple(X[: g * s : s, d].copy() for d, (g, s) in enumerate(zip(sizes, strides)))
+    return axes if np.array_equal(_grid_points(axes), X) else None
 
 
 def _embedding_fft(first_row: np.ndarray):

@@ -25,6 +25,7 @@ from kernelcg.kmcg import (
     kmcg_var,
     kmcg_var_diag,
 )
+from kernelcg.structured import grid_spec
 from brute import gauss_solve, mvn_logpdf
 from mpref import kmcg_reference
 
@@ -76,12 +77,37 @@ def test_subset_fit_assembles_cross_products():
     assert np.allclose(model.R, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("block_entries", [1, 100, 1 << 21])
-def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch, block_entries):
-    # One row per block, partial last blocks, and one block for everything.
-    kernel, X, y, sigma2, rng = _problem(3, 40)
-    model = kmcg_fit(kernel, X, y, sigma2, M=12, seed=4, eps=0.0, max_steps=6)
-    X_star = rng.uniform(0, 2, (23, 2))
+def _scattered_subset(rng):
+    kernel, X, y, sigma2, _ = _problem(3, 40)
+    return kmcg_fit(kernel, X, y, sigma2, M=12, seed=4, eps=0.0, max_steps=6), rng.uniform(0, 2, (23, 2))
+
+
+def _grid_problem(seed, shape, theta=1.7, sigma2=0.1):
+    """SE with an ARD metric on a row-major grid with unequal, perturbed axes in [0, 2]."""
+    rng = np.random.default_rng(seed)
+    kernel = se_kernel([0.7, 1.9, 3.1][: len(shape)], theta)
+    axes = [np.linspace(0, 2, g) + 0.05 * rng.standard_normal(g) for g in shape]
+    X = grid_spec(kernel, axes).points()
+    return kernel, X, rng.standard_normal(X.shape[0]), sigma2, rng
+
+
+def _full_grid(rng):
+    kernel, X, y, sigma2, _ = _grid_problem(3, (3, 4, 5))
+    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6)
+    assert model.grid is not None and np.array_equal(model.grid.points(), model.X_M)
+    return model, rng.uniform(0, 2, (23, 3))
+
+
+@pytest.mark.parametrize("block_entries, problem", [
+    pytest.param(entries, problem, id=prefix + str(entries))
+    for prefix, problem in (("", _scattered_subset), ("grid-", _full_grid))
+    for entries in (1, 100, 1 << 21)
+])
+def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch, block_entries, problem):
+    # One row per block, partial last blocks, and one block for everything;
+    # on a grid each block is a per-axis Khatri-Rao product.
+    model, X_star = problem(np.random.default_rng(3))
+    kernel, X = model.kernel, model.X
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
     K_star = gram(kernel, X_star, model.X_M)
     assert np.allclose(kmcg_mean(model, X_star), K_star @ model.mean_weights, rtol=1e-13, atol=1e-15)
@@ -91,20 +117,29 @@ def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch,
 
 def _shared_features(model, points):
     """U = S^T k(X_M, points), the features every prediction shares."""
-    return kmcg._cross_products(model.kernel, points, model.X_M, model.S).T
+    return kmcg._cross_products(model.kernel, points, model.X_M, model.grid, model.S).T
 
 
 def _predictions_of_one(model, points):
     return kmcg_predictions([model], points)
 
 
-@pytest.mark.parametrize("predict", [kmcg_mean, _shared_features, _predictions_of_one])
-def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict):
+@pytest.mark.parametrize("predict, grid", [
+    pytest.param(predict, grid, id=("grid-" if grid else "") + predict.__name__)
+    for grid in (False, True)
+    for predict in (kmcg_mean, _shared_features, _predictions_of_one)
+])
+def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict, grid):
     # 4000 test points against M = 300 would be a 9.6 MB cross-Gram; with
-    # 4096-entry blocks only the (P x) n output and one small block are live.
-    kernel, X, y, sigma2, rng = _problem(3, 300)
+    # 4096-entry blocks only the (P x) n output and one small block are live,
+    # and on the 5 x 6 x 10 grid the block's per-axis rows and products too.
+    if grid:
+        kernel, X, y, sigma2, rng = _grid_problem(3, (5, 6, 10))
+    else:
+        kernel, X, y, sigma2, rng = _problem(3, 300)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=5)
-    X_star = rng.uniform(0, 2, (4000, 2))
+    assert (model.grid is not None) == grid
+    X_star = rng.uniform(0, 2, (4000, X.shape[1]))
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", 1 << 12)
     tracemalloc.start()
     try:
@@ -459,6 +494,10 @@ def test_models_for_steps_validate_inputs():
         kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), M=6, operator=operator)
     with pytest.raises(ValueError, match="prior_scale"):
         kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), prior_scale=-1.0)
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        kmcg_models_for_steps(kernel, X, y, sigma2, steps=(-1, 3))
+    with pytest.raises(ValueError, match="at least 0, got -2"):
+        kmcg_fit(kernel, X, y, sigma2, max_steps=-2)
 
 
 def test_one_pair_of_factorizations_serves_every_budget():
@@ -535,21 +574,31 @@ def test_predictions_reject_models_of_different_fits():
         kmcg_predictions([a[4], other_targets], X[:3])
 
 
-@pytest.mark.parametrize("seed, M, lam", [(42, None, 0.5), (41, 12, 2.0)])
-def test_predictions_match_a_40_digit_reference(seed, M, lam):
+@pytest.mark.parametrize("seed, M, lam, grid_shape", [
+    pytest.param(42, None, 0.5, None, id="42-None-0.5"),
+    pytest.param(41, 12, 2.0, None, id="41-12-2.0"),
+    pytest.param(43, None, (0.7, 1.9), (5, 6), id="grid-5x6"),
+])
+def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     # Every prefix of the longest model's S (q = 0..8) against mpref at 40
     # digits, N = 30; cond(S^T K_M S) is 1.7e3 at M = N and 5.6e2 at M = 12.
-    # Worst relative errors seen: mean 1.6e-14, variance 1.1e-13, evidence
-    # 7.4e-16 (M = N); mean 8.0e-15, variance 1.9e-14, evidence 3.5e-16
-    # (M = 12).
+    # Worst relative errors seen: mean 1.9e-14, variance 8.1e-14, evidence
+    # 7.4e-16 (M = N); mean 1.0e-14, variance 1.7e-14, evidence 3.5e-16
+    # (M = 12). On the 5 x 6 grid, where k(X*, X_M) is the per-axis path,
+    # cond(S^T K_M S) is 69 and the worst errors mean 6.9e-15, variance
+    # 6.5e-14, evidence 1.5e-15.
     rng = np.random.default_rng(seed)
-    kernel = se_kernel(np.full(2, lam), 1.5)
-    X = rng.uniform(0, 2, (30, 2))
+    kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
+    if grid_shape is None:
+        X = rng.uniform(0, 2, (30, 2))
+    else:
+        X = grid_spec(kernel, [np.linspace(0, 2, g) + 0.05 * rng.standard_normal(g) for g in grid_shape]).points()
     y = rng.standard_normal(30)
     X_star = np.vstack([rng.uniform(0, 2, (4, 2)), X[:1]])
     models = list(kmcg_models_for_steps(kernel, X, y, 0.1, steps=range(9), M=M, seed=seed, eps=0.0).values())
     longest = models[-1]
     assert longest.steps == 8
+    assert (longest.grid is None) == (grid_shape is None)
     reference = kmcg_reference(kernel, X, y, 0.1, longest.X_M, longest.S, X_star)
     for model, (mean, var) in zip(models, kmcg_predictions(models, X_star)):
         want_mean, want_var, want_evidence = reference[model.steps]

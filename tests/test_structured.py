@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcg.kernels import gram, se_kernel
+from kernelcg.kernels import gram, matern52_kernel, se_kernel
+from kernelcg.kmcg import kmcg_fit
 from kernelcg.structured import (
     GridSpec,
     MaskedToeplitzSpec,
+    grid_axes,
     grid_dataset,
     grid_spec,
     kron_mvm,
@@ -61,10 +63,48 @@ def test_grid_factors_reproduce_dense_gram():
 
 
 def test_grid_requires_product_kernel():
-    from kernelcg.kernels import matern52_kernel
-
     with pytest.raises(ValueError):
         grid_spec(matern52_kernel([1.0]), [np.linspace(0, 1, 4)])
+
+
+def _unequal_grid(seed=11):
+    # Three axes of different lengths, one of them descending.
+    rng = np.random.default_rng(seed)
+    axes = [np.sort(rng.uniform(-1, 1, 3)), np.linspace(1, -1, 4), np.sort(rng.uniform(-1, 1, 5))]
+    return grid_spec(se_kernel([0.7, 1.9, 3.1], 1.7), axes)
+
+
+def test_grid_axes_recover_the_axes_of_grid_points():
+    spec = _unequal_grid()
+    axes = grid_axes(spec.points())
+    assert len(axes) == 3 and all(np.array_equal(a, b) for a, b in zip(axes, spec.axes))
+
+
+def test_grid_axes_reject_everything_but_the_exact_grid_layout():
+    rng = np.random.default_rng(12)
+    points = _unequal_grid().points()
+    assert grid_axes(rng.uniform(-1, 1, (60, 3))) is None
+    assert grid_axes(points[rng.permutation(60)]) is None
+    assert grid_axes(np.delete(points, 17, axis=0)) is None
+    assert grid_axes(np.linspace(0, 1, 7).reshape(-1, 1)) is None  # D = 1 gains nothing
+
+
+def test_grid_cross_gram_matches_gram_to_rounding():
+    # Each entry is a product of D per-axis values with amplitude
+    # theta_f^(1/D): at most about 2D + 2 roundings away from gram's.
+    spec = _unequal_grid()
+    kernel = se_kernel([0.7, 1.9, 3.1], 1.7)
+    X_star = np.random.default_rng(13).uniform(-1.2, 1.2, (9, 3))
+    got = spec.cross_gram(X_star)
+    assert got.shape == (9, 60)
+    assert np.max(np.abs(got - gram(kernel, X_star, spec.points()))) <= 8 * np.finfo(float).eps * kernel.theta_f
+
+
+def test_kmcg_keeps_a_grid_only_for_a_product_kernel():
+    points = _unequal_grid().points()
+    y = np.random.default_rng(14).standard_normal(60)
+    assert kmcg_fit(se_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).grid is not None
+    assert kmcg_fit(matern52_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).grid is None
 
 
 def test_grid_operator_probe_invariants():
