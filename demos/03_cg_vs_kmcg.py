@@ -18,15 +18,15 @@ want_var = exact.predict_var(oracle, data.X_star)
 want_ev = exact.log_evidence(oracle)
 
 print(f"{'P':>3} {'cg eps_f':>12} {'kmcg eps_f':>12} {'kmcg eps_var':>13} {'kmcg eps_ev':>12}")
-models = kmcg.kmcg_models_for_steps(
-    kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, steps=range(1, 11), eps=0.0
-)
-# One CG trace and one pass over k(X*, X_M) predict all ten budgets.
+steps = range(1, 11)
+models = kmcg.kmcg_models_for_steps(kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, steps=steps, eps=0.0)
+# One CG trace and one pass over k(X*, X_M) predict all ten budgets; plain
+# CG likewise predicts its ten budgets from one trace.
 predictions = kmcg.kmcg_predictions(list(models.values()), data.X_star)
-for (p, model), (mean, var) in zip(models.items(), predictions):
-    cg_mean = solvers.cg_predict_mean(
-        kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, data.X_star, eps=0.0, max_steps=p
-    )
+cg_means = solvers.cg_predict_means(
+    kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, data.X_star, budgets=steps, eps=0.0
+)
+for (p, model), (mean, var), (cg_mean, _, _) in zip(models.items(), predictions, cg_means):
     eps_cg = metric_relerr(want_mean, cg_mean)
     eps_f = metric_relerr(want_mean, mean)
     eps_var = metric_relerr(want_var, var)

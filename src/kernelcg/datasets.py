@@ -115,7 +115,7 @@ def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Da
 
     Every non-target column is a feature. Parse failures report the
     offending row and column; a missing target column names the available
-    headers.
+    headers. A split with no training or no test row raises ValueError.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie strictly between 0 and 1")
@@ -133,6 +133,9 @@ def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Da
     n = data.shape[0]
     order = np.random.default_rng(seed).permutation(n)
     n_test = int(round(n * test_fraction))
+    if not 0 < n_test < n:
+        raise ValueError(f"{path}: test_fraction {test_fraction} splits {n} rows into "
+                         f"{n - n_test} training and {n_test} test rows; both need at least one")
     test_idx, train_idx = order[:n_test], order[n_test:]
     meta = {"source": "csv", "path": str(path), "target": target_column, "seed": seed}
     return Dataset(

@@ -15,12 +15,13 @@ deterministic given the master seed and independent of the worker count
 (set the KERNELCG_THREADS environment variable to parallelize repetitions).
 
 The `seconds` of a record is the wall time of the work done for it. Where
-one CG trace serves every budget (kmcg at M = N, cg-reorth, cg-textbook),
-the shared work (Gram assembly, the trace and, for kmcg, the factorizations
-and the one kmcg.kmcg_predictions pass that predicts every budget) is
-charged once, to the record of the largest budget; every other record of
-that method carries only the time of its own remaining work. sor, dtc, fitc
-and vfe are fitted together on each (step, repetition) subset, and each
+one CG trace serves every budget, the shared work is charged once, to the
+record of the largest budget. For kmcg at M = N that is Gram assembly, the
+trace, the factorizations and the one kmcg.kmcg_predictions pass that
+predicts every budget; its other records carry only their own remaining
+work. cg-reorth and cg-textbook do all their work in one
+solvers.cg_predict_means call, so their other records carry 0 s. sor, dtc,
+fitc and vfe are fitted together on each (step, repetition) subset, and each
 piece of work they share (the subset, K_UU, its factor, K_UN and
 phi(X*) = k(X*, X_U); the sigma2 I fit of sor, dtc and vfe; the prior
 defect of dtc, fitc and vfe) is charged once, to the record of the first
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import exact, kmcg, lowrank, solvers
 from .datasets import Dataset
-from .kernels import Kernel, gram
+from .kernels import Kernel
 
 METHODS = ("exact", "cg-textbook", "cg-reorth", "kmcg", "sor", "dtc", "fitc", "vfe", "pbr")
 SQRT_NP = "sqrt-np"
@@ -155,12 +156,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; available: {METHODS}")
         if self.budget_rule not in (SQRT_NP, FIXED_M):
             raise ValueError(f"unknown budget rule {self.budget_rule!r}")
-        if self.budget_rule == FIXED_M and not self.fixed_m:
+        if self.budget_rule == FIXED_M and self.fixed_m is None:
             raise ValueError("budget rule fixed-m requires fixed_m")
+        for name in ("fixed_m", "kmcg_m", "inducing_cap"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "steps", tuple(int(p) for p in self.steps))
         if min(self.steps) < 0:
             raise ValueError(f"step budgets must be at least 0, got {min(self.steps)}")
+        if len(set(self.steps)) < len(self.steps):
+            raise ValueError(f"step budgets must be distinct, got {', '.join(map(str, self.steps))}")
 
 
 @dataclass(frozen=True)
@@ -275,29 +282,14 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
     n = data.n_train
     try:
         start = time.perf_counter()
-        K = gram(config.kernel, data.X)
-        K[np.diag_indices_from(K)] += config.sigma2
-        op = solvers.dense_operator(K)
-        eps = solvers.default_cg_tolerance(data.y) if config.cg_eps is None else config.cg_eps
-        run = solvers.cg_textbook if method == "cg-textbook" else solvers.cg_reorth
-        trace = run(op, data.y, eps=eps, max_steps=max(config.steps))
-        K_star = gram(config.kernel, data.X_star, data.X)
-        shared_seconds = {max(config.steps): time.perf_counter() - start}
+        means = solvers.cg_predict_means(config.kernel, data.X, data.y, config.sigma2, data.X_star,
+                                         config.steps, eps=config.cg_eps, reorth=method == "cg-reorth")
+        shared_seconds = time.perf_counter() - start
     except Exception as error:
         return [_failure(method, step, n, "0", error) for step in config.steps]
-    records = []
-    for step in config.steps:
-        p = min(step, trace.steps)
-        try:
-            start = time.perf_counter()
-            x_hat = solvers.fom_solution(trace.S[:, :p], trace.Z[:, :p], data.y)
-            mean = K_star @ x_hat
-            seconds = shared_seconds.pop(step, 0.0) + (time.perf_counter() - start)
-            records.append(_record(method, step, n, "0", oracle, mean, None, None,
-                                   data.y_star, seconds, p, solvers.stop_reason_within(trace, step)))
-        except Exception as error:
-            records.append(_failure(method, step, n, "0", error))
-    return records
+    return [_record(method, step, n, "0", oracle, mean, None, None, data.y_star,
+                    shared_seconds if step == max(config.steps) else 0.0, p, reason)
+            for step, (mean, p, reason) in zip(config.steps, means)]
 
 
 def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentRecord]:

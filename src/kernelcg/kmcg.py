@@ -65,7 +65,7 @@ from scipy.linalg import solve_triangular
 from . import linalg
 from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram
 from .lowrank import choose_inducing
-from .solvers import MvmOperator, cg_reorth, default_cg_tolerance, dense_operator, stop_reason_within
+from .solvers import MvmOperator, cg_reorth, dense_operator, stop_reason_within
 from .structured import GridSpec, grid_axes, grid_spec
 
 
@@ -158,7 +158,6 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
     axes = grid_axes(X_M) if kernel.family == SQUARED_EXPONENTIAL else None
     grid = None if axes is None else grid_spec(kernel, axes)
 
-    eps = default_cg_tolerance(y_M) if eps is None else float(eps)
     trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M))
     S, Z = trace.S, trace.Z
     shared = M == n

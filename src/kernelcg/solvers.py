@@ -104,11 +104,16 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> None:
         r -= ((basis @ r) / sq) @ basis
 
 
-def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) -> CgTrace:
+def _run_cg(op: MvmOperator, b, x0, eps, max_steps, reorth: bool) -> CgTrace:
+    """Both CG variants, with their defaults: eps 0.01 * ||b||_2, max_steps op.dim."""
     b = np.asarray(b, dtype=float).reshape(-1)
     x = np.zeros(op.dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1).copy()
     if b.size != op.dim or x.size != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match b ({b.size}) or x0 ({x.size})")
+    eps = 0.01 * float(np.linalg.norm(b)) if eps is None else float(eps)
+    limit = op.dim if max_steps is None else int(max_steps)
+    if limit < 0:
+        raise ValueError(f"max_steps must be at least 0, got {limit}")
 
     r = op.apply(x) - b
     s = -r
@@ -116,7 +121,6 @@ def _run_cg(op: MvmOperator, b, x0, eps: float, max_steps: int, reorth: bool) ->
 
     # Row k of S and Z holds step k's direction and product; row k of `res`
     # holds residual r_k, which has norm norms[k].
-    limit = max(max_steps, 0)
     first = min(limit, _FIRST_ROWS)
     S = np.empty((first, op.dim))
     Z = np.empty((first, op.dim))
@@ -189,11 +193,6 @@ def stop_reason_within(trace: CgTrace, budget: int) -> str:
     return MAXSTEPS
 
 
-def default_cg_tolerance(b) -> float:
-    """The default stopping threshold 0.01 * ||b||_2."""
-    return 0.01 * float(np.linalg.norm(np.asarray(b, dtype=float)))
-
-
 def cg_textbook(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
     """Plain conjugate gradients: loop while ||r||_2 > eps.
 
@@ -201,10 +200,9 @@ def cg_textbook(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrac
     alpha = r.r / s.z, and the coupled updates of solution, residual and
     direction. Breakdown (nonpositive curvature) truncates the trace.
     eps defaults to 0.01 * ||b||_2; pass eps=0 to force max_steps steps
-    (max_steps defaults to op.dim). Memory is that of :func:`cg_reorth`.
+    (max_steps defaults to op.dim; a negative max_steps raises ValueError).
+    Memory is that of :func:`cg_reorth`.
     """
-    max_steps = op.dim if max_steps is None else int(max_steps)
-    eps = default_cg_tolerance(b) if eps is None else float(eps)
     return _run_cg(op, b, x0, eps, max_steps, reorth=False)
 
 
@@ -213,7 +211,8 @@ def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
 
     Additionally stops once the reorthogonalized residual norm collapses to
     machine scale relative to ||b||, since further directions would be pure
-    rounding noise. eps defaults to 0.01 * ||b||_2 and max_steps to op.dim.
+    rounding noise. eps defaults to 0.01 * ||b||_2 and max_steps to op.dim;
+    a negative max_steps raises ValueError.
 
     Cost: step k (counting from 1) makes one operator product and two
     products of an N-vector with the k stored residual rows (4 N k flops),
@@ -226,8 +225,6 @@ def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
     what the operator allocates, O(N P) in the steps taken and independent
     of max_steps: the default max_steps = N allocates no N x N array.
     """
-    max_steps = op.dim if max_steps is None else int(max_steps)
-    eps = default_cg_tolerance(b) if eps is None else float(eps)
     return _run_cg(op, b, x0, eps, max_steps, reorth=True)
 
 
@@ -249,29 +246,37 @@ def fom_solution(S: np.ndarray, Z: np.ndarray, b) -> np.ndarray:
     return S @ linalg.chol_solve(factor, S.T @ b)
 
 
-def cg_predict_mean(
-    kernel: Kernel,
-    X,
-    y,
-    sigma2: float,
-    X_star,
-    eps=None,
-    max_steps=None,
-    reorth: bool = True,
-) -> np.ndarray:
-    """GP mean prediction with the weight vector approximated by CG.
+def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=None,
+                     reorth: bool = True) -> list[tuple[np.ndarray, int, str]]:
+    """GP mean predictions, with the weight vector approximated by CG, at every budget.
 
-    Solves (K + sigma2 I) x = y with the chosen CG variant, extracts the
-    projection-method solution from the collected directions, and applies
-    the exact cross-covariance k(X*, X).
+    One CG run to max(budgets) steps on K + sigma2 I; budget p takes the
+    Galerkin solution of its first min(p, steps) directions (those of a run
+    capped at p) and applies the exact k(X*, X). Returns (mean, directions
+    used, :func:`stop_reason_within` p) per budget, in the order given. A
+    budget of None means N; a negative one raises ValueError before any work.
+    Memory: the N x N Gram and k(X*, X), plus the trace (see :func:`cg_reorth`).
     """
     X = _as_points(X, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    budgets = [X.shape[0] if p is None else int(p) for p in budgets]
+    if min(budgets) < 0:
+        raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
     K = gram(kernel, X)
     K[np.diag_indices_from(K)] += sigma2
-    op = dense_operator(K)
-    eps = default_cg_tolerance(y) if eps is None else float(eps)
     run = cg_reorth if reorth else cg_textbook
-    trace = run(op, y, eps=eps, max_steps=max_steps)
-    x_hat = fom_solution(trace.S, trace.Z, y)
-    return gram(kernel, _as_points(X_star, kernel.dim), X) @ x_hat
+    trace = run(dense_operator(K), y, eps=eps, max_steps=max(budgets))
+    K_star = gram(kernel, _as_points(X_star, kernel.dim), X)
+    used = [min(p, trace.steps) for p in budgets]
+    return [(K_star @ fom_solution(trace.S[:, :q], trace.Z[:, :q], y), q, stop_reason_within(trace, p))
+            for p, q in zip(budgets, used)]
+
+
+def cg_predict_mean(kernel: Kernel, X, y, sigma2: float, X_star, eps=None, max_steps=None,
+                    reorth: bool = True) -> np.ndarray:
+    """GP mean prediction with the weight vector approximated by CG.
+
+    The single-budget case of :func:`cg_predict_means`; max_steps None
+    means N.
+    """
+    ((mean, _, _),) = cg_predict_means(kernel, X, y, sigma2, X_star, [max_steps], eps=eps, reorth=reorth)
+    return mean

@@ -147,6 +147,16 @@ def test_run_with_negative_step_budget_is_one_line_error(tmp_path):
     assert not records_path.exists()
 
 
+def test_run_with_repeated_step_budget_is_one_line_error(tmp_path):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(_TOY_CONFIG.format(records=records_path).replace("steps = 1:2", "steps = 2, 1, 2"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == "error: step budgets must be distinct, got 2, 1, 2"
+    assert not records_path.exists()
+
+
 def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):
     config_path = tmp_path / "config.ini"
     config_path.write_text("source = toy\n")

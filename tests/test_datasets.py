@@ -83,6 +83,14 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(path, "b")
 
 
+@pytest.mark.parametrize("test_fraction, counts", [(0.1, "3 training and 0 test"), (0.9, "0 training and 3 test")])
+def test_load_csv_rejects_a_split_with_an_empty_side(tmp_path, test_fraction, counts):
+    path = tmp_path / "data.csv"
+    path.write_text("a,target\n1,2\n3,4\n5,6\n")
+    with pytest.raises(ValueError, match=counts):
+        load_csv(path, "target", test_fraction=test_fraction)
+
+
 def test_dataset_rejects_non_finite():
     with pytest.raises(ValueError):
         Dataset(X=[[0.0]], y=[np.nan], X_star=[[1.0]], y_star=[0.0])

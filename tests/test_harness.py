@@ -105,6 +105,18 @@ def test_config_validation():
         _small_config(methods=("exact", "mystery"))
     with pytest.raises(ValueError):
         _small_config(budget_rule=harness.FIXED_M)
+    # Each of these once ran silently with another value (M = 1, or a
+    # repeated step's records written and aggregated twice) or wrote
+    # error records instead of failing the config.
+    for overrides, message in [
+        (dict(fixed_m=-50), "fixed_m must be at least 1, got -50"),
+        (dict(budget_rule=harness.FIXED_M, fixed_m=0), "fixed_m must be at least 1, got 0"),
+        (dict(inducing_cap=0), "inducing_cap must be at least 1, got 0"),
+        (dict(kmcg_m=0), "kmcg_m must be at least 1, got 0"),
+        (dict(steps=(2, 1, 2)), "step budgets must be distinct, got 2, 1, 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            _small_config(**overrides)
 
 
 # --- runner ------------------------------------------------------------------
@@ -157,6 +169,7 @@ def _delayed(function):
 @pytest.mark.parametrize("method, module, name", [
     ("kmcg", kmcg, "kmcg_models_for_steps"),
     ("cg-reorth", solvers, "cg_reorth"),
+    ("cg-textbook", solvers, "cg_textbook"),
     ("kmcg", kmcg, "kmcg_predictions"),
 ])
 def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, module, name):

@@ -232,6 +232,47 @@ def test_cg_predict_mean_zero_targets():
     assert np.array_equal(got, np.zeros(8))
 
 
+@pytest.mark.parametrize("eps", [None, 0.0])
+@pytest.mark.parametrize("reorth", [True, False])
+def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
+    # Every budget of the shared trace must reproduce a run capped at that
+    # budget bit for bit: its mean, its directions and its stop reason. The
+    # default eps converges after 3 steps, and cg_reorth at eps = 0 after 9
+    # (its residual collapses), so the larger budgets stop early.
+    data = gen_toy(seed=0)
+    kernel, sigma2 = toy_kernel(), TOY_DEFAULT_SIGMA2
+    K = gram(kernel, data.X)
+    K[np.diag_indices_from(K)] += sigma2
+    run = cg_reorth if reorth else cg_textbook
+    budgets = (7, 0, 1, 2, 3, 9, 10, 40)
+    got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=eps, reorth=reorth)
+    assert len(got) == len(budgets)
+    for p, (mean, steps, reason) in zip(budgets, got):
+        capped = run(dense_operator(K), data.y, eps=eps, max_steps=p)
+        assert (steps, reason) == (capped.steps, capped.reason)
+        alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=eps, max_steps=p,
+                                        reorth=reorth)
+        assert np.array_equal(mean, alone)
+
+
+def test_negative_step_limits_raise(monkeypatch):
+    op = dense_operator(np.eye(3))
+    for run in (cg_reorth, cg_textbook):
+        with pytest.raises(ValueError, match="max_steps must be at least 0, got -1"):
+            run(op, np.ones(3), max_steps=-1)
+    kernel = se_kernel([1.0], 1.0)
+    X = np.linspace(0, 1, 8).reshape(-1, 1)
+    with pytest.raises(ValueError, match="step budgets must be at least 0, got -1"):
+        solvers.cg_predict_mean(kernel, X, np.ones(8), 0.1, X, max_steps=-1)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a negative budget must be rejected before any Gram work")
+
+    monkeypatch.setattr(solvers, "gram", no_gram)
+    with pytest.raises(ValueError, match="got -2"):
+        solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [3, -2, 1])
+
+
 def test_breakdown_truncates_trace():
     # An indefinite operator produces a nonpositive curvature direction.
     A = np.diag([1.0, -1.0])

@@ -1,4 +1,5 @@
 import runpy
+import tempfile
 import time
 from pathlib import Path
 
@@ -243,9 +244,22 @@ def test_grid_sampling_empirical_covariance():
     assert np.all(np.abs(emp - target) <= 5.0 * se + 1e-12)
 
 
-def test_structured_grids_demo_runs(capsys):
-    # The demo fits KMCG on a Kronecker operator with eps=0, so CG runs all
-    # N = 100 steps, until its residual collapses to rounding.
-    runpy.run_path(str(Path(__file__).parents[1] / "demos" / "05_structured_grids.py"), run_name="__main__")
+# Each demo and a line of what it prints. Demo 05 fits KMCG on a Kronecker
+# operator with eps=0, so CG runs all N = 100 steps, until its residual
+# collapses to rounding.
+DEMOS = {
+    "01_exact_gp_regression": ["log evidence:"],
+    "02_lowrank_baselines": ["far-field variance"],
+    "03_cg_vs_kmcg": ["at P = N both are exact"],
+    "04_kernel_posterior_uncertainty": ["posterior sd:"],
+    "05_structured_grids": ["learned-kernel mean error", "structured vs dense product agree"],
+    "06_benchmark_harness": ["rerunning with the same master seed"],
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_runs(demo, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # demo 06 writes its CSV there
+    runpy.run_path(str(Path(__file__).parents[1] / "demos" / f"{demo}.py"), run_name="__main__")
     out = capsys.readouterr().out
-    assert "learned-kernel mean error" in out and "structured vs dense product agree" in out
+    assert all(line in out for line in DEMOS[demo])
