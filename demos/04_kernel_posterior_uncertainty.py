@@ -24,8 +24,7 @@ for p in (2, 4, 8):
     model = models[p]
     G = kmcg.kmcg_kernel_gram(model, X)
     var = kmcg.kmcg_uncertainty_gram(model, X)
-    err2 = (K - G) ** 2
-    ratio = err2 / np.maximum(var, 1e-8 * kernel.theta_f**4)
+    ratio = kmcg.error_bound_ratio(model, X, K)
     print(f"{p:>3} {np.max(np.abs(K - G)):>15.3e} {np.mean(np.sqrt(np.maximum(var, 0))):>14.3e} "
           f"{np.max(ratio):>14.3f}")
 

@@ -28,11 +28,12 @@ config = ExperimentConfig(
 data = gen_toy(seed=config.master_seed)
 records = run_experiment(config, data)
 
-out = Path(tempfile.mkdtemp()) / "records.csv"
-emit_csv(records, out)
-print(f"wrote {len(records)} records to {out}\n")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "records.csv"
+    emit_csv(records, out)
+    print(f"wrote {len(records)} records to {out}\n")
+    back = read_records_csv(out)
 
-back = read_records_csv(out)
 print(f"{'method':<12} {'step':>5} {'budget':>7} {'eps_f':>11} {'eps_ev':>11} {'smse':>9}")
 for r in back:
     if r.run in ("0", "mean") and r.step in (0, 4, 10):

@@ -162,6 +162,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "steps", tuple(int(p) for p in self.steps))
         if min(self.steps) < 0:

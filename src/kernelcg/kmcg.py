@@ -48,16 +48,17 @@ rows and one product of the leading axes (1/G_D of a block). Matern kernels,
 scattered points and random subsets with M < N take the dense path.
 
 The prior over the kernel has zero mean and a covariance generated by the
-data kernel itself, times a positive `prior_scale` (other priors are in
-:func:`kernelcg.lowrank.general_inducing_posterior`). The scale cancels from
+data kernel itself, times a positive `prior_scale`. The scale cancels from
 mean, covariance, learned kernel and evidence; it only multiplies the
-posterior uncertainty over the kernel.
+posterior uncertainty over the kernel. :class:`KernelPosterior` is that
+posterior (``KmcgModel.posterior``); :func:`kernel_posterior` builds it for
+any full-rank S, optionally around a nonzero prior mean mu0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -92,6 +93,107 @@ class KmcgModel:
     @property
     def inducing_count(self) -> int:
         return self.X_M.shape[0]
+
+    @property
+    def posterior(self) -> KernelPosterior:
+        """The posterior over the kernel given this fit's directions, from its own factor1."""
+        return KernelPosterior(self.kernel, self.X_M, self.S, self.factor1, self.grid, self.prior_scale)
+
+
+@dataclass(frozen=True)
+class KernelPosterior:
+    """Gaussian posterior over the kernel given projected Gram observations S^T k(X_U, X_U) S.
+
+    The prior has mean mu0 (zero when None) and covariance
+    cov(k(a,b), k(c,d)) = scale/2 (k(a,c) k(b,d) + k(a,d) k(b,c)) (Hennig &
+    Kiefel, 2013). With L = `factor` = chol(S^T K_U S) (None when P = 0) and
+    V(A) = L^{-1} S^T k(X_U, A), built by _cross_products, the learned kernel
+    is khat(A, B) = V(A)^T V(B). The posterior mean is
+    mu0(A, B) + V(A)^T C V(B) with C = I - L^{-1} S^T mu0(X_U, X_U) S L^{-T},
+    which is khat for a zero prior mean; the covariance is the prior's with
+    khat subtracted in place of k.
+    """
+
+    kernel: Kernel
+    X_U: np.ndarray
+    S: np.ndarray
+    factor: Optional[linalg.CholeskyFactor]
+    grid: Optional[GridSpec]
+    prior_scale: float
+    mu0: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def _features(self, A) -> np.ndarray:
+        U = _cross_products(self.kernel, A, self.X_U, self.grid, self.S).T
+        return solve_triangular(self.factor.L, U, lower=True)
+
+    def _inner(self, A, B=None, C=None) -> np.ndarray:
+        """V(A)^T C V(B) (C = I when None), bit-symmetric when B is None."""
+        A = _as_points(A, self.kernel.dim)
+        same = B is None
+        B = A if same else _as_points(B, self.kernel.dim)
+        if self.factor is None:
+            return np.zeros((A.shape[0], B.shape[0]))
+        Va = self._features(A)
+        Vb = Va if same else self._features(B)
+        out = Va.T @ (Vb if C is None else C @ Vb)
+        if same:
+            out = 0.5 * (out + out.T)
+        return out
+
+    def mean(self, A, B=None) -> np.ndarray:
+        """The posterior mean of k(A, B), B defaulting to A: khat(A, B) when mu0 is None."""
+        if self.mu0 is None:
+            return self._inner(A, B)
+        A = _as_points(A, self.kernel.dim)
+        B = A if B is None else _as_points(B, self.kernel.dim)
+        H = solve_triangular(self.factor.L, self.S.T, lower=True)
+        C = np.eye(H.shape[0]) - H @ self.mu0(self.X_U, self.X_U) @ H.T
+        return self.mu0(A, B) + self._inner(A, B, C)
+
+    def var(self, A) -> np.ndarray:
+        """Entry (i, j) is the posterior variance of k(a_i, a_j), i.e. cov(A)[i, j, i, j]."""
+        return self._cov(A, pairwise=True)
+
+    def cov(self, A) -> np.ndarray:
+        """Entry (i, j, k, l) is the posterior covariance of k(a_i, a_j) and k(a_k, a_l); n^4 floats."""
+        return self._cov(A, pairwise=False)
+
+    def _cov(self, A, pairwise) -> np.ndarray:
+        """scale/2 (k_ac k_bd + k_ad k_bc - khat_ac khat_bd - khat_ad khat_bc) from k(A, A) and khat(A, A).
+
+        Nonnegative up to roundoff for (a, b) = (c, d), and zero exactly where
+        the kernel is fully identified.
+        """
+        A = _as_points(A, self.kernel.dim)
+        i = np.arange(A.shape[0])
+        a, b, c, d = 2 * np.ix_(i, i) if pairwise else np.ix_(i, i, i, i)
+        K, G = gram(self.kernel, A), self._inner(A)
+        prior = K[a, c] * K[b, d] + K[a, d] * K[b, c]
+        return 0.5 * self.prior_scale * (prior - (G[a, c] * G[b, d] + G[a, d] * G[b, c]))
+
+    def sample(self, A, rng: np.random.Generator) -> np.ndarray:
+        """Draw k(A, A) from the posterior via the symmetric Kronecker factorization (linalg.sym_kron_sample)."""
+        A = _as_points(A, self.kernel.dim)
+        khat = self._inner(A)
+        draw = linalg.sym_kron_sample(gram(self.kernel, A), khat, rng)
+        return (khat if self.mu0 is None else self.mean(A)) + np.sqrt(self.prior_scale) * draw
+
+
+def kernel_posterior(kernel: Kernel, X_U, S, mu0=None) -> KernelPosterior:
+    """The posterior over `kernel` given S^T k(X_U, X_U) S, at prior scale 1.
+
+    S (M x P) must have full column rank: S^T K_U S is factored with no
+    jitter. mu0 is None (zero prior mean) or a callable (A, B) -> matrix of
+    prior-mean values. With mu0 = None and S = I the posterior mean is the
+    subset-of-regressors kernel on X_U.
+    """
+    X_U = _as_points(X_U, kernel.dim)
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != X_U.shape[0]:
+        raise ValueError(f"S must be M x P with M = {X_U.shape[0]}, got {S.shape}")
+    G = S.T @ _cross_products(kernel, X_U, X_U, None, S)
+    factor = linalg.cholesky(0.5 * (G + G.T), jitter_ladder=())
+    return KernelPosterior(kernel, X_U, S, factor, None, 1.0, mu0)
 
 
 def _cross_products(kernel, X, X_M, grid, W) -> np.ndarray:
@@ -240,24 +342,8 @@ def kmcg_models_for_steps(
 
 
 def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
-    """Gram matrix of the learned kernel khat on two point sets."""
-    A = _as_points(A, model.kernel.dim)
-    same = B is None
-    B = A if same else _as_points(B, model.kernel.dim)
-    if model.steps == 0:
-        return np.zeros((A.shape[0], B.shape[0]))
-    features = lambda points: _cross_products(model.kernel, points, model.X_M, model.grid, model.S).T
-    Va = solve_triangular(model.factor1.L, features(A), lower=True)
-    Vb = Va if same else solve_triangular(model.factor1.L, features(B), lower=True)
-    out = Va.T @ Vb
-    if same:
-        out = 0.5 * (out + out.T)
-    return out
-
-
-def kmcg_kernel_eval(model: KmcgModel, x, z) -> float:
-    """Pointwise learned kernel khat(x, z); symmetric in its arguments."""
-    return float(kmcg_kernel_gram(model, np.atleast_2d(x), np.atleast_2d(z))[0, 0])
+    """Gram matrix of the learned kernel khat on two point sets (B defaults to A)."""
+    return model.posterior.mean(A, B)
 
 
 def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
@@ -382,36 +468,9 @@ def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
     return -0.5 * quad / model.sigma2, det
 
 
-def kmcg_uncertainty(model: KmcgModel, x, z) -> float:
-    """Posterior variance of the kernel estimate at the pair (x, z).
-
-    Equal to scale/2 * (k(x,x) k(z,z) + k(x,z)^2 - khat(x,x) khat(z,z)
-    - khat(x,z)^2); the prior terms use the exact kernel. Nonnegative up to
-    roundoff, and zero exactly where the kernel is fully identified.
-    """
-    k = model.kernel
-    x = _as_points(x, k.dim)
-    z = _as_points(z, k.dim)
-    k_xz = float(gram(k, x, z)[0, 0])
-    prior = k.theta_f * k.theta_f + k_xz * k_xz
-    if model.steps == 0:
-        return 0.5 * model.prior_scale * prior
-    G = kmcg_kernel_gram(model, np.vstack([x, z]))
-    posterior = G[0, 0] * G[1, 1] + G[0, 1] * G[0, 1]
-    return 0.5 * model.prior_scale * (prior - posterior)
-
-
 def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
-    """Pairwise posterior kernel variances over one point set.
-
-    Entry (i, j) equals kmcg_uncertainty(model, X_s[i], X_s[j]).
-    """
-    X_s = _as_points(X_s, model.kernel.dim)
-    K = gram(model.kernel, X_s)
-    prior = np.outer(np.diag(K), np.diag(K)) + K * K
-    G = kmcg_kernel_gram(model, X_s)
-    posterior = np.outer(np.diag(G), np.diag(G)) + G * G
-    return 0.5 * model.prior_scale * (prior - posterior)
+    """Pairwise posterior kernel variances over one point set (KernelPosterior.var)."""
+    return model.posterior.var(X_s)
 
 
 # Posterior kernel variances below this multiple of prior_scale * theta_f^4
@@ -419,32 +478,21 @@ def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
 _VAR_RESOLUTION = 1e-8
 
 
-def error_bound_ratio(model: KmcgModel, x, z, k_true: float) -> float:
-    """Squared kernel error over its posterior variance, with 0/0 -> 0.
+def error_bound_ratio(model: KmcgModel, X_s, K_true) -> np.ndarray:
+    """Squared kernel error over its posterior variance on every pair of X_s.
 
-    Near full identification the variance is a cancellation of products of
-    scale prior_scale * theta_f^4 and can round to zero or below while the
-    squared error sits at the same rounding scale. The variance is
-    therefore taken as at least the resolution floor
-    1e-8 * prior_scale * theta_f^4; a resolvable variance is used as is.
+    K_true is the true Gram on X_s. Near full identification the variance is
+    a cancellation of products of scale prior_scale * theta_f^4 and can
+    round to zero or below while the squared error sits at the same rounding
+    scale. The variance is therefore taken as at least the resolution floor
+    1e-8 * prior_scale * theta_f^4, so 0/0 gives 0; a resolvable variance is
+    used as is.
     """
-    err2 = (float(k_true) - kmcg_kernel_eval(model, x, z)) ** 2
-    if err2 == 0.0:
-        return 0.0
+    err2 = (np.asarray(K_true, dtype=float) - kmcg_kernel_gram(model, X_s)) ** 2
     floor = _VAR_RESOLUTION * model.prior_scale * model.kernel.theta_f**4
-    return err2 / max(kmcg_uncertainty(model, x, z), floor)
+    return err2 / np.maximum(kmcg_uncertainty_gram(model, X_s), floor)
 
 
 def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator) -> np.ndarray:
-    """Draw a symmetric Gram matrix from the posterior over the kernel.
-
-    The restriction of the posterior to points X_s has mean khat(X_s, X_s)
-    and covariance scale * (W sym-kron W - What sym-kron What) with
-    W = k(X_s, X_s) and What = khat(X_s, X_s), sampled via the symmetric
-    Kronecker factorization.
-    """
-    X_s = _as_points(X_s, model.kernel.dim)
-    W = gram(model.kernel, X_s)
-    W_hat = kmcg_kernel_gram(model, X_s)
-    draw = linalg.sym_kron_sample(W, W_hat, rng)
-    return W_hat + np.sqrt(model.prior_scale) * draw
+    """Draw a symmetric Gram matrix on X_s from the posterior over the kernel (KernelPosterior.sample)."""
+    return model.posterior.sample(X_s, rng)

@@ -202,77 +202,6 @@ def lowrank_evidence(model: LowRankModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# General inducing posterior over the kernel itself.
-
-
-@dataclass(frozen=True)
-class InducingPosterior:
-    """Gaussian posterior over a bivariate function after projected observations.
-
-    The prior has mean mu0 and covariance generated by w through
-    cov(k(a,b), k(c,d)) = 1/2 w(a,c) w(b,d) + 1/2 w(a,d) w(b,c); observations
-    are the projected Gram values S^T k(X_U, X_U) S of the data kernel.
-    """
-
-    kernel: Kernel
-    w: Kernel
-    X_U: np.ndarray
-    S: np.ndarray
-    mu0: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
-    _mid: np.ndarray  # S (S^T W_M S)^{-1} [S^T K_M S - S^T mu0 S] (S^T W_M S)^{-1} S^T
-    _proj: np.ndarray  # S (S^T W_M S)^{-1} S^T
-
-    def mean(self, A, B) -> np.ndarray:
-        A = _as_points(A, self.kernel.dim)
-        B = _as_points(B, self.kernel.dim)
-        wa = gram(self.w, A, self.X_U)
-        wb = gram(self.w, self.X_U, B)
-        out = wa @ self._mid @ wb
-        if self.mu0 is not None:
-            out = out + self.mu0(A, B)
-        return out
-
-    def var(self, a, b, c, d) -> float:
-        pts = [_as_points(p, self.kernel.dim) for p in (a, b, c, d)]
-        w_of = lambda p, q: float(gram(self.w, p, q)[0, 0])
-        g_of = lambda p, q: float((gram(self.w, p, self.X_U) @ self._proj @ gram(self.w, self.X_U, q))[0, 0])
-        a, b, c, d = pts
-        return 0.5 * (
-            w_of(a, c) * w_of(b, d)
-            + w_of(a, d) * w_of(b, c)
-            - g_of(a, c) * g_of(b, d)
-            - g_of(a, d) * g_of(b, c)
-        )
-
-
-def general_inducing_posterior(kernel: Kernel, X_U, S, mu0=None, w: Optional[Kernel] = None) -> InducingPosterior:
-    """Posterior over the kernel given projected Gram observations S^T K_M S.
-
-    S must have full column rank. mu0 is either None (zero prior mean) or a
-    callable (A, B) -> matrix of prior-mean evaluations. The covariance
-    generator w defaults to the data kernel itself; with mu0 = 0 and S = I the
-    posterior mean is exactly the subset-of-regressors kernel.
-    """
-    w = kernel if w is None else w
-    X_U = _as_points(X_U, kernel.dim)
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != X_U.shape[0]:
-        raise ValueError(f"S must be M x P with M = {X_U.shape[0]}, got {S.shape}")
-    W_M = gram(w, X_U)
-    G = S.T @ W_M @ S
-    factor = linalg.cholesky(0.5 * (G + G.T), jitter_ladder=())
-    half = linalg.chol_solve(factor, S.T)  # (S^T W_M S)^{-1} S^T
-    K_M = gram(kernel, X_U)
-    observed = S.T @ K_M @ S
-    if mu0 is not None:
-        observed = observed - S.T @ mu0(X_U, X_U) @ S
-    # S (S^T W_M S)^{-1} [S^T (K_M - mu0) S] (S^T W_M S)^{-1} S^T
-    mid = half.T @ observed @ half
-    proj = S @ half
-    return InducingPosterior(kernel=kernel, w=w, X_U=X_U, S=S, mu0=mu0, _mid=mid, _proj=proj)
-
-
-# ---------------------------------------------------------------------------
 # Eigenfunction expansions and the projected Bayes regressor.
 
 

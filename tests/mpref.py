@@ -34,6 +34,12 @@ G = S^T K_M S, R = k(X, X_M) S, A = R^T R + sigma2 G and u = S^T k(X_M, x*):
     var(x*)   = theta_f - u^T G^{-1} u + sigma2 u^T A^{-1} u
     evidence  = -1/(2 sigma2) (y^T y - y^T R A^{-1} R^T y) - 1/2 ln|A| + 1/2 ln|G|
                 - (N - P)/2 ln sigma2 - N/2 ln(2 pi)
+
+and the posterior over the kernel (prior scale 1) on the test points, with
+U = [u(x*_1) .. u(x*_n)] and K = k(X*, X*):
+
+    khat      = U^T G^{-1} U
+    kvar_ij   = 1/2 (K_ii K_jj + K_ij^2 - khat_ii khat_jj - khat_ij^2)
 """
 
 from __future__ import annotations
@@ -170,8 +176,19 @@ def _leading(A, rows, cols):
     return mpmath.matrix([[A[i, j] for j in range(cols)] for i in range(rows)])
 
 
+def _kernel_variance(K, khat):
+    """Pairwise posterior variances of the kernel at prior scale 1 (see the module docstring)."""
+    n = K.rows
+    return [[(K[i, i] * K[j, j] + K[i, j] ** 2 - khat[i, i] * khat[j, j] - khat[i, j] ** 2) / 2 for j in range(n)]
+            for i in range(n)]
+
+
 def kmcg_reference(kernel, X, y, sigma2, X_M, S, X_star) -> list:
-    """[(mean, pointwise variance, evidence)] of KMCG on the leading q columns of S, q = 0..P.
+    """[(mean, pointwise variance, evidence, khat, kernel variance)] of KMCG on the
+    leading q columns of S, q = 0..P.
+
+    khat and the kernel variance are the learned kernel and the pairwise
+    posterior variance of the kernel on X_star (n* x n* each).
 
     Evaluated at DIGITS significant digits and returned as float64. S is
     M x P; G, R^T R, R^T y and U are formed once for all P columns, and the
@@ -188,10 +205,13 @@ def kmcg_reference(kernel, X, y, sigma2, X_M, S, X_star) -> list:
         R = (K_M if np.array_equal(X, X_M) else _gram(kernel, X, X_M)) * S
         RtR, b = R.T * R, R.T * y
         U = S.T * _gram(kernel, X_M, X_star)
+        K_ss = _gram(kernel, X_star, X_star)
         yy = (y.T * y)[0, 0]
         constant = -n * mpmath.log(2 * mpmath.pi) / 2
+        zero = mpmath.zeros(U.cols, U.cols)
         out = [(np.zeros(U.cols), np.full(U.cols, float(theta)),
-                float(-yy / (2 * sigma2) - n * mpmath.log(sigma2) / 2 + constant))]
+                float(-yy / (2 * sigma2) - n * mpmath.log(sigma2) / 2 + constant),
+                np.zeros((U.cols, U.cols)), np.array(_kernel_variance(K_ss, zero), dtype=float))]
         for q in range(1, p + 1):
             G_q = _leading(G, q, q)
             A = _leading(RtR, q, q) + sigma2 * G_q
@@ -199,12 +219,15 @@ def kmcg_reference(kernel, X, y, sigma2, X_M, S, X_star) -> list:
             U_q = _leading(U, q, U.cols)
             w = A_inv * _leading(b, q, 1)
             mean = U_q.T * w
-            lost = _quad_diag(U_q, mpmath.inverse(G_q))
+            G_inv = mpmath.inverse(G_q)
+            lost = _quad_diag(U_q, G_inv)
+            khat = U_q.T * G_inv * U_q
             gained = _quad_diag(U_q, A_inv)
             var = [theta - l + sigma2 * g for l, g in zip(lost, gained)]
             quad = yy - (_leading(b, q, 1).T * w)[0, 0]
             evidence = (-quad / (2 * sigma2) - mpmath.log(mpmath.det(A)) / 2 + mpmath.log(mpmath.det(G_q)) / 2
                         - (n - q) * mpmath.log(sigma2) / 2 + constant)
             out.append((np.array([mean[j] for j in range(U.cols)], dtype=float), np.array(var, dtype=float),
-                        float(evidence)))
+                        float(evidence), np.array(khat.tolist(), dtype=float),
+                        np.array(_kernel_variance(K_ss, khat), dtype=float)))
         return out

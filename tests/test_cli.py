@@ -157,6 +157,17 @@ def test_run_with_repeated_step_budget_is_one_line_error(tmp_path):
     assert not records_path.exists()
 
 
+def test_run_with_negative_master_seed_is_one_line_error(tmp_path):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path)
+    config_path.write_text(text.replace("repetitions = 1", "repetitions = 1\nseed = -1"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == "error: master_seed must be at least 0, got -1"
+    assert not records_path.exists()
+
+
 def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):
     config_path = tmp_path / "config.ini"
     config_path.write_text("source = toy\n")

@@ -114,6 +114,7 @@ def test_config_validation():
         (dict(inducing_cap=0), "inducing_cap must be at least 1, got 0"),
         (dict(kmcg_m=0), "kmcg_m must be at least 1, got 0"),
         (dict(steps=(2, 1, 2)), "step budgets must be distinct, got 2, 1, 2"),
+        (dict(master_seed=-1), "master_seed must be at least 0, got -1"),
     ]:
         with pytest.raises(ValueError, match=message):
             _small_config(**overrides)

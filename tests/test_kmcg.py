@@ -12,16 +12,16 @@ from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import (
     error_bound_ratio,
+    kernel_posterior,
     kmcg_evidence,
     kmcg_evidence_terms,
     kmcg_fit,
-    kmcg_kernel_eval,
     kmcg_kernel_gram,
     kmcg_mean,
     kmcg_models_for_steps,
     kmcg_predictions,
     kmcg_sample,
-    kmcg_uncertainty,
+    kmcg_uncertainty_gram,
     kmcg_var,
     kmcg_var_diag,
 )
@@ -55,7 +55,7 @@ def test_zero_targets_prior_fallback():
     X_star = rng.uniform(0, 2, (5, 2))
     assert np.array_equal(kmcg_mean(model, X_star), np.zeros(5))
     assert np.allclose(kmcg_var(model, X_star), gram(kernel, X_star))
-    assert kmcg_kernel_eval(model, X[0], X[1]) == 0.0
+    assert np.array_equal(kmcg_kernel_gram(model, X[:1], X[1:2]), np.zeros((1, 1)))
 
 
 def test_trace_products_reused_and_r_aliased():
@@ -186,8 +186,31 @@ def test_kernel_eval_bit_symmetric():
     kernel, X, y, sigma2, rng = _problem(8, 20)
     model = kmcg_fit(kernel, X, y, sigma2, max_steps=6, eps=0.0)
     for _ in range(5):
-        x, z = rng.uniform(0, 2, (2, 2))
-        assert kmcg_kernel_eval(model, x, z) == kmcg_kernel_eval(model, z, x)
+        x, z = rng.uniform(0, 2, (2, 1, 2))
+        assert np.array_equal(kmcg_kernel_gram(model, x, z), kmcg_kernel_gram(model, z, x).T)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+def test_model_posterior_equals_a_fresh_kernel_posterior(seed, max_steps, on_grid):
+    # The model's posterior reads factor1 off the CG trace; kernel_posterior
+    # factors S^T K_M S afresh. On the grid the model builds k(A, X_M) from
+    # per-axis rows and the fresh posterior from dense Grams; off it, X_M
+    # is a scattered subset with M < N.
+    rng = np.random.default_rng(seed)
+    kernel = se_kernel([2.0, 1.0], 1.5)
+    if on_grid:
+        X = grid_spec(kernel, [np.linspace(0, 2, g) + 0.05 * rng.standard_normal(g) for g in (4, 5)]).points()
+        M = None
+    else:
+        X = rng.uniform(0, 2, (30, 2))
+        M = 12
+    model = kmcg_fit(kernel, X, rng.standard_normal(X.shape[0]), 0.1, M=M, seed=seed, eps=0.0, max_steps=max_steps)
+    assert (model.grid is not None) == on_grid
+    fresh = kernel_posterior(kernel, model.X_M, model.S)
+    A = np.vstack([rng.uniform(0, 2, (8, 2)), X[:3]])
+    for got, want in [(model.posterior.mean(A), fresh.mean(A)), (model.posterior.var(A), fresh.var(A))]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_kernel_gram_psd():
@@ -271,25 +294,22 @@ def test_uncertainty_prior_value_before_observations():
     model = kmcg_fit(kernel, X, np.zeros(10), sigma2)
     x, z = rng.uniform(0, 2, (2, 2))
     k_xz = float(gram(kernel, x.reshape(1, -1), z.reshape(1, -1))[0, 0])
-    assert kmcg_uncertainty(model, x, z) == pytest.approx(0.5 * (kernel.theta_f**2 + k_xz**2))
+    assert kmcg_uncertainty_gram(model, [x, z])[0, 1] == pytest.approx(0.5 * (kernel.theta_f**2 + k_xz**2))
 
 
 def test_uncertainty_vanishes_when_fully_identified():
     kernel, X, y, sigma2, _ = _problem(18, 20, lam=8.0)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=20)
     assert model.steps == 20
-    worst = max(
-        kmcg_uncertainty(model, X[i], X[j]) for i in range(0, 20, 3) for j in range(0, 20, 3)
-    )
+    worst = np.max(kmcg_uncertainty_gram(model, X[::3]))
     assert worst <= 1e-8 * kernel.theta_f**2
 
 
 def test_uncertainty_nonnegative():
     kernel, X, y, sigma2, rng = _problem(19, 25)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=7)
-    for _ in range(20):
-        x, z = rng.uniform(0, 2, (2, 2))
-        assert kmcg_uncertainty(model, x, z) >= -1e-10 * kernel.theta_f**2
+    points = rng.uniform(0, 2, (40, 2))
+    assert np.min(kmcg_uncertainty_gram(model, points)) >= -1e-10 * kernel.theta_f**2
 
 
 # --- error bound --------------------------------------------------------------------
@@ -298,8 +318,7 @@ def test_uncertainty_nonnegative():
 def test_error_ratio_zero_when_identified():
     kernel, X, y, sigma2, _ = _problem(20, 15, lam=8.0)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15)
-    k_true = float(gram(kernel, X[:1], X[1:2])[0, 0])
-    assert error_bound_ratio(model, X[0], X[1], k_true) <= 1e-6
+    assert np.max(error_bound_ratio(model, X[:2], gram(kernel, X[:2]))) <= 1e-6
 
 
 def test_error_ratio_rates_unresolvable_variance_against_the_floor(monkeypatch):
@@ -308,13 +327,13 @@ def test_error_ratio_rates_unresolvable_variance_against_the_floor(monkeypatch):
     # that floor instead and stays finite.
     kernel, X, y, sigma2, _ = _problem(20, 15, lam=8.0)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15, prior_scale=2.0)
-    k_true = kmcg.kmcg_kernel_eval(model, X[0], X[1]) + 1e-12
+    K_true = kmcg_kernel_gram(model, X[:2]) + 1e-12
     floor = 1e-8 * 2.0 * kernel.theta_f**4
     for var in (0.0, -1e-15, 0.5 * floor):
-        monkeypatch.setattr(kmcg, "kmcg_uncertainty", lambda *args, var=var: var)
-        assert error_bound_ratio(model, X[0], X[1], k_true) == pytest.approx(1e-24 / floor, rel=1e-3)
-    monkeypatch.setattr(kmcg, "kmcg_uncertainty", lambda *args: 4.0 * floor)
-    assert error_bound_ratio(model, X[0], X[1], k_true) == pytest.approx(1e-24 / (4.0 * floor), rel=1e-3)
+        monkeypatch.setattr(kmcg, "kmcg_uncertainty_gram", lambda *args, var=var: np.full((2, 2), var))
+        assert error_bound_ratio(model, X[:2], K_true) == pytest.approx(np.full((2, 2), 1e-24 / floor), rel=1e-3)
+    monkeypatch.setattr(kmcg, "kmcg_uncertainty_gram", lambda *args: np.full((2, 2), 4.0 * floor))
+    assert error_bound_ratio(model, X[:2], K_true) == pytest.approx(np.full((2, 2), 1e-24 / (4.0 * floor)), rel=1e-3)
 
 
 def test_error_ratio_bounded_by_two_random_problems():
@@ -324,10 +343,7 @@ def test_error_ratio_bounded_by_two_random_problems():
         K = gram(kernel, X)
         models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=range(1, 11), eps=0.0)
         for model in models.values():
-            for i in range(0, 20, 4):
-                for j in range(0, 20, 4):
-                    ratio = error_bound_ratio(model, X[i], X[j], K[i, j])
-                    worst = max(worst, ratio)
+            worst = max(worst, np.max(error_bound_ratio(model, X[::4], K[::4, ::4])))
     assert worst <= 2.0 + 1e-8
 
 
@@ -337,9 +353,7 @@ def test_error_ratio_bounded_on_toy_progression():
     K = gram(kernel, data.X)
     models = kmcg_models_for_steps(kernel, data.X, data.y, TOY_DEFAULT_SIGMA2, steps=(2, 4, 8), eps=0.0)
     for model in models.values():
-        for i in range(0, 100, 11):
-            for j in range(0, 100, 13):
-                assert error_bound_ratio(model, data.X[i], data.X[j], K[i, j]) <= 2.0 + 1e-8
+        assert np.max(error_bound_ratio(model, data.X, K)) <= 2.0 + 1e-8
 
 
 # --- posterior samples ----------------------------------------------------------------
@@ -370,9 +384,10 @@ def test_sample_empirical_variance_matches_uncertainty():
     n_draws = 5000
     draws = np.stack([kmcg_sample(model, X_s, rng) for _ in range(n_draws)])
     emp_var = np.var(draws, axis=0)
+    var = kmcg_uncertainty_gram(model, X_s)
     for i in range(3):
         for j in range(3):
-            want = kmcg_uncertainty(model, X_s[i], X_s[j])
+            want = var[i, j]
             se = want * np.sqrt(2.0 / n_draws)
             assert abs(emp_var[i, j] - want) <= 5.0 * se + 1e-12
 
@@ -436,9 +451,9 @@ def test_prior_scale_only_scales_uncertainty():
     assert np.array_equal(kmcg_mean(base, X_star), kmcg_mean(scaled, X_star))
     assert np.array_equal(kmcg_var(base, X_star), kmcg_var(scaled, X_star))
     assert kmcg_evidence(base) == kmcg_evidence(scaled)
-    assert kmcg_kernel_eval(base, X[0], X[1]) == kmcg_kernel_eval(scaled, X[0], X[1])
-    x, z = rng.uniform(0, 2, (2, 2))
-    assert kmcg_uncertainty(scaled, x, z) == pytest.approx(4.0 * kmcg_uncertainty(base, x, z))
+    assert np.array_equal(kmcg_kernel_gram(base, X[:2]), kmcg_kernel_gram(scaled, X[:2]))
+    xz = rng.uniform(0, 2, (2, 2))
+    assert kmcg_uncertainty_gram(scaled, xz) == pytest.approx(4.0 * kmcg_uncertainty_gram(base, xz))
 
 
 def test_nondefault_prior_rejected():
@@ -586,7 +601,9 @@ def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     # 7.4e-16 (M = N); mean 1.0e-14, variance 1.7e-14, evidence 3.5e-16
     # (M = 12). On the 5 x 6 grid, where k(X*, X_M) is the per-axis path,
     # cond(S^T K_M S) is 69 and the worst errors mean 6.9e-15, variance
-    # 6.5e-14, evidence 1.5e-15.
+    # 6.5e-14, evidence 1.5e-15. The learned kernel and the pairwise kernel
+    # variance on X_star: khat 2.1e-15, 1.5e-15, 5.2e-15 (max-scaled) and
+    # variance 5.5e-12 (smallest 7.3e-4), 2.6e-14, 1.9e-13 (entrywise).
     rng = np.random.default_rng(seed)
     kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
     if grid_shape is None:
@@ -601,7 +618,10 @@ def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     assert (longest.grid is None) == (grid_shape is None)
     reference = kmcg_reference(kernel, X, y, 0.1, longest.X_M, longest.S, X_star)
     for model, (mean, var) in zip(models, kmcg_predictions(models, X_star)):
-        want_mean, want_var, want_evidence = reference[model.steps]
+        want_mean, want_var, want_evidence, want_khat, want_kvar = reference[model.steps]
         assert np.max(np.abs(mean - want_mean)) <= 1e-12 * max(np.max(np.abs(want_mean)), 1e-300)
         assert np.max(np.abs(var - want_var) / want_var) <= 1e-12
         assert kmcg_evidence(model) == pytest.approx(want_evidence, rel=1e-12)
+        khat = kmcg_kernel_gram(model, X_star)
+        assert np.max(np.abs(khat - want_khat)) <= 1e-13 * max(np.max(np.abs(want_khat)), 1e-300)
+        assert np.max(np.abs(kmcg_uncertainty_gram(model, X_star) - want_kvar) / want_kvar) <= 1e-10

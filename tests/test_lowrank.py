@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from kernelcg import exact, lowrank
 from kernelcg.kernels import gram, kernel_eval, se_kernel
+from kernelcg.kmcg import kernel_posterior
 from kernelcg.lowrank import (
     FeatureExpansion,
     choose_inducing,
     eigen_expansion,
     fitc_predict,
-    general_inducing_posterior,
     lowrank_evidence,
     lowrank_fit,
     lowrank_mean,
@@ -201,7 +201,7 @@ def test_rank_bound_of_approximate_gram():
     assert np.sum(eigs > 1e-10 * kernel.theta_f) <= m
 
 
-# --- general inducing posterior ---------------------------------------------
+# --- the general posterior over the kernel (kmcg.kernel_posterior) ---------
 
 
 def test_inducing_posterior_zero_innovation():
@@ -209,7 +209,7 @@ def test_inducing_posterior_zero_innovation():
     X_U = X[:5]
     S = rng.standard_normal((5, 3))
     mu0 = lambda A, B: gram(kernel, A, B)  # prior mean equals the truth
-    post = general_inducing_posterior(kernel, X_U, S, mu0=mu0)
+    post = kernel_posterior(kernel, X_U, S, mu0=mu0)
     A = rng.uniform(0, 2, (4, 2))
     B = rng.uniform(0, 2, (3, 2))
     assert np.allclose(post.mean(A, B), gram(kernel, A, B), rtol=1e-10, atol=1e-12)
@@ -218,7 +218,7 @@ def test_inducing_posterior_zero_innovation():
 def test_inducing_posterior_identity_projection_is_sor():
     kernel, X, _, _, rng = _problem(16, 12)
     X_U = X[:6]
-    post = general_inducing_posterior(kernel, X_U, np.eye(6))
+    post = kernel_posterior(kernel, X_U, np.eye(6))
     A = rng.uniform(0, 2, (5, 2))
     B = rng.uniform(0, 2, (4, 2))
     expansion = sor_expansion(kernel, X_U)
@@ -230,16 +230,10 @@ def test_inducing_posterior_variance_vanishes_on_observed_projections():
     kernel, X, _, _, rng = _problem(17, 5, d=1, lam=1.0)
     X_U = X
     S = rng.standard_normal((5, 5))
-    post = general_inducing_posterior(kernel, X_U, S)
+    post = kernel_posterior(kernel, X_U, S)
     # Contract the four-argument posterior variance with S on both pairs;
     # observed directions must carry no posterior variance.
-    m = 5
-    var_tensor = np.zeros((m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d_ in range(m):
-                    var_tensor[a, b, c, d_] = post.var(X_U[a], X_U[b], X_U[c], X_U[d_])
+    var_tensor = post.cov(X_U)
     projected = np.einsum("ai,bj,abcd,ck,dl->ijkl", S, S, var_tensor, S, S)
     scale = float(np.einsum("ai,bj,abcd,ck,dl->ijkl", S, S,
                             np.ones_like(var_tensor), S, S).max())
@@ -247,11 +241,11 @@ def test_inducing_posterior_variance_vanishes_on_observed_projections():
 
 
 def test_inducing_posterior_reduces_to_projected_kernel_form():
-    # With zero prior mean, w = k and X_U = X the posterior mean is
+    # With zero prior mean and X_U = X the posterior mean is
     # k_x^T S (S^T K S)^{-1} S^T k_z.
     kernel, X, _, _, rng = _problem(18, 9)
     S = rng.standard_normal((9, 4))
-    post = general_inducing_posterior(kernel, X, S)
+    post = kernel_posterior(kernel, X, S)
     K = gram(kernel, X)
     A = rng.uniform(0, 2, (3, 2))
     B = rng.uniform(0, 2, (3, 2))

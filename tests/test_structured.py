@@ -263,3 +263,4 @@ def test_demo_runs(demo, capsys, monkeypatch, tmp_path):
     runpy.run_path(str(Path(__file__).parents[1] / "demos" / f"{demo}.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert all(line in out for line in DEMOS[demo])
+    assert not any(tmp_path.iterdir()), "the demo left files behind"
