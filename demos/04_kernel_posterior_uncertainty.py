@@ -35,7 +35,7 @@ print("\nthe squared error never exceeds twice the posterior variance")
 model = models[4]
 X_s = X[:4]
 rng = np.random.default_rng(0)
-draws = np.stack([kmcg.kmcg_sample(model, X_s, rng) for _ in range(2000)])
+draws = kmcg.kmcg_sample(model, X_s, rng, size=2000)
 print("\nposterior-sample check on four training points (P=4):")
 print("empirical sd of draws:")
 print(np.array_str(np.std(draws, axis=0), precision=3))

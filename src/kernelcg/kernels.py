@@ -8,10 +8,14 @@ a diagonal precision metric (units 1/length^2), so larger entries mean
 shorter correlation lengths.
 
 Gram matrices are assembled in row blocks: :func:`gram` allocates the output
-once and fills it block by block, accumulating ``d^2`` one input axis at a
-time from explicit coordinate differences and then converting it to kernel
-values in place. No N x M x D temporary is built; scratch is bounded by a
-fixed number of entries per block (see :func:`gram` for the ceiling).
+once, writes ``d^2`` into each block and converts it to kernel values in
+place. Up to 32 input axes ``d^2`` comes from one compiled
+``scipy.spatial.distance.cdist(..., "sqeuclidean", w=lam)`` call per block,
+which releases the GIL, so threads assemble Grams concurrently. Each term is
+``(lam_i * diff_i) * diff_i`` from the explicit coordinate difference, and
+the terms are summed in axis order. No N x M x D temporary is built; scratch
+is bounded by a fixed number of entries per block (see :func:`gram` for the
+ceilings).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 SQUARED_EXPONENTIAL = "se"
 MATERN52 = "matern52"
@@ -82,28 +87,23 @@ def _as_points(X, dim: int) -> np.ndarray:
 
 
 def _sqdist_into(lam: np.ndarray, X: np.ndarray, Z: np.ndarray, out: np.ndarray) -> None:
-    """Write the weighted squared distances between the rows of X and Z into `out`.
+    """Write Kahan-compensated weighted squared distances between the rows of X and Z into `out`.
 
-    Accumulated one axis at a time from explicit coordinate differences
-    (never the expanded ``|x|^2 + |z|^2 - 2 x.z`` form), so entries are exact
-    mirror images when the two point sets coincide and can never go
-    negative. Above _COMPENSATED_DIM axes the sum carries a Kahan
-    compensation term. Scratch is one array of out's size, three with the
-    compensation.
+    :func:`gram` takes this path above _COMPENSATED_DIM axes. Terms
+    ``(diff_d * diff_d) * lam_d`` come from explicit coordinate differences
+    (never the expanded ``|x|^2 + |z|^2 - 2 x.z`` form) and are added in axis
+    order with a compensation term, so entries are exact mirror images when
+    the two point sets coincide and can never go negative. Scratch is three
+    arrays of out's size.
     """
     term = np.empty_like(out)
-    compensated = lam.size > _COMPENSATED_DIM
-    if compensated:
-        carry = np.zeros_like(out)
-        total = np.empty_like(out)
+    carry = np.zeros_like(out)
+    total = np.empty_like(out)
     out.fill(0.0)
     for d, lam_d in enumerate(lam):
         np.subtract.outer(X[:, d], Z[:, d], out=term)
         term *= term
         term *= lam_d
-        if not compensated:
-            out += term
-            continue
         term -= carry  # y = w - carry
         np.add(out, term, out=total)  # t = total + y
         np.subtract(total, out, out=carry)
@@ -142,9 +142,16 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     When the two input sets coincide the output is bit-exactly symmetric
     with diagonal exactly theta_f (zero distance evaluates exactly).
 
-    Memory ceiling: the N x M output plus at most four scratch blocks of
-    max(_BLOCK_ENTRIES, M) floats each; no N x M x D or second N x M array
-    is ever built.
+    Up to _COMPENSATED_DIM axes each row block's squared distances come
+    from one GIL-releasing cdist call (see the module docstring); above it
+    from the compensated sum of :func:`_sqdist_into`.
+
+    Memory ceiling, with a block of max(_BLOCK_ENTRIES, M) floats: the
+    N x M output alone for SE with at most _COMPENSATED_DIM axes; the output
+    plus three scratch blocks for Matern (its conversion from d^2) and for
+    the compensated sum (which also fills numpy's fixed ufunc buffer, about
+    128 KiB, from its strided input columns). No N x M x D or second N x M
+    array is ever built.
     """
     X = _as_points(X, kernel.dim)
     Z = X if Z is None else _as_points(Z, kernel.dim)
@@ -152,6 +159,9 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     rows = max(1, _BLOCK_ENTRIES // max(1, Z.shape[0]))
     for start in range(0, X.shape[0], rows):
         block = out[start : start + rows]
-        _sqdist_into(kernel.lam, X[start : start + rows], Z, block)
+        if kernel.dim > _COMPENSATED_DIM:
+            _sqdist_into(kernel.lam, X[start : start + rows], Z, block)
+        else:
+            cdist(X[start : start + rows], Z, "sqeuclidean", w=kernel.lam, out=block)
         _kernel_from_sqdist(kernel, block)
     return out

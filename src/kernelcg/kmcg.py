@@ -171,11 +171,15 @@ class KernelPosterior:
         prior = K[a, c] * K[b, d] + K[a, d] * K[b, c]
         return 0.5 * self.prior_scale * (prior - (G[a, c] * G[b, d] + G[a, d] * G[b, c]))
 
-    def sample(self, A, rng: np.random.Generator) -> np.ndarray:
-        """Draw k(A, A) from the posterior via the symmetric Kronecker factorization (linalg.sym_kron_sample)."""
+    def sample(self, A, rng: np.random.Generator, size=None) -> np.ndarray:
+        """Draw k(A, A) from the posterior via the symmetric Kronecker factorization (linalg.sym_kron_sample).
+
+        An integer `size` gives a (size, n, n) stack of draws that share one
+        pair of factorizations.
+        """
         A = _as_points(A, self.kernel.dim)
         khat = self._inner(A)
-        draw = linalg.sym_kron_sample(gram(self.kernel, A), khat, rng)
+        draw = linalg.sym_kron_sample(gram(self.kernel, A), khat, rng, size)
         return (khat if self.mu0 is None else self.mean(A)) + np.sqrt(self.prior_scale) * draw
 
 
@@ -493,6 +497,9 @@ def error_bound_ratio(model: KmcgModel, X_s, K_true) -> np.ndarray:
     return err2 / np.maximum(kmcg_uncertainty_gram(model, X_s), floor)
 
 
-def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator) -> np.ndarray:
-    """Draw a symmetric Gram matrix on X_s from the posterior over the kernel (KernelPosterior.sample)."""
-    return model.posterior.sample(X_s, rng)
+def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator, size=None) -> np.ndarray:
+    """Draw a symmetric Gram matrix on X_s from the posterior over the kernel (KernelPosterior.sample).
+
+    An integer `size` gives a stack of that many draws.
+    """
+    return model.posterior.sample(X_s, rng, size)

@@ -206,7 +206,7 @@ def sym_kron_solve_sym(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
-def sym_kron_sample(W: np.ndarray, W_M: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sym_kron_sample(W: np.ndarray, W_M: np.ndarray, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw a symmetric matrix with covariance W sym-kron W - W_M sym-kron W_M.
 
     Uses the factorization into (W + W_M) sym-kron (W - W_M): with
@@ -214,18 +214,23 @@ def sym_kron_sample(W: np.ndarray, W_M: np.ndarray, rng: np.random.Generator) ->
     Gamma (L+ kron L-) vecm(X), i.e. the explicit symmetrization of
     L+ X L-^T. Both factorizations go through the jitter ladder, so W - W_M
     may be singular (it is exactly zero when W_M = W).
+
+    With an integer `size` the result is a (size, n, n) stack of independent
+    draws from one pair of factorizations; it equals `size` successive
+    single draws from the same generator.
     """
     W = np.asarray(W, dtype=float)
     W_M = np.asarray(W_M, dtype=float)
     if W.shape != W_M.shape:
         raise ValueError("W and W_M must have the same shape")
+    shape = W.shape if size is None else (size, *W.shape)
     diff = W - W_M
     # A difference at rounding scale relative to W is numerically zero: the
     # residual covariance is exhausted and the draw collapses to the mean.
     if np.max(np.abs(diff)) <= 64.0 * np.finfo(float).eps * max(np.max(np.abs(W)), 1.0):
-        return np.zeros_like(W)
+        return np.zeros(shape)
     L_plus = cholesky(W + W_M).L
     L_minus = cholesky(diff).L
-    X = rng.standard_normal(W.shape)
+    X = rng.standard_normal(shape)
     B = L_plus @ X @ L_minus.T
-    return 0.5 * (B + B.T)
+    return 0.5 * (B + np.swapaxes(B, -1, -2))

@@ -105,8 +105,13 @@ def test_high_dimension_compensated_sum_matches():
 
 
 def _broadcast_gram(kernel, X, Z):
-    """Plain N x M x D broadcast assembly, the reference for gram."""
-    d2 = ((X[:, None, :] - Z[None, :, :]) ** 2 * kernel.lam).sum(axis=-1)
+    """Plain N x M x D broadcast assembly, the reference for gram.
+
+    Each term is (lam * diff) * diff, the product order of scipy's weighted
+    cdist; up to seven axes numpy sums them in axis order, as cdist does.
+    """
+    diff = X[:, None, :] - Z[None, :, :]
+    d2 = ((kernel.lam * diff) * diff).sum(axis=-1)
     if kernel.family == "se":
         return kernel.theta_f * np.exp(-0.5 * d2)
     sqrt5_d = np.sqrt(5.0) * np.sqrt(d2)
@@ -185,12 +190,12 @@ def test_gram_block_boundaries_at_the_real_block_size(n, m):
         assert np.array_equal(gram(kernel, X, Z), _broadcast_gram(kernel, X, Z))
 
 
-@pytest.mark.parametrize("kernel", [
-    se_kernel(np.full(4, 0.5), 1.2),
-    matern52_kernel(np.full(4, 0.5), 1.2),
-    se_kernel(np.full(40, 0.05), 1.2),  # the compensated sum
+@pytest.mark.parametrize("kernel, scratch_blocks", [
+    (se_kernel(np.full(4, 0.5), 1.2), 0),  # cdist writes straight into the output
+    (matern52_kernel(np.full(4, 0.5), 1.2), 4),
+    (se_kernel(np.full(40, 0.05), 1.2), 4),  # the compensated sum
 ], ids=["se", "matern52", "se-40d"])
-def test_gram_memory_within_stated_ceiling(kernel):
+def test_gram_memory_within_stated_ceiling(kernel, scratch_blocks):
     rng = np.random.default_rng(6)
     X = rng.uniform(-1, 1, (600, kernel.dim))
     Z = rng.uniform(-1, 1, (500, kernel.dim))
@@ -201,4 +206,25 @@ def test_gram_memory_within_stated_ceiling(kernel):
     finally:
         tracemalloc.stop()
     block = max(kernels._BLOCK_ENTRIES, Z.shape[0]) * K.itemsize
-    assert peak <= K.nbytes + 4 * block + 64 * 1024
+    assert peak <= K.nbytes + scratch_blocks * block + 64 * 1024
+
+
+@pytest.mark.parametrize("kernel", [
+    se_kernel([1.0, 2.0, 0.5], 1.3),
+    matern52_kernel([1.0, 2.0, 0.5], 1.3),
+    se_kernel(np.linspace(0.05, 2.0, 40), 1.3),  # the compensated sum
+], ids=["se", "matern52", "se-40d"])
+def test_gram_independent_of_input_layout(kernel):
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1, 1, (2 * 23, kernel.dim))
+    Z = rng.uniform(-1, 1, (19, kernel.dim))
+    reference = gram(kernel, X[::2].copy(), Z)
+    assert not X[::2].flags.c_contiguous
+    assert np.array_equal(gram(kernel, X[::2], Z), reference)  # strided row view
+    assert np.array_equal(gram(kernel, np.asfortranarray(X[::2]), np.asfortranarray(Z)), reference)
+    assert np.array_equal(gram(kernel, Z, X[::2]), gram(kernel, Z, X[::2].copy()))
+    # A one-axis kernel on a column of a wider array, as GridSpec.cross_gram builds its rows.
+    axis = se_kernel([kernel.lam[1]], kernel.theta_f)
+    column = X[:, 1:2]
+    assert not column.flags.c_contiguous
+    assert np.array_equal(gram(axis, column, Z[:, 1:2]), gram(axis, column.copy(), Z[:, 1:2].copy()))

@@ -382,7 +382,7 @@ def test_sample_empirical_variance_matches_uncertainty():
     X_s = X[:3]
     rng = np.random.default_rng(99)
     n_draws = 5000
-    draws = np.stack([kmcg_sample(model, X_s, rng) for _ in range(n_draws)])
+    draws = kmcg_sample(model, X_s, rng, size=n_draws)
     emp_var = np.var(draws, axis=0)
     var = kmcg_uncertainty_gram(model, X_s)
     for i in range(3):

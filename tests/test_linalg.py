@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,12 +248,23 @@ def test_sym_kron_sample_empirical_covariance():
     W_M = np.array([[0.8, 0.2], [0.2, 0.5]])
     target = dense_sym_kron(W, W) - dense_sym_kron(W_M, W_M)
     n_draws = 20000
-    draws = np.empty((n_draws, 4))
-    for i in range(n_draws):
-        draws[i] = linalg.sym_kron_sample(W, W_M, rng).reshape(-1)
+    draws = linalg.sym_kron_sample(W, W_M, rng, size=n_draws).reshape(n_draws, -1)
     emp = draws.T @ draws / n_draws
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws)
     assert np.all(np.abs(emp - target) <= 5.0 * se + 1e-12)
+
+
+def test_sym_kron_sample_stack_equals_successive_draws_from_one_factorization():
+    W = random_spd(np.random.default_rng(15), 4)
+    W_M = 0.3 * W
+    rng = np.random.default_rng(16)
+    singles = np.stack([linalg.sym_kron_sample(W, W_M, rng) for _ in range(5)])
+    with mock.patch.object(linalg, "cholesky", wraps=linalg.cholesky) as factor:
+        stack = linalg.sym_kron_sample(W, W_M, np.random.default_rng(16), size=5)
+    assert factor.call_count == 2
+    assert np.array_equal(stack, singles)
+    assert np.array_equal(stack, np.swapaxes(stack, 1, 2))
+    assert np.array_equal(linalg.sym_kron_sample(W, W, rng, size=3), np.zeros((3, 4, 4)))
 
 
 def test_cholesky_without_jitter_allocates_only_the_factor():
