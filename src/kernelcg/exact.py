@@ -61,7 +61,7 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
     Uses k(x, x) = theta_f, which holds for every stationary kernel here.
     Blocked over test points: each block of k(X, X*) holds at most
     max(_CROSS_BLOCK_ENTRIES, N) entries. Memory: the output plus one block
-    and two arrays of its size (see :func:`kernelcg.linalg.chol_quad_diag`);
+    and one array of its size (see :func:`kernelcg.linalg.chol_quad_diag`);
     O(N^2 n*) flops; no N x n* or n* x n* array.
     """
     X_star = _as_points(X_star, model.kernel.dim)

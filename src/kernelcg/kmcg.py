@@ -36,16 +36,20 @@ pointwise variance is a prefix sum of squared rows,
 and :func:`kmcg_predictions` reads every budget's mean and variance off one
 pass over k(X*, X_M).
 
-Every k(., X_M) a model builds (R at M < N, and all prediction and
-learned-kernel features) is assembled in row blocks of at most
-max(2^21, M) entries (16 MiB), never whole. With an SE kernel on inducing
-points laid out exactly as a row-major Cartesian grid
-(:func:`kernelcg.structured.grid_axes`, checked once per fit), each block is
-the row-wise Khatri-Rao product of per-axis kernel rows, N multiplications
-per row instead of D coordinate differences and one exp per entry, with
-entries equal to gram's up to rounding; its extra scratch is the per-axis
-rows and one product of the leading axes (1/G_D of a block). Matern kernels,
-scattered points and random subsets with M < N take the dense path.
+Every k(., X_M) W a model forms (R at M < N, and all prediction and
+learned-kernel features) is contracted without building k(., X_M) whole.
+On scattered inducing points it is assembled in row blocks of at most
+max(2^21, M) entries (16 MiB). With an SE kernel on inducing points laid
+out exactly as a row-major Cartesian grid
+(:func:`kernelcg.structured.grid_axes`, checked once per fit) no M-length
+row is formed at all: k(x, X_M) is k_1(x_1, axis_1) kron t(x) with t(x) the
+Kronecker product of the trailing axes' kernel rows, M / G_1 entries, so
+k(x, X_M) W is the sum over the G_1 first-axis values j of
+k_1(x_1, axis_1)_j t(x)^T W_j, W_j the j-th slab of M / G_1 rows of W
+(GridSpec.cross_products). The products equal the dense path's up to
+rounding, and the scratch per block of test points is their per-axis rows,
+trailing rows and one GEMM result. Matern kernels, scattered points and
+random subsets with M < N take the dense path.
 
 The prior over the kernel has zero mean and a covariance generated by the
 data kernel itself, times a positive `prior_scale`. The scale cancels from
@@ -201,26 +205,26 @@ def kernel_posterior(kernel: Kernel, X_U, S, mu0=None) -> KernelPosterior:
 
 
 def _cross_products(kernel, X, X_M, grid, W) -> np.ndarray:
-    """k(X, X_M) W assembled in row blocks of k(X, X_M).
+    """k(X, X_M) W without the full cross-Gram k(X, X_M).
 
-    W is a vector or a matrix with M rows; each block re-reads it once.
-    When `grid` is the GridSpec of X_M (an SE kernel on a row-major
-    Cartesian grid, see :func:`kernelcg.structured.grid_axes`) each block is
-    the Khatri-Rao product of per-axis rows from GridSpec.cross_gram;
-    otherwise `gram` builds it from all M columns. Memory: the output plus
-    one block of at most max(_CROSS_BLOCK_ENTRIES, M) floats and the
-    temporaries of building it (for a grid, the per-axis rows and one
-    product of the leading axes, 1/G_D of a block); the full cross-Gram is
-    never built. With W = S the transposed output is U = S^T k(X_M, X), the
-    P x n features every prediction shares, as an F-ordered view that
-    `solve_triangular` takes as is.
+    W is a vector or a matrix with M rows. When `grid` is the GridSpec of
+    X_M (an SE kernel on a row-major Cartesian grid, see
+    :func:`kernelcg.structured.grid_axes`) this is
+    GridSpec.cross_products, which contracts per-axis rows with W one
+    first-axis slab at a time and never forms an M-length row. Otherwise
+    `gram` builds k(X, X_M) in row blocks of all M columns, each of which
+    re-reads W once; memory is the output plus one block of at most
+    max(_CROSS_BLOCK_ENTRIES, M) floats. With W = S the transposed output
+    is U = S^T k(X_M, X), the P x n features every prediction shares, as an
+    F-ordered view that `solve_triangular` takes as is.
     """
+    if grid is not None:
+        return grid.cross_products(X, W)
     rows = max(1, _CROSS_BLOCK_ENTRIES // X_M.shape[0])
     out = np.empty((X.shape[0],) + W.shape[1:])
     for start in range(0, X.shape[0], rows):
         block = X[start : start + rows]
-        K = gram(kernel, block, X_M) if grid is None else grid.cross_gram(block)
-        out[start : start + rows] = K @ W
+        out[start : start + rows] = gram(kernel, block, X_M) @ W
     return out
 
 
@@ -396,8 +400,8 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
 
     For k models and P directions in the longest this costs
     O(n* M (k + P) + n* P^2) flops; memory is the n* x (k + P) products,
-    three P x n* arrays, the outputs and one block of k(X*, X_M) (see
-    _cross_products): no k(X*, X*) and no n* x n* product.
+    three P x n* arrays, the outputs and the scratch of one block of
+    _cross_products: no k(X*, X*) and no n* x n* product.
 
     Raises:
         ValueError: if a model's X_M or S is not the longest model's.

@@ -100,14 +100,14 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray) -> np.ndarray:
     """Diagonal of U^T (L L^T)^{-1} U: the column sums of (L^{-1} U)^2.
 
     One forward substitution, no back substitution and no n x n product:
-    for U of shape P x n this costs O(P^2 n) and holds two P x n arrays
-    (L^{-1} U and its square) besides U.
+    for U of shape P x n this costs O(P^2 n) and holds one P x n array
+    besides U (L^{-1} U, squared in place) and the length-n output.
     """
     U = np.asarray(U, dtype=float)
     if U.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {U.shape}")
     V = solve_triangular(factor.L, U, lower=True)
-    return np.sum(V * V, axis=0)
+    return np.sum(np.square(V, out=V), axis=0)
 
 
 def logdet(factor: CholeskyFactor) -> float:

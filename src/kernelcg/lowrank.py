@@ -100,7 +100,8 @@ class LowRankModel:
     y: np.ndarray
     sigma2: np.ndarray  # Lam: the noise variance of each training point
     factor: linalg.CholeskyFactor  # chol(A), A = Phi Lam^{-1} Phi^T + Sigma
-    weights: np.ndarray  # A^{-1} Phi Lam^{-1} y
+    rhs: np.ndarray  # Phi Lam^{-1} y
+    weights: np.ndarray  # A^{-1} rhs
 
 
 def lowrank_fit(expansion: FeatureExpansion, X, y, sigma2) -> LowRankModel:
@@ -122,8 +123,9 @@ def _fit_design(expansion: FeatureExpansion, Phi: np.ndarray, y, sigma2) -> LowR
     scaled = Phi / lam
     A = scaled @ Phi.T + expansion.Sigma
     factor = linalg.cholesky(0.5 * (A + A.T))
-    weights = linalg.chol_solve(factor, scaled @ y)
-    return LowRankModel(expansion=expansion, Phi=Phi, y=y, sigma2=lam, factor=factor, weights=weights)
+    rhs = scaled @ y
+    weights = linalg.chol_solve(factor, rhs)
+    return LowRankModel(expansion=expansion, Phi=Phi, y=y, sigma2=lam, factor=factor, rhs=rhs, weights=weights)
 
 
 def lowrank_mean(model: LowRankModel, X_star) -> np.ndarray:
@@ -196,7 +198,7 @@ def _prior_defect(expansion: FeatureExpansion, phi_star: np.ndarray) -> np.ndarr
 def lowrank_evidence(model: LowRankModel) -> float:
     """Log evidence of the degenerate model N(y; 0, Phi^T Sigma^{-1} Phi + Lam)."""
     lam = model.sigma2
-    quad = model.y @ (model.y / lam) - ((model.Phi / lam) @ model.y) @ model.weights
+    quad = model.y @ (model.y / lam) - model.rhs @ model.weights
     logdet = np.sum(np.log(lam)) + linalg.logdet(model.factor) - linalg.logdet(model.expansion.sigma_factor)
     return float(-0.5 * (quad + logdet + model.y.size * np.log(2.0 * np.pi)))
 

@@ -2,9 +2,9 @@
 
 Two structures are supported: product-kernel Grams over Cartesian grids,
 which factorize as K_1 kron ... kron K_D and admit O(N sum G_d) products via
-sequential mode products (their cross-Grams k(X, grid) are row-wise
-Khatri-Rao products of per-axis rows), and symmetric-Toeplitz Grams over
-equispaced 1-D inputs, multiplied in O(T log T) through a circulant
+sequential mode products (their cross-products k(X, grid) W contract the
+per-axis kernel rows with W one first-axis slab at a time), and
+symmetric-Toeplitz Grams over equispaced 1-D inputs, multiplied in O(T log T) through a circulant
 embedding. A mask layer handles time series with missing observations,
 whose Gram is a submatrix of a Toeplitz matrix (not Toeplitz itself, but
 products remain fast by scatter-multiply-gather).
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .datasets import Dataset
-from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, gram, se_kernel
+from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram, se_kernel
 from .solvers import MvmOperator
 
 
@@ -66,21 +66,48 @@ class GridSpec:
         """All grid coordinates, row-major (first axis slowest), shape (N, D)."""
         return _grid_points(self.axes)
 
-    def cross_gram(self, X) -> np.ndarray:
-        """k(X, grid points), n x N, with columns in the order of :meth:`points`.
+    def cross_products(self, X, W) -> np.ndarray:
+        """k(X, grid points) W, for W of shape (N,) or (N, c) with rows in the order of :meth:`points`.
 
-        Row i is the Kronecker product of the per-axis rows
-        k_d(X[i, d], axes[d]), each from `gram` on that axis's kernel, built
-        as a row-wise Khatri-Rao product: N multiplications per row and no
-        D-fold coordinate differences. Memory: the n x N output, the n x G_d
-        per-axis rows and one n x N / G_D product of the leading axes.
+        No N-length row of k(X, grid) is formed. Entry (i, j) of the
+        cross-Gram is A_1[i, j_1] T[i, j'] with A_d = k_d(X[:, d], axes[d])
+        the per-axis rows (each from `gram` on that axis's kernel) and
+        T = A_2 (.) ... (.) A_D the row-wise Khatri-Rao product of the
+        trailing axes, N / G_1 entries per point. So the output is the sum
+        over j < G_1 of A_1[:, j] * (T @ W_j), W_j the j-th contiguous slab
+        of N / G_1 rows of W: G_1 GEMMs per block of points, which read W
+        once. Blocks hold max(1, _CROSS_BLOCK_ENTRIES // (N / G_1)) points.
+        Memory: the output plus, for one block of b points at a time, the
+        b x sum_d G_d per-axis rows, the b x N / G_1 trailing product (and
+        while it is built the product of the axes before the last, 1/G_D of
+        its size) and one b x c GEMM result.
         """
         X = _as_points(X, len(self.axes))
-        out = gram(self.kernels[0], X[:, :1], self.axes[0].reshape(-1, 1))
-        for d in range(1, len(self.axes)):
-            row = gram(self.kernels[d], X[:, d : d + 1], self.axes[d].reshape(-1, 1))
-            out = (out[:, :, None] * row[:, None, :]).reshape(X.shape[0], -1)
-        return out
+        W = np.asarray(W, dtype=float)
+        slabs = W.reshape(self.shape[0], self.size // self.shape[0], -1)
+        out = np.zeros((X.shape[0], slabs.shape[2]))
+        rows = max(1, _CROSS_BLOCK_ENTRIES // slabs.shape[1])
+        for start in range(0, X.shape[0], rows):
+            self._add_block_products(X[start : start + rows], slabs, out[start : start + rows])
+        return out.reshape(X.shape[:1] + W.shape[1:])
+
+    def _add_block_products(self, X, slabs, out) -> None:
+        """Add k(X, grid) W to `out` for one block of points, W given as its first-axis slabs.
+
+        The block's rows and products are freed on return, before the next
+        block's are built.
+        """
+        first, *trailing = (
+            gram(kernel, X[:, d : d + 1], axis.reshape(-1, 1))
+            for d, (kernel, axis) in enumerate(zip(self.kernels, self.axes))
+        )
+        T = np.ones((X.shape[0], 1))
+        for row in trailing:
+            T = np.einsum("ij,ik->ijk", T, row).reshape(X.shape[0], -1)
+        for j, slab in enumerate(slabs):
+            product = T @ slab
+            product *= first[:, j, None]
+            out += product
 
     def operator(self, noise: float = 0.0) -> MvmOperator:
         """MvmOperator applying v -> (K_1 kron ... kron K_D) v + noise * v."""
@@ -89,10 +116,18 @@ class GridSpec:
             return MvmOperator(dim=self.size, apply=lambda v: kron_mvm(factors, v) + noise * np.asarray(v))
         return MvmOperator(dim=self.size, apply=lambda v: kron_mvm(factors, v))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One zero-mean GP draw over the grid via per-axis Cholesky factors."""
+    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        """Zero-mean GP draws over the grid via per-axis Cholesky factors.
+
+        One length-N draw, or with an integer `size` a (size, N) stack of
+        draws from one factorization of each axis; the stack equals `size`
+        successive single draws from the same generator.
+        """
         chols = [linalg.cholesky(K).L for K in self.factors]
-        return kron_mvm(chols, rng.standard_normal(self.size))
+        draws = rng.standard_normal(self.size if size is None else (size, self.size))
+        for draw in draws.reshape(-1, self.size):
+            draw[:] = kron_mvm(chols, draw)
+        return draws
 
 
 def _grid_points(axes) -> np.ndarray:

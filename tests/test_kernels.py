@@ -223,7 +223,7 @@ def test_gram_independent_of_input_layout(kernel):
     assert np.array_equal(gram(kernel, X[::2], Z), reference)  # strided row view
     assert np.array_equal(gram(kernel, np.asfortranarray(X[::2]), np.asfortranarray(Z)), reference)
     assert np.array_equal(gram(kernel, Z, X[::2]), gram(kernel, Z, X[::2].copy()))
-    # A one-axis kernel on a column of a wider array, as GridSpec.cross_gram builds its rows.
+    # A one-axis kernel on a column of a wider array, as GridSpec.cross_products builds its rows.
     axis = se_kernel([kernel.lam[1]], kernel.theta_f)
     column = X[:, 1:2]
     assert not column.flags.c_contiguous

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelcg import exact, kmcg, linalg, solvers
+from kernelcg import exact, kmcg, linalg, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import (
@@ -105,10 +105,11 @@ def _full_grid(rng):
 ])
 def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch, block_entries, problem):
     # One row per block, partial last blocks, and one block for everything;
-    # on a grid each block is a per-axis Khatri-Rao product.
+    # on a grid each block is contracted one first-axis slab at a time.
     model, X_star = problem(np.random.default_rng(3))
     kernel, X = model.kernel, model.X
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(structured, "_CROSS_BLOCK_ENTRIES", block_entries)
     K_star = gram(kernel, X_star, model.X_M)
     assert np.allclose(kmcg_mean(model, X_star), K_star @ model.mean_weights, rtol=1e-13, atol=1e-15)
     assert np.allclose(_shared_features(model, X_star), model.S.T @ K_star.T, rtol=1e-13, atol=1e-15)
@@ -131,23 +132,34 @@ def _predictions_of_one(model, points):
 ])
 def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict, grid):
     # 4000 test points against M = 300 would be a 9.6 MB cross-Gram; with
-    # 4096-entry blocks only the (P x) n output and one small block are live,
-    # and on the 5 x 6 x 10 grid the block's per-axis rows and products too.
+    # 4096-entry blocks only the (P x) n output and one small block are live.
+    # On the 5 x 6 x 10 grid a block is 4096 // 60 = 68 points, and holds
+    # their per-axis rows (5 + 6 + 10 floats each), trailing product (60),
+    # the 6-float product it is built from and one GEMM result of c columns.
     if grid:
         kernel, X, y, sigma2, rng = _grid_problem(3, (5, 6, 10))
     else:
         kernel, X, y, sigma2, rng = _problem(3, 300)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=5)
     assert (model.grid is not None) == grid
-    X_star = rng.uniform(0, 2, (4000, X.shape[1]))
+    n, P = 4000, model.steps
+    X_star = rng.uniform(0, 2, (n, X.shape[1]))
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", 1 << 12)
+    monkeypatch.setattr(structured, "_CROSS_BLOCK_ENTRIES", 1 << 12)
     tracemalloc.start()
     try:
         predict(model, X_star)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4000 * 300 * 8 / 10
+    if grid:
+        # Columns c of the products, and n-length arrays live at once: the
+        # products, plus for kmcg_predictions three P x n arrays.
+        c, live = {kmcg_mean: (1, 1), _shared_features: (P, P), _predictions_of_one: (1 + P, 1 + 4 * P)}[predict]
+        block = (1 << 12) // 60 * (5 + 6 + 10 + 60 + 6 + c)
+        assert peak <= 8 * (n * live + block) + (16 << 10)
+    else:
+        assert peak <= n * 300 * 8 / 10
 
 
 # --- degeneracy oracle --------------------------------------------------------
@@ -599,11 +611,11 @@ def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     # digits, N = 30; cond(S^T K_M S) is 1.7e3 at M = N and 5.6e2 at M = 12.
     # Worst relative errors seen: mean 1.9e-14, variance 8.1e-14, evidence
     # 7.4e-16 (M = N); mean 1.0e-14, variance 1.7e-14, evidence 3.5e-16
-    # (M = 12). On the 5 x 6 grid, where k(X*, X_M) is the per-axis path,
-    # cond(S^T K_M S) is 69 and the worst errors mean 6.9e-15, variance
-    # 6.5e-14, evidence 1.5e-15. The learned kernel and the pairwise kernel
-    # variance on X_star: khat 2.1e-15, 1.5e-15, 5.2e-15 (max-scaled) and
-    # variance 5.5e-12 (smallest 7.3e-4), 2.6e-14, 1.9e-13 (entrywise).
+    # (M = 12). On the 5 x 6 grid, where k(X*, X_M) W is the per-axis path,
+    # cond(S^T K_M S) is 69 and the worst errors mean 7.3e-15, variance
+    # 6.5e-14, evidence 1.4e-15. The learned kernel and the pairwise kernel
+    # variance on X_star: khat 2.1e-15, 1.5e-15, 5.8e-15 (max-scaled) and
+    # variance 5.5e-12 (smallest 7.3e-4), 2.6e-14, 1.8e-13 (entrywise).
     rng = np.random.default_rng(seed)
     kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
     if grid_shape is None:

@@ -192,6 +192,23 @@ def test_chol_quad_diag_is_the_diagonal_of_the_quadratic_form(seed, p, n, log_co
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chol_quad_diag_holds_one_array_the_size_of_its_input(order):
+    # L^{-1} U is squared in place: besides U only it, the output and the
+    # solver's copy of L are live (two P x n arrays before).
+    rng = np.random.default_rng(13)
+    p, n = 30, 4000
+    factor = linalg.cholesky(random_spd(rng, p, cond=1e4))
+    U = np.asarray(rng.standard_normal((p, n)), order=order)
+    tracemalloc.start()
+    try:
+        linalg.chol_quad_diag(factor, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (p * n + n + p * p) + (16 << 10)
+
+
 def test_chol_quad_diag_rejects_mismatched_rows():
     factor = linalg.cholesky(np.eye(3))
     with pytest.raises(ValueError):

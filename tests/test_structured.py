@@ -3,9 +3,14 @@ import tempfile
 import time
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernelcg import structured
 from kernelcg.kernels import gram, matern52_kernel, se_kernel
 from kernelcg.kmcg import kmcg_fit
 from kernelcg.structured import (
@@ -91,14 +96,42 @@ def test_grid_axes_reject_everything_but_the_exact_grid_layout():
 
 
 def test_grid_cross_gram_matches_gram_to_rounding():
-    # Each entry is a product of D per-axis values with amplitude
-    # theta_f^(1/D): at most about 2D + 2 roundings away from gram's.
+    # The cross-Gram is the cross-products with W = I. Each entry is a
+    # product of D per-axis values with amplitude theta_f^(1/D): at most
+    # about 2D + 2 roundings away from gram's.
     spec = _unequal_grid()
     kernel = se_kernel([0.7, 1.9, 3.1], 1.7)
     X_star = np.random.default_rng(13).uniform(-1.2, 1.2, (9, 3))
-    got = spec.cross_gram(X_star)
+    got = spec.cross_products(X_star, np.eye(60))
     assert got.shape == (9, 60)
     assert np.max(np.abs(got - gram(kernel, X_star, spec.points()))) <= 8 * np.finfo(float).eps * kernel.theta_f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    st.sampled_from([None, 0, 1, 3]),
+    st.sampled_from([1, 3, 7]),
+)
+def test_grid_cross_products_equal_dense_cross_gram_products(seed, shape, columns, block_rows):
+    # W is a vector (columns None), or a matrix with 0, 1 or 3 columns; the
+    # 7 points go one per block, in blocks of 3 (the last one partial), or
+    # in one block. Each side sums N products of entries that agree to
+    # 2D + 2 roundings, so they differ by at most (2N + 4D + 8) eps in units
+    # of |k(X, grid)| |W|.
+    rng = np.random.default_rng(seed)
+    D = len(shape)
+    kernel = se_kernel(rng.uniform(0.3, 3.0, D), 1.7)
+    spec = grid_spec(kernel, [np.sort(rng.uniform(-1, 1, g)) for g in shape])
+    X = rng.uniform(-1.2, 1.2, (7, D))
+    W = rng.standard_normal(spec.size if columns is None else (spec.size, columns))
+    with mock.patch.object(structured, "_CROSS_BLOCK_ENTRIES", block_rows * (spec.size // shape[0])):
+        got = spec.cross_products(X, W)
+    K = gram(kernel, X, spec.points())
+    assert got.shape == (7,) + W.shape[1:]
+    tol = (2 * spec.size + 4 * D + 8) * np.finfo(float).eps * (np.abs(K) @ np.abs(W))
+    assert np.all(np.abs(got - K @ W) <= tol)
 
 
 def test_kmcg_keeps_a_grid_only_for_a_product_kernel():
@@ -209,6 +242,17 @@ def test_masked_spec_validation():
         MaskedToeplitzSpec(grid_size=4, first_row=np.array([1.0, np.inf, 0, 0]), mask=np.array([0]))
 
 
+def test_grid_sample_stack_equals_successive_draws_from_one_factorization():
+    spec = _unequal_grid()
+    rng = np.random.default_rng(15)
+    singles = np.stack([spec.sample(rng) for _ in range(4)])
+    with mock.patch.object(structured.linalg, "cholesky", wraps=structured.linalg.cholesky) as factor:
+        stack = spec.sample(np.random.default_rng(15), size=4)
+    assert factor.call_count == 3
+    assert np.array_equal(stack, singles)
+    assert spec.sample(rng, size=0).shape == (0, 60)
+
+
 def test_grid_dataset_shapes_and_determinism():
     kernel = se_kernel([1.0, 1.0], 1.0)
     data = grid_dataset(10, 2, kernel, seed=3)
@@ -231,14 +275,15 @@ def test_grid_dataset_memory_budget():
 
 def test_grid_sampling_empirical_covariance():
     # Covariance of grid draws must match the dense Gram within five
-    # standard errors on a small grid.
+    # standard errors on a small grid. The draws come from one call, which
+    # factors each axis once.
     kernel = se_kernel([1.0, 1.0], 1.0)
     rng = np.random.default_rng(10)
     axes = [np.array([-0.5, 0.0, 0.5]), np.array([-0.4, 0.1, 0.6])]
     spec = grid_spec(kernel, axes)
     target = gram(kernel, spec.points())
     n_draws = 2000
-    draws = np.stack([spec.sample(rng) for _ in range(n_draws)])
+    draws = spec.sample(rng, n_draws)
     emp = draws.T @ draws / n_draws
     se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_draws)
     assert np.all(np.abs(emp - target) <= 5.0 * se + 1e-12)
