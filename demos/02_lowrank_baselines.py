@@ -34,10 +34,11 @@ for m in (5, 10, 20, 40, 80):
     model = lowrank.lowrank_fit(lowrank.sor_expansion(kernel, X_U), X, y, sigma2)
     eps_sor = metric_relerr(want, lowrank.lowrank_mean(model, X_star))
 
-    fitc_mean, _, _ = lowrank.fitc_predict(kernel, X, y, sigma2, X_U, X_star)
+    fits = lowrank.InducingFits(kernel, X, y, sigma2, X_U, X_star)
+    fitc_mean, _, _ = fits.predict("fitc")
     eps_fitc = metric_relerr(want, fitc_mean)
 
-    vfe_mean, _, vfe_ev = lowrank.vfe_predict(kernel, X, y, sigma2, X_U, X_star)
+    vfe_mean, _, vfe_ev = fits.predict("vfe")
     eps_vfe = metric_relerr(want, vfe_mean)
 
     pbr_mean = lowrank.pbr_predict(lowrank.truncate_expansion(eig, m), X, y, sigma2, X_star)

@@ -10,7 +10,7 @@ benchmark harness.
 from . import datasets, exact, harness, kernels, kmcg, linalg, lowrank, solvers, structured
 from .datasets import Dataset, gen_toy, load_csv
 from .exact import ExactGpModel
-from .kernels import Kernel, gram, kernel_eval, matern52_kernel, se_kernel
+from .kernels import Kernel, gram, matern52_kernel, se_kernel
 from .kmcg import KmcgModel, kmcg_evidence, kmcg_fit, kmcg_mean, kmcg_var
 from .solvers import cg_reorth, cg_textbook, fom_solution
 
@@ -27,7 +27,6 @@ __all__ = [
     "gen_toy",
     "gram",
     "harness",
-    "kernel_eval",
     "kernels",
     "kmcg",
     "kmcg_evidence",

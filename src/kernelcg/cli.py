@@ -3,9 +3,8 @@
 The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output); see CONFIG_TEMPLATE for the
 recognized keys and an example. The dataset and kernel sections are
-required. A bad config, an unreadable or malformed file, or an invalid
-KERNELCG_THREADS value ends a command with one "error:" line on stderr and
-exit status 1.
+required. A bad config or an unreadable or malformed file ends a command
+with one "error:" line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, configparser.Error) as error:  # config, data files, KERNELCG_THREADS
+    except (OSError, ValueError, configparser.Error) as error:  # config and data files
         raise SystemExit("error: " + " ".join(str(error).split())) from None
 
 

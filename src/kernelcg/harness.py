@@ -11,8 +11,8 @@ Randomness is derived from the master seed by a counter scheme,
 SeedSequence([master, stream, step, repetition]); the inducing-selection
 stream is shared by all methods so that budget-matched methods draw the
 same subsets at equal (step, repetition). Records are therefore
-deterministic given the master seed and independent of the worker count
-(set the KERNELCG_THREADS environment variable to parallelize repetitions).
+deterministic given the master seed. Every method runs in the calling
+thread, one after another, so no record's time overlaps another's.
 
 The `seconds` of a record is the wall time of the work done for it. Where
 one CG trace serves every budget, the shared work is charged once, to the
@@ -44,9 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -297,13 +295,13 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
 def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentRecord]:
     """The listed inducing baselines (sor, dtc, fitc, vfe) on one inducing subset.
 
-    Shared work is done once (see lowrank._InducingFits) and charged to the
+    Shared work is done once (see lowrank.InducingFits) and charged to the
     first method, in METHODS order, that uses it.
     """
     m = budget_for(config, data.n_train, step)
     start = time.perf_counter()
     X_U = data.X[lowrank.choose_inducing(data.n_train, m, _inducing_seed(config, step, rep))]
-    fits = lowrank._InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
+    fits = lowrank.InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
     records = []
     for method in methods:
         try:
@@ -367,30 +365,13 @@ def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]
     return out
 
 
-def _worker_count() -> int:
-    """Threads for baseline repetitions, from KERNELCG_THREADS (default 1)."""
-    text = os.environ.get("KERNELCG_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"KERNELCG_THREADS must be a positive integer, got {text!r}")
-    return workers
-
-
 def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRecord]:
     """Run every configured method over the step schedule; see module docs.
 
     Per-method failures are recorded in the reason column and never abort
     the other methods. Returns individual records followed by aggregate
     rows per baseline method.
-
-    Raises:
-        ValueError: if KERNELCG_THREADS is set to anything but a positive
-            integer (checked before any work starts).
     """
-    workers = _worker_count()
     oracle = _fit_oracle(config, data)
     records: list[ExperimentRecord] = []
     n = data.n_train
@@ -419,14 +400,9 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
             records.extend(_failure("pbr", step, budget_for(config, n, step), "0", error)
                            for step in config.steps)
 
-    subsets = [(step, rep) for step in config.steps for rep in range(config.repetitions)] if inducing else []
-    pbr_tasks = [pbr_expansion] if pbr_expansion is not None else []
-    # The pool starts no thread unless a task is submitted to it.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run_all = pool.map if workers > 1 else map
-        by_subset = run_all(lambda task: _inducing_once(config, data, oracle, inducing, *task), subsets)
-        pbr_rows = run_all(lambda expansion: _run_pbr(config, data, oracle, expansion), pbr_tasks)
-        by_subset, pbr_rows = list(by_subset), [r for rows in pbr_rows for r in rows]
+    by_subset = [_inducing_once(config, data, oracle, inducing, step, rep)
+                 for step in config.steps for rep in range(config.repetitions)] if inducing else []
+    pbr_rows = _run_pbr(config, data, oracle, pbr_expansion) if pbr_expansion is not None else []
     for i, method in enumerate(inducing):
         rows = sorted((subset[i] for subset in by_subset), key=lambda r: (r.step, int(r.run)))
         records.extend(rows)

@@ -131,11 +131,6 @@ def _kernel_from_sqdist(kernel: Kernel, d2: np.ndarray) -> None:
     d2 *= decay
 
 
-def kernel_eval(kernel: Kernel, x, z) -> float:
-    """Evaluate k(x, z) for a single pair of points."""
-    return float(gram(kernel, x, z)[0, 0])
-
-
 def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Gram matrix K[i, j] = k(X_i, Z_j); Z defaults to X.
 

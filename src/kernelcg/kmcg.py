@@ -377,15 +377,6 @@ def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
     return K_ss - V1a.T @ V1b + model.sigma2 * (V2a.T @ V2b)
 
 
-def kmcg_var_diag(model: KmcgModel, X_star) -> np.ndarray:
-    """Pointwise predictive variance, the diagonal of :func:`kmcg_var`.
-
-    The single-model case of :func:`kmcg_predictions`, with its costs.
-    """
-    ((_, var),) = kmcg_predictions([model], X_star)
-    return var
-
-
 def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     """(mean, pointwise variance) at X_star for each of several models of one fit.
 

@@ -1,9 +1,10 @@
 """Dense linear algebra core and symmetric-Kronecker calculus.
 
-Kronecker-structured operators are kept in factored form and applied
-implicitly; the full N^2 x N^2 matrices are never materialized here.
-Row-major vectorization is used throughout: ``vecm`` stacks the rows of a
-matrix (column stacking would be an equivalent convention, we fix rows).
+The symmetric Kronecker product W sym-kron V = Gamma (W kron V) Gamma acts
+on vec(C) = C.reshape(-1), the rows of an N x N matrix stacked (column
+stacking would be an equivalent convention, we fix rows), with Gamma the
+symmetrization vec(C) -> vec(C/2 + C^T/2). The solve and the sampler below
+work with the N x N factors only; no N^2 x N^2 matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -115,83 +116,14 @@ def logdet(factor: CholeskyFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor.L))))
 
 
-def vecm(A: np.ndarray) -> np.ndarray:
-    """Stack the rows of a matrix into one vector."""
-    return np.asarray(A, dtype=float).reshape(-1)
-
-
-def tomat(v: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Inverse of :func:`vecm`: reshape a length n*m vector into n x m."""
-    v = np.asarray(v, dtype=float)
-    if v.size != n * m:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {n}x{m}")
-    return v.reshape(n, m)
-
-
-def _square_side(v: np.ndarray) -> int:
-    n = math.isqrt(v.size)
-    if n * n != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return n
-
-
-def gamma_apply(v: np.ndarray) -> np.ndarray:
-    """Symmetrization projector: vecm(C) -> vecm(C/2 + C.T/2).
-
-    Idempotent and self-adjoint; symmetric matrices are fixed points.
-    """
-    v = np.asarray(v, dtype=float)
-    n = _square_side(v)
-    C = v.reshape(n, n)
-    return (0.5 * C + 0.5 * C.T).reshape(-1)
-
-
 def _check_symmetric(A: np.ndarray, name: str, tol: float = 1e-10) -> None:
     scale = np.max(np.abs(A)) or 1.0
     if np.max(np.abs(A - A.T)) > tol * scale:
         raise ValueError(f"{name} is not symmetric to tolerance {tol}")
 
 
-@dataclass(frozen=True)
-class SymKronOperator:
-    """Symmetric Kronecker product of two symmetric N x N factors.
-
-    Acts on length-N^2 vectors as Gamma (W kron V) Gamma, applied via the
-    identity (A kron B) vecm(C) = vecm(A C B^T) at O(N^3) cost and O(N^2)
-    memory.
-    """
-
-    W: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        if W.shape != V.shape or W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"factors must be square and same size, got {W.shape}, {V.shape}")
-        _check_symmetric(W, "left factor W")
-        _check_symmetric(V, "right factor V")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "V", V)
-
-    @property
-    def side(self) -> int:
-        return self.W.shape[0]
-
-
-def sym_kron_apply(op: SymKronOperator, v: np.ndarray) -> np.ndarray:
-    """Apply Gamma (W kron V) Gamma to a length-N^2 vector."""
-    v = np.asarray(v, dtype=float)
-    n = _square_side(v)
-    if n != op.side:
-        raise ValueError(f"operator side {op.side} does not match vector side {n}")
-    C = gamma_apply(v).reshape(n, n)
-    out = op.W @ C @ op.V.T
-    return gamma_apply(out.reshape(-1))
-
-
 def sym_kron_solve_sym(W: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Unique symmetric X with (W sym-kron W) vecm(X) = vecm(Y).
+    """Unique symmetric X with (W sym-kron W) vec(X) = vec(Y).
 
     Symmetric-Kronecker operators are rank deficient on general vectors, but
     restricted to symmetric right-hand sides the solve is well posed and
@@ -211,7 +143,7 @@ def sym_kron_sample(W: np.ndarray, W_M: np.ndarray, rng: np.random.Generator, si
 
     Uses the factorization into (W + W_M) sym-kron (W - W_M): with
     L+ = chol(W + W_M), L- = chol(W - W_M) and X standard normal, the draw is
-    Gamma (L+ kron L-) vecm(X), i.e. the explicit symmetrization of
+    Gamma (L+ kron L-) vec(X), i.e. the explicit symmetrization of
     L+ X L-^T. Both factorizations go through the jitter ladder, so W - W_M
     may be singular (it is exactly zero when W_M = W).
 

@@ -419,7 +419,7 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
 # The inducing-point baselines: SoR, DTC, FITC and VFE.
 
 
-class _InducingFits:
+class InducingFits:
     """SoR, DTC, FITC and VFE on one inducing set, sharing their work.
 
     K_UU, its factor, K_UN and phi(X*) = k(X*, X_U) are computed once. sor,
@@ -461,7 +461,13 @@ class _InducingFits:
         return self.kernel.theta_f - linalg.chol_quad_diag(expansion.sigma_factor, Phi)
 
     def predict(self, method: str):
-        """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe."""
+        """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe.
+
+        dtc is the sor mean with the exact-prior (dtc) variance; vfe predicts
+        as dtc and subtracts the nonnegative slack tr(K - Q) / (2 sigma2)
+        from its evidence, a lower bound on the exact evidence; fitc keeps
+        the exact prior diagonal, Q + diag(K - Q) + sigma2 I.
+        """
         if method == "fitc":
             model = _fit_design(*self._basis, self.y, self._gap + self.sigma2)
             phi_star = self._phi_star
@@ -474,30 +480,3 @@ class _InducingFits:
         if method == "vfe":
             return mean, self._dtc_var, evidence - 0.5 * float(np.sum(self._gap)) / self.sigma2
         raise ValueError(f"unknown inducing baseline {method!r}")
-
-
-def fitc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
-    """Fully independent training conditional baseline.
-
-    The implied prior keeps the exact diagonal: Q + diag(K - Q) + sigma2 I.
-    Returns (mean, pointwise variance, evidence).
-    """
-    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("fitc")
-
-
-def vfe_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
-    """Variational free-energy baseline.
-
-    Predictions coincide with DTC; the evidence is the DTC evidence minus
-    the nonnegative slack trace(K - Q) / (2 sigma2), making it a lower bound
-    on the exact evidence. Returns (mean, pointwise variance, evidence).
-    """
-    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("vfe")
-
-
-def dtc_predict(kernel: Kernel, X, y, sigma2: float, X_U, X_star):
-    """Deterministic training conditional: SoR mean with exact-prior variance.
-
-    Returns (mean, pointwise variance, evidence).
-    """
-    return _InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("dtc")

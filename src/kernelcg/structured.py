@@ -293,14 +293,17 @@ def grid_dataset(
     y = spec.sample(rng)
 
     X_star = rng.uniform(lo, hi, size=(n_test, D))
-    # Conditional draw at the test inputs; the noise-free grid Gram inverts
-    # axis by axis, so this stays O(N) in the grid size.
+    # Conditional draw at the test inputs. The noise-free grid Gram inverts
+    # axis by axis, and with A_d = k_d(X*[:, d], axes[d]) the product
+    # k(X*, X) K^{-1} k(X, X*) is the Hadamard product of the A_d K_d^{-1} A_d^T,
+    # so no n_test x N array is formed.
     inverses = [linalg.chol_solve(linalg.cholesky(K), np.eye(K.shape[0])) for K in spec.factors]
-    K_ts = gram(kernel, X_star, X)
-    solve_grid = lambda w: kron_mvm(inverses, w)
-    mean_star = K_ts @ solve_grid(y)
-    cross = np.column_stack([solve_grid(K_ts[j]) for j in range(n_test)])
-    cov_star = gram(kernel, X_star) - K_ts @ cross
+    mean_star = spec.cross_products(X_star, kron_mvm(inverses, y))
+    explained = np.ones((n_test, n_test))
+    for d, (axis_kernel, axis, inverse) in enumerate(zip(spec.kernels, spec.axes, inverses)):
+        A = gram(axis_kernel, X_star[:, d : d + 1], axis.reshape(-1, 1))
+        explained *= A @ inverse @ A.T
+    cov_star = gram(kernel, X_star) - explained
     y_star = mean_star + linalg.cholesky(0.5 * (cov_star + cov_star.T)).L @ rng.standard_normal(n_test)
 
     meta = {

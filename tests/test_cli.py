@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -175,20 +170,6 @@ def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):
         cli.main(["run", "--config", str(config_path)])
     message = raised.value.code
     assert message.startswith("error:") and "section" in message and "\n" not in message
-
-
-def test_run_with_bad_thread_count_exits_with_one_error_line(tmp_path):
-    records_path = tmp_path / "records.csv"
-    config_path = tmp_path / "config.ini"
-    config_path.write_text(_TOY_CONFIG.format(records=records_path))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, KERNELCG_THREADS="two",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "kernelcg.cli", "run", "--config", str(config_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1
-    assert done.stderr.splitlines() == ["error: KERNELCG_THREADS must be a positive integer, got 'two'"]
-    assert not records_path.exists()
 
 
 def test_run_on_ragged_masked_series_is_one_line_error(tmp_path):

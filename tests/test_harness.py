@@ -181,6 +181,22 @@ def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, m
     assert records[1].seconds < SHARED_DELAY and records[2].seconds < SHARED_DELAY
 
 
+def test_record_seconds_are_disjoint_wall_time():
+    # Each piece of work is charged to one record and no two records' work
+    # overlaps, so the individual records' seconds sum to at most the wall
+    # time of the run.
+    config = ExperimentConfig(kernel=toy_kernel(), sigma2=TOY_DEFAULT_SIGMA2, methods=harness.METHODS,
+                              steps=(1, 2, 4), repetitions=2, master_seed=3)
+    data = gen_toy(seed=2)
+    start = time.perf_counter()
+    records = run_experiment(config, data)
+    wall = time.perf_counter() - start
+    individual = [r for r in records if r.reason != "aggregate"]
+    assert {r.method for r in individual} == set(harness.METHODS)
+    assert not [r.reason for r in individual if r.reason.startswith("error:")]
+    assert sum(r.seconds for r in individual) <= wall
+
+
 def test_cg_methods_have_no_variance_metrics():
     config = _small_config(methods=("cg-reorth",), steps=(2,), repetitions=1)
     records = run_experiment(config, _small_dataset())
@@ -267,7 +283,7 @@ def test_nested_budget_monotonicity():
         errors = []
         for m in (5, 10, 20, 40, 60):
             X_U = X[np.sort(perm[:m])]
-            mean, _, _ = lowrank.dtc_predict(kernel, X, y, 0.1, X_U, X_star)
+            mean, _, _ = lowrank.InducingFits(kernel, X, y, 0.1, X_U, X_star).predict("dtc")
             errors.append(metric_relerr(want, mean))
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -317,44 +333,6 @@ def test_determinism_identical_csv_modulo_seconds(tmp_path):
     assert _strip_seconds(first) == _strip_seconds(second)
 
 
-def test_determinism_independent_of_worker_count(tmp_path, monkeypatch):
-    config = _small_config(methods=("sor", "vfe"), steps=(1, 3))
-    data = _small_dataset()
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    emit_csv(run_experiment(config, data), serial)
-    monkeypatch.setenv("KERNELCG_THREADS", "4")
-    emit_csv(run_experiment(config, data), threaded)
-    assert _strip_seconds(serial) == _strip_seconds(threaded)
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", "0", "-3", ""])
-def test_invalid_thread_count_rejected_before_any_work(monkeypatch, value):
-    def fit_oracle(config, data):
-        raise AssertionError("the oracle was fitted before the thread count was checked")
-
-    monkeypatch.setattr(harness, "_fit_oracle", fit_oracle)
-    monkeypatch.setenv("KERNELCG_THREADS", value)
-    with pytest.raises(ValueError, match="KERNELCG_THREADS must be a positive integer"):
-        run_experiment(_small_config(), _small_dataset())
-
-
-def test_one_thread_pool_serves_every_baseline(monkeypatch):
-    pools = []
-
-    class CountingPool(harness.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setenv("KERNELCG_THREADS", "2")
-    records = run_experiment(_small_config(methods=("sor", "fitc", "vfe"), steps=(1, 2)),
-                             _small_dataset())
-    assert len(pools) == 1
-    assert {r.method for r in records} == {"sor", "fitc", "vfe"}
-
-
 @pytest.mark.parametrize("method", ["cg-reorth", "cg-textbook"])
 def test_cg_records_report_the_stop_within_each_budget(method):
     # One trace serves budgets 1, 2 and 40; CG converges after a few steps,
@@ -366,11 +344,10 @@ def test_cg_records_report_the_stop_within_each_budget(method):
     assert [r.effective_p for r in records][:2] == [1, 2]
 
 
-def test_run_experiment_forms_no_test_by_test_array(monkeypatch):
+def test_run_experiment_forms_no_test_by_test_array():
     # Every method at n* = 3000 test points and N = 200: one n* x n* float64
     # array is 72 MB, the ceiling a quarter of that. Pointwise variances
     # take memory linear in n*.
-    monkeypatch.delenv("KERNELCG_THREADS", raising=False)
     from kernelcg.datasets import Dataset
 
     rng = np.random.default_rng(12)

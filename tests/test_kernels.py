@@ -8,29 +8,30 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kernelcg import kernels
-from kernelcg.kernels import Kernel, gram, kernel_eval, matern52_kernel, se_kernel
+from kernelcg.kernels import Kernel, gram, matern52_kernel, se_kernel
 
 
 def test_zero_distance_gives_amplitude():
     x = np.array([0.3, -1.2])
     for kernel in (se_kernel([1.0, 2.0], 1.7), matern52_kernel([1.0, 2.0], 1.7)):
-        assert kernel_eval(kernel, x, x) == pytest.approx(1.7)
+        assert gram(kernel, x[None], x[None])[0, 0] == pytest.approx(1.7)
 
 
 def test_unit_distance_values():
+    x, z = np.array([0.0]), np.array([1.0])
     se = se_kernel([1.0], 1.0)
-    assert kernel_eval(se, [0.0], [1.0]) == pytest.approx(np.exp(-0.5))
-    assert kernel_eval(se, [0.0], [1.0]) == pytest.approx(0.606531, abs=1e-6)
+    assert gram(se, x[None], z[None])[0, 0] == pytest.approx(np.exp(-0.5))
+    assert gram(se, x[None], z[None])[0, 0] == pytest.approx(0.606531, abs=1e-6)
     mat = matern52_kernel([1.0], 1.0)
     expected = (1.0 + np.sqrt(5.0) + 5.0 / 3.0) * np.exp(-np.sqrt(5.0))
-    assert kernel_eval(mat, [0.0], [1.0]) == pytest.approx(expected)
-    assert kernel_eval(mat, [0.0], [1.0]) == pytest.approx(0.523994, abs=1e-6)
+    assert gram(mat, x[None], z[None])[0, 0] == pytest.approx(expected)
+    assert gram(mat, x[None], z[None])[0, 0] == pytest.approx(0.523994, abs=1e-6)
 
 
 def test_dimension_mismatch():
     kernel = se_kernel([1.0, 1.0])
     with pytest.raises(ValueError):
-        kernel_eval(kernel, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        gram(kernel, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_invalid_parameters():
@@ -70,7 +71,8 @@ def test_stationarity_under_shifts():
     kernel = matern52_kernel([1.0, 0.3], 0.9)
     for _ in range(10):
         x, z, t = rng.standard_normal((3, 2))
-        assert kernel_eval(kernel, x + t, z + t) == pytest.approx(kernel_eval(kernel, x, z), rel=1e-12)
+        shifted = gram(kernel, (x + t)[None], (z + t)[None])[0, 0]
+        assert shifted == pytest.approx(gram(kernel, x[None], z[None])[0, 0], rel=1e-12)
 
 
 def test_monotone_decay_in_distance():

@@ -23,7 +23,6 @@ from kernelcg.kmcg import (
     kmcg_sample,
     kmcg_uncertainty_gram,
     kmcg_var,
-    kmcg_var_diag,
 )
 from kernelcg.structured import grid_spec
 from brute import gauss_solve, mvn_logpdf
@@ -194,7 +193,7 @@ def test_full_direction_set_reduces_to_sor():
         assert np.max(np.abs(got - sor)) <= 1e-8 * np.max(np.abs(sor))
 
 
-def test_kernel_eval_bit_symmetric():
+def test_learned_kernel_gram_bit_symmetric():
     kernel, X, y, sigma2, rng = _problem(8, 20)
     model = kmcg_fit(kernel, X, y, sigma2, max_steps=6, eps=0.0)
     for _ in range(5):
@@ -446,7 +445,7 @@ def test_pointwise_variance_is_the_covariance_diagonal(seed, n, max_steps, subse
     M = n // 2 if subset else None
     model = kmcg_fit(kernel, X, y, sigma2, M=M, seed=seed, eps=0.0, max_steps=max_steps)
     X_star = np.vstack([rng.uniform(0, 2, (12, 2)), X[:3], np.full((1, 2), 1e3)])
-    got = kmcg_var_diag(model, X_star)
+    ((_, got),) = kmcg_predictions([model], X_star)
     assert got.shape == (16,)
     assert got[-1] == pytest.approx(kernel.theta_f)
     want = np.diag(kmcg_var(model, X_star))
@@ -587,7 +586,8 @@ def test_predictions_match_each_models_own_predictions(M, truncated):
             assert np.array_equal(var, np.full(44, kernel.theta_f))
         else:
             assert _relative(mean, kmcg_mean(model, X_star)) <= 1e-13
-        assert _relative(var, kmcg_var_diag(model, X_star)) <= 1e-13
+        ((_, own_var),) = kmcg_predictions([model], X_star)
+        assert _relative(var, own_var) <= 1e-13
 
 
 def test_predictions_reject_models_of_different_fits():

@@ -7,100 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import linalg
-from brute import dense_gamma, dense_kron, dense_sym_kron, cofactor_det, random_spd
-
-
-def test_vecm_row_stacking():
-    assert np.array_equal(linalg.vecm(np.array([[1.0, 2.0], [3.0, 4.0]])), [1, 2, 3, 4])
-    assert np.array_equal(linalg.vecm(np.array([[5.0]])), [5.0])
-
-
-def test_vecm_trace_identity_v1():
-    A = np.array([[1.0, 0.0], [0.0, 1.0]])
-    B = np.array([[2.0, 3.0], [4.0, 5.0]])
-    assert linalg.vecm(A) @ linalg.vecm(B) == pytest.approx(np.trace(A @ B.T))
-    assert linalg.vecm(A) @ linalg.vecm(B) == pytest.approx(7.0)
-
-
-def test_v1_random_pairs():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        A = rng.standard_normal((4, 4))
-        B = rng.standard_normal((4, 4))
-        assert linalg.vecm(A) @ linalg.vecm(B) == pytest.approx(np.trace(A @ B.T), rel=1e-12)
-
-
-def test_tomat_inverse_of_vecm():
-    assert np.array_equal(linalg.tomat(np.array([1.0, 2, 3, 4]), 2, 2), [[1, 2], [3, 4]])
-    assert np.array_equal(linalg.tomat(np.array([7.0]), 1, 1), [[7.0]])
-    v = np.random.default_rng(1).standard_normal(9)
-    assert np.array_equal(linalg.vecm(linalg.tomat(v, 3, 3)), v)
-    with pytest.raises(ValueError):
-        linalg.tomat(np.arange(5.0), 2, 2)
-
-
-def test_gamma_apply_symmetrizes():
-    out = linalg.gamma_apply(linalg.vecm(np.array([[1.0, 2.0], [3.0, 4.0]])))
-    assert np.array_equal(out, [1.0, 2.5, 2.5, 4.0])
-
-
-def test_gamma_apply_fixed_point_and_projector():
-    rng = np.random.default_rng(2)
-    C = rng.standard_normal((3, 3))
-    sym = 0.5 * (C + C.T)
-    assert np.array_equal(linalg.gamma_apply(linalg.vecm(sym)), linalg.vecm(sym))
-    v = rng.standard_normal(9)
-    once = linalg.gamma_apply(v)
-    assert np.array_equal(linalg.gamma_apply(once), once)
-    with pytest.raises(ValueError):
-        linalg.gamma_apply(np.arange(5.0))
-
-
-def test_gamma_apply_matches_dense_and_self_adjoint():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 4):
-        G = dense_gamma(n)
-        v = rng.standard_normal(n * n)
-        w = rng.standard_normal(n * n)
-        assert np.allclose(linalg.gamma_apply(v), G @ v, rtol=1e-12, atol=1e-14)
-        assert linalg.gamma_apply(v) @ w == pytest.approx(v @ linalg.gamma_apply(w), rel=1e-12)
-
-
-def test_sym_kron_apply_identity_factors_reduce_to_gamma():
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(4)
-    op = linalg.SymKronOperator(np.eye(2), np.eye(2))
-    assert np.allclose(linalg.sym_kron_apply(op, v), linalg.gamma_apply(v))
-
-
-def test_sym_kron_apply_scaled_identity():
-    W = np.array([[2.0, 0.0], [0.0, 2.0]])
-    op = linalg.SymKronOperator(W, W)
-    v = linalg.vecm(np.eye(2))
-    dense = dense_sym_kron(W, W)
-    assert np.allclose(dense @ v, 4.0 * v)
-    assert np.allclose(linalg.sym_kron_apply(op, v), 4.0 * v)
-
-
-def test_sym_kron_apply_commutes_sk3():
-    rng = np.random.default_rng(5)
-    W = random_spd(rng, 3)
-    V = random_spd(rng, 3)
-    v = rng.standard_normal(9)
-    a = linalg.sym_kron_apply(linalg.SymKronOperator(W, V), v)
-    b = linalg.sym_kron_apply(linalg.SymKronOperator(V, W), v)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_sym_kron_apply_matches_dense():
-    rng = np.random.default_rng(6)
-    for n in (2, 3, 4):
-        W = random_spd(rng, n)
-        V = random_spd(rng, n)
-        dense = dense_sym_kron(W, V)
-        v = rng.standard_normal(n * n)
-        got = linalg.sym_kron_apply(linalg.SymKronOperator(W, V), v)
-        assert np.allclose(got, dense @ v, rtol=1e-12, atol=1e-13)
+from brute import dense_kron, dense_sym_kron, cofactor_det, random_spd
 
 
 def test_sym_kron_solve_identity_and_diagonal():
@@ -117,8 +24,8 @@ def test_sym_kron_solve_round_trip():
     Y = random_spd(rng, 4) + np.eye(4)
     X = linalg.sym_kron_solve_sym(W, Y)
     assert np.array_equal(X, X.T)
-    back = linalg.sym_kron_apply(linalg.SymKronOperator(W, W), linalg.vecm(X))
-    assert np.allclose(back, linalg.vecm(Y), rtol=1e-9, atol=1e-10)
+    back = dense_sym_kron(W, W) @ X.reshape(-1)
+    assert np.allclose(back, Y.reshape(-1), rtol=1e-9, atol=1e-10)
 
 
 def test_sym_kron_solve_rejects_bad_inputs():
@@ -232,8 +139,8 @@ def test_kron_identities_k1_to_k5():
         C = rng.standard_normal((n, n))
         D = rng.standard_normal((n, n))
         AB = dense_kron(A, B)
-        # K1: (A kron B) vecm(C) = vecm(A C B^T)
-        assert np.allclose(AB @ linalg.vecm(C), linalg.vecm(A @ C @ B.T), rtol=1e-12, atol=1e-12)
+        # K1: (A kron B) vec(C) = vec(A C B^T), rows stacked
+        assert np.allclose(AB @ C.reshape(-1), (A @ C @ B.T).reshape(-1), rtol=1e-12, atol=1e-12)
         # K2
         assert np.allclose(AB @ dense_kron(C, D), dense_kron(A @ C, B @ D), rtol=1e-12, atol=1e-11)
         # K3

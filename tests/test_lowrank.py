@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import exact, lowrank
-from kernelcg.kernels import gram, kernel_eval, se_kernel
+from kernelcg import exact
+from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import kernel_posterior
 from kernelcg.lowrank import (
     FeatureExpansion,
+    InducingFits,
     choose_inducing,
     eigen_expansion,
-    fitc_predict,
     lowrank_evidence,
     lowrank_fit,
     lowrank_mean,
@@ -20,7 +20,6 @@ from kernelcg.lowrank import (
     se_eigen_expansion,
     sor_expansion,
     truncate_expansion,
-    vfe_predict,
 )
 from brute import gauss_solve, mvn_logpdf
 from mpref import inducing_reference
@@ -186,7 +185,7 @@ def test_sor_single_inducing_point_rank_one():
     expansion = sor_expansion(kernel, u)
     x, z = rng.uniform(0, 2, (2, 2))
     khat = (expansion.phi(x) @ gauss_solve(expansion.Sigma, expansion.phi(z).T)).item()
-    expected = kernel_eval(kernel, x, u[0]) * kernel_eval(kernel, u[0], z) / kernel.theta_f
+    expected = gram(kernel, x[None], u)[0, 0] * gram(kernel, u, z[None])[0, 0] / kernel.theta_f
     assert khat == pytest.approx(expected, rel=1e-12)
 
 
@@ -361,7 +360,7 @@ def test_fitc_complete_inducing_equals_exact():
     kernel, X, y, sigma2, rng = _problem(23, 20)
     oracle = exact.fit(kernel, X, y, sigma2)
     X_star = rng.uniform(0, 2, (7, 2))
-    mean, var, evidence = fitc_predict(kernel, X, y, sigma2, X, X_star)
+    mean, var, evidence = InducingFits(kernel, X, y, sigma2, X, X_star).predict("fitc")
     assert np.allclose(mean, exact.predict_mean(oracle, X_star), rtol=1e-8, atol=1e-10)
     assert np.allclose(var, exact.predict_var(oracle, X_star), rtol=1e-8, atol=1e-8)
     assert evidence == pytest.approx(exact.log_evidence(oracle), rel=1e-8)
@@ -380,7 +379,7 @@ def test_fitc_prior_train_diagonal_exact():
 def test_fitc_single_inducing_evidence_vs_density():
     kernel, X, y, sigma2, _ = _problem(25, 10)
     X_U = X[:1]
-    _, _, evidence = fitc_predict(kernel, X, y, sigma2, X_U, X[:2])
+    _, _, evidence = InducingFits(kernel, X, y, sigma2, X_U, X[:2]).predict("fitc")
     K_mm = gram(kernel, X_U)
     K_mn = gram(kernel, X_U, X)
     Q = K_mn.T @ gauss_solve(K_mm, K_mn)
@@ -391,7 +390,7 @@ def test_fitc_single_inducing_evidence_vs_density():
 def test_vfe_complete_inducing_exact_evidence():
     kernel, X, y, sigma2, _ = _problem(26, 20)
     oracle = exact.fit(kernel, X, y, sigma2)
-    _, _, evidence = vfe_predict(kernel, X, y, sigma2, X, X[:3])
+    _, _, evidence = InducingFits(kernel, X, y, sigma2, X, X[:3]).predict("vfe")
     assert evidence == pytest.approx(exact.log_evidence(oracle), rel=1e-8)
 
 
@@ -400,10 +399,11 @@ def test_vfe_evidence_lower_bound():
         kernel, X, y, sigma2, _ = _problem(27 + seed, 30)
         oracle = exact.fit(kernel, X, y, sigma2)
         X_U = X[choose_inducing(30, 8, seed=seed)]
-        _, _, evidence = vfe_predict(kernel, X, y, sigma2, X_U, X[:2])
+        fits = InducingFits(kernel, X, y, sigma2, X_U, X[:2])
+        _, _, evidence = fits.predict("vfe")
         assert evidence <= exact.log_evidence(oracle) + 1e-9
         # trace correction is nonnegative: VFE evidence <= DTC evidence
-        _, _, dtc_ev = lowrank.dtc_predict(kernel, X, y, sigma2, X_U, X[:2])
+        _, _, dtc_ev = fits.predict("dtc")
         assert evidence <= dtc_ev + 1e-12
 
 
@@ -430,8 +430,9 @@ def test_inducing_baseline_variances_match_brute_force_covariance(seed, n, m, lo
     X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2]])
     dtc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=False))
     fitc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=True))
-    for predict, want in ((lowrank.dtc_predict, dtc), (vfe_predict, dtc), (fitc_predict, fitc)):
-        _, var, _ = predict(kernel, X, y, sigma2, X_U, X_star)
+    fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
+    for method, want in (("dtc", dtc), ("vfe", dtc), ("fitc", fitc)):
+        _, var, _ = fits.predict(method)
         assert var.shape == (10,)
         assert np.allclose(var, want, rtol=0.0, atol=1e-9 * kernel.theta_f)
 
@@ -479,11 +480,10 @@ def test_inducing_baselines_match_a_40_digit_reference(lam, seed, cond):
     sigma2 = 1e-2
     assert np.linalg.cond(gram(kernel, X_U)) == pytest.approx(cond, rel=0.1)
     model = lowrank_fit(sor_expansion(kernel, X_U), X, y, sigma2)
+    fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
     got = {
         "sor": (lowrank_mean(model, X_star), lowrank_var_diag(model, X_star), lowrank_evidence(model)),
-        "dtc": lowrank.dtc_predict(kernel, X, y, sigma2, X_U, X_star),
-        "vfe": vfe_predict(kernel, X, y, sigma2, X_U, X_star),
-        "fitc": fitc_predict(kernel, X, y, sigma2, X_U, X_star),
+        **{method: fits.predict(method) for method in ("dtc", "vfe", "fitc")},
     }
     for method, want in inducing_reference(kernel, X, y, sigma2, X_U, X_star).items():
         for quantity, value, reference in zip(("mean", "variance", "evidence"), got[method], want):

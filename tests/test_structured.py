@@ -273,6 +273,29 @@ def test_grid_dataset_memory_budget():
         grid_dataset(100, 3, kernel, max_points=10_000)
 
 
+@pytest.mark.parametrize("G, D, n_test, seed", [(4, 2, 10, 0), (6, 2, 10, 1), (6, 3, 20, 2)])
+def test_grid_dataset_test_draw_matches_the_dense_conditional(G, D, n_test, seed):
+    # Replay the generator through the dense conditional: k(X*, X) and one
+    # Kronecker solve per test point. Few test points keep the conditional
+    # covariance well conditioned, so its Cholesky factor does not amplify
+    # the rounding that separates the two ways of forming it.
+    kernel = se_kernel(np.full(D, 1.0), 1.7)
+    data = grid_dataset(G, D, kernel, seed=seed, n_test=n_test)
+    rng = np.random.default_rng(seed)
+    axes = [np.linspace(-G / 4, G / 4, G) + np.sqrt(1e-3) * rng.standard_normal(G) for _ in range(D)]
+    spec = grid_spec(kernel, axes)
+    y = spec.sample(rng)
+    X_star = rng.uniform(-G / 4, G / 4, size=(n_test, D))
+    assert np.array_equal(data.X, spec.points()) and np.array_equal(data.y, y)
+    assert np.array_equal(data.X_star, X_star)
+    inverses = [np.linalg.inv(K) for K in spec.factors]
+    K_ts = gram(kernel, X_star, data.X)
+    mean = K_ts @ kron_mvm(inverses, y)
+    cov = gram(kernel, X_star) - K_ts @ np.column_stack([kron_mvm(inverses, row) for row in K_ts])
+    want = mean + np.linalg.cholesky(0.5 * (cov + cov.T)) @ rng.standard_normal(n_test)
+    assert np.max(np.abs(data.y_star - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 def test_grid_sampling_empirical_covariance():
     # Covariance of grid draws must match the dense Gram within five
     # standard errors on a small grid. The draws come from one call, which
