@@ -22,7 +22,8 @@ CONFIG_TEMPLATE = """\
 [dataset]
 source = toy            ; toy | grid | csv | series-csv
 seed = 0
-; csv only:
+; csv only (a split column of train/test labels, as gen-toy and gen-grid
+; write, fixes the split; otherwise rows are shuffled with seed):
 ; path = data.csv
 ; target = y
 ; test_fraction = 0.5

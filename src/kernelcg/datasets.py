@@ -2,7 +2,8 @@
 
 The on-disk dataset format is a headed CSV with columns x0..x{D-1}, y and a
 split column holding ``train`` or ``test``; values are comma-separated
-decimals. Generators are deterministic in their seed.
+decimals. :func:`load_csv` reads it, and any other headed numeric CSV.
+Generators are deterministic in their seed.
 """
 
 from __future__ import annotations
@@ -111,32 +112,51 @@ def gen_toy(seed=0, n_train: int = 100, n_test: int = 100) -> Dataset:
 
 
 def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Dataset:
-    """Load a headed CSV, shuffle deterministically, and split train/test.
+    """Load a headed CSV and split it into train and test rows.
 
-    Every non-target column is a feature. Parse failures report the
-    offending row and column; a missing target column names the available
-    headers. A split with no training or no test row raises ValueError.
+    Every column other than the target and ``split`` is a feature. A file
+    with a ``split`` column (as :func:`write_dataset_csv` writes) is split
+    by its ``train``/``test`` labels in file order, and `test_fraction` and
+    `seed` do not affect the split; any other file is shuffled
+    deterministically in `seed` and its first round(n * test_fraction)
+    shuffled rows are the test set. Parse failures, and split labels other
+    than train or test, report the offending row and column; a missing
+    target column names the available headers. A split with no training or
+    no test row raises ValueError.
     """
     if not (0.0 < test_fraction < 1.0):
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = [h.strip() for h in _header(path, reader)]
-        if target_column not in header:
+        label = header.index("split") if "split" in header else None
+        columns = [h for i, h in enumerate(header) if i != label]
+        if target_column not in columns:
             raise ValueError(
                 f"{path}: target column {target_column!r} not found; available: {header}"
             )
-        target_idx = header.index(target_column)
-        _, data = _numeric_rows(path, reader, header)
+        target_idx = columns.index(target_column)
+        numbers, data, labels = _numeric_rows(path, reader, header, label)
     y_all = data[:, target_idx]
     X_all = np.delete(data, target_idx, axis=1)
     n = data.shape[0]
-    order = np.random.default_rng(seed).permutation(n)
-    n_test = int(round(n * test_fraction))
-    if not 0 < n_test < n:
-        raise ValueError(f"{path}: test_fraction {test_fraction} splits {n} rows into "
-                         f"{n - n_test} training and {n_test} test rows; both need at least one")
-    test_idx, train_idx = order[:n_test], order[n_test:]
+    if label is None:
+        order = np.random.default_rng(seed).permutation(n)
+        n_test = int(round(n * test_fraction))
+        if not 0 < n_test < n:
+            raise ValueError(f"{path}: test_fraction {test_fraction} splits {n} rows into "
+                             f"{n - n_test} training and {n_test} test rows; both need at least one")
+        test_idx, train_idx = order[:n_test], order[n_test:]
+    else:
+        labels = np.asarray(labels)
+        bad = np.flatnonzero((labels != "train") & (labels != "test"))
+        if bad.size:
+            raise ValueError(f"{path}: row {numbers[bad[0]]}, column 'split': "
+                             f"label {labels[bad[0]]!r} is neither train nor test")
+        test_idx, train_idx = np.flatnonzero(labels == "test"), np.flatnonzero(labels == "train")
+        if not (test_idx.size and train_idx.size):
+            raise ValueError(f"{path}: the split column gives {train_idx.size} training and "
+                             f"{test_idx.size} test rows; both need at least one")
     meta = {"source": "csv", "path": str(path), "target": target_column, "seed": seed}
     return Dataset(
         X=X_all[train_idx], y=y_all[train_idx],
@@ -160,30 +180,35 @@ def _header(path, reader) -> list[str]:
         raise ValueError(f"{path}: empty file, a header row is required") from None
 
 
-def _numeric_rows(path, reader, header) -> tuple[list[int], np.ndarray]:
-    """The file row numbers and values of every non-empty data row.
+def _numeric_rows(path, reader, header, label=None) -> tuple[list[int], np.ndarray, list[str]]:
+    """The file row numbers, values and labels of every non-empty data row.
 
-    A row whose cell count differs from the header's, or a cell that is not
-    a number, raises ValueError naming the row (and the column); so does a
+    Column `label` (an index, or None for no such column) holds text, which
+    comes back stripped in the third list; every other cell is a number. A
+    row whose cell count differs from the header's, or a cell that is not a
+    number, raises ValueError naming the row (and the column); so does a
     file with no data rows.
     """
-    numbers, rows = [], []
+    numeric = [i for i in range(len(header)) if i != label]
+    numbers, rows, labels = [], [], []
     for row_number, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise ValueError(f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}")
         try:
-            rows.append([float(cell) for cell in row])
+            rows.append([float(row[i]) for i in numeric])
         except ValueError:
-            bad = next(i for i, cell in enumerate(row) if not _is_float(cell))
+            bad = next(i for i in numeric if not _is_float(row[i]))
             raise ValueError(
                 f"{path}: row {row_number}, column {header[bad]!r}: non-numeric cell {row[bad]!r}"
             ) from None
+        if label is not None:
+            labels.append(row[label].strip())
         numbers.append(row_number)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return numbers, np.asarray(rows, dtype=float)
+    return numbers, np.asarray(rows, dtype=float), labels
 
 
 def load_masked_series_csv(path):
@@ -199,7 +224,7 @@ def load_masked_series_csv(path):
         header = [h.strip().lower() for h in _header(path, reader)]
         if header[:3] != ["time", "value", "mask"]:
             raise ValueError(f"{path}: expected header time,value,mask, got {header}")
-        numbers, data = _numeric_rows(path, reader, header)
+        numbers, data, _ = _numeric_rows(path, reader, header)
     times, values, mask = data[:, 0], data[:, 1], data[:, 2]
     bad = np.flatnonzero((mask != 0.0) & (mask != 1.0))
     if bad.size:
@@ -234,32 +259,3 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
             writer.writerow([format(v, ".17g") for v in row] + [format(target, ".17g"), "train"])
         for row, target in zip(dataset.X_star, dataset.y_star):
             writer.writerow([format(v, ".17g") for v in row] + [format(target, ".17g"), "test"])
-
-
-def read_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`write_dataset_csv`.
-
-    Raises:
-        ValueError: naming the row, on a split label other than train or test.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header[-2:] != ["y", "split"]:
-            raise ValueError(f"{path}: expected trailing columns y,split, got {header}")
-        dim = len(header) - 2
-        train, test = [], []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if row[-1] not in ("train", "test"):
-                raise ValueError(f"{path}: row {row_number}: split label {row[-1]!r} is neither train nor test")
-            values = [float(c) for c in row[: dim + 1]]
-            (train if row[-1] == "train" else test).append(values)
-    train = np.asarray(train)
-    test = np.asarray(test)
-    return Dataset(
-        X=train[:, :dim], y=train[:, dim],
-        X_star=test[:, :dim], y_star=test[:, dim],
-        meta={"source": "csv", "path": str(path)},
-    )

@@ -71,31 +71,21 @@ _STREAM_INDUCING = 7
 # Metrics.
 
 
-def _guarded_relative(exact_values: np.ndarray, approx_values: np.ndarray):
+def metric_relerr(exact_values, approx_values) -> float:
+    """Average relative error (1/n) sum |exact - approx| / |exact|.
+
+    Entries with |exact| below RELERR_GUARD times the largest magnitude are
+    excluded, and n counts the rest; nan when every entry is excluded.
+    """
     exact_values = np.asarray(exact_values, dtype=float).reshape(-1)
     approx_values = np.asarray(approx_values, dtype=float).reshape(-1)
     if exact_values.shape != approx_values.shape:
         raise ValueError("exact and approximate vectors differ in length")
     keep = np.abs(exact_values) >= RELERR_GUARD * np.max(np.abs(exact_values))
-    excluded = int(np.sum(~keep))
     if not np.any(keep):
-        return float("nan"), excluded
+        return float("nan")
     ratio = np.abs((exact_values[keep] - approx_values[keep]) / exact_values[keep])
-    return float(np.mean(ratio)), excluded
-
-
-def metric_relerr(exact_values, approx_values) -> float:
-    """Average relative error (1/n) sum |exact - approx| / |exact|.
-
-    Entries with |exact| below RELERR_GUARD times the largest magnitude are
-    excluded; use :func:`metric_relerr_detail` to see how many.
-    """
-    return _guarded_relative(exact_values, approx_values)[0]
-
-
-def metric_relerr_detail(exact_values, approx_values) -> tuple[float, int]:
-    """Relative error together with the number of excluded test points."""
-    return _guarded_relative(exact_values, approx_values)
+    return float(np.mean(ratio))
 
 
 def metric_ev_err(exact_ev: float, approx_ev: float) -> float:

@@ -8,14 +8,15 @@ a diagonal precision metric (units 1/length^2), so larger entries mean
 shorter correlation lengths.
 
 Gram matrices are assembled in row blocks: :func:`gram` allocates the output
-once, writes ``d^2`` into each block and converts it to kernel values in
-place. Up to 32 input axes ``d^2`` comes from one compiled
-``scipy.spatial.distance.cdist(..., "sqeuclidean", w=lam)`` call per block,
-which releases the GIL, so threads assemble Grams concurrently. Each term is
-``(lam_i * diff_i) * diff_i`` from the explicit coordinate difference, and
-the terms are summed in axis order. No N x M x D temporary is built; scratch
-is bounded by a fixed number of entries per block (see :func:`gram` for the
-ceilings).
+once, writes ``d^2`` into each block with one compiled
+``scipy.spatial.distance.cdist(..., "sqeuclidean", w=lam)`` call and converts
+it to kernel values in place. Each term is ``(lam_i * diff_i) * diff_i``
+from the explicit coordinate difference, and the terms are summed in axis
+order, so ``d^2`` is never negative and its relative error is at most about
+``(D + 2) u``, u the unit roundoff (three roundings per term and ``D - 1``
+in the recursive sum of nonnegative terms). No N x M x D temporary is
+built; scratch is bounded by a fixed number of entries per block (see
+:func:`gram` for the ceilings).
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from scipy.spatial.distance import cdist
 SQUARED_EXPONENTIAL = "se"
 MATERN52 = "matern52"
 _FAMILIES = (SQUARED_EXPONENTIAL, MATERN52)
-
-# Above this input dimension, squared distances are accumulated with Kahan
-# compensation so results do not depend on summation order.
-_COMPENSATED_DIM = 32
 
 # Gram matrices are filled in row blocks of at most this many entries (one
 # row when a row is longer), which bounds every temporary.
@@ -86,31 +83,6 @@ def _as_points(X, dim: int) -> np.ndarray:
     return X
 
 
-def _sqdist_into(lam: np.ndarray, X: np.ndarray, Z: np.ndarray, out: np.ndarray) -> None:
-    """Write Kahan-compensated weighted squared distances between the rows of X and Z into `out`.
-
-    :func:`gram` takes this path above _COMPENSATED_DIM axes. Terms
-    ``(diff_d * diff_d) * lam_d`` come from explicit coordinate differences
-    (never the expanded ``|x|^2 + |z|^2 - 2 x.z`` form) and are added in axis
-    order with a compensation term, so entries are exact mirror images when
-    the two point sets coincide and can never go negative. Scratch is three
-    arrays of out's size.
-    """
-    term = np.empty_like(out)
-    carry = np.zeros_like(out)
-    total = np.empty_like(out)
-    out.fill(0.0)
-    for d, lam_d in enumerate(lam):
-        np.subtract.outer(X[:, d], Z[:, d], out=term)
-        term *= term
-        term *= lam_d
-        term -= carry  # y = w - carry
-        np.add(out, term, out=total)  # t = total + y
-        np.subtract(total, out, out=carry)
-        carry -= term  # carry = (t - total) - y
-        out[...] = total
-
-
 def _kernel_from_sqdist(kernel: Kernel, d2: np.ndarray) -> None:
     """Overwrite squared distances with kernel values.
 
@@ -135,18 +107,15 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Gram matrix K[i, j] = k(X_i, Z_j); Z defaults to X.
 
     When the two input sets coincide the output is bit-exactly symmetric
-    with diagonal exactly theta_f (zero distance evaluates exactly).
-
-    Up to _COMPENSATED_DIM axes each row block's squared distances come
-    from one GIL-releasing cdist call (see the module docstring); above it
-    from the compensated sum of :func:`_sqdist_into`.
+    with diagonal exactly theta_f (zero distance evaluates exactly). Each
+    row block's squared distances come from one cdist call (see the module
+    docstring), so the result does not depend on the block size or on the
+    memory layout of X and Z.
 
     Memory ceiling, with a block of max(_BLOCK_ENTRIES, M) floats: the
-    N x M output alone for SE with at most _COMPENSATED_DIM axes; the output
-    plus three scratch blocks for Matern (its conversion from d^2) and for
-    the compensated sum (which also fills numpy's fixed ufunc buffer, about
-    128 KiB, from its strided input columns). No N x M x D or second N x M
-    array is ever built.
+    N x M output alone for SE at every input dimension; the output plus
+    three scratch blocks for Matern (its conversion from d^2). No N x M x D
+    or second N x M array is ever built.
     """
     X = _as_points(X, kernel.dim)
     Z = X if Z is None else _as_points(Z, kernel.dim)
@@ -154,9 +123,6 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     rows = max(1, _BLOCK_ENTRIES // max(1, Z.shape[0]))
     for start in range(0, X.shape[0], rows):
         block = out[start : start + rows]
-        if kernel.dim > _COMPENSATED_DIM:
-            _sqdist_into(kernel.lam, X[start : start + rows], Z, block)
-        else:
-            cdist(X[start : start + rows], Z, "sqeuclidean", w=kernel.lam, out=block)
+        cdist(X[start : start + rows], Z, "sqeuclidean", w=kernel.lam, out=block)
         _kernel_from_sqdist(kernel, block)
     return out

@@ -95,10 +95,6 @@ class KmcgModel:
     grid: Optional[GridSpec]  # X_M's grid when the kernel is SE and X_M a Cartesian grid, else None
 
     @property
-    def inducing_count(self) -> int:
-        return self.X_M.shape[0]
-
-    @property
     def posterior(self) -> KernelPosterior:
         """The posterior over the kernel given this fit's directions, from its own factor1."""
         return KernelPosterior(self.kernel, self.X_M, self.S, self.factor1, self.grid, self.prior_scale)

@@ -5,6 +5,9 @@ arbitrary-precision arithmetic (N <= 60, M <= 8): every kernel value, sum,
 factor, inverse and determinant is computed at 40 digits from the float64
 inputs, so the only float64 rounding a comparison sees is the library's own.
 
+:func:`gram_reference` evaluates the weighted squared distances and kernel
+values behind :func:`kernelcg.kernels.gram`.
+
 :func:`exact_reference` evaluates the exact GP through the Cholesky factor
 K + sigma2 I = L L^T at 40 digits, with w = L^{-1} y and V = L^{-1} k(X, X*):
 
@@ -52,9 +55,12 @@ from kernelcg.kernels import SQUARED_EXPONENTIAL
 DIGITS = 40
 
 
-def _kernel(kernel, x, z):
-    d2 = mpmath.fsum(mpmath.mpf(lam) * (mpmath.mpf(a) - mpmath.mpf(b)) ** 2
-                     for lam, a, b in zip(kernel.lam, x, z))
+def _sqdist(kernel, x, z):
+    return mpmath.fsum(mpmath.mpf(lam) * (mpmath.mpf(a) - mpmath.mpf(b)) ** 2
+                       for lam, a, b in zip(kernel.lam, x, z))
+
+
+def _from_sqdist(kernel, d2):
     if kernel.family == SQUARED_EXPONENTIAL:
         return kernel.theta_f * mpmath.exp(-d2 / 2)
     r = mpmath.sqrt(5 * d2)
@@ -62,7 +68,19 @@ def _kernel(kernel, x, z):
 
 
 def _gram(kernel, A, B):
-    return mpmath.matrix([[_kernel(kernel, a, b) for b in B] for a in A])
+    return mpmath.matrix([[_from_sqdist(kernel, _sqdist(kernel, a, b)) for b in B] for a in A])
+
+
+def gram_reference(kernel, A, B) -> tuple:
+    """(d^2, k) for every pair of rows of A and B, as two float64 arrays.
+
+    Evaluated at DIGITS significant digits from the float64 inputs, so the
+    arrays are the exact values rounded once.
+    """
+    with mpmath.workdps(DIGITS):
+        d2 = [[_sqdist(kernel, a, b) for b in B] for a in A]
+        k = [[_from_sqdist(kernel, entry) for entry in row] for row in d2]
+        return np.array(d2, dtype=float), np.array(k, dtype=float)
 
 
 def _quad_diag(U, inverse):

@@ -1,15 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
-from kernelcg import cli
-from kernelcg.datasets import read_dataset_csv
+from kernelcg import cli, harness
+from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, load_csv, toy_kernel
 from kernelcg.harness import read_records_csv
 
 
 def test_gen_toy_writes_dataset(tmp_path, capsys):
     out = tmp_path / "toy.csv"
     assert cli.main(["gen-toy", "--seed", "3", "--out", str(out)]) == 0
-    data = read_dataset_csv(out)
+    data = load_csv(out, "y")
     assert data.n_train == 100 and data.n_test == 100
     assert "100 train / 100 test" in capsys.readouterr().out
 
@@ -17,7 +19,7 @@ def test_gen_toy_writes_dataset(tmp_path, capsys):
 def test_gen_grid_writes_dataset(tmp_path):
     out = tmp_path / "grid.csv"
     assert cli.main(["gen-grid", "--g", "5", "--d", "2", "--seed", "1", "--out", str(out)]) == 0
-    data = read_dataset_csv(out)
+    data = load_csv(out, "y")
     assert data.n_train == 25 and data.dim == 2
 
 
@@ -56,6 +58,55 @@ path = {records_path}
     assert cli.main(["metrics", "--records", str(records_path)]) == 0
     printed = capsys.readouterr().out
     assert "kmcg" in printed and "eps_f" in printed
+
+
+def _rows_without_seconds(path):
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    seconds = rows[0].index("seconds")
+    return [row[:seconds] + row[seconds + 1:] for row in rows]
+
+
+def test_run_on_a_gen_toy_file_matches_the_toy_dataset(tmp_path):
+    # gen-toy writes .17g values and train/test labels, so run on its file
+    # sees the very dataset gen_toy returns, split for split.
+    data_path = tmp_path / "toy.csv"
+    assert cli.main(["gen-toy", "--seed", "2", "--out", str(data_path)]) == 0
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(
+        f"""
+[dataset]
+source = csv
+path = {data_path}
+target = y
+
+[kernel]
+family = se
+metric = 0.25
+theta_f = 2.0
+sigma2 = {TOY_DEFAULT_SIGMA2!r}
+
+[methods]
+list = exact, kmcg, cg-reorth, sor
+
+[schedule]
+steps = 1:3
+repetitions = 2
+seed = 9
+
+[output]
+path = {records_path}
+"""
+    )
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    config = harness.ExperimentConfig(
+        kernel=toy_kernel(), sigma2=TOY_DEFAULT_SIGMA2, methods=("exact", "kmcg", "cg-reorth", "sor"),
+        steps=(1, 2, 3), repetitions=2, master_seed=9,
+    )
+    reference_path = tmp_path / "reference.csv"
+    harness.emit_csv(harness.run_experiment(config, gen_toy(seed=2)), reference_path)
+    assert _rows_without_seconds(records_path) == _rows_without_seconds(reference_path)
 
 
 def test_run_on_masked_series(tmp_path):

@@ -8,7 +8,6 @@ from kernelcg.datasets import (
     load_csv,
     load_masked_series_csv,
     masked_series_dataset,
-    read_dataset_csv,
     write_dataset_csv,
 )
 
@@ -100,7 +99,7 @@ def test_dataset_csv_round_trip(tmp_path):
     data = gen_toy(seed=3, n_train=20, n_test=10)
     path = tmp_path / "toy.csv"
     write_dataset_csv(data, path)
-    back = read_dataset_csv(path)
+    back = load_csv(path, "y", test_fraction=0.9, seed=5)  # the split column wins over both
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.y, data.y)
     assert np.array_equal(back.X_star, data.X_star)
@@ -110,8 +109,15 @@ def test_dataset_csv_round_trip(tmp_path):
 def test_dataset_csv_rejects_unknown_split_label(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("x0,y,split\n0.0,1.0,train\n1.0,2.0,tset\n")
-    with pytest.raises(ValueError, match=r"row 3.*'tset'"):
-        read_dataset_csv(path)
+    with pytest.raises(ValueError, match=r"row 3, column 'split'.*'tset'"):
+        load_csv(path, "y")
+
+
+def test_dataset_csv_rejects_a_split_column_with_an_empty_side(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x0,y,split\n0.0,1.0,train\n1.0,2.0,train\n")
+    with pytest.raises(ValueError, match="2 training and 0 test"):
+        load_csv(path, "y")
 
 
 def test_masked_series_loader(tmp_path):

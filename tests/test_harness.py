@@ -13,7 +13,6 @@ from kernelcg.harness import (
     emit_csv,
     metric_ev_err,
     metric_relerr,
-    metric_relerr_detail,
     metric_smse,
     read_records_csv,
     run_experiment,
@@ -57,9 +56,9 @@ def test_relerr_basic_shapes():
 def test_relerr_guard_excludes_tiny_denominators():
     exact_values = np.array([1.0, 1e-30, 2.0])
     approx = np.array([1.0, 5.0, 2.0])
-    value, excluded = metric_relerr_detail(exact_values, approx)
-    assert value == 0.0
-    assert excluded == 1
+    assert metric_relerr(exact_values, approx) == 0.0
+    # The mean runs over the two kept entries only.
+    assert metric_relerr(exact_values, [1.1, 5.0, 2.0]) == pytest.approx(0.05)
 
 
 def test_var_and_ev_metrics():

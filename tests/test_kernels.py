@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from kernelcg import kernels
 from kernelcg.kernels import Kernel, gram, matern52_kernel, se_kernel
+from mpref import gram_reference
 
 
 def test_zero_distance_gives_amplitude():
@@ -91,15 +92,34 @@ def test_se_entries_in_unit_interval():
     assert np.all(K > 0.0) and np.all(K <= 2.5 + 1e-15)
 
 
-def test_high_dimension_compensated_sum_matches():
+def test_high_dimension_gram_matches_naive_sum():
     rng = np.random.default_rng(4)
-    d = 40  # beyond the compensated-summation threshold
+    d = 40
     X = rng.standard_normal((6, d))
     Z = rng.standard_normal((4, d))
     kernel = se_kernel(np.full(d, 0.3), 1.0)
     K = gram(kernel, X, Z)
     naive = np.array([[np.exp(-0.5 * np.sum(0.3 * (x - z) ** 2)) for z in Z] for x in X])
     assert np.allclose(K, naive, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [33, 64, 256])
+def test_gram_within_summation_error_bound_of_a_40_digit_reference(dim):
+    # cdist sums d^2 = sum_i lam_i diff_i^2 recursively in axis order. Each
+    # rounded term (the difference and two products) is off by about 3u and
+    # the sum of D nonnegative terms adds at most (D - 1)u, so d^2 is within
+    # about (D + 2)u relative; exp(-d^2 / 2) turns that into d^2 / 2 times as
+    # much, and the kernel's own few roundings fit in the remaining margin.
+    rng = np.random.default_rng(dim)
+    scale = np.geomspace(0.05, 2.0, 6)[:, None]  # d^2 from about 0.02 to 20
+    X = scale * rng.standard_normal((6, dim))
+    Z = scale[:5] * rng.standard_normal((5, dim))
+    lam = rng.uniform(0.5, 1.5, dim) * (4.0 / dim)
+    u = np.finfo(float).eps / 2
+    for kernel in (se_kernel(lam, 1.3), matern52_kernel(lam, 1.3)):
+        d2, reference = gram_reference(kernel, X, Z)
+        bound = (dim + 3) * u * (1.0 + d2 / 2.0) * reference
+        assert np.all(np.abs(gram(kernel, X, Z) - reference) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +168,8 @@ def test_gram_equals_broadcast_reference_up_to_seven_dims(problem):
 @_PROPERTY
 @given(_problems())
 def test_gram_close_to_broadcast_reference_up_to_forty_dims(problem):
-    # From eight axes on the reference sums in another order (and above 32
-    # gram compensates), so only the last bits may differ.
+    # From eight axes on the reference sums in another order, so only the
+    # last bits may differ.
     kernel, X, Z = problem
     K = gram(kernel, X, Z)
     assert K.shape == (X.shape[0], Z.shape[0])
@@ -195,7 +215,7 @@ def test_gram_block_boundaries_at_the_real_block_size(n, m):
 @pytest.mark.parametrize("kernel, scratch_blocks", [
     (se_kernel(np.full(4, 0.5), 1.2), 0),  # cdist writes straight into the output
     (matern52_kernel(np.full(4, 0.5), 1.2), 4),
-    (se_kernel(np.full(40, 0.05), 1.2), 4),  # the compensated sum
+    (se_kernel(np.full(40, 0.05), 1.2), 0),  # cdist at every input dimension
 ], ids=["se", "matern52", "se-40d"])
 def test_gram_memory_within_stated_ceiling(kernel, scratch_blocks):
     rng = np.random.default_rng(6)
@@ -214,7 +234,7 @@ def test_gram_memory_within_stated_ceiling(kernel, scratch_blocks):
 @pytest.mark.parametrize("kernel", [
     se_kernel([1.0, 2.0, 0.5], 1.3),
     matern52_kernel([1.0, 2.0, 0.5], 1.3),
-    se_kernel(np.linspace(0.05, 2.0, 40), 1.3),  # the compensated sum
+    se_kernel(np.linspace(0.05, 2.0, 40), 1.3),
 ], ids=["se", "matern52", "se-40d"])
 def test_gram_independent_of_input_layout(kernel):
     rng = np.random.default_rng(7)
