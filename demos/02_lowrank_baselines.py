@@ -25,6 +25,7 @@ want = exact.predict_mean(oracle, X_star)
 want_ev = exact.log_evidence(oracle)
 
 eig = lowrank.se_eigen_expansion(kernel, X.mean(axis=0), X.std(axis=0), 80)
+pbr = lowrank.PbrFits(eig, X, y, sigma2, X_star)  # every rank from one feature pass
 
 print(f"{'M':>4} {'sor eps_f':>12} {'fitc eps_f':>12} {'vfe eps_f':>12} {'pbr eps_f':>12} {'vfe ev gap':>12}")
 for m in (5, 10, 20, 40, 80):
@@ -41,18 +42,17 @@ for m in (5, 10, 20, 40, 80):
     vfe_mean, _, vfe_ev = fits.predict("vfe")
     eps_vfe = metric_relerr(want, vfe_mean)
 
-    pbr_mean = lowrank.pbr_predict(lowrank.truncate_expansion(eig, m), X, y, sigma2, X_star)
-    eps_pbr = metric_relerr(want, pbr_mean)
+    eps_pbr = metric_relerr(want, pbr.predict(m))
 
     # The VFE evidence is a lower bound and its gap closes with M; at
     # M = N the printed gap is only the rounding floor of the (badly
     # conditioned) dense factorizations, so it may dip slightly negative.
     print(f"{m:>4} {eps_sor:>12.2e} {eps_fitc:>12.2e} {eps_vfe:>12.2e} {eps_pbr:>12.2e} {want_ev - vfe_ev:>12.2e}")
 
-# The DTC variance restores the exact prior far from the data.
+# The DTC variance restores the exact prior far from the data; SoR's
+# plain variance collapses there.
 X_U = X[lowrank.choose_inducing(80, 10, seed=1)]
-model = lowrank.lowrank_fit(lowrank.sor_expansion(kernel, X_U), X, y, sigma2)
-far = np.full((1, 2), 100.0)
-plain = lowrank.lowrank_var(model, far, mode="plain")[0, 0]
-dtc = lowrank.lowrank_var(model, far, mode="dtc")[0, 0]
+fits = lowrank.InducingFits(kernel, X, y, sigma2, X_U, np.full((1, 2), 100.0))
+plain = fits.predict("sor")[1][0]
+dtc = fits.predict("dtc")[1][0]
 print(f"\nfar-field variance, plain: {plain:.2e} (collapses), dtc: {dtc:.4f} (prior {kernel.theta_f})")

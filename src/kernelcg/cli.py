@@ -88,7 +88,7 @@ def _build_dataset(cfg: configparser.ConfigParser):
         )
     if source == "series-csv":
         times, values, mask = datasets.load_masked_series_csv(section.get("path"))
-        return datasets.masked_series_dataset(times, values, mask, seed=seed)
+        return datasets.masked_series_dataset(times, values, mask)
     if source == "grid":
         g = section.getint("g", 10)
         d = section.getint("d", 2)
@@ -154,11 +154,11 @@ def _cmd_run(args) -> int:
         repetitions=cfg.getint("schedule", "repetitions", fallback=10),
         master_seed=cfg.getint("schedule", "seed", fallback=0),
         inducing_cap=cfg.getint("schedule", "inducing_cap", fallback=500),
-        output_path=cfg.get("output", "path", fallback="records.csv"),
     )
+    output_path = cfg.get("output", "path", fallback="records.csv")
     records = harness.run_experiment(config, data)
-    harness.emit_csv(records, config.output_path)
-    print(f"wrote {len(records)} records to {config.output_path}")
+    harness.emit_csv(records, output_path)
+    print(f"wrote {len(records)} records to {output_path}")
     return 0
 
 

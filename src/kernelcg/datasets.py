@@ -9,7 +9,7 @@ Generators are deterministic in their seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ TOY_DEFAULT_SIGMA2 = 1e-2
 
 @dataclass(frozen=True)
 class Dataset:
-    """Train/test split with provenance metadata.
+    """Train/test split.
 
     Train and test sets are disjoint by construction in every generator and
     loader; entries are checked finite.
@@ -35,8 +35,6 @@ class Dataset:
     y: np.ndarray
     X_star: np.ndarray
     y_star: np.ndarray
-    meta: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -100,15 +98,7 @@ def gen_toy(seed=0, n_train: int = 100, n_test: int = 100) -> Dataset:
     joint = np.vstack([X, X_star])
     factor = linalg.cholesky(gram(kernel, joint))
     targets = factor.L @ rng.standard_normal(joint.shape[0])
-    meta = {"source": "toy", "family": kernel.family, "theta_f": kernel.theta_f, "seed": seed}
-    return Dataset(
-        X=X,
-        y=targets[:n_train],
-        X_star=X_star,
-        y_star=targets[n_train:],
-        meta=meta,
-        seed=seed,
-    )
+    return Dataset(X=X, y=targets[:n_train], X_star=X_star, y_star=targets[n_train:])
 
 
 def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Dataset:
@@ -157,12 +147,7 @@ def load_csv(path, target_column: str, test_fraction: float = 0.5, seed=0) -> Da
         if not (test_idx.size and train_idx.size):
             raise ValueError(f"{path}: the split column gives {train_idx.size} training and "
                              f"{test_idx.size} test rows; both need at least one")
-    meta = {"source": "csv", "path": str(path), "target": target_column, "seed": seed}
-    return Dataset(
-        X=X_all[train_idx], y=y_all[train_idx],
-        X_star=X_all[test_idx], y_star=y_all[test_idx],
-        meta=meta, seed=seed,
-    )
+    return Dataset(X=X_all[train_idx], y=y_all[train_idx], X_star=X_all[test_idx], y_star=y_all[test_idx])
 
 
 def _is_float(cell: str) -> bool:
@@ -237,17 +222,12 @@ def load_masked_series_csv(path):
     return times, values, mask
 
 
-def masked_series_dataset(times, values, mask, seed=0) -> Dataset:
+def masked_series_dataset(times, values, mask) -> Dataset:
     """Dataset view of a masked series: observed rows train, the rest test."""
     times = np.asarray(times, dtype=float).reshape(-1, 1)
     values = np.asarray(values, dtype=float).reshape(-1)
     mask = np.asarray(mask, dtype=bool).reshape(-1)
-    meta = {"source": "masked-series", "grid_size": mask.size, "seed": seed}
-    return Dataset(
-        X=times[mask], y=values[mask],
-        X_star=times[~mask], y_star=values[~mask],
-        meta=meta, seed=seed,
-    )
+    return Dataset(X=times[mask], y=values[mask], X_star=times[~mask], y_star=values[~mask])
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

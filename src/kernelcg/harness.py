@@ -130,7 +130,6 @@ class ExperimentConfig:
     repetitions: int = 10
     master_seed: int = 0
     inducing_cap: int = 500
-    output_path: Optional[str] = None
 
     def __post_init__(self):
         if not (self.sigma2 > 0.0):
@@ -308,9 +307,9 @@ def _run_pbr(config, data, oracle, expansion) -> list[ExperimentRecord]:
     """pbr at every step from one evaluation of the features of X and X*.
 
     The largest budget runs first, so its record carries the feature pass
-    (see lowrank._PbrFits).
+    (see lowrank.PbrFits).
     """
-    fits = lowrank._PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
+    fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
     records = []
     for step in sorted(config.steps, reverse=True):
         m = budget_for(config, data.n_train, step)

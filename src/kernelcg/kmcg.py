@@ -80,7 +80,6 @@ class KmcgModel:
     X: np.ndarray
     y: np.ndarray
     sigma2: float
-    indices: np.ndarray  # positions of the inducing subset within X
     X_M: np.ndarray
     S: np.ndarray  # M x P search directions (after truncation)
     Z: np.ndarray  # M x P products K_M S, reused from the CG trace
@@ -288,7 +287,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
             factor1 = factor2 = None
             mean_weights = np.zeros(M)
         models.append(KmcgModel(
-            kernel=kernel, X=X, y=y, sigma2=sigma2, indices=idx, X_M=X_M,
+            kernel=kernel, X=X, y=y, sigma2=sigma2, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
             mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
             reason=stop_reason_within(trace, p), prior_scale=prior_scale, grid=grid,

@@ -7,27 +7,24 @@ matrix-inversion and matrix-determinant lemmas reduce it from O(N^3) to
 O(N M^2) with A = Phi Lam^{-1} Phi^T + Sigma:
 
     mean(x*)   = phi(x*)^T A^{-1} Phi Lam^{-1} y
-    cov(x*,z*) = phi(x*)^T A^{-1} phi(z*)
+    var(x*)    = phi(x*)^T A^{-1} phi(x*)
     evidence   = -1/2 (y^T Lam^{-1} y - y^T Lam^{-1} Phi^T A^{-1} Phi Lam^{-1} y)
                  - 1/2 (sum log Lam + ln|A| - ln|Sigma|) - N/2 ln(2 pi)
 
 :func:`lowrank_fit` is this one algebra for every finite-rank and
-inducing-point model here, and the only place one is factored. SoR, DTC,
-VFE and FITC all fit N(y; 0, Q + Lam) with the Nystrom kernel
-Q = K_NU K_UU^{-1} K_UN of :func:`sor_expansion` (Quinonero-Candela &
-Rasmussen, 2005): DTC is SoR with dtc variances, VFE subtracts
-tr(K - Q) / 2 sigma2 from its evidence, and FITC has
-Lam = theta_f - diag Q + sigma2. The projected Bayes regressor fits an
-eigenexpansion.
+inducing-point model here, and the only place one is factored. Its
+variance, :func:`lowrank_var_diag`, is the model's own, which decays to
+zero far from the data. SoR, DTC, VFE and FITC all fit N(y; 0, Q + Lam)
+with the Nystrom kernel Q = K_NU K_UU^{-1} K_UN of :func:`sor_expansion`
+(Quinonero-Candela & Rasmussen, 2005): DTC is SoR with the exact prior
+restored in its variance,
 
-The covariance comes in two flavours: "plain" (which decays to zero far
-from the data) and "dtc", which restores the exact kernel for the prior
-term:
+    var_dtc(x*) = theta_f - phi(x*)^T K_UU^{-1} phi(x*) + var(x*),
 
-    cov_dtc(x*,z*) = k(x*,z*) - phi(x*)^T Sigma^{-1} phi(z*) + cov_plain(x*,z*)
-
-:func:`lowrank_var` returns the covariance, :func:`lowrank_var_diag` only its
-diagonal (the pointwise variance) without forming it.
+VFE subtracts tr(K - Q) / 2 sigma2 from its evidence, and FITC has
+Lam = theta_f - diag Q + sigma2. :class:`InducingFits` is their one
+entry. The projected Bayes regressor fits an eigenexpansion, and
+:class:`PbrFits` is its one entry.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,15 +58,11 @@ def choose_inducing(n_total: int, m: int, seed) -> np.ndarray:
 class FeatureExpansion:
     """Feature map phi (points -> n x M array) with inner matrix Sigma.
 
-    ``prior_kernel`` is the exact kernel the expansion approximates; it is
-    required for the dtc covariance mode and set automatically by
-    :func:`sor_expansion`. ``sigma_factor`` is chol(Sigma), factored when
-    the expansion is built.
+    ``sigma_factor`` is chol(Sigma), factored when the expansion is built.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     Sigma: np.ndarray
-    prior_kernel: Optional[Kernel] = None
     sigma_factor: linalg.CholeskyFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,14 +82,12 @@ def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
     return FeatureExpansion(
         phi=lambda Xq: gram(kernel, _as_points(Xq, kernel.dim), X_U),
         Sigma=gram(kernel, X_U),
-        prior_kernel=kernel,
     )
 
 
 @dataclass(frozen=True)
 class LowRankModel:
     expansion: FeatureExpansion
-    Phi: np.ndarray  # M x N design matrix
     y: np.ndarray
     sigma2: np.ndarray  # Lam: the noise variance of each training point
     factor: linalg.CholeskyFactor  # chol(A), A = Phi Lam^{-1} Phi^T + Sigma
@@ -125,74 +116,25 @@ def _fit_design(expansion: FeatureExpansion, Phi: np.ndarray, y, sigma2) -> LowR
     factor = linalg.cholesky(0.5 * (A + A.T))
     rhs = scaled @ y
     weights = linalg.chol_solve(factor, rhs)
-    return LowRankModel(expansion=expansion, Phi=Phi, y=y, sigma2=lam, factor=factor, rhs=rhs, weights=weights)
+    return LowRankModel(expansion=expansion, y=y, sigma2=lam, factor=factor, rhs=rhs, weights=weights)
 
 
 def lowrank_mean(model: LowRankModel, X_star) -> np.ndarray:
     return np.asarray(model.expansion.phi(X_star), dtype=float) @ model.weights
 
 
-def lowrank_var(
-    model: LowRankModel,
-    X_star,
-    X_star2=None,
-    mode: str = "plain",
-) -> np.ndarray:
-    """Predictive covariance in plain or dtc mode.
-
-    plain: phi* A^{-1} phi**
-    dtc:   k(x*,x**) - phi* Sigma^{-1} phi** + plain
-    """
-    if mode not in ("plain", "dtc"):
-        raise ValueError(f"unknown variance mode {mode!r}")
-    P_star = np.asarray(model.expansion.phi(X_star), dtype=float)
-    P_star2 = P_star if X_star2 is None else np.asarray(model.expansion.phi(X_star2), dtype=float)
-    plain = P_star @ linalg.chol_solve(model.factor, P_star2.T)
-    if mode == "plain":
-        return plain
-    kernel = model.expansion.prior_kernel
-    if kernel is None:
-        raise ValueError("dtc mode requires an expansion with a prior_kernel")
-    X_star2 = X_star if X_star2 is None else X_star2
-    K_ss = gram(kernel, _as_points(X_star, kernel.dim), _as_points(X_star2, kernel.dim))
-    approx_prior = P_star @ linalg.chol_solve(model.expansion.sigma_factor, P_star2.T)
-    return K_ss - approx_prior + plain
-
-
-def lowrank_var_diag(model: LowRankModel, X_star, mode: str = "plain") -> np.ndarray:
-    """Pointwise predictive variance, the diagonal of :func:`lowrank_var`.
-
-    plain: phi* A^{-1} phi*
-    dtc:   theta_f - phi* Sigma^{-1} phi* + plain, with theta_f = k(x*, x*)
-           of the prior kernel (every stationary kernel here)
+def lowrank_var_diag(model: LowRankModel, X_star) -> np.ndarray:
+    """Pointwise predictive variance phi* A^{-1} phi*.
 
     Costs O(n* M^2) flops and O(n* M) memory: the n* x M features and two
     arrays of their size; no n* x n* array.
     """
-    if mode not in ("plain", "dtc"):
-        raise ValueError(f"unknown variance mode {mode!r}")
-    phi_star = np.asarray(model.expansion.phi(X_star), dtype=float)
-    plain = _plain_var(model, phi_star)
-    if mode == "plain":
-        return plain
-    return _prior_defect(model.expansion, phi_star) + plain
+    return _plain_var(model, np.asarray(model.expansion.phi(X_star), dtype=float))
 
 
 def _plain_var(model: LowRankModel, phi_star: np.ndarray) -> np.ndarray:
     """phi* A^{-1} phi* for each row of the evaluated features phi(X*)."""
     return linalg.chol_quad_diag(model.factor, phi_star.T)
-
-
-def _prior_defect(expansion: FeatureExpansion, phi_star: np.ndarray) -> np.ndarray:
-    """theta_f - phi* Sigma^{-1} phi* for each row of the evaluated features phi(X*).
-
-    The dtc variance is this plus the plain one. It does not depend on the
-    fit, so every fit on one expansion can share it.
-    """
-    kernel = expansion.prior_kernel
-    if kernel is None:
-        raise ValueError("dtc mode requires an expansion with a prior_kernel")
-    return kernel.theta_f - linalg.chol_quad_diag(expansion.sigma_factor, phi_star.T)
 
 
 def lowrank_evidence(model: LowRankModel) -> float:
@@ -253,34 +195,14 @@ def eigen_expansion(
     return EigenExpansion(phi=phi, eigenvalues=lam, sample_base=sample_base)
 
 
-def truncate_expansion(expansion: EigenExpansion, count: int) -> EigenExpansion:
-    """Keep the leading `count` eigenpairs (no re-validation needed)."""
-    if not (1 <= count <= expansion.eigenvalues.size):
-        raise ValueError(f"count must be in [1, {expansion.eigenvalues.size}]")
-    phi_full = expansion.phi
-    return EigenExpansion(
-        phi=lambda X: np.asarray(phi_full(X), dtype=float)[:, :count],
-        eigenvalues=expansion.eigenvalues[:count],
-        sample_base=expansion.sample_base,
-    )
-
-
-def pbr_predict(expansion: EigenExpansion, X, y, sigma2: float, X_star) -> np.ndarray:
-    """Projected Bayes regressor prediction phi* (Phi Phi^T + sigma2 Lam^{-1})^{-1} Phi y.
-
-    This is the low-rank machinery with the induced kernel
-    phi(x)^T Lam phi(z), i.e. Sigma = Lam^{-1}.
-    """
-    return _PbrFits(expansion, X, y, sigma2, X_star).predict(expansion.eigenvalues.size)
-
-
-class _PbrFits:
+class PbrFits:
     """Projected Bayes regressors of every rank on one eigenexpansion.
 
-    phi(X) and phi(X*) are evaluated once, at full rank, by the first
-    :meth:`predict` (again if it raised). The features of
-    truncate_expansion(expansion, count) are their leading `count` columns,
-    so each rank fits on a slice of them.
+    The rank-`count` regressor predicts phi* (Phi Phi^T + sigma2 Lam^{-1})^{-1} Phi y
+    with the leading `count` eigenpairs: the low-rank machinery with the
+    induced kernel phi(x)^T Lam phi(z), i.e. Sigma = Lam^{-1}. phi(X) and
+    phi(X*) are evaluated once, at full rank, by the first :meth:`predict`
+    (again if it raised), and each rank fits on their leading columns.
     """
 
     def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
@@ -292,10 +214,16 @@ class _PbrFits:
         return np.asarray(phi(self.X), dtype=float), np.asarray(phi(self.X_star), dtype=float)
 
     def predict(self, count: int) -> np.ndarray:
-        """The prediction of pbr_predict(truncate_expansion(expansion, count), ...)."""
-        truncated = truncate_expansion(self.expansion, count)
+        """The mean of the regressor on the leading `count` eigenpairs, 1 <= count <= rank."""
+        rank = self.expansion.eigenvalues.size
+        if not (1 <= count <= rank):
+            raise ValueError(f"count must be in [1, {rank}]")
         Phi, phi_star = self._features
-        feat = FeatureExpansion(phi=truncated.phi, Sigma=np.diag(1.0 / truncated.eigenvalues))
+        phi = self.expansion.phi
+        feat = FeatureExpansion(
+            phi=lambda Xq: np.asarray(phi(Xq), dtype=float)[:, :count],
+            Sigma=np.diag(1.0 / self.expansion.eigenvalues[:count]),
+        )
         model = _fit_design(feat, Phi[:, :count].T, self.y, self.sigma2)
         return phi_star[:, :count] @ model.weights
 
@@ -444,7 +372,7 @@ class InducingFits:
 
     @cached_property
     def _defect(self) -> np.ndarray:
-        return _prior_defect(self._basis[0], self._phi_star)
+        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[0].sigma_factor, self._phi_star.T)
 
     @cached_property
     def _fit(self):

@@ -13,6 +13,7 @@ products remain fast by scatter-multiply-gather).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -187,6 +188,12 @@ def _embedding_fft(first_row: np.ndarray):
     return np.fft.rfft(circ), length
 
 
+def _circulant_product(embedding, v: np.ndarray) -> np.ndarray:
+    """The Toeplitz product of v, given the (transform, length) of its circulant embedding."""
+    fft_c, length = embedding
+    return np.fft.irfft(fft_c * np.fft.rfft(v, n=length), n=length)[: v.size]
+
+
 def toeplitz_mvm(first_row, v) -> np.ndarray:
     """Multiply a symmetric Toeplitz matrix (given by its first row) by v.
 
@@ -200,9 +207,7 @@ def toeplitz_mvm(first_row, v) -> np.ndarray:
         raise ValueError(f"first row has length {first_row.size}, vector {v.size}")
     if not np.all(np.isfinite(first_row)):
         raise ValueError("first row must be finite")
-    fft_c, length = _embedding_fft(first_row)
-    out = np.fft.irfft(fft_c * np.fft.rfft(v, n=length), n=length)
-    return out[: v.size]
+    return _circulant_product(_embedding_fft(first_row), v)
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,8 @@ class MaskedToeplitzSpec:
 
     `first_row` describes the Gram over all T equispaced grid positions;
     `mask` holds the strictly increasing indices of the observed positions.
+    The transform of the circulant embedding is computed by the first
+    product and shared by every later one.
     """
 
     grid_size: int
@@ -232,6 +239,10 @@ class MaskedToeplitzSpec:
     @property
     def observed(self) -> int:
         return self.mask.size
+
+    @cached_property
+    def _embedding(self):
+        return _embedding_fft(self.first_row)
 
     def operator(self, noise: float = 0.0) -> MvmOperator:
         if noise:
@@ -259,7 +270,7 @@ def masked_mvm(spec: MaskedToeplitzSpec, v) -> np.ndarray:
         raise ValueError(f"vector length {v.size} does not match {spec.observed} observed positions")
     full = np.zeros(spec.grid_size)
     full[spec.mask] = v
-    return toeplitz_mvm(spec.first_row, full)[spec.mask]
+    return _circulant_product(spec._embedding, full)[spec.mask]
 
 
 def grid_dataset(
@@ -306,12 +317,4 @@ def grid_dataset(
     cov_star = gram(kernel, X_star) - explained
     y_star = mean_star + linalg.cholesky(0.5 * (cov_star + cov_star.T)).L @ rng.standard_normal(n_test)
 
-    meta = {
-        "source": "grid",
-        "g": G,
-        "d": D,
-        "family": kernel.family,
-        "theta_f": kernel.theta_f,
-        "seed": seed,
-    }
-    return Dataset(X=X, y=y, X_star=X_star, y_star=y_star, meta=meta, seed=seed)
+    return Dataset(X=X, y=y, X_star=X_star, y_star=y_star)

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ path = {records_path}
     records = read_records_csv(records_path)
     kmcg_rows = [r for r in records if r.method == "kmcg"]
     assert len(kmcg_rows) == 2 and all(np.isfinite(r.smse) for r in kmcg_rows)
+
+
+def test_shipped_series_config_runs(tmp_path, monkeypatch):
+    # demos/series_config_example.ini as shipped, with only its output path
+    # changed, on an 80-point series.csv with a quarter of the rows masked.
+    rng = np.random.default_rng(5)
+    values = np.sin(0.1 * np.arange(80)) + 0.03 * rng.standard_normal(80)
+    mask = (np.arange(80) % 4 != 1).astype(int)
+    rows = ["time,value,mask"] + [f"{float(i)},{values[i]:.17g},{mask[i]}" for i in range(80)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    shipped = (Path(__file__).parents[1] / "demos" / "series_config_example.ini").read_text()
+    assert shipped.count("path = series_records.csv") == 1
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "series_config.ini"
+    config_path.write_text(shipped.replace("path = series_records.csv", f"path = {records_path}"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    records = read_records_csv(records_path)
+    assert records and not [r.reason for r in records if r.reason.startswith("error:")]
 
 
 def test_steps_parser_forms():

@@ -131,7 +131,7 @@ def test_mean_matches_complete_degeneracy_lowrank():
     # Features phi(x) = k(X, x) with Sigma = K reproduce the exact predictor.
     kernel, X, y, sigma2 = _random_problem(12, 30)
     model = exact.fit(kernel, X, y, sigma2)
-    expansion = FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X), prior_kernel=kernel)
+    expansion = FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X))
     low = lowrank_fit(expansion, X, y, sigma2)
     rng = np.random.default_rng(13)
     X_star = rng.uniform(0, 2, (8, 2))

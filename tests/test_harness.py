@@ -41,7 +41,7 @@ def _small_dataset(seed=0, n=40):
     X_star = rng.uniform(0, 2, (15, 2))
     y = rng.standard_normal(n)
     y_star = rng.standard_normal(15)
-    return Dataset(X=X, y=y, X_star=X_star, y_star=y_star, seed=seed)
+    return Dataset(X=X, y=y, X_star=X_star, y_star=y_star)
 
 
 # --- metrics -----------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_run_experiment_forms_no_test_by_test_array():
     rng = np.random.default_rng(12)
     n_star = 3000
     data = Dataset(X=rng.uniform(0, 2, (200, 2)), y=rng.standard_normal(200),
-                   X_star=rng.uniform(0, 2, (n_star, 2)), y_star=rng.standard_normal(n_star), seed=12)
+                   X_star=rng.uniform(0, 2, (n_star, 2)), y_star=rng.standard_normal(n_star))
     config = _small_config(methods=harness.METHODS, steps=(1, 2, 5), repetitions=1)
     tracemalloc.start()
     try:

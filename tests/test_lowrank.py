@@ -1,25 +1,26 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import exact
+from kernelcg import exact, linalg
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import kernel_posterior
 from kernelcg.lowrank import (
     FeatureExpansion,
     InducingFits,
+    PbrFits,
     choose_inducing,
     eigen_expansion,
     lowrank_evidence,
     lowrank_fit,
     lowrank_mean,
-    lowrank_var,
     lowrank_var_diag,
-    pbr_predict,
     se_eigen_expansion,
     sor_expansion,
-    truncate_expansion,
 )
 from brute import gauss_solve, mvn_logpdf
 from mpref import inducing_reference
@@ -34,7 +35,7 @@ def _problem(seed, n, d=2, lam=2.0, theta=1.5, sigma2=0.1):
 
 
 def _complete_expansion(kernel, X):
-    return FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X), prior_kernel=kernel)
+    return FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X))
 
 
 # --- fit / mean -----------------------------------------------------------
@@ -78,17 +79,17 @@ def test_far_field_variances():
     kernel, X, y, sigma2, _ = _problem(4, 20)
     model = lowrank_fit(sor_expansion(kernel, X[:6]), X, y, sigma2)
     far = np.full((1, 2), 1e3)
-    assert abs(lowrank_var(model, far, mode="plain")[0, 0]) <= 1e-12
-    assert lowrank_var(model, far, mode="dtc")[0, 0] == pytest.approx(kernel.theta_f)
+    assert abs(lowrank_var_diag(model, far)[0]) <= 1e-12
+    _, dtc, _ = InducingFits(kernel, X, y, sigma2, X[:6], far).predict("dtc")
+    assert dtc[0] == pytest.approx(kernel.theta_f)
 
 
-def test_complete_degeneracy_dtc_cov_matches_exact():
+def test_complete_degeneracy_dtc_var_matches_exact():
     kernel, X, y, sigma2, rng = _problem(5, 30)
     oracle = exact.fit(kernel, X, y, sigma2)
-    model = lowrank_fit(_complete_expansion(kernel, X), X, y, sigma2)
     X_star = rng.uniform(0, 2, (9, 2))
-    want = exact.predict_cov(oracle, X_star)
-    got = lowrank_var(model, X_star, mode="dtc")
+    want = exact.predict_var(oracle, X_star)
+    _, got, _ = InducingFits(kernel, X, y, sigma2, X, X_star).predict("dtc")
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
@@ -96,10 +97,11 @@ def test_dtc_minus_plain_is_prior_defect():
     kernel, X, y, sigma2, rng = _problem(6, 25)
     X_U = X[choose_inducing(25, 8, seed=0)]
     expansion = sor_expansion(kernel, X_U)
-    model = lowrank_fit(expansion, X, y, sigma2)
     X_star = rng.uniform(0, 2, (12, 2))
-    plain = np.diag(lowrank_var(model, X_star, mode="plain"))
-    dtc = np.diag(lowrank_var(model, X_star, mode="dtc"))
+    fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
+    _, plain, _ = fits.predict("sor")
+    _, dtc, _ = fits.predict("dtc")
+    assert np.array_equal(plain, lowrank_var_diag(lowrank_fit(expansion, X, y, sigma2), X_star))
     P = expansion.phi(X_star)
     k_hat = np.diag(P @ gauss_solve(expansion.Sigma, P.T))
     defect = kernel.theta_f - k_hat
@@ -284,12 +286,12 @@ def test_pbr_recovers_finite_rank_kernel_gp():
     K = expansion.phi(X) @ lam @ expansion.phi(X).T
     K_star = expansion.phi(X_star) @ lam @ expansion.phi(X).T
     want = K_star @ gauss_solve(K + sigma2 * np.eye(25), y)
-    got = pbr_predict(expansion, X, y, sigma2, X_star)
+    got = PbrFits(expansion, X, y, sigma2, X_star).predict(3)
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_pbr_rank_one_closed_form():
-    expansion = truncate_expansion(_trig_expansion(), 1)
+    expansion = _trig_expansion()
     rng = np.random.default_rng(20)
     X = rng.uniform(0, 1, (12, 1))
     y = rng.standard_normal(12)
@@ -298,7 +300,35 @@ def test_pbr_rank_one_closed_form():
     f1 = expansion.phi(X)[:, 0]
     lam1 = expansion.eigenvalues[0]
     expected = expansion.phi(X_star)[:, 0] * (f1 @ y) / (f1 @ f1 + sigma2 / lam1)
-    assert np.allclose(pbr_predict(expansion, X, y, sigma2, X_star), expected, rtol=1e-10)
+    assert np.allclose(PbrFits(expansion, X, y, sigma2, X_star).predict(1), expected, rtol=1e-10)
+
+
+def test_pbr_every_rank_from_one_feature_pass():
+    # Each rank equals the exact GP with the kernel of its leading eigenpairs.
+    expansion = _trig_expansion()
+    rng = np.random.default_rng(33)
+    X = rng.uniform(0, 1, (15, 1))
+    y = rng.standard_normal(15)
+    sigma2 = 0.05
+    X_star = rng.uniform(0, 1, (6, 1))
+    phi = mock.Mock(wraps=expansion.phi)
+    fits = PbrFits(dataclasses.replace(expansion, phi=phi), X, y, sigma2, X_star)
+    for count in (3, 1, 2):
+        F, F_star = expansion.phi(X)[:, :count], expansion.phi(X_star)[:, :count]
+        lam = np.diag(expansion.eigenvalues[:count])
+        want = F_star @ lam @ F.T @ gauss_solve(F @ lam @ F.T + sigma2 * np.eye(15), y)
+        assert np.allclose(fits.predict(count), want, rtol=1e-10, atol=1e-12)
+    assert phi.call_count == 2
+
+
+def test_pbr_rejects_a_count_outside_one_to_rank():
+    rng = np.random.default_rng(34)
+    X = rng.uniform(0, 1, (8, 1))
+    fits = PbrFits(_trig_expansion(), X, rng.standard_normal(8), 0.1, X[:2])
+    for count in (0, 4):
+        with pytest.raises(ValueError, match=r"count must be in \[1, 3\]"):
+            fits.predict(count)
+    assert fits.predict(3).shape == (2,)
 
 
 def test_pbr_eigenvalue_scaling_consistency():
@@ -313,7 +343,7 @@ def test_pbr_eigenvalue_scaling_consistency():
     K = scaled.phi(X) @ lam @ scaled.phi(X).T
     K_star = scaled.phi(X_star) @ lam @ scaled.phi(X).T
     want = K_star @ gauss_solve(K + sigma2 * np.eye(15), y)
-    assert np.allclose(pbr_predict(scaled, X, y, sigma2, X_star), want, rtol=1e-8)
+    assert np.allclose(PbrFits(scaled, X, y, sigma2, X_star).predict(3), want, rtol=1e-8)
 
 
 def test_eigen_expansion_rejects_bad_inputs():
@@ -438,27 +468,18 @@ def test_inducing_baseline_variances_match_brute_force_covariance(seed, n, m, lo
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12), st.sampled_from(["plain", "dtc"]))
-def test_lowrank_pointwise_variance_is_the_covariance_diagonal(seed, n, m, mode):
+@given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12))
+def test_lowrank_pointwise_variance_is_the_covariance_diagonal(seed, n, m):
+    # The diagonal of the covariance phi* A^{-1} phi**^T, formed with the fit's own factor of A.
     kernel, X, y, sigma2, rng = _problem(seed, n)
-    X_U = X[choose_inducing(n, min(m, n), seed=seed)]
-    model = lowrank_fit(sor_expansion(kernel, X_U), X, y, sigma2)
-    X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2], np.full((1, 2), 1e3)])
-    got = lowrank_var_diag(model, X_star, mode=mode)
-    assert got.shape == (11,)
-    assert np.allclose(got, np.diag(lowrank_var(model, X_star, mode=mode)), rtol=0.0,
-                       atol=1e-12 * kernel.theta_f)
-
-
-def test_lowrank_pointwise_variance_rejects_what_the_covariance_rejects():
-    kernel, X, y, sigma2, _ = _problem(31, 10)
-    expansion = sor_expansion(kernel, X[:4])
+    expansion = sor_expansion(kernel, X[choose_inducing(n, min(m, n), seed=seed)])
     model = lowrank_fit(expansion, X, y, sigma2)
-    with pytest.raises(ValueError, match="unknown variance mode"):
-        lowrank_var_diag(model, X[:2], mode="fitc")
-    bare = lowrank_fit(FeatureExpansion(phi=expansion.phi, Sigma=expansion.Sigma), X, y, sigma2)
-    with pytest.raises(ValueError, match="prior_kernel"):
-        lowrank_var_diag(bare, X[:2], mode="dtc")
+    X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2], np.full((1, 2), 1e3)])
+    got = lowrank_var_diag(model, X_star)
+    assert got.shape == (11,)
+    P_star = expansion.phi(X_star)
+    cov = P_star @ linalg.chol_solve(model.factor, P_star.T)
+    assert np.allclose(got, np.diag(cov), rtol=0.0, atol=1e-12 * kernel.theta_f)
 
 
 def _worst_relative(got, want):

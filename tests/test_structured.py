@@ -233,6 +233,22 @@ def test_masked_operator_probe_invariants():
     assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-10)
 
 
+def test_masked_operator_builds_the_embedding_once():
+    rng = np.random.default_rng(10)
+    t = 70
+    mask = np.sort(rng.choice(t, size=45, replace=False))
+    spec = masked_toeplitz_spec(se_kernel([0.05], 1.3), t, 1.0, mask)
+    op = spec.operator()
+    u, v = rng.standard_normal((2, 45))
+    with mock.patch.object(structured, "_embedding_fft", wraps=structured._embedding_fft) as embed:
+        products = [op.apply(u), op.apply(v)]
+    assert embed.call_count == 1
+    for w, got in zip((u, v), products):
+        full = np.zeros(t)
+        full[mask] = w
+        assert np.array_equal(got, toeplitz_mvm(spec.first_row, full)[mask])
+
+
 def test_masked_spec_validation():
     with pytest.raises(ValueError):
         MaskedToeplitzSpec(grid_size=4, first_row=np.ones(4), mask=np.array([2, 1]))
