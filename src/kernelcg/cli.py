@@ -21,7 +21,7 @@ from .kernels import Kernel, matern52_kernel, se_kernel
 CONFIG_TEMPLATE = """\
 [dataset]
 source = toy            ; toy | grid | csv | series-csv
-seed = 0
+seed = 0                ; toy, csv and grid (a key the source does not read is an error)
 ; csv only (a split column of train/test labels, as gen-toy and gen-grid
 ; write, fixes the split; otherwise rows are shuffled with seed):
 ; path = data.csv
@@ -73,9 +73,23 @@ def _parse_metric(text: str, dim: int) -> np.ndarray:
     return np.asarray(values)
 
 
+# The [dataset] keys each source reads besides `source`.
+_DATASET_KEYS = {
+    "toy": ("seed",),
+    "csv": ("path", "target", "test_fraction", "seed"),
+    "series-csv": ("path",),
+    "grid": ("g", "d", "seed"),
+}
+
+
 def _build_dataset(cfg: configparser.ConfigParser):
     section = cfg["dataset"]
     source = section.get("source", "toy").strip()
+    if source not in _DATASET_KEYS:
+        raise SystemExit(f"error: unknown dataset source {source!r}")
+    unread = [key for key in section if key != "source" and key not in _DATASET_KEYS[source]]
+    if unread:
+        raise SystemExit(f"error: [dataset] source {source} does not read {', '.join(unread)}")
     seed = section.getint("seed", 0)
     if source == "toy":
         return datasets.gen_toy(seed=seed)
@@ -98,7 +112,6 @@ def _build_dataset(cfg: configparser.ConfigParser):
         metric = _parse_metric(kcfg.get("metric", "1.0"), d)
         kernel = se_kernel(metric, kcfg.getfloat("theta_f", 1.0))
         return structured.grid_dataset(g, d, kernel, seed=seed)
-    raise SystemExit(f"error: unknown dataset source {source!r}")
 
 
 def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:

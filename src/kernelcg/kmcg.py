@@ -54,15 +54,18 @@ random subsets with M < N take the dense path.
 The prior over the kernel has zero mean and a covariance generated by the
 data kernel itself, times a positive `prior_scale`. The scale cancels from
 mean, covariance, learned kernel and evidence; it only multiplies the
-posterior uncertainty over the kernel. :class:`KernelPosterior` is that
-posterior (``KmcgModel.posterior``); :func:`kernel_posterior` builds it for
-any full-rank S, optionally around a nonzero prior mean mu0.
+posterior uncertainty over the kernel. The prior covariance is
+cov(k(a,b), k(c,d)) = prior_scale/2 (k(a,c) k(b,d) + k(a,d) k(b,c))
+(Hennig & Kiefel, 2013); given S^T K_M S the posterior has mean khat and
+the same covariance with khat in place of k. :func:`kmcg_kernel_gram`,
+:func:`kmcg_uncertainty_gram`, :func:`kmcg_sample` and
+:func:`error_bound_ratio` read it off a fit's factor1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -77,7 +80,6 @@ from .structured import GridSpec, grid_axes, grid_spec
 @dataclass(frozen=True)
 class KmcgModel:
     kernel: Kernel
-    X: np.ndarray
     y: np.ndarray
     sigma2: float
     X_M: np.ndarray
@@ -92,111 +94,6 @@ class KmcgModel:
     reason: str  # why CG stopped within the budget: converged, maxsteps or breakdown
     prior_scale: float  # scale of the prior over the kernel
     grid: Optional[GridSpec]  # X_M's grid when the kernel is SE and X_M a Cartesian grid, else None
-
-    @property
-    def posterior(self) -> KernelPosterior:
-        """The posterior over the kernel given this fit's directions, from its own factor1."""
-        return KernelPosterior(self.kernel, self.X_M, self.S, self.factor1, self.grid, self.prior_scale)
-
-
-@dataclass(frozen=True)
-class KernelPosterior:
-    """Gaussian posterior over the kernel given projected Gram observations S^T k(X_U, X_U) S.
-
-    The prior has mean mu0 (zero when None) and covariance
-    cov(k(a,b), k(c,d)) = scale/2 (k(a,c) k(b,d) + k(a,d) k(b,c)) (Hennig &
-    Kiefel, 2013). With L = `factor` = chol(S^T K_U S) (None when P = 0) and
-    V(A) = L^{-1} S^T k(X_U, A), built by _cross_products, the learned kernel
-    is khat(A, B) = V(A)^T V(B). The posterior mean is
-    mu0(A, B) + V(A)^T C V(B) with C = I - L^{-1} S^T mu0(X_U, X_U) S L^{-T},
-    which is khat for a zero prior mean; the covariance is the prior's with
-    khat subtracted in place of k.
-    """
-
-    kernel: Kernel
-    X_U: np.ndarray
-    S: np.ndarray
-    factor: Optional[linalg.CholeskyFactor]
-    grid: Optional[GridSpec]
-    prior_scale: float
-    mu0: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def _features(self, A) -> np.ndarray:
-        U = _cross_products(self.kernel, A, self.X_U, self.grid, self.S).T
-        return solve_triangular(self.factor.L, U, lower=True)
-
-    def _inner(self, A, B=None, C=None) -> np.ndarray:
-        """V(A)^T C V(B) (C = I when None), bit-symmetric when B is None."""
-        A = _as_points(A, self.kernel.dim)
-        same = B is None
-        B = A if same else _as_points(B, self.kernel.dim)
-        if self.factor is None:
-            return np.zeros((A.shape[0], B.shape[0]))
-        Va = self._features(A)
-        Vb = Va if same else self._features(B)
-        out = Va.T @ (Vb if C is None else C @ Vb)
-        if same:
-            out = 0.5 * (out + out.T)
-        return out
-
-    def mean(self, A, B=None) -> np.ndarray:
-        """The posterior mean of k(A, B), B defaulting to A: khat(A, B) when mu0 is None."""
-        if self.mu0 is None:
-            return self._inner(A, B)
-        A = _as_points(A, self.kernel.dim)
-        B = A if B is None else _as_points(B, self.kernel.dim)
-        H = solve_triangular(self.factor.L, self.S.T, lower=True)
-        C = np.eye(H.shape[0]) - H @ self.mu0(self.X_U, self.X_U) @ H.T
-        return self.mu0(A, B) + self._inner(A, B, C)
-
-    def var(self, A) -> np.ndarray:
-        """Entry (i, j) is the posterior variance of k(a_i, a_j), i.e. cov(A)[i, j, i, j]."""
-        return self._cov(A, pairwise=True)
-
-    def cov(self, A) -> np.ndarray:
-        """Entry (i, j, k, l) is the posterior covariance of k(a_i, a_j) and k(a_k, a_l); n^4 floats."""
-        return self._cov(A, pairwise=False)
-
-    def _cov(self, A, pairwise) -> np.ndarray:
-        """scale/2 (k_ac k_bd + k_ad k_bc - khat_ac khat_bd - khat_ad khat_bc) from k(A, A) and khat(A, A).
-
-        Nonnegative up to roundoff for (a, b) = (c, d), and zero exactly where
-        the kernel is fully identified.
-        """
-        A = _as_points(A, self.kernel.dim)
-        i = np.arange(A.shape[0])
-        a, b, c, d = 2 * np.ix_(i, i) if pairwise else np.ix_(i, i, i, i)
-        K, G = gram(self.kernel, A), self._inner(A)
-        prior = K[a, c] * K[b, d] + K[a, d] * K[b, c]
-        return 0.5 * self.prior_scale * (prior - (G[a, c] * G[b, d] + G[a, d] * G[b, c]))
-
-    def sample(self, A, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draw k(A, A) from the posterior via the symmetric Kronecker factorization (linalg.sym_kron_sample).
-
-        An integer `size` gives a (size, n, n) stack of draws that share one
-        pair of factorizations.
-        """
-        A = _as_points(A, self.kernel.dim)
-        khat = self._inner(A)
-        draw = linalg.sym_kron_sample(gram(self.kernel, A), khat, rng, size)
-        return (khat if self.mu0 is None else self.mean(A)) + np.sqrt(self.prior_scale) * draw
-
-
-def kernel_posterior(kernel: Kernel, X_U, S, mu0=None) -> KernelPosterior:
-    """The posterior over `kernel` given S^T k(X_U, X_U) S, at prior scale 1.
-
-    S (M x P) must have full column rank: S^T K_U S is factored with no
-    jitter. mu0 is None (zero prior mean) or a callable (A, B) -> matrix of
-    prior-mean values. With mu0 = None and S = I the posterior mean is the
-    subset-of-regressors kernel on X_U.
-    """
-    X_U = _as_points(X_U, kernel.dim)
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != X_U.shape[0]:
-        raise ValueError(f"S must be M x P with M = {X_U.shape[0]}, got {S.shape}")
-    G = S.T @ _cross_products(kernel, X_U, X_U, None, S)
-    factor = linalg.cholesky(0.5 * (G + G.T), jitter_ladder=())
-    return KernelPosterior(kernel, X_U, S, factor, None, 1.0, mu0)
 
 
 def _cross_products(kernel, X, X_M, grid, W) -> np.ndarray:
@@ -287,7 +184,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
             factor1 = factor2 = None
             mean_weights = np.zeros(M)
         models.append(KmcgModel(
-            kernel=kernel, X=X, y=y, sigma2=sigma2, X_M=X_M,
+            kernel=kernel, y=y, sigma2=sigma2, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
             mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
             reason=stop_reason_within(trace, p), prior_scale=prior_scale, grid=grid,
@@ -344,9 +241,25 @@ def kmcg_models_for_steps(
     return dict(zip(steps, models))
 
 
+def _features(model: KmcgModel, A) -> np.ndarray:
+    """V(A) = L1^{-1} S^T k(X_M, A), P x n: the learned kernel is khat(A, B) = V(A)^T V(B)."""
+    U = _cross_products(model.kernel, A, model.X_M, model.grid, model.S).T
+    return solve_triangular(model.factor1.L, U, lower=True)
+
+
 def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
-    """Gram matrix of the learned kernel khat on two point sets (B defaults to A)."""
-    return model.posterior.mean(A, B)
+    """Gram matrix of the learned kernel khat on two point sets (B defaults to A).
+
+    khat(A, A) is bit-symmetric; before any direction khat is zero.
+    """
+    A = _as_points(A, model.kernel.dim)
+    same = B is None
+    B = A if same else _as_points(B, model.kernel.dim)
+    if model.steps == 0:
+        return np.zeros((A.shape[0], B.shape[0]))
+    V = _features(model, A)
+    out = V.T @ (V if same else _features(model, B))
+    return 0.5 * (out + out.T) if same else out
 
 
 def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
@@ -355,21 +268,16 @@ def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
     return _cross_products(model.kernel, X_star, model.X_M, model.grid, model.mean_weights)
 
 
-def kmcg_var(model: KmcgModel, X_star, X_star2=None) -> np.ndarray:
+def kmcg_var(model: KmcgModel, X_star) -> np.ndarray:
     """Predictive covariance with the exact kernel restored in the prior term."""
     X_star = _as_points(X_star, model.kernel.dim)
-    same = X_star2 is None
-    X_star2 = X_star if same else _as_points(X_star2, model.kernel.dim)
-    K_ss = gram(model.kernel, X_star, X_star2)
+    K_ss = gram(model.kernel, X_star)
     if model.steps == 0:
         return K_ss
-    Ua = _cross_products(model.kernel, X_star, model.X_M, model.grid, model.S).T
-    Ub = Ua if same else _cross_products(model.kernel, X_star2, model.X_M, model.grid, model.S).T
-    V1a = solve_triangular(model.factor1.L, Ua, lower=True)
-    V1b = V1a if same else solve_triangular(model.factor1.L, Ub, lower=True)
-    V2a = solve_triangular(model.factor2.L, Ua, lower=True)
-    V2b = V2a if same else solve_triangular(model.factor2.L, Ub, lower=True)
-    return K_ss - V1a.T @ V1b + model.sigma2 * (V2a.T @ V2b)
+    U = _cross_products(model.kernel, X_star, model.X_M, model.grid, model.S).T
+    V1 = solve_triangular(model.factor1.L, U, lower=True)
+    V2 = solve_triangular(model.factor2.L, U, lower=True)
+    return K_ss - V1.T @ V1 + model.sigma2 * (V2.T @ V2)
 
 
 def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -462,9 +370,22 @@ def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
     return -0.5 * quad / model.sigma2, det
 
 
+def _pair_products(K: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is K_ii K_jj + K_ij K_ji."""
+    d = np.diag(K)
+    return np.outer(d, d) + K * K.T
+
+
 def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
-    """Pairwise posterior kernel variances over one point set (KernelPosterior.var)."""
-    return model.posterior.var(X_s)
+    """Entry (i, j) is the posterior variance of k(x_i, x_j) for x_i, x_j in X_s.
+
+    That is prior_scale/2 (k_ii k_jj + k_ij^2 - khat_ii khat_jj - khat_ij^2)
+    (see the module docstring): nonnegative up to roundoff, and zero exactly
+    where the kernel is fully identified.
+    """
+    X_s = _as_points(X_s, model.kernel.dim)
+    prior = _pair_products(gram(model.kernel, X_s))
+    return 0.5 * model.prior_scale * (prior - _pair_products(kmcg_kernel_gram(model, X_s)))
 
 
 # Posterior kernel variances below this multiple of prior_scale * theta_f^4
@@ -488,8 +409,13 @@ def error_bound_ratio(model: KmcgModel, X_s, K_true) -> np.ndarray:
 
 
 def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Draw a symmetric Gram matrix on X_s from the posterior over the kernel (KernelPosterior.sample).
+    """Draw a symmetric Gram matrix on X_s from the posterior over the kernel.
 
-    An integer `size` gives a stack of that many draws.
+    The draw is khat(X_s, X_s) plus sqrt(prior_scale) times a symmetric
+    Kronecker draw (linalg.sym_kron_sample). An integer `size` gives a
+    (size, n, n) stack of draws that share one pair of factorizations.
     """
-    return model.posterior.sample(X_s, rng, size)
+    X_s = _as_points(X_s, model.kernel.dim)
+    khat = kmcg_kernel_gram(model, X_s)
+    draw = linalg.sym_kron_sample(gram(model.kernel, X_s), khat, rng, size)
+    return khat + np.sqrt(model.prior_scale) * draw

@@ -151,48 +151,24 @@ def lowrank_evidence(model: LowRankModel) -> float:
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    """Orthonormal eigenpairs of a kernel with respect to a base density.
+    """Eigenpairs of a kernel, orthonormal with respect to a base density.
 
     ``phi`` maps an (n, D) point array to the (n, P) matrix of eigenfunction
-    values; ``eigenvalues`` are positive and sorted descending;
-    ``sample_base`` draws points from the base density (used for the
-    construction-time orthonormality check and available to callers).
+    values; ``eigenvalues`` must be positive and sorted descending.
+    Orthonormality is the constructor's to establish (see
+    :func:`se_eigen_expansion`, which checks it by quadrature).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     eigenvalues: np.ndarray
-    sample_base: Callable[[np.random.Generator, int], np.ndarray]
 
-
-def eigen_expansion(
-    phi,
-    eigenvalues,
-    sample_base,
-    rng=None,
-    check_draws: int = 100_000,
-    check_tol: float = 5e-2,
-) -> EigenExpansion:
-    """Validated constructor for :class:`EigenExpansion`.
-
-    Orthonormality is checked by Monte Carlo against the base density. This
-    is a sanity gate with a wide tolerance, not a proof.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("eigenvalues must be positive")
-    if np.any(np.diff(lam) > 0.0):
-        raise ValueError("eigenvalues must be sorted descending")
-    if check_draws:
-        rng = np.random.default_rng(0) if rng is None else rng
-        draws = sample_base(rng, check_draws)
-        F = np.asarray(phi(draws), dtype=float)
-        gram_mc = F.T @ F / check_draws
-        defect = np.max(np.abs(gram_mc - np.eye(lam.size)))
-        if defect > check_tol:
-            raise ValueError(
-                f"eigenfunctions fail the Monte-Carlo orthonormality check: defect {defect:.3g} > {check_tol}"
-            )
-    return EigenExpansion(phi=phi, eigenvalues=lam, sample_base=sample_base)
+    def __post_init__(self):
+        lam = np.asarray(self.eigenvalues, dtype=float)
+        if np.any(lam <= 0.0):
+            raise ValueError("eigenvalues must be positive")
+        if np.any(np.diff(lam) > 0.0):
+            raise ValueError("eigenvalues must be sorted descending")
+        object.__setattr__(self, "eigenvalues", lam)
 
 
 class PbrFits:
@@ -311,10 +287,8 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
 
     per_dim_orders = [np.unique(indices[:, d]) for d in range(kernel.dim)]
 
-    # High-order Hermite eigenfunctions have fourth moments far too heavy
-    # for the generic Monte-Carlo gate, so this analytic expansion is
-    # validated by quadrature instead (exact for Gaussian-times-polynomial
-    # integrands).
+    # Orthonormality is checked by Gauss-Hermite quadrature, which is exact
+    # for these Gaussian-times-polynomial integrands.
     for d in range(kernel.dim):
         defect = quadrature_defect(d, per_dim_orders[d])
         if defect > 1e-8:
@@ -334,13 +308,10 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
                 out[:, j] *= vals[:, lookup[idx[d]]]
         return out
 
-    def sample_base(rng: np.random.Generator, size: int) -> np.ndarray:
-        return means + sds * rng.standard_normal((size, kernel.dim))
-
     order = np.argsort(-lam_values, kind="stable")
     indices = indices[order]
     lam_values = lam_values[order]
-    return eigen_expansion(phi, lam_values, sample_base, check_draws=0)
+    return EigenExpansion(phi, lam_values)
 
 
 # ---------------------------------------------------------------------------

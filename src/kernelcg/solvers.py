@@ -20,10 +20,12 @@ start small and at least double when full, capped at the step limit, and
 returns transposed views of the rows filled; see :func:`cg_reorth` for the
 memory this takes.
 
-Traces record every search direction s_i together with the product
-z_i = A s_i actually computed, which is exactly the information downstream
-kernel learning consumes; the incremental solution x is carried along but
-callers that report predictions use :func:`fom_solution` instead.
+Every run starts from x = 0, whose residual is -b without an operator
+product, so a run of P steps makes P operator products, one more when it
+stops on breakdown. Traces record every search direction s_i together with
+the product z_i = A s_i actually computed, which is exactly the information
+downstream kernel learning consumes; the incremental solution x is carried
+along but callers that report predictions use :func:`fom_solution` instead.
 """
 
 from __future__ import annotations
@@ -104,18 +106,18 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> None:
         r -= ((basis @ r) / sq) @ basis
 
 
-def _run_cg(op: MvmOperator, b, x0, eps, max_steps, reorth: bool) -> CgTrace:
+def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
     """Both CG variants, with their defaults: eps 0.01 * ||b||_2, max_steps op.dim."""
     b = np.asarray(b, dtype=float).reshape(-1)
-    x = np.zeros(op.dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1).copy()
-    if b.size != op.dim or x.size != op.dim:
-        raise ValueError(f"operator dim {op.dim} does not match b ({b.size}) or x0 ({x.size})")
+    if b.size != op.dim:
+        raise ValueError(f"operator dim {op.dim} does not match b ({b.size})")
     eps = 0.01 * float(np.linalg.norm(b)) if eps is None else float(eps)
     limit = op.dim if max_steps is None else int(max_steps)
     if limit < 0:
         raise ValueError(f"max_steps must be at least 0, got {limit}")
 
-    r = op.apply(x) - b
+    x = np.zeros(op.dim)
+    r = -b
     s = -r
     collapse_tol = _COLLAPSE_FACTOR * np.finfo(float).eps * np.linalg.norm(b)
 
@@ -193,7 +195,7 @@ def stop_reason_within(trace: CgTrace, budget: int) -> str:
     return MAXSTEPS
 
 
-def cg_textbook(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
+def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     """Plain conjugate gradients: loop while ||r||_2 > eps.
 
     Each step performs one operator application z = A s, a line search
@@ -203,10 +205,10 @@ def cg_textbook(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrac
     (max_steps defaults to op.dim; a negative max_steps raises ValueError).
     Memory is that of :func:`cg_reorth`.
     """
-    return _run_cg(op, b, x0, eps, max_steps, reorth=False)
+    return _run_cg(op, b, eps, max_steps, reorth=False)
 
 
-def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
+def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     """Conjugate gradients with complete residual reorthogonalization.
 
     Additionally stops once the reorthogonalized residual norm collapses to
@@ -225,7 +227,7 @@ def cg_reorth(op: MvmOperator, b, x0=None, eps=None, max_steps=None) -> CgTrace:
     what the operator allocates, O(N P) in the steps taken and independent
     of max_steps: the default max_steps = N allocates no N x N array.
     """
-    return _run_cg(op, b, x0, eps, max_steps, reorth=True)
+    return _run_cg(op, b, eps, max_steps, reorth=True)
 
 
 def fom_solution(S: np.ndarray, Z: np.ndarray, b) -> np.ndarray:

@@ -194,22 +194,6 @@ def _circulant_product(embedding, v: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fft_c * np.fft.rfft(v, n=length), n=length)[: v.size]
 
 
-def toeplitz_mvm(first_row, v) -> np.ndarray:
-    """Multiply a symmetric Toeplitz matrix (given by its first row) by v.
-
-    The matrix is embedded in a power-of-two circulant and the product
-    evaluated as a transform-based convolution; accuracy is 1e-9 relative,
-    bit-exact reproducibility across platforms is not promised.
-    """
-    first_row = np.asarray(first_row, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if first_row.size != v.size:
-        raise ValueError(f"first row has length {first_row.size}, vector {v.size}")
-    if not np.all(np.isfinite(first_row)):
-        raise ValueError("first row must be finite")
-    return _circulant_product(_embedding_fft(first_row), v)
-
-
 @dataclass(frozen=True)
 class MaskedToeplitzSpec:
     """An observed submatrix of a symmetric Toeplitz Gram over a full grid.
@@ -263,7 +247,9 @@ def masked_mvm(spec: MaskedToeplitzSpec, v) -> np.ndarray:
     """Product of the observed Toeplitz submatrix with v.
 
     Scatters v onto the full grid, multiplies with the Toeplitz Gram, and
-    gathers the observed entries.
+    gathers the observed entries. The Toeplitz product is a transform-based
+    convolution with the power-of-two circulant embedding; accuracy is 1e-9
+    relative, bit-exact reproducibility across platforms is not promised.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != spec.observed:

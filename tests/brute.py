@@ -93,7 +93,7 @@ def random_spd(rng: np.random.Generator, n: int, cond: float = 100.0) -> np.ndar
     return (Q * eigs) @ Q.T
 
 
-def cg_list_loop(apply, b, eps: float, max_steps: int, reorth: bool, x0=None):
+def cg_list_loop(apply, b, eps: float, max_steps: int, reorth: bool):
     """CG with Python column lists, as the solver was first written.
 
     reorth=True orthogonalizes each new residual against the normalized
@@ -102,7 +102,7 @@ def cg_list_loop(apply, b, eps: float, max_steps: int, reorth: bool, x0=None):
     epsilons times ||b||. Returns (x, S, Z, residuals, norms, steps, reason).
     """
     b = np.asarray(b, dtype=float).reshape(-1)
-    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=float).reshape(-1)
+    x = np.zeros(b.size)
     r = apply(x) - b
     s = -r
     collapse_tol = 8.0 * np.finfo(float).eps * np.linalg.norm(b)

@@ -255,6 +255,18 @@ def test_run_on_ragged_masked_series_is_one_line_error(tmp_path):
     assert message.startswith("error:") and "row 3 has 2 cells" in message and "\n" not in message
 
 
+def test_run_with_a_dataset_key_the_source_does_not_read_is_one_line_error(tmp_path):
+    # A series is split by its mask, so a seed would be silently ignored.
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path)
+    config_path.write_text(text.replace("source = toy", "source = series-csv\npath = series.csv\nseed = 3\ng = 4"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == "error: [dataset] source series-csv does not read seed, g"
+    assert not records_path.exists()
+
+
 def test_run_on_grid_with_matern_kernel_is_one_line_error(tmp_path):
     # The grid source draws its targets from an SE kernel; fitting
     # Matern-5/2 to them would compare two different models.

@@ -12,7 +12,6 @@ from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import (
     error_bound_ratio,
-    kernel_posterior,
     kmcg_evidence,
     kmcg_evidence_terms,
     kmcg_fit,
@@ -78,7 +77,7 @@ def test_subset_fit_assembles_cross_products():
 
 def _scattered_subset(rng):
     kernel, X, y, sigma2, _ = _problem(3, 40)
-    return kmcg_fit(kernel, X, y, sigma2, M=12, seed=4, eps=0.0, max_steps=6), rng.uniform(0, 2, (23, 2))
+    return kmcg_fit(kernel, X, y, sigma2, M=12, seed=4, eps=0.0, max_steps=6), X, rng.uniform(0, 2, (23, 2))
 
 
 def _grid_problem(seed, shape, theta=1.7, sigma2=0.1):
@@ -94,7 +93,7 @@ def _full_grid(rng):
     kernel, X, y, sigma2, _ = _grid_problem(3, (3, 4, 5))
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6)
     assert model.grid is not None and np.array_equal(model.grid.points(), model.X_M)
-    return model, rng.uniform(0, 2, (23, 3))
+    return model, X, rng.uniform(0, 2, (23, 3))
 
 
 @pytest.mark.parametrize("block_entries, problem", [
@@ -105,8 +104,8 @@ def _full_grid(rng):
 def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch, block_entries, problem):
     # One row per block, partial last blocks, and one block for everything;
     # on a grid each block is contracted one first-axis slab at a time.
-    model, X_star = problem(np.random.default_rng(3))
-    kernel, X = model.kernel, model.X
+    model, X, X_star = problem(np.random.default_rng(3))
+    kernel = model.kernel
     monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(structured, "_CROSS_BLOCK_ENTRIES", block_entries)
     K_star = gram(kernel, X_star, model.X_M)
@@ -203,11 +202,11 @@ def test_learned_kernel_gram_bit_symmetric():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
-def test_model_posterior_equals_a_fresh_kernel_posterior(seed, max_steps, on_grid):
-    # The model's posterior reads factor1 off the CG trace; kernel_posterior
-    # factors S^T K_M S afresh. On the grid the model builds k(A, X_M) from
-    # per-axis rows and the fresh posterior from dense Grams; off it, X_M
-    # is a scattered subset with M < N.
+def test_learned_kernel_and_its_uncertainty_match_the_dense_closed_form(seed, max_steps, on_grid):
+    # The functions read factor1 off the CG trace; the closed form solves
+    # with S^T K_M S afresh, from dense Grams. On the grid the model builds
+    # k(A, X_M) from per-axis rows; off it, X_M is a scattered subset with
+    # M < N.
     rng = np.random.default_rng(seed)
     kernel = se_kernel([2.0, 1.0], 1.5)
     if on_grid:
@@ -216,11 +215,16 @@ def test_model_posterior_equals_a_fresh_kernel_posterior(seed, max_steps, on_gri
     else:
         X = rng.uniform(0, 2, (30, 2))
         M = 12
-    model = kmcg_fit(kernel, X, rng.standard_normal(X.shape[0]), 0.1, M=M, seed=seed, eps=0.0, max_steps=max_steps)
+    model = kmcg_fit(kernel, X, rng.standard_normal(X.shape[0]), 0.1, M=M, seed=seed, eps=0.0,
+                     max_steps=max_steps, prior_scale=2.0)
     assert (model.grid is not None) == on_grid
-    fresh = kernel_posterior(kernel, model.X_M, model.S)
     A = np.vstack([rng.uniform(0, 2, (8, 2)), X[:3]])
-    for got, want in [(model.posterior.mean(A), fresh.mean(A)), (model.posterior.var(A), fresh.var(A))]:
+    S, U = model.S, model.S.T @ gram(kernel, model.X_M, A)
+    khat = U.T @ np.linalg.solve(S.T @ gram(kernel, model.X_M) @ S, U)
+    K = gram(kernel, A)
+    pairs = lambda G: np.outer(np.diag(G), np.diag(G)) + G * G.T
+    for got, want in [(kmcg_kernel_gram(model, A), khat),
+                      (kmcg_uncertainty_gram(model, A), pairs(K) - pairs(khat))]:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

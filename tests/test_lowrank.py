@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from kernelcg import exact, linalg
 from kernelcg.kernels import gram, se_kernel
-from kernelcg.kmcg import kernel_posterior
+from kernelcg.kmcg import kmcg_fit, kmcg_kernel_gram
 from kernelcg.lowrank import (
+    EigenExpansion,
     FeatureExpansion,
     InducingFits,
     PbrFits,
     choose_inducing,
-    eigen_expansion,
     lowrank_evidence,
     lowrank_fit,
     lowrank_mean,
@@ -202,57 +202,33 @@ def test_rank_bound_of_approximate_gram():
     assert np.sum(eigs > 1e-10 * kernel.theta_f) <= m
 
 
-# --- the general posterior over the kernel (kmcg.kernel_posterior) ---------
-
-
-def test_inducing_posterior_zero_innovation():
-    kernel, X, _, _, rng = _problem(15, 8)
-    X_U = X[:5]
-    S = rng.standard_normal((5, 3))
-    mu0 = lambda A, B: gram(kernel, A, B)  # prior mean equals the truth
-    post = kernel_posterior(kernel, X_U, S, mu0=mu0)
-    A = rng.uniform(0, 2, (4, 2))
-    B = rng.uniform(0, 2, (3, 2))
-    assert np.allclose(post.mean(A, B), gram(kernel, A, B), rtol=1e-10, atol=1e-12)
-
-
-def test_inducing_posterior_identity_projection_is_sor():
-    kernel, X, _, _, rng = _problem(16, 12)
-    X_U = X[:6]
-    post = kernel_posterior(kernel, X_U, np.eye(6))
-    A = rng.uniform(0, 2, (5, 2))
-    B = rng.uniform(0, 2, (4, 2))
-    expansion = sor_expansion(kernel, X_U)
-    want = expansion.phi(A) @ gauss_solve(expansion.Sigma, expansion.phi(B).T)
-    assert np.allclose(post.mean(A, B), want, rtol=1e-9, atol=1e-11)
+# --- the posterior over the kernel of a kmcg fit, in projected form ----------
 
 
 def test_inducing_posterior_variance_vanishes_on_observed_projections():
-    kernel, X, _, _, rng = _problem(17, 5, d=1, lam=1.0)
-    X_U = X
-    S = rng.standard_normal((5, 5))
-    post = kernel_posterior(kernel, X_U, S)
-    # Contract the four-argument posterior variance with S on both pairs;
-    # observed directions must carry no posterior variance.
-    var_tensor = post.cov(X_U)
-    projected = np.einsum("ai,bj,abcd,ck,dl->ijkl", S, S, var_tensor, S, S)
-    scale = float(np.einsum("ai,bj,abcd,ck,dl->ijkl", S, S,
-                            np.ones_like(var_tensor), S, S).max())
-    assert np.max(np.abs(projected)) <= 1e-10 * max(scale, 1.0)
+    # The posterior covariance of the kernel is the prior's with khat in
+    # place of k, so contracted with S on both argument pairs it vanishes
+    # where khat reproduces the observed projections S^T K_M S.
+    kernel, X, y, sigma2, _ = _problem(17, 10, d=1, lam=1.0)
+    for M in (None, 5):
+        model = kmcg_fit(kernel, X, y, sigma2, M=M, eps=0.0, max_steps=4)
+        assert model.steps == 4
+        observed = model.S.T @ gram(kernel, model.X_M) @ model.S
+        learned = model.S.T @ kmcg_kernel_gram(model, model.X_M) @ model.S
+        assert np.max(np.abs(learned - observed)) <= 1e-10 * max(np.max(np.abs(observed)), 1.0)
 
 
 def test_inducing_posterior_reduces_to_projected_kernel_form():
-    # With zero prior mean and X_U = X the posterior mean is
-    # k_x^T S (S^T K S)^{-1} S^T k_z.
-    kernel, X, _, _, rng = _problem(18, 9)
-    S = rng.standard_normal((9, 4))
-    post = kernel_posterior(kernel, X, S)
-    K = gram(kernel, X)
+    # The learned kernel of a fit with inducing subset X_M and directions S
+    # is k_x^T S (S^T K_M S)^{-1} S^T k_z.
+    kernel, X, y, sigma2, rng = _problem(18, 18)
+    model = kmcg_fit(kernel, X, y, sigma2, M=9, eps=0.0, max_steps=4)
+    S, X_M = model.S, model.X_M
     A = rng.uniform(0, 2, (3, 2))
     B = rng.uniform(0, 2, (3, 2))
-    middle = S @ gauss_solve(S.T @ K @ S, S.T)
-    want = gram(kernel, A, X) @ middle @ gram(kernel, X, B)
-    assert np.allclose(post.mean(A, B), want, rtol=1e-9, atol=1e-11)
+    middle = S @ gauss_solve(S.T @ gram(kernel, X_M) @ S, S.T)
+    want = gram(kernel, A, X_M) @ middle @ gram(kernel, X_M, B)
+    assert np.allclose(kmcg_kernel_gram(model, A, B), want, rtol=1e-9, atol=1e-11)
 
 
 # --- eigenexpansions and the projected Bayes regressor ----------------------
@@ -267,12 +243,7 @@ def _trig_expansion(lams=(1.0, 0.5, 0.25)):
             np.sqrt(2.0) * np.sin(2 * np.pi * x),
         ])
 
-    return eigen_expansion(
-        phi,
-        np.asarray(lams),
-        lambda rng, size: rng.uniform(0.0, 1.0, (size, 1)),
-        check_draws=20000,
-    )
+    return EigenExpansion(phi, np.asarray(lams))
 
 
 def test_pbr_recovers_finite_rank_kernel_gp():
@@ -348,14 +319,10 @@ def test_pbr_eigenvalue_scaling_consistency():
 
 def test_eigen_expansion_rejects_bad_inputs():
     phi = lambda X: np.ones((np.atleast_2d(X).shape[0], 1))
-    base = lambda rng, size: rng.uniform(0, 1, (size, 1))
-    with pytest.raises(ValueError):
-        eigen_expansion(phi, [-1.0], base, check_draws=0)
-    with pytest.raises(ValueError):
-        eigen_expansion(phi, [0.5, 1.0], base, check_draws=0)
-    bad_phi = lambda X: 3.0 * np.ones((np.atleast_2d(X).shape[0], 1))
-    with pytest.raises(ValueError):
-        eigen_expansion(bad_phi, [1.0], base, check_draws=1000)
+    with pytest.raises(ValueError, match="positive"):
+        EigenExpansion(phi, [-1.0])
+    with pytest.raises(ValueError, match="descending"):
+        EigenExpansion(phi, [0.5, 1.0])
 
 
 def test_se_eigen_expansion_is_eigen_system():

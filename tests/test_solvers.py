@@ -273,6 +273,23 @@ def test_negative_step_limits_raise(monkeypatch):
         solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [3, -2, 1])
 
 
+@pytest.mark.parametrize("run", [cg_textbook, cg_reorth])
+def test_a_run_makes_one_operator_product_per_step(run):
+    # x starts at zero, so the first residual is -b without a product; a
+    # breakdown applies the operator once more, to the direction it drops.
+    rng = np.random.default_rng(8)
+    spd, rhs = random_spd(rng, 20, 10.0), rng.standard_normal(20)
+    reasons = set()
+    for A, b, eps, max_steps in ((spd, rhs, 0.0, 7), (spd, rhs, 1e-3 * np.linalg.norm(rhs), 20),
+                                 (np.diag([1.0, -1.0]), np.ones(2), 0.0, 5)):
+        calls = []
+        op = solvers.MvmOperator(A.shape[0], lambda v, A=A: calls.append(v) or A @ v)
+        trace = run(op, b, eps=eps, max_steps=max_steps)
+        assert len(calls) == trace.steps + (trace.reason == solvers.BREAKDOWN)
+        reasons.add(trace.reason)
+    assert reasons == {solvers.MAXSTEPS, solvers.CONVERGED, solvers.BREAKDOWN}
+
+
 def test_breakdown_truncates_trace():
     # An indefinite operator produces a nonpositive curvature direction.
     A = np.diag([1.0, -1.0])
@@ -296,28 +313,28 @@ def _witness_operator(seed=7, n=200):
 
 
 def _reference_cases():
-    """(A, b, eps, max_steps, x0) covering every stop reason and buffer growth."""
+    """(A, b, eps, max_steps) covering every stop reason and buffer growth."""
     cases = []
     for seed, n, cond in ((0, 12, 1e2), (1, 40, 1e4), (2, 90, 1e6), (3, 150, 1e3)):
         rng = np.random.default_rng(seed)
         A = random_spd(rng, n, cond)
         b = rng.standard_normal(n)
-        cases.append((A, b, 0.0, n, None))  # runs out of steps or collapses
-        cases.append((A, b, 1e-6 * np.linalg.norm(b), n, None))  # converges
-        cases.append((A, b, 0.0, n // 3, rng.standard_normal(n)))  # budget, x0
-    cases.append((np.diag([1.0, 2.0, -3.0, 4.0]), np.ones(4), 0.0, 4, None))  # breakdown
-    cases.append((np.eye(5), np.zeros(5), 0.0, 5, None))  # zero right-hand side
+        cases.append((A, b, 0.0, n))  # runs out of steps or collapses
+        cases.append((A, b, 1e-6 * np.linalg.norm(b), n))  # converges
+        cases.append((A, b, 0.0, n // 3))  # budget
+    cases.append((np.diag([1.0, 2.0, -3.0, 4.0]), np.ones(4), 0.0, 4))  # breakdown
+    cases.append((np.eye(5), np.zeros(5), 0.0, 5))  # zero right-hand side
     K, b = _witness_operator()
-    cases.append((K, b, 0.0, K.shape[0], None))  # 200 steps, four buffer growths
+    cases.append((K, b, 0.0, K.shape[0]))  # 200 steps, four buffer growths
     return cases
 
 
 @pytest.mark.parametrize("case", range(len(_reference_cases())))
 def test_textbook_trace_bit_identical_to_list_loop(case):
-    A, b, eps, max_steps, x0 = _reference_cases()[case]
+    A, b, eps, max_steps = _reference_cases()[case]
     op = dense_operator(A)
-    trace = cg_textbook(op, b, x0=x0, eps=eps, max_steps=max_steps)
-    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, max_steps, False, x0)
+    trace = cg_textbook(op, b, eps=eps, max_steps=max_steps)
+    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, max_steps, False)
     assert (trace.steps, trace.reason) == (steps, reason)
     for got, want in ((trace.x, x), (trace.S, S), (trace.Z, Z),
                       (trace.residuals, residuals), (trace.residual_norms, norms)):

@@ -22,7 +22,6 @@ from kernelcg.structured import (
     kron_mvm,
     masked_mvm,
     masked_toeplitz_spec,
-    toeplitz_mvm,
 )
 
 
@@ -169,15 +168,27 @@ def test_kron_runtime_subquadratic():
     assert t_large < ratio_quadratic * max(t_small, 1e-5)
 
 
+def _full_mask_mvm(first_row, v):
+    """masked_mvm with every grid position observed: the full Toeplitz product."""
+    first_row = np.asarray(first_row, dtype=float)
+    spec = MaskedToeplitzSpec(grid_size=first_row.size, first_row=first_row, mask=np.arange(first_row.size))
+    return masked_mvm(spec, v)
+
+
+def _dense_toeplitz(first_row):
+    t = first_row.size
+    return np.array([[first_row[abs(i - j)] for j in range(t)] for i in range(t)])
+
+
 def test_toeplitz_identity_row():
     v = np.random.default_rng(5).standard_normal(9)
     first_row = np.zeros(9)
     first_row[0] = 1.0
-    assert np.allclose(toeplitz_mvm(first_row, v), v, atol=1e-12)
+    assert np.allclose(_full_mask_mvm(first_row, v), v, atol=1e-12)
 
 
 def test_toeplitz_hand_case():
-    got = toeplitz_mvm([2.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    got = _full_mask_mvm([2.0, 1.0, 0.0], [1.0, 1.0, 1.0])
     assert np.allclose(got, [3.0, 4.0, 3.0], atol=1e-12)
 
 
@@ -186,9 +197,8 @@ def test_toeplitz_matches_dense():
     t = 257
     first_row = np.exp(-0.5 * (np.arange(t) / 40.0) ** 2)
     v = rng.standard_normal(t)
-    dense = np.array([[first_row[abs(i - j)] for j in range(t)] for i in range(t)])
-    got = toeplitz_mvm(first_row, v)
-    want = dense @ v
+    got = _full_mask_mvm(first_row, v)
+    want = _dense_toeplitz(first_row) @ v
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -196,9 +206,8 @@ def test_masked_full_mask_reduces_to_toeplitz():
     rng = np.random.default_rng(7)
     t = 32
     first_row = np.exp(-np.arange(t) / 5.0)
-    spec = MaskedToeplitzSpec(grid_size=t, first_row=first_row, mask=np.arange(t))
     v = rng.standard_normal(t)
-    assert np.allclose(masked_mvm(spec, v), toeplitz_mvm(first_row, v))
+    assert np.allclose(_full_mask_mvm(first_row, v), _dense_toeplitz(first_row) @ v)
 
 
 def test_masked_single_index():
@@ -243,10 +252,9 @@ def test_masked_operator_builds_the_embedding_once():
     with mock.patch.object(structured, "_embedding_fft", wraps=structured._embedding_fft) as embed:
         products = [op.apply(u), op.apply(v)]
     assert embed.call_count == 1
+    fresh = MaskedToeplitzSpec(grid_size=t, first_row=spec.first_row, mask=mask)
     for w, got in zip((u, v), products):
-        full = np.zeros(t)
-        full[mask] = w
-        assert np.array_equal(got, toeplitz_mvm(spec.first_row, full)[mask])
+        assert np.array_equal(got, masked_mvm(fresh, w))
 
 
 def test_masked_spec_validation():
