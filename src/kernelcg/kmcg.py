@@ -135,6 +135,9 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
     With an SE kernel, X_M is checked once for an exact Cartesian grid
     (:func:`kernelcg.structured.grid_axes`); the models keep its GridSpec,
     and every k(., X_M) they build is then a per-axis product.
+
+    The models share the trace's S and Z, whose memory follows the steps
+    taken (see :func:`kernelcg.solvers.cg_reorth`).
     """
     if not (prior_scale > 0.0):
         raise ValueError("prior_scale must be positive")
@@ -213,6 +216,10 @@ def kmcg_fit(
     the directions matter. A structured `operator` may replace the dense
     Gram product (it must apply v -> K_M v). `prior_scale` must be positive
     (see the module docstring).
+
+    Memory: the trace's (see :func:`kernelcg.solvers.cg_reorth`), of which
+    the model keeps S and Z, plus the operator's (the dense default builds
+    the M x M Gram) and, when M < N, the N x P products R.
     """
     (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator, prior_scale)
     return model
@@ -360,8 +367,8 @@ def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
         quad = float(y @ y)
         det = -0.5 * n * np.log(model.sigma2)
         return -0.5 * quad / model.sigma2, det
-    w = linalg.chol_solve(model.factor2, model.R.T @ y)
-    quad = float(y @ y - (model.R.T @ y) @ w)
+    Ry = model.R.T @ y
+    quad = float(y @ y - Ry @ linalg.chol_solve(model.factor2, Ry))
     det = (
         -0.5 * linalg.logdet(model.factor2)
         + 0.5 * linalg.logdet(model.factor1)

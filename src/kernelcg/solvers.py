@@ -15,10 +15,9 @@ the re-pass fires where the recursion has drifted far, as on ill-conditioned
 problems, or where the residual has shrunk to rounding noise. In exact
 arithmetic the two variants coincide.
 
-A trace keeps directions, products and residuals as rows of buffers that
-start small and at least double when full, capped at the step limit, and
-returns transposed views of the rows filled; see :func:`cg_reorth` for the
-memory this takes.
+A trace keeps directions, products and residuals as rows of arrays and
+returns transposed views of the rows filled; its memory follows the steps
+taken, not the step limit (see :func:`cg_reorth`).
 
 Every run starts from x = 0, whose residual is -b without an operator
 product, so a run of P steps makes P operator products, one more when it
@@ -93,17 +92,21 @@ def _with_room(buf: np.ndarray, rows: int, limit: int) -> np.ndarray:
     return grown
 
 
-def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> None:
+def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> float:
     """Project the mutually orthogonal rows of `basis` out of r in place.
 
     `sq` holds the rows' squared norms. One classical Gram-Schmidt pass,
     r <- r - ((basis r) / sq) basis, repeated once when it leaves at most
-    _REPASS_RATIO of the norm r had.
+    _REPASS_RATIO of the norm r had. Returns the norm of r after its last
+    pass.
     """
     before = np.linalg.norm(r)
     r -= ((basis @ r) / sq) @ basis
-    if np.linalg.norm(r) <= _REPASS_RATIO * before:
+    after = np.linalg.norm(r)
+    if after <= _REPASS_RATIO * before:
         r -= ((basis @ r) / sq) @ basis
+        after = np.linalg.norm(r)
+    return after
 
 
 def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
@@ -117,20 +120,20 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
         raise ValueError(f"max_steps must be at least 0, got {limit}")
 
     x = np.zeros(op.dim)
-    r = -b
-    s = -r
+    s = b.copy()
     collapse_tol = _COLLAPSE_FACTOR * np.finfo(float).eps * np.linalg.norm(b)
 
-    # Row k of S and Z holds step k's direction and product; row k of `res`
-    # holds residual r_k, which has norm norms[k].
+    # Row k of Z holds step k's product; row k of `res` holds residual r_k,
+    # which has norm norms[k]; betas[k] is the ratio that turns direction k
+    # into direction k + 1.
     first = min(limit, _FIRST_ROWS)
-    S = np.empty((first, op.dim))
     Z = np.empty((first, op.dim))
     res = np.empty((first + 1, op.dim))
     norms = np.empty(first + 1)
-    res[0] = r
-    norms[0] = np.linalg.norm(r)
-    rr = float(r @ r)
+    betas = np.empty(first)
+    np.negative(b, out=res[0])
+    norms[0] = np.linalg.norm(res[0])
+    rr = float(res[0] @ res[0])
 
     k = 0
     reason = MAXSTEPS
@@ -145,35 +148,50 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
             # trace gathered so far.
             reason = BREAKDOWN
             break
-        S = _with_room(S, k + 1, limit)
         Z = _with_room(Z, k + 1, limit)
         res = _with_room(res, k + 2, limit + 1)
         norms = _with_room(norms, k + 2, limit + 1)
-        S[k] = s
+        betas = _with_room(betas, k + 1, limit)
         Z[k] = z
         alpha = rr / curvature
-        x = x + alpha * s
-        r_new = r + alpha * z
+        x += alpha * s
+        r_new = res[k + 1]
+        np.multiply(z, alpha, out=r_new)
+        r_new += res[k]
         if reorth:
             # The stored residuals are mutually orthogonal, so they are the
             # basis; one pass, and a second only if the first cancelled.
-            _orthogonalize(r_new, res[: k + 1], norms[: k + 1] ** 2)
+            norms[k + 1] = _orthogonalize(r_new, res[: k + 1], norms[: k + 1] ** 2)
+        else:
+            norms[k + 1] = np.linalg.norm(r_new)
         k += 1
-        res[k] = r_new
-        norms[k] = np.linalg.norm(r_new)
         if reorth and norms[k] <= collapse_tol:
             reason = CONVERGED
             break
         rr_new = float(r_new @ r_new)
-        s = -r_new + (rr_new / rr) * s
-        r, rr = r_new, rr_new
+        betas[k - 1] = rr_new / rr
+        # s <- -r_new + beta s in place; IEEE addition commutes, so the
+        # bits are the formula's.
+        s *= betas[k - 1]
+        s -= r_new
+        rr = rr_new
     else:
         if not (norms[k] > eps):
             reason = CONVERGED
 
+    # The loop never reads a stored direction, so S is built once, at the
+    # steps taken, by the same recursion over the stored residuals: the same
+    # operations on the same values give the loop's bits.
+    S = np.empty((k, op.dim))
+    if k:
+        S[0] = b
+    for j in range(1, k):
+        np.multiply(S[j - 1], betas[j - 1], out=S[j])
+        S[j] -= res[j]
+
     return CgTrace(
         x=x,
-        S=S[:k].T,
+        S=S.T,
         Z=Z[:k].T,
         residuals=res[: k + 1].T,
         residual_norms=norms[: k + 1],
@@ -220,12 +238,16 @@ def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     products of an N-vector with the k stored residual rows (4 N k flops),
     and two more when the re-pass test of the module docstring fires.
 
-    Memory: after P steps the trace holds S, Z and the residuals in row
-    buffers of at most max(2 (P + 1), 17) rows of N floats each, never more
-    than max_steps + 1 rows; while a buffer grows its old rows are held
-    once more. The ceiling is therefore about 7 N max(P + 1, 17) floats plus
-    what the operator allocates, O(N P) in the steps taken and independent
-    of max_steps: the default max_steps = N allocates no N x N array.
+    Memory: the products Z and the residuals are rows of N floats in
+    buffers that start at 16 and 17 rows, at least double when full and
+    never pass max_steps and max_steps + 1 rows; the directions S are built
+    once after the loop, exactly P rows for P steps. While a buffer grows
+    its old rows are held once more, never more rows than S gets, so the
+    ceiling is the final S, Z and residual rows, at most about
+    5 N max(P + 1, 17) floats, plus a few N-vectors and what the operator
+    allocates. That is O(N P) in the steps taken and independent of
+    max_steps: the default max_steps = N allocates no N x N array, and a
+    run that reaches its max_steps holds 3 max_steps + 1 rows at most.
     """
     return _run_cg(op, b, eps, max_steps, reorth=True)
 

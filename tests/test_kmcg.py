@@ -160,6 +160,25 @@ def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict, grid):
         assert peak <= n * 300 * 8 / 10
 
 
+def test_budgeted_fit_on_a_kronecker_operator_holds_its_trace_rows_once():
+    # A 16^3 grid with P = 40 < M: the trace's final 3 P + 1 rows, the
+    # solver's few N-vectors and the fit's copies of X_M (3 N) and y_M.
+    # Growing S beside Z and the residuals would pass this.
+    kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
+    spec = grid_spec(kernel, [np.linspace(0, 2, 16)] * 3)
+    X = spec.points()
+    n, P = X.shape[0], 40
+    y = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        model = kmcg_fit(kernel, X, y, 0.01, eps=0.0, max_steps=P, operator=spec.operator())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (model.cg_steps, model.reason) == (P, solvers.MAXSTEPS) and model.grid is not None
+    assert peak <= (3 * (P + 1) + 14) * n * 8
+
+
 # --- degeneracy oracle --------------------------------------------------------
 
 

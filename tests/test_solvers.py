@@ -326,6 +326,7 @@ def _reference_cases():
     cases.append((np.eye(5), np.zeros(5), 0.0, 5))  # zero right-hand side
     K, b = _witness_operator()
     cases.append((K, b, 0.0, K.shape[0]))  # 200 steps, four buffer growths
+    cases.append((K, b, 0.0, 150))  # a limit below N: four growths, the last capped at it
     return cases
 
 
@@ -401,29 +402,51 @@ def test_reorth_orthogonality_and_conjugacy_property(seed, n, log_cond):
         assert np.max(C) <= 1e-8
 
 
-@pytest.mark.parametrize("spectrum", ["three-eigenvalues", "condition-10"])
+def _traced_peak(run, diagonal, rel_eps, max_steps=None):
+    """A run on the diagonal operator, eps = rel_eps ||b||, and the peak
+    bytes it allocated."""
+    n = diagonal.size
+    op = solvers.MvmOperator(dim=n, apply=lambda v: diagonal * v)
+    b = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        trace = run(op, b, eps=rel_eps * np.linalg.norm(b), max_steps=max_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return trace, peak
+
+
+@pytest.mark.parametrize("spectrum", ["three-eigenvalues", "condition-10", "condition-10-limit-n-1"])
 @pytest.mark.parametrize("run", [cg_reorth, cg_textbook])
 def test_trace_memory_grows_with_steps_taken_not_max_steps(run, spectrum):
-    # max_steps=None means op.dim = 4096 steps. These traces converge in 3
-    # and 29 steps (the second past two buffer growths), so memory must
-    # follow the steps taken, far below one N x N array.
+    # max_steps=None means op.dim = 4096 steps; the last case sets a limit
+    # of N - 1, from which sized rows would be three N x N arrays. These
+    # traces converge in 3 and 29 steps (the second past two buffer
+    # growths), so memory must follow the steps taken, far below one N x N
+    # array.
     n = 4096
     if spectrum == "three-eigenvalues":
         diagonal = np.resize([1.0, 5.0, 10.0], n)
     else:
         diagonal = np.linspace(1.0, 10.0, n)
-    op = solvers.MvmOperator(dim=n, apply=lambda v: diagonal * v)
-    b = np.random.default_rng(0).standard_normal(n)
-    tracemalloc.start()
-    try:
-        trace = run(op, b, eps=1e-8 * np.linalg.norm(b))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    max_steps = n - 1 if spectrum.endswith("limit-n-1") else None
+    trace, peak = _traced_peak(run, diagonal, 1e-8, max_steps)
     assert trace.reason == solvers.CONVERGED and 3 <= trace.steps <= 40
-    # The docstring's ceiling, 7 N max(P + 1, 17) floats, plus ten N-vectors.
-    assert peak <= (7 * max(trace.steps + 1, 17) + 10) * n * 8
+    # The docstring's ceiling, 5 N max(P + 1, 17) floats, plus ten N-vectors.
+    assert peak <= (5 * max(trace.steps + 1, 17) + 10) * n * 8
     assert peak <= n * n * 8 / 10
+
+
+@pytest.mark.parametrize("run", [cg_reorth, cg_textbook])
+def test_trace_that_reaches_its_limit_holds_its_rows_once(run):
+    # Buffers grow before S is built and never hold more old rows than S
+    # gets, so a run of P = max_steps steps peaks at its final 3 P + 1
+    # rows; growing S beside Z and the residuals would pass this.
+    n, P = 4096, 60
+    trace, peak = _traced_peak(run, np.linspace(1.0, 1000.0, n), 0.0, max_steps=P)
+    assert (trace.steps, trace.reason) == (P, solvers.MAXSTEPS)
+    assert peak <= (3 * (P + 1) + 10) * n * 8
 
 
 # --- stop reason within a budget ------------------------------------------------
