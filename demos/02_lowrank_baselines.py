@@ -25,7 +25,7 @@ want = exact.predict_mean(oracle, X_star)
 want_ev = exact.log_evidence(oracle)
 
 eig = lowrank.se_eigen_expansion(kernel, X.mean(axis=0), X.std(axis=0), 80)
-pbr = lowrank.PbrFits(eig, X, y, sigma2, X_star)  # every rank from one feature pass
+pbr = lowrank.PbrFits(eig, X, y, sigma2, X_star)  # every rank from one factor
 
 print(f"{'M':>4} {'sor eps_f':>12} {'fitc eps_f':>12} {'vfe eps_f':>12} {'pbr eps_f':>12} {'vfe ev gap':>12}")
 for m in (5, 10, 20, 40, 80):

@@ -26,9 +26,10 @@ piece of work they share (the subset, K_UU, its factor, K_UN and
 phi(X*) = k(X*, X_U); the sigma2 I fit of sor, dtc and vfe; the prior
 defect of dtc, fitc and vfe) is charged once, to the record of the first
 method in METHODS order that uses it; each record adds its own extra work.
-pbr evaluates the eigenfeatures of X and X* once, at full rank, and fits
-every budget on their leading columns; that feature pass is charged to the
-record of the largest budget. The `reason` of a kmcg, cg-reorth or
+pbr evaluates the eigenfeatures of X and X* once, at full rank, factors
+the full-rank system once and reads every budget's mean off a prefix sum
+(lowrank.PbrFits); the feature pass and the one factorization are charged
+to the record of the largest budget. The `reason` of a kmcg, cg-reorth or
 cg-textbook record says why CG stopped within its budget (converged,
 maxsteps or breakdown). Baselines say "ok", aggregate rows "aggregate", and
 a failed method "error: " and the exception.
@@ -304,10 +305,10 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
 
 
 def _run_pbr(config, data, oracle, expansion) -> list[ExperimentRecord]:
-    """pbr at every step from one evaluation of the features of X and X*.
+    """pbr at every step from one feature pass and one factorization.
 
-    The largest budget runs first, so its record carries the feature pass
-    (see lowrank.PbrFits).
+    The largest budget runs first, so its record carries both (see
+    lowrank.PbrFits).
     """
     fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
     records = []

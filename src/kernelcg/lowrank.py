@@ -23,8 +23,10 @@ restored in its variance,
 
 VFE subtracts tr(K - Q) / 2 sigma2 from its evidence, and FITC has
 Lam = theta_f - diag Q + sigma2. :class:`InducingFits` is their one
-entry. The projected Bayes regressor fits an eigenexpansion, and
-:class:`PbrFits` is its one entry.
+entry. The projected Bayes regressor fits the leading eigenpairs of
+:func:`se_eigen_expansion` (the Hermite recurrence, with an exact
+orthonormality check), and :class:`PbrFits`, its one entry, reads every
+rank off one factor.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, gram
@@ -156,7 +159,7 @@ class EigenExpansion:
     ``phi`` maps an (n, D) point array to the (n, P) matrix of eigenfunction
     values; ``eigenvalues`` must be positive and sorted descending.
     Orthonormality is the constructor's to establish (see
-    :func:`se_eigen_expansion`, which checks it by quadrature).
+    :func:`se_eigen_expansion`, which checks it by an exact quadrature).
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -174,48 +177,67 @@ class EigenExpansion:
 class PbrFits:
     """Projected Bayes regressors of every rank on one eigenexpansion.
 
-    The rank-`count` regressor predicts phi* (Phi Phi^T + sigma2 Lam^{-1})^{-1} Phi y
-    with the leading `count` eigenpairs: the low-rank machinery with the
-    induced kernel phi(x)^T Lam phi(z), i.e. Sigma = Lam^{-1}. phi(X) and
-    phi(X*) are evaluated once, at full rank, by the first :meth:`predict`
-    (again if it raised), and each rank fits on their leading columns.
+    The rank-c regressor predicts phi*_c A_c^{-1} Phi_c y / sigma2 with
+    A_c = Phi_c Phi_c^T / sigma2 + Lam_c^{-1} on the leading c eigenpairs:
+    the low-rank model with Sigma = Lam_c^{-1}. Sigma is diagonal, so A_c is
+    the leading block of A and chol(A_c) the leading block of L = chol(A).
+    With v = L^{-1} Phi y / sigma2 and V = L^{-1} phi(X*)^T, the rank-c mean
+    is the prefix sum of v_j V_j over j < c, as in kmcg.kmcg_predictions.
+    The first :meth:`predict` (again if it raised) evaluates phi(X) and
+    phi(X*), factors A and forward-substitutes both, once.
     """
 
     def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
         self.expansion, self.X, self.y, self.sigma2, self.X_star = expansion, X, y, sigma2, X_star
 
     @cached_property
-    def _features(self) -> tuple[np.ndarray, np.ndarray]:
+    def _means(self) -> np.ndarray:
+        """Row c - 1 is the rank-c mean at X*."""
+        if not self.sigma2 > 0.0:
+            raise ValueError("sigma2 must be positive")
         phi = self.expansion.phi
-        return np.asarray(phi(self.X), dtype=float), np.asarray(phi(self.X_star), dtype=float)
+        Phi = np.asarray(phi(self.X), dtype=float).T
+        scaled = Phi / self.sigma2
+        A = scaled @ Phi.T + np.diag(1.0 / self.expansion.eigenvalues)
+        L = linalg.cholesky(0.5 * (A + A.T)).L
+        v = solve_triangular(L, scaled @ np.asarray(self.y, dtype=float).reshape(-1), lower=True)
+        V = solve_triangular(L, np.asarray(phi(self.X_star), dtype=float).T, lower=True)
+        return np.cumsum(np.multiply(V, v[:, None], out=V), axis=0)
 
     def predict(self, count: int) -> np.ndarray:
         """The mean of the regressor on the leading `count` eigenpairs, 1 <= count <= rank."""
         rank = self.expansion.eigenvalues.size
         if not (1 <= count <= rank):
             raise ValueError(f"count must be in [1, {rank}]")
-        Phi, phi_star = self._features
-        phi = self.expansion.phi
-        feat = FeatureExpansion(
-            phi=lambda Xq: np.asarray(phi(Xq), dtype=float)[:, :count],
-            Sigma=np.diag(1.0 / self.expansion.eigenvalues[:count]),
-        )
-        model = _fit_design(feat, Phi[:, :count].T, self.y, self.sigma2)
-        return phi_star[:, :count] @ model.weights
+        return self._means[count - 1].copy()
 
 
 def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -> EigenExpansion:
-    """Analytic eigenexpansion of the ARD squared-exponential kernel with
-    respect to an axis-aligned Gaussian base density.
+    """The `count` leading eigenpairs of the ARD squared-exponential kernel
+    under an axis-aligned Gaussian base density (Zhu, Williams, Rohwer &
+    Morciniec, 1998; Rasmussen & Williams, 2006, sec. 4.3.1).
 
-    Per dimension, with a = 1/(4 s^2), b = lam/2, c = sqrt(a^2 + 2 a b),
-    A = a + b + c and B = b/A, the eigenvalues are sqrt(2a/A) B^k and the
-    eigenfunctions are scaled Hermite functions exp(-(c-a) u^2) H_k(sqrt(2c) u)
-    of the centered coordinate u. Multi-dimensional eigenpairs are products;
-    the `count` largest products are enumerated lazily.
+    Per axis, with a = 1/(4 s^2), b = lam/2, c = sqrt(a^2 + 2 a b) and
+    A = a + b + c, the eigenvalues are sqrt(2a/A) (b/A)^k and the
+    eigenfunctions are normalized Hermite functions of the centered
+    coordinate u, t = sqrt(2c) u; one recurrence pass gives every order:
+
+        phi_0 = (c/a)^(1/4) exp(-(c - a) u^2),   phi_1 = sqrt(2) t phi_0,
+        phi_k+1 = sqrt(2/(k+1)) t phi_k - sqrt(k/(k+1)) phi_k-1,
+
+    so where the envelope underflows every order is zero. D-dimensional
+    eigenpairs are products; the `count` largest pop off a heap over the
+    order lattice (at most 128 orders per axis) in non-increasing order.
+    The same recurrence is checked for orthonormality at the top + 1
+    Gauss-Hermite nodes t_i, x_i = mean + t_i / sqrt(2c), with weights
+    w_i sqrt(a / (pi c)) exp(2 (c - a) u_i^2): in t the integrand is
+    exp(-t^2) times a polynomial of degree at most 2 top, so the rule is
+    exact and a defect above 1e-8 raises a ValueError.
     """
     if kernel.family != SQUARED_EXPONENTIAL:
         raise ValueError("analytic eigenexpansion is only available for the squared-exponential family")
+    if count < 1:
+        raise ValueError(f"need count >= 1 eigenpairs, got {count}")
     means = np.broadcast_to(np.asarray(measure_means, dtype=float), (kernel.dim,)).copy()
     sds = np.broadcast_to(np.asarray(measure_sds, dtype=float), (kernel.dim,)).copy()
     if np.any(sds <= 0.0):
@@ -225,42 +247,9 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
     b = kernel.lam / 2.0
     c = np.sqrt(a**2 + 2.0 * a * b)
     big_a = a + b + c
-    ratio = b / big_a  # geometric decay factor per dimension, < 1
-    lead = np.sqrt(2.0 * a / big_a)
-
-    max_order = 128  # per-dimension cap; far beyond any desk-scale rank
-
-    def quadrature_defect(d: int, orders: np.ndarray) -> float:
-        """Orthonormality defect by Gauss-Hermite quadrature (exact here)."""
-        nodes, weights = np.polynomial.hermite.hermgauss(2 * int(orders.max()) + 60)
-        x = means[d] + np.sqrt(2.0) * sds[d] * nodes
-        F = one_dim_values(d, orders, x)
-        G = (F * (weights / np.sqrt(np.pi))[:, None]).T @ F
-        return float(np.max(np.abs(G - np.eye(orders.size))))
-
-    def one_dim_values(d: int, orders: np.ndarray, x: np.ndarray) -> np.ndarray:
-        u = x - means[d]
-        scaled = np.sqrt(2.0 * c[d]) * u
-        env = np.exp(-(c[d] - a[d]) * u**2)
-        out = np.empty((x.size, orders.size))
-        for j, k in enumerate(orders):
-            coeffs = np.zeros(k + 1)
-            coeffs[k] = 1.0
-            herm = np.polynomial.hermite.hermval(scaled, coeffs)
-            log_norm = -0.5 * (
-                k * np.log(2.0)
-                + float(np.sum(np.log(np.arange(1, k + 1))))
-                + 0.5 * np.log(np.pi)
-                - 0.5 * np.log(2.0 * c[d])
-                - 0.5 * np.log(2.0 * np.pi * sds[d] ** 2)
-            )
-            out[:, j] = np.exp(log_norm) * env * herm
-        return out
-
-    # Enumerate the `count` largest eigenvalue products over the index lattice
-    # with a max-heap; log-eigenvalues are additive.
-    log_lead = np.log(lead)
-    log_ratio = np.log(ratio)
+    log_lead = np.log(np.sqrt(2.0 * a / big_a))
+    log_ratio = np.log(b / big_a)  # < 0: the geometric decay per order
+    max_order = 128  # per-axis cap; far beyond any desk-scale rank
 
     def log_lam(idx: tuple) -> float:
         return float(np.sum(log_lead + np.asarray(idx) * log_ratio))
@@ -270,48 +259,47 @@ def se_eigen_expansion(kernel: Kernel, measure_means, measure_sds, count: int) -
     seen = {start}
     chosen: list[tuple] = []
     while heap and len(chosen) < count:
-        neg, idx = heapq.heappop(heap)
+        _, idx = heapq.heappop(heap)
         chosen.append(idx)
         for d in range(kernel.dim):
-            if idx[d] + 1 >= max_order:
-                continue
             nxt = idx[:d] + (idx[d] + 1,) + idx[d + 1 :]
-            if nxt not in seen:
+            if nxt[d] < max_order and nxt not in seen:
                 seen.add(nxt)
                 heapq.heappush(heap, (-log_lam(nxt), nxt))
     if len(chosen) < count:
         raise ValueError(f"cannot enumerate {count} eigenpairs under the per-dimension cap")
-
     indices = np.asarray(chosen)  # (count, D)
-    lam_values = kernel.theta_f * np.exp([log_lam(tuple(i)) for i in chosen])
+    top = indices.max(axis=0)
 
-    per_dim_orders = [np.unique(indices[:, d]) for d in range(kernel.dim)]
+    def axis_values(d: int, x: np.ndarray) -> np.ndarray:
+        """Orders 0..top[d] of axis d at the coordinates x, one row per order."""
+        u = x - means[d]
+        t = np.sqrt(2.0 * c[d]) * u
+        out = np.empty((top[d] + 1, x.size))
+        out[0] = (c[d] / a[d]) ** 0.25 * np.exp(-(c[d] - a[d]) * u**2)
+        if top[d]:
+            out[1] = np.sqrt(2.0) * t * out[0]
+        for k in range(1, top[d]):
+            out[k + 1] = np.sqrt(2.0 / (k + 1)) * t * out[k] - np.sqrt(k / (k + 1)) * out[k - 1]
+        return out
 
-    # Orthonormality is checked by Gauss-Hermite quadrature, which is exact
-    # for these Gaussian-times-polynomial integrands.
     for d in range(kernel.dim):
-        defect = quadrature_defect(d, per_dim_orders[d])
+        nodes, weights = np.polynomial.hermite.hermgauss(top[d] + 1)
+        u = nodes / np.sqrt(2.0 * c[d])
+        F = axis_values(d, means[d] + u)
+        G = (F * (weights * np.sqrt(a[d] / (np.pi * c[d])) * np.exp(2.0 * (c[d] - a[d]) * u**2))) @ F.T
+        defect = float(np.max(np.abs(G - np.eye(top[d] + 1))))
         if defect > 1e-8:
             raise ValueError(f"axis {d} eigenfunctions fail quadrature orthonormality: {defect:.3g}")
 
     def phi(X) -> np.ndarray:
         X = _as_points(X, kernel.dim)
-        axis_vals = []
+        out = np.ones((X.shape[0], count))
         for d in range(kernel.dim):
-            vals = one_dim_values(d, per_dim_orders[d], X[:, d])
-            lookup = {k: j for j, k in enumerate(per_dim_orders[d])}
-            axis_vals.append((vals, lookup))
-        out = np.ones((X.shape[0], indices.shape[0]))
-        for j, idx in enumerate(indices):
-            for d in range(kernel.dim):
-                vals, lookup = axis_vals[d]
-                out[:, j] *= vals[:, lookup[idx[d]]]
+            out *= axis_values(d, X[:, d])[indices[:, d]].T
         return out
 
-    order = np.argsort(-lam_values, kind="stable")
-    indices = indices[order]
-    lam_values = lam_values[order]
-    return EigenExpansion(phi, lam_values)
+    return EigenExpansion(phi, kernel.theta_f * np.exp([log_lam(idx) for idx in chosen]))
 
 
 # ---------------------------------------------------------------------------

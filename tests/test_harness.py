@@ -18,6 +18,7 @@ from kernelcg.harness import (
     run_experiment,
 )
 from kernelcg.kernels import se_kernel
+from brute import gauss_solve
 
 
 def _small_config(**overrides):
@@ -454,6 +455,30 @@ def test_test_point_features_computed_once_per_fit(monkeypatch):
     assert not [r.reason for r in records if r.reason.startswith("error:")]
     assert cross == {"kmcg": 1, "lowrank": len(config.steps) * config.repetitions}
     assert len(points) == 2 and points[0] is data.X and points[1] is data.X_star
+
+
+@pytest.mark.parametrize("metric", [4.0, 16.0])
+def test_pbr_runs_at_short_lengthscales_on_the_toy_problem(metric):
+    # An orthonormality check that was not exact once rejected these valid
+    # expansions, so every pbr record was an error. Each rank must be the
+    # exact GP under the kernel of its leading eigenpairs.
+    data = gen_toy(0)
+    kernel = se_kernel([metric], 2.0)
+    config = ExperimentConfig(kernel=kernel, sigma2=TOY_DEFAULT_SIGMA2, methods=("exact", "pbr"),
+                              steps=(1, 2, 3, 4, 5))
+    records = [r for r in run_experiment(config, data) if r.method == "pbr"]
+    assert [r.reason for r in records] == ["ok"] * 5
+    expansion = lowrank.se_eigen_expansion(kernel, data.X.mean(axis=0), data.X.std(axis=0), records[-1].budget)
+    fits = lowrank.PbrFits(expansion, data.X, data.y, TOY_DEFAULT_SIGMA2, data.X_star)
+    oracle = exact.predict_mean(exact.fit(kernel, data.X, data.y, TOY_DEFAULT_SIGMA2), data.X_star)
+    F, F_star = expansion.phi(data.X), expansion.phi(data.X_star)
+    for record in records:
+        lam = expansion.eigenvalues[: record.budget]
+        F_m, F_star_m = F[:, : record.budget], F_star[:, : record.budget]
+        K = (F_m * lam) @ F_m.T + TOY_DEFAULT_SIGMA2 * np.eye(data.n_train)
+        want = (F_star_m * lam) @ F_m.T @ gauss_solve(K, data.y).reshape(-1)
+        assert np.allclose(fits.predict(record.budget), want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+        assert record.eps_f == pytest.approx(metric_relerr(oracle, want), rel=1e-8)
 
 
 def test_pbr_feature_pass_charged_once_to_largest_budget(monkeypatch):

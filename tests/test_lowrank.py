@@ -274,8 +274,18 @@ def test_pbr_rank_one_closed_form():
     assert np.allclose(PbrFits(expansion, X, y, sigma2, X_star).predict(1), expected, rtol=1e-10)
 
 
-def test_pbr_every_rank_from_one_feature_pass():
-    # Each rank equals the exact GP with the kernel of its leading eigenpairs.
+def test_pbr_every_rank_from_one_feature_pass(monkeypatch):
+    # Each rank equals the exact GP with the kernel of its leading eigenpairs,
+    # and every rank comes from one evaluation of each feature array and
+    # one factorization.
+    factored = []
+    original = linalg.cholesky
+
+    def counting(A, *args):
+        factored.append(A.shape)
+        return original(A, *args)
+
+    monkeypatch.setattr(linalg, "cholesky", counting)
     expansion = _trig_expansion()
     rng = np.random.default_rng(33)
     X = rng.uniform(0, 1, (15, 1))
@@ -290,6 +300,7 @@ def test_pbr_every_rank_from_one_feature_pass():
         want = F_star @ lam @ F.T @ gauss_solve(F @ lam @ F.T + sigma2 * np.eye(15), y)
         assert np.allclose(fits.predict(count), want, rtol=1e-10, atol=1e-12)
     assert phi.call_count == 2
+    assert factored == [(3, 3)]
 
 
 def test_pbr_rejects_a_count_outside_one_to_rank():
@@ -300,6 +311,8 @@ def test_pbr_rejects_a_count_outside_one_to_rank():
         with pytest.raises(ValueError, match=r"count must be in \[1, 3\]"):
             fits.predict(count)
     assert fits.predict(3).shape == (2,)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        PbrFits(_trig_expansion(), X, rng.standard_normal(8), 0.0, X[:2]).predict(1)
 
 
 def test_pbr_eigenvalue_scaling_consistency():
@@ -348,6 +361,43 @@ def test_se_eigen_expansion_multidim_product():
     rng = np.random.default_rng(22)
     F = expansion.phi(rng.standard_normal((5, 2)))
     assert F.shape == (5, 10)
+
+
+def test_se_eigen_expansion_rejects_a_count_below_one():
+    with pytest.raises(ValueError, match="count >= 1 eigenpairs, got 0"):
+        se_eigen_expansion(se_kernel([1.0], 1.0), [0.0], [1.0], 0)
+
+
+@pytest.mark.parametrize("metric", [0.25, 4.0, 16.0, 100.0])
+def test_se_eigen_expansion_passes_its_check_up_to_the_order_cap(metric):
+    # In the scaled coordinate the Gauss-Hermite rule is exact, so valid
+    # expansions pass at every lengthscale; a rule that also had to
+    # integrate the envelope rejected them at the larger metrics.
+    expansion = se_eigen_expansion(se_kernel([metric], 2.0), [0.4], [0.3], 127)
+    assert expansion.eigenvalues.size == 127
+    with pytest.raises(ValueError, match="per-dimension cap"):
+        se_eigen_expansion(se_kernel([metric], 2.0), [0.4], [0.3], 129)
+
+
+def test_se_eigen_orthonormality_check_catches_a_defect_of_one_in_a_million(monkeypatch):
+    original = np.polynomial.hermite.hermgauss
+
+    def perturbed(n):
+        nodes, weights = original(n)
+        return nodes, weights * (1.0 + 1e-6)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", perturbed)
+    with pytest.raises(ValueError, match="fail quadrature orthonormality: 1e-06"):
+        se_eigen_expansion(se_kernel([2.0], 1.0), [0.0], [1.0], 8)
+
+
+def test_se_eigen_features_vanish_far_from_the_base_density():
+    # 1000 sds out the envelope underflows to zero while H_126(t) is beyond
+    # float range; the recurrence carries the zero through every order.
+    expansion = se_eigen_expansion(se_kernel([4.0], 2.0), [0.5], [0.3], 127)
+    F = expansion.phi(np.array([[0.5 - 300.0], [0.5], [0.5 + 300.0]]))
+    assert np.all(np.isfinite(F))
+    assert np.all(F[[0, 2]] == 0.0) and F[1, 0] > 0.0
 
 
 # --- FITC / VFE --------------------------------------------------------------
