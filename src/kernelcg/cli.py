@@ -3,7 +3,8 @@
 The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output); see CONFIG_TEMPLATE for the
 recognized keys and an example. The dataset and kernel sections are
-required. A bad config or an unreadable or malformed file ends a command
+required; an unknown section, or a key its section does not read, is an
+error. A bad config or an unreadable or malformed file ends a command
 with one "error:" line on stderr and exit status 1.
 """
 
@@ -82,6 +83,15 @@ _DATASET_KEYS = {
 }
 
 
+# The keys each section but [dataset] reads.
+_SECTION_KEYS = {
+    "kernel": ("family", "metric", "theta_f", "sigma2"),
+    "methods": ("list",),
+    "schedule": ("steps", "budget_rule", "fixed_m", "kmcg_m", "repetitions", "inducing_cap", "seed"),
+    "output": ("path",),
+}
+
+
 def _build_dataset(cfg: configparser.ConfigParser):
     section = cfg["dataset"]
     source = section.get("source", "toy").strip()
@@ -149,6 +159,16 @@ def _cmd_run(args) -> int:
     for name in ("dataset", "kernel"):
         if not cfg.has_section(name):
             raise SystemExit(f"error: {args.config} has no [{name}] section")
+    if cfg.defaults():  # its keys would reach every section
+        raise SystemExit(f"error: {args.config} has an unknown section [{cfg.default_section}]")
+    for name in cfg.sections():
+        if name == "dataset":
+            continue  # its keys depend on the source; see _build_dataset
+        if name not in _SECTION_KEYS:
+            raise SystemExit(f"error: {args.config} has an unknown section [{name}]")
+        unknown = [key for key in cfg[name] if key not in _SECTION_KEYS[name]]
+        if unknown:
+            raise SystemExit(f"error: [{name}] does not read {', '.join(unknown)}")
     data = _build_dataset(cfg)
     kernel = _build_kernel(cfg, data.dim)
     methods = tuple(

@@ -75,14 +75,15 @@ _STREAM_INDUCING = 7
 def metric_relerr(exact_values, approx_values) -> float:
     """Average relative error (1/n) sum |exact - approx| / |exact|.
 
-    Entries with |exact| below RELERR_GUARD times the largest magnitude are
-    excluded, and n counts the rest; nan when every entry is excluded.
+    Entries with |exact| zero or below RELERR_GUARD times the largest
+    magnitude are excluded, and n counts the rest; nan when every entry is
+    excluded (an all-zero exact vector among them).
     """
     exact_values = np.asarray(exact_values, dtype=float).reshape(-1)
     approx_values = np.asarray(approx_values, dtype=float).reshape(-1)
     if exact_values.shape != approx_values.shape:
         raise ValueError("exact and approximate vectors differ in length")
-    keep = np.abs(exact_values) >= RELERR_GUARD * np.max(np.abs(exact_values))
+    keep = (exact_values != 0.0) & (np.abs(exact_values) >= RELERR_GUARD * np.max(np.abs(exact_values)))
     if not np.any(keep):
         return float("nan")
     ratio = np.abs((exact_values[keep] - approx_values[keep]) / exact_values[keep])
@@ -304,16 +305,24 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
     return records
 
 
-def _run_pbr(config, data, oracle, expansion) -> list[ExperimentRecord]:
-    """pbr at every step from one feature pass and one factorization.
+def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
+    """pbr at every step, in step order, from one feature pass and one factorization.
 
     The largest budget runs first, so its record carries both (see
-    lowrank.PbrFits).
+    lowrank.PbrFits). If the eigenexpansion cannot be built, every step
+    records the failure.
     """
+    n = data.n_train
+    try:
+        max_rank = max(budget_for(config, n, step) for step in config.steps)
+        sds = np.maximum(data.X.std(axis=0), 1e-8)
+        expansion = lowrank.se_eigen_expansion(config.kernel, data.X.mean(axis=0), sds, max_rank)
+    except Exception as error:
+        return [_failure("pbr", step, budget_for(config, n, step), "0", error) for step in sorted(config.steps)]
     fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
     records = []
     for step in sorted(config.steps, reverse=True):
-        m = budget_for(config, data.n_train, step)
+        m = budget_for(config, n, step)
         try:
             start = time.perf_counter()
             mean = fits.predict(min(m, expansion.eigenvalues.size))
@@ -321,7 +330,7 @@ def _run_pbr(config, data, oracle, expansion) -> list[ExperimentRecord]:
                                    time.perf_counter() - start, 0, "ok"))
         except Exception as error:
             records.append(_failure("pbr", step, m, "0", error))
-    return records
+    return sorted(records, key=lambda r: r.step)
 
 
 def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]:
@@ -379,26 +388,15 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
             records.extend(_run_cg(config, data, oracle, method))
 
     inducing = [m for m in ("sor", "dtc", "fitc", "vfe") if m in config.methods]
-    pbr_expansion = None
-    if "pbr" in config.methods:
-        try:
-            max_rank = max(budget_for(config, n, step) for step in config.steps)
-            means = data.X.mean(axis=0)
-            sds = np.maximum(data.X.std(axis=0), 1e-8)
-            pbr_expansion = lowrank.se_eigen_expansion(config.kernel, means, sds, max_rank)
-        except Exception as error:
-            records.extend(_failure("pbr", step, budget_for(config, n, step), "0", error)
-                           for step in config.steps)
-
     by_subset = [_inducing_once(config, data, oracle, inducing, step, rep)
                  for step in config.steps for rep in range(config.repetitions)] if inducing else []
-    pbr_rows = _run_pbr(config, data, oracle, pbr_expansion) if pbr_expansion is not None else []
     for i, method in enumerate(inducing):
         rows = sorted((subset[i] for subset in by_subset), key=lambda r: (r.step, int(r.run)))
         records.extend(rows)
         if config.repetitions > 1:
             records.extend(_aggregate(rows, config.steps))
-    records.extend(sorted(pbr_rows, key=lambda r: r.step))  # pbr is deterministic: one repetition
+    if "pbr" in config.methods:
+        records.extend(_run_pbr(config, data, oracle))  # pbr is deterministic: one repetition
     return records
 
 

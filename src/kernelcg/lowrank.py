@@ -1,29 +1,26 @@
 """Finite-rank kernel approximations and the inducing-point baselines.
 
-A rank-M kernel has the form k(x, z) ~= phi(x)^T Sigma^{-1} phi(z). With
-noise Lam (sigma2 I, or a per-point diagonal) the model is
-N(y; 0, Phi^T Sigma^{-1} Phi + Lam), Phi_ij = phi_i(X_j), and the
-matrix-inversion and matrix-determinant lemmas reduce it from O(N^3) to
-O(N M^2) with A = Phi Lam^{-1} Phi^T + Sigma:
+SoR, DTC, VFE and FITC are one model, N(y; 0, Q + Lam), with the Nystrom
+kernel Q = Phi^T Sigma^{-1} Phi of :func:`sor_expansion` (Sigma = K_UU,
+Phi = K_UN) and different noise Lam (Quinonero-Candela & Rasmussen, 2005).
+The matrix-inversion and matrix-determinant lemmas reduce it from O(N^3)
+to O(N M^2) with A = Phi Lam^{-1} Phi^T + Sigma:
 
     mean(x*)   = phi(x*)^T A^{-1} Phi Lam^{-1} y
     var(x*)    = phi(x*)^T A^{-1} phi(x*)
     evidence   = -1/2 (y^T Lam^{-1} y - y^T Lam^{-1} Phi^T A^{-1} Phi Lam^{-1} y)
                  - 1/2 (sum log Lam + ln|A| - ln|Sigma|) - N/2 ln(2 pi)
 
-:func:`lowrank_fit` is this one algebra for every finite-rank and
-inducing-point model here, and the only place one is factored. Its
-variance, :func:`lowrank_var_diag`, is the model's own, which decays to
-zero far from the data. SoR, DTC, VFE and FITC all fit N(y; 0, Q + Lam)
-with the Nystrom kernel Q = K_NU K_UU^{-1} K_UN of :func:`sor_expansion`
-(Quinonero-Candela & Rasmussen, 2005): DTC is SoR with the exact prior
-restored in its variance,
+:class:`InducingFits` is this one algebra, their one entry, and the only
+place an inducing-point A is factored. SoR's variance is the plain one
+above, which decays to zero far from the data; DTC is SoR with the exact
+prior restored in its variance,
 
     var_dtc(x*) = theta_f - phi(x*)^T K_UU^{-1} phi(x*) + var(x*),
 
 VFE subtracts tr(K - Q) / 2 sigma2 from its evidence, and FITC has
-Lam = theta_f - diag Q + sigma2. :class:`InducingFits` is their one
-entry. The projected Bayes regressor fits the leading eigenpairs of
+Lam = theta_f - diag Q + sigma2 where the others have Lam = sigma2 I.
+The projected Bayes regressor fits the leading eigenpairs of
 :func:`se_eigen_expansion` (the Hermite recurrence, with an exact
 orthonormality check), and :class:`PbrFits`, its one entry, reads every
 rank off one factor.
@@ -32,7 +29,7 @@ rank off one factor.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -59,21 +56,10 @@ def choose_inducing(n_total: int, m: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureExpansion:
-    """Feature map phi (points -> n x M array) with inner matrix Sigma.
-
-    ``sigma_factor`` is chol(Sigma), factored when the expansion is built.
-    """
+    """Feature map phi (points -> n x M array) with inner matrix Sigma."""
 
     phi: Callable[[np.ndarray], np.ndarray]
     Sigma: np.ndarray
-    sigma_factor: linalg.CholeskyFactor = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_factor", linalg.cholesky(self.Sigma))
-
-    @property
-    def rank(self) -> int:
-        return self.Sigma.shape[0]
 
 
 def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
@@ -86,66 +72,6 @@ def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
         phi=lambda Xq: gram(kernel, _as_points(Xq, kernel.dim), X_U),
         Sigma=gram(kernel, X_U),
     )
-
-
-@dataclass(frozen=True)
-class LowRankModel:
-    expansion: FeatureExpansion
-    y: np.ndarray
-    sigma2: np.ndarray  # Lam: the noise variance of each training point
-    factor: linalg.CholeskyFactor  # chol(A), A = Phi Lam^{-1} Phi^T + Sigma
-    rhs: np.ndarray  # Phi Lam^{-1} y
-    weights: np.ndarray  # A^{-1} rhs
-
-
-def lowrank_fit(expansion: FeatureExpansion, X, y, sigma2) -> LowRankModel:
-    """Assemble the design matrix and factorize A = Phi Lam^{-1} Phi^T + Sigma.
-
-    sigma2 is Lam: a positive scalar (Lam = sigma2 I) or N positive variances.
-    """
-    return _fit_design(expansion, np.asarray(expansion.phi(X), dtype=float).T, y, sigma2)
-
-
-def _fit_design(expansion: FeatureExpansion, Phi: np.ndarray, y, sigma2) -> LowRankModel:
-    """:func:`lowrank_fit` on a design matrix Phi that is already assembled."""
-    if Phi.shape != (expansion.rank, np.size(y)):
-        raise ValueError(f"feature map produced shape {Phi.T.shape}, expected ({np.size(y)}, {expansion.rank})")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    lam = np.broadcast_to(np.asarray(sigma2, dtype=float), y.shape)
-    if not np.all(lam > 0.0):
-        raise ValueError("sigma2 must be positive")
-    scaled = Phi / lam
-    A = scaled @ Phi.T + expansion.Sigma
-    factor = linalg.cholesky(0.5 * (A + A.T))
-    rhs = scaled @ y
-    weights = linalg.chol_solve(factor, rhs)
-    return LowRankModel(expansion=expansion, y=y, sigma2=lam, factor=factor, rhs=rhs, weights=weights)
-
-
-def lowrank_mean(model: LowRankModel, X_star) -> np.ndarray:
-    return np.asarray(model.expansion.phi(X_star), dtype=float) @ model.weights
-
-
-def lowrank_var_diag(model: LowRankModel, X_star) -> np.ndarray:
-    """Pointwise predictive variance phi* A^{-1} phi*.
-
-    Costs O(n* M^2) flops and O(n* M) memory: the n* x M features and two
-    arrays of their size; no n* x n* array.
-    """
-    return _plain_var(model, np.asarray(model.expansion.phi(X_star), dtype=float))
-
-
-def _plain_var(model: LowRankModel, phi_star: np.ndarray) -> np.ndarray:
-    """phi* A^{-1} phi* for each row of the evaluated features phi(X*)."""
-    return linalg.chol_quad_diag(model.factor, phi_star.T)
-
-
-def lowrank_evidence(model: LowRankModel) -> float:
-    """Log evidence of the degenerate model N(y; 0, Phi^T Sigma^{-1} Phi + Lam)."""
-    lam = model.sigma2
-    quad = model.y @ (model.y / lam) - model.rhs @ model.weights
-    logdet = np.sum(np.log(lam)) + linalg.logdet(model.factor) - linalg.logdet(model.expansion.sigma_factor)
-    return float(-0.5 * (quad + logdet + model.y.size * np.log(2.0 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +247,10 @@ class InducingFits:
         self.kernel, self.X, self.y, self.sigma2, self.X_U, self.X_star = kernel, X, y, sigma2, X_U, X_star
 
     @cached_property
-    def _basis(self) -> tuple[FeatureExpansion, np.ndarray]:
+    def _basis(self) -> tuple[FeatureExpansion, linalg.CholeskyFactor, np.ndarray]:
+        """The expansion, chol(K_UU) and Phi = K_UN."""
         expansion = sor_expansion(self.kernel, self.X_U)
-        return expansion, np.asarray(expansion.phi(self.X), dtype=float).T
+        return expansion, linalg.cholesky(expansion.Sigma), np.asarray(expansion.phi(self.X), dtype=float).T
 
     @cached_property
     def _phi_star(self) -> np.ndarray:
@@ -331,12 +258,32 @@ class InducingFits:
 
     @cached_property
     def _defect(self) -> np.ndarray:
-        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[0].sigma_factor, self._phi_star.T)
+        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[1], self._phi_star.T)
+
+    def _solve(self, lam):
+        """(mean, plain variance, evidence) of N(y; 0, Q + Lam), Lam a positive
+        scalar (Lam I) or one positive variance per training point."""
+        expansion, factor_uu, Phi = self._basis
+        if Phi.shape[1] != np.size(self.y):
+            raise ValueError(f"y has {np.size(self.y)} entries but X has {Phi.shape[1]} points")
+        y = np.asarray(self.y, dtype=float).reshape(-1)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), y.shape)
+        if not (self.sigma2 > 0.0 and np.all(lam > 0.0)):
+            raise ValueError("sigma2 must be positive")
+        scaled = Phi / lam
+        A = scaled @ Phi.T + expansion.Sigma
+        factor = linalg.cholesky(0.5 * (A + A.T))
+        rhs = scaled @ y
+        weights = linalg.chol_solve(factor, rhs)
+        quad = y @ (y / lam) - rhs @ weights
+        logdet = np.sum(np.log(lam)) + linalg.logdet(factor) - linalg.logdet(factor_uu)
+        evidence = float(-0.5 * (quad + logdet + y.size * np.log(2.0 * np.pi)))
+        phi_star = self._phi_star
+        return phi_star @ weights, linalg.chol_quad_diag(factor, phi_star.T), evidence
 
     @cached_property
     def _fit(self):
-        model = _fit_design(*self._basis, self.y, self.sigma2)
-        return self._phi_star @ model.weights, _plain_var(model, self._phi_star), lowrank_evidence(model)
+        return self._solve(self.sigma2)
 
     @cached_property
     def _dtc_var(self) -> np.ndarray:
@@ -344,8 +291,7 @@ class InducingFits:
 
     @cached_property
     def _gap(self) -> np.ndarray:
-        expansion, Phi = self._basis
-        return self.kernel.theta_f - linalg.chol_quad_diag(expansion.sigma_factor, Phi)
+        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[1], self._basis[2])
 
     def predict(self, method: str):
         """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe.
@@ -356,9 +302,8 @@ class InducingFits:
         the exact prior diagonal, Q + diag(K - Q) + sigma2 I.
         """
         if method == "fitc":
-            model = _fit_design(*self._basis, self.y, self._gap + self.sigma2)
-            phi_star = self._phi_star
-            return phi_star @ model.weights, self._defect + _plain_var(model, phi_star), lowrank_evidence(model)
+            mean, plain, evidence = self._solve(self._gap + self.sigma2)
+            return mean, self._defect + plain, evidence
         mean, plain, evidence = self._fit
         if method == "sor":
             return mean, plain, evidence

@@ -1,3 +1,4 @@
+import configparser
 import csv
 from pathlib import Path
 
@@ -201,6 +202,34 @@ def test_run_without_required_section_is_one_line_error(tmp_path, section):
         cli.main(["run", "--config", str(config_path)])
     message = raised.value.code
     assert message.startswith("error:") and f"[{section}]" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("edit, code", [
+    (("[output]", "[ouput]"), "has an unknown section [ouput]"),
+    (("[dataset]", "[DEFAULT]\nseed = 3\n\n[dataset]"), "has an unknown section [DEFAULT]"),
+    (("repetitions = 1", "repetition = 1"), "[schedule] does not read repetition"),
+    (("metric = 0.25", "metrics = 0.25"), "[kernel] does not read metrics"),
+    (("[output]", "[methods]\nlist = exact\nlists = kmcg\n\n[output]"), "[methods] does not read lists"),
+    (("path = ", "path = x\nformat = csv\nfile = "), "[output] does not read format, file"),
+])
+def test_run_with_an_unknown_section_or_key_is_one_line_error(tmp_path, edit, code):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(_TOY_CONFIG.format(records=records_path).replace(*edit))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    message = raised.value.code
+    assert message.startswith("error:") and message.endswith(code) and "\n" not in message
+    assert not records_path.exists()
+
+
+def test_config_template_reads_only_known_keys():
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg.read_string(cli.CONFIG_TEMPLATE)
+    assert set(cfg.sections()) == {"dataset", *cli._SECTION_KEYS}
+    for name, keys in cli._SECTION_KEYS.items():
+        assert set(cfg[name]) <= set(keys)
+    assert set(cfg["dataset"]) - {"source"} <= set(cli._DATASET_KEYS[cfg["dataset"]["source"]])
 
 
 def test_run_with_negative_step_budget_is_one_line_error(tmp_path):

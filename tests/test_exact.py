@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 from kernelcg import exact, linalg
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
-from kernelcg.lowrank import FeatureExpansion, lowrank_fit, lowrank_mean
+from kernelcg.lowrank import InducingFits
 from brute import gauss_solve, mvn_logpdf
 from mpref import exact_reference
 
@@ -128,15 +128,13 @@ def test_log_evidence_decreases_for_scaled_targets():
 
 
 def test_mean_matches_complete_degeneracy_lowrank():
-    # Features phi(x) = k(X, x) with Sigma = K reproduce the exact predictor.
+    # SoR on every training input, phi(x) = k(X, x) with Sigma = K, reproduces the exact predictor.
     kernel, X, y, sigma2 = _random_problem(12, 30)
     model = exact.fit(kernel, X, y, sigma2)
-    expansion = FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X))
-    low = lowrank_fit(expansion, X, y, sigma2)
     rng = np.random.default_rng(13)
     X_star = rng.uniform(0, 2, (8, 2))
     a = exact.predict_mean(model, X_star)
-    b = lowrank_mean(low, X_star)
+    b, _, _ = InducingFits(kernel, X, y, sigma2, X, X_star).predict("sor")
     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
 
 

@@ -62,6 +62,13 @@ def test_relerr_guard_excludes_tiny_denominators():
     assert metric_relerr(exact_values, [1.1, 5.0, 2.0]) == pytest.approx(0.05)
 
 
+def test_relerr_is_nan_without_warning_on_an_all_zero_exact_vector():
+    # All-zero targets give an exactly zero exact mean: no entry is a scale.
+    assert np.isnan(metric_relerr(np.zeros(4), [0.5, 0.0, -1.0, 2.0]))
+    assert np.isnan(metric_relerr(np.zeros(4), np.zeros(4)))
+    assert metric_relerr([0.0, 2.0], [7.0, 1.0]) == 0.5
+
+
 def test_var_and_ev_metrics():
     # eps_var is the relative error of the pointwise variances
     assert metric_relerr([1.0, 4.0], [1.1, 3.6]) == pytest.approx((0.1 + 0.1) / 2)
@@ -215,6 +222,20 @@ def test_method_failure_is_recorded_not_raised():
     pbr_rows = [r for r in records if r.method == "pbr"]
     assert pbr_rows and all(r.reason.startswith("error:") for r in pbr_rows)
     assert any(r.method == "sor" and np.isfinite(r.eps_f) for r in records)
+
+
+def test_pbr_rows_come_last_whether_or_not_the_expansion_is_built():
+    from kernelcg.kernels import matern52_kernel
+
+    data = gen_toy(0)
+    orders = []
+    for family in (se_kernel, matern52_kernel):
+        config = ExperimentConfig(kernel=family([4.0], 2.0), sigma2=TOY_DEFAULT_SIGMA2,
+                                  methods=("kmcg", "sor", "pbr"), steps=(2, 1), repetitions=2)
+        records = run_experiment(config, data)
+        orders.append([(r.method, r.step) for r in records if r.run == "0"])
+    assert orders[0] == orders[1]
+    assert orders[0][-2:] == [("pbr", 1), ("pbr", 2)]
 
 
 def test_kmcg_full_budget_record_is_exact_to_1e5():

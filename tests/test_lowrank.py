@@ -11,14 +11,9 @@ from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import kmcg_fit, kmcg_kernel_gram
 from kernelcg.lowrank import (
     EigenExpansion,
-    FeatureExpansion,
     InducingFits,
     PbrFits,
     choose_inducing,
-    lowrank_evidence,
-    lowrank_fit,
-    lowrank_mean,
-    lowrank_var_diag,
     se_eigen_expansion,
     sor_expansion,
 )
@@ -34,42 +29,31 @@ def _problem(seed, n, d=2, lam=2.0, theta=1.5, sigma2=0.1):
     return kernel, X, y, sigma2, rng
 
 
-def _complete_expansion(kernel, X):
-    return FeatureExpansion(phi=lambda q: gram(kernel, q, X), Sigma=gram(kernel, X))
-
-
 # --- fit / mean -----------------------------------------------------------
 
 
 def test_complete_degeneracy_matches_exact_mean():
     kernel, X, y, sigma2, rng = _problem(0, 30)
     oracle = exact.fit(kernel, X, y, sigma2)
-    model = lowrank_fit(_complete_expansion(kernel, X), X, y, sigma2)
     X_star = rng.uniform(0, 2, (10, 2))
+    mean, _, _ = InducingFits(kernel, X, y, sigma2, X, X_star).predict("sor")
     want = exact.predict_mean(oracle, X_star)
-    assert np.linalg.norm(lowrank_mean(model, X_star) - want) <= 1e-8 * np.linalg.norm(want)
-
-
-def test_constant_feature_mean():
-    kernel, X, y, sigma2, _ = _problem(1, 12)
-    expansion = FeatureExpansion(phi=lambda q: np.ones((np.atleast_2d(q).shape[0], 1)), Sigma=np.eye(1))
-    model = lowrank_fit(expansion, X, y, sigma2)
-    assert lowrank_mean(model, X[:3]) == pytest.approx(np.full(3, np.sum(y) / (12 + sigma2)))
+    assert np.linalg.norm(mean - want) <= 1e-8 * np.linalg.norm(want)
 
 
 def test_zero_targets_zero_mean():
     kernel, X, _, sigma2, rng = _problem(2, 10)
-    model = lowrank_fit(sor_expansion(kernel, X[:4]), X, np.zeros(10), sigma2)
-    assert np.array_equal(lowrank_mean(model, rng.uniform(0, 2, (5, 2))), np.zeros(5))
+    mean, _, _ = InducingFits(kernel, X, np.zeros(10), sigma2, X[:4], rng.uniform(0, 2, (5, 2))).predict("sor")
+    assert np.array_equal(mean, np.zeros(5))
 
 
 def test_sor_complete_inducing_equals_exact_mean():
     kernel, X, y, sigma2, rng = _problem(3, 25)
     oracle = exact.fit(kernel, X, y, sigma2)
-    model = lowrank_fit(sor_expansion(kernel, X), X, y, sigma2)
     X_star = rng.uniform(0, 2, (8, 2))
+    mean, _, _ = InducingFits(kernel, X, y, sigma2, X, X_star).predict("sor")
     want = exact.predict_mean(oracle, X_star)
-    assert np.linalg.norm(lowrank_mean(model, X_star) - want) <= 1e-8 * np.linalg.norm(want)
+    assert np.linalg.norm(mean - want) <= 1e-8 * np.linalg.norm(want)
 
 
 # --- variance -------------------------------------------------------------
@@ -77,10 +61,10 @@ def test_sor_complete_inducing_equals_exact_mean():
 
 def test_far_field_variances():
     kernel, X, y, sigma2, _ = _problem(4, 20)
-    model = lowrank_fit(sor_expansion(kernel, X[:6]), X, y, sigma2)
-    far = np.full((1, 2), 1e3)
-    assert abs(lowrank_var_diag(model, far)[0]) <= 1e-12
-    _, dtc, _ = InducingFits(kernel, X, y, sigma2, X[:6], far).predict("dtc")
+    fits = InducingFits(kernel, X, y, sigma2, X[:6], np.full((1, 2), 1e3))
+    _, plain, _ = fits.predict("sor")
+    assert abs(plain[0]) <= 1e-12
+    _, dtc, _ = fits.predict("dtc")
     assert dtc[0] == pytest.approx(kernel.theta_f)
 
 
@@ -101,7 +85,6 @@ def test_dtc_minus_plain_is_prior_defect():
     fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
     _, plain, _ = fits.predict("sor")
     _, dtc, _ = fits.predict("dtc")
-    assert np.array_equal(plain, lowrank_var_diag(lowrank_fit(expansion, X, y, sigma2), X_star))
     P = expansion.phi(X_star)
     k_hat = np.diag(P @ gauss_solve(expansion.Sigma, P.T))
     defect = kernel.theta_f - k_hat
@@ -115,49 +98,51 @@ def test_dtc_minus_plain_is_prior_defect():
 def test_complete_degeneracy_evidence():
     kernel, X, y, sigma2, _ = _problem(8, 30)
     oracle = exact.fit(kernel, X, y, sigma2)
-    model = lowrank_fit(_complete_expansion(kernel, X), X, y, sigma2)
-    assert lowrank_evidence(model) == pytest.approx(exact.log_evidence(oracle), rel=1e-8)
+    _, _, evidence = InducingFits(kernel, X, y, sigma2, X, X[:2]).predict("sor")
+    assert evidence == pytest.approx(exact.log_evidence(oracle), rel=1e-8)
 
 
 def test_evidence_matches_dense_density():
     kernel, X, y, sigma2, _ = _problem(9, 12)
     X_U = X[:3]
     expansion = sor_expansion(kernel, X_U)
-    model = lowrank_fit(expansion, X, y, sigma2)
+    _, _, evidence = InducingFits(kernel, X, y, sigma2, X_U, X[:2]).predict("sor")
     Phi = expansion.phi(X).T
     cov = Phi.T @ gauss_solve(expansion.Sigma, Phi) + sigma2 * np.eye(12)
-    assert lowrank_evidence(model) == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
+    assert evidence == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
 
 
 def test_per_point_noise_matches_dense_model():
-    # sigma2 as a vector Lam: N(y; 0, Phi^T Sigma^{-1} Phi + diag(Lam)).
-    kernel, X, y, _, rng = _problem(32, 12)
+    # FITC's per-point noise Lam = theta_f - diag Q + sigma2: N(y; 0, Q + diag(Lam)).
+    kernel, X, y, sigma2, rng = _problem(32, 12)
     expansion = sor_expansion(kernel, X[:4])
-    lam = rng.uniform(0.05, 0.5, 12)
-    model = lowrank_fit(expansion, X, y, lam)
     Phi = expansion.phi(X).T
-    cov = Phi.T @ gauss_solve(expansion.Sigma, Phi) + np.diag(lam)
+    Q = Phi.T @ gauss_solve(expansion.Sigma, Phi)
+    cov = Q + np.diag(kernel.theta_f - np.diag(Q) + sigma2)
     X_star = rng.uniform(0, 2, (5, 2))
     P_star = expansion.phi(X_star)
     want = P_star @ gauss_solve(expansion.Sigma, Phi) @ gauss_solve(cov, y)
-    assert np.allclose(lowrank_mean(model, X_star), want, rtol=1e-10, atol=1e-12)
-    assert lowrank_evidence(model) == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
-    for bad in (lam[:5], np.where(np.arange(12) == 3, 0.0, lam)):
-        with pytest.raises(ValueError):
-            lowrank_fit(expansion, X, y, bad)
+    mean, _, evidence = InducingFits(kernel, X, y, sigma2, X[:4], X_star).predict("fitc")
+    assert np.allclose(mean, want, rtol=1e-10, atol=1e-12)
+    assert evidence == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
+    for bad in (0.0, -sigma2):
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            InducingFits(kernel, X, y, bad, X[:4], X_star).predict("fitc")
+    with pytest.raises(ValueError, match="y has 5 entries but X has 12 points"):
+        InducingFits(kernel, X, y[:5], sigma2, X[:4], X_star).predict("fitc")
 
 
 def test_evidence_zero_targets():
     kernel, X, _, sigma2, _ = _problem(10, 10)
     expansion = sor_expansion(kernel, X[:4])
-    model = lowrank_fit(expansion, X, np.zeros(10), sigma2)
+    _, _, evidence = InducingFits(kernel, X, np.zeros(10), sigma2, X[:4], X[:2]).predict("sor")
     Phi = expansion.phi(X).T
     expected = (
         -0.5 * np.log(np.linalg.det(Phi @ Phi.T / sigma2 + expansion.Sigma))
         + 0.5 * np.log(np.linalg.det(expansion.Sigma))
         - 5.0 * np.log(2 * np.pi * sigma2)
     )
-    assert lowrank_evidence(model) == pytest.approx(expected, rel=1e-10)
+    assert evidence == pytest.approx(expected, rel=1e-10)
 
 
 # --- subset of regressors ---------------------------------------------------
@@ -454,18 +439,21 @@ def test_vfe_evidence_lower_bound():
         assert evidence <= dtc_ev + 1e-12
 
 
-def _brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic):
+def _brute_inducing_cov(kernel, X, sigma2, X_U, X_star, method):
     """K_** - Q_*n (Q_nn + Lam)^{-1} Q_n*, the N x N form of the DTC/FITC
-    predictive covariance, by Gaussian elimination."""
+    predictive covariance (Q_** in place of K_** for SoR), by Gaussian
+    elimination."""
+    n = X.shape[0]
     K_un = gram(kernel, X_U, X)
     K_us = gram(kernel, X_U, X_star)
     W = gauss_solve(gram(kernel, X_U), np.hstack([K_un, K_us]))
-    Q_nn = K_un.T @ W[:, : X.shape[0]]
-    Q_sn = K_us.T @ W[:, : X.shape[0]]
-    lam = np.full(X.shape[0], sigma2)
-    if heteroscedastic:
+    Q_nn = K_un.T @ W[:, :n]
+    Q_sn = K_us.T @ W[:, :n]
+    lam = np.full(n, sigma2)
+    if method == "fitc":
         lam = lam + kernel.theta_f - np.diag(Q_nn)
-    return gram(kernel, X_star) - Q_sn @ gauss_solve(Q_nn + np.diag(lam), Q_sn.T)
+    prior = K_us.T @ W[:, n:] if method == "sor" else gram(kernel, X_star)
+    return prior - Q_sn @ gauss_solve(Q_nn + np.diag(lam), Q_sn.T)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -475,10 +463,10 @@ def test_inducing_baseline_variances_match_brute_force_covariance(seed, n, m, lo
     sigma2 = 10.0**log_sigma2
     X_U = X[choose_inducing(n, min(m, n), seed=seed)]
     X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2]])
-    dtc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=False))
-    fitc = np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, heteroscedastic=True))
+    sor, dtc, fitc = (np.diag(_brute_inducing_cov(kernel, X, sigma2, X_U, X_star, method))
+                      for method in ("sor", "dtc", "fitc"))
     fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
-    for method, want in (("dtc", dtc), ("vfe", dtc), ("fitc", fitc)):
+    for method, want in (("sor", sor), ("dtc", dtc), ("vfe", dtc), ("fitc", fitc)):
         _, var, _ = fits.predict(method)
         assert var.shape == (10,)
         assert np.allclose(var, want, rtol=0.0, atol=1e-9 * kernel.theta_f)
@@ -487,15 +475,18 @@ def test_inducing_baseline_variances_match_brute_force_covariance(seed, n, m, lo
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12))
 def test_lowrank_pointwise_variance_is_the_covariance_diagonal(seed, n, m):
-    # The diagonal of the covariance phi* A^{-1} phi**^T, formed with the fit's own factor of A.
+    # The diagonal of the covariance phi* A^{-1} phi*^T, A = Phi Phi^T / sigma2 + Sigma
+    # factored as the fit factors it.
     kernel, X, y, sigma2, rng = _problem(seed, n)
-    expansion = sor_expansion(kernel, X[choose_inducing(n, min(m, n), seed=seed)])
-    model = lowrank_fit(expansion, X, y, sigma2)
+    X_U = X[choose_inducing(n, min(m, n), seed=seed)]
     X_star = np.vstack([rng.uniform(0, 2, (8, 2)), X[:2], np.full((1, 2), 1e3)])
-    got = lowrank_var_diag(model, X_star)
+    _, got, _ = InducingFits(kernel, X, y, sigma2, X_U, X_star).predict("sor")
     assert got.shape == (11,)
+    expansion = sor_expansion(kernel, X_U)
+    Phi = expansion.phi(X).T
+    A = Phi @ Phi.T / sigma2 + expansion.Sigma
     P_star = expansion.phi(X_star)
-    cov = P_star @ linalg.chol_solve(model.factor, P_star.T)
+    cov = P_star @ linalg.chol_solve(linalg.cholesky(0.5 * (A + A.T)), P_star.T)
     assert np.allclose(got, np.diag(cov), rtol=0.0, atol=1e-12 * kernel.theta_f)
 
 
@@ -517,12 +508,8 @@ def test_inducing_baselines_match_a_40_digit_reference(lam, seed, cond):
     X_star = np.vstack([rng.uniform(0, 2, (3, 2)), X[:2]])
     sigma2 = 1e-2
     assert np.linalg.cond(gram(kernel, X_U)) == pytest.approx(cond, rel=0.1)
-    model = lowrank_fit(sor_expansion(kernel, X_U), X, y, sigma2)
     fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
-    got = {
-        "sor": (lowrank_mean(model, X_star), lowrank_var_diag(model, X_star), lowrank_evidence(model)),
-        **{method: fits.predict(method) for method in ("dtc", "vfe", "fitc")},
-    }
+    got = {method: fits.predict(method) for method in ("sor", "dtc", "vfe", "fitc")}
     for method, want in inducing_reference(kernel, X, y, sigma2, X_U, X_star).items():
         for quantity, value, reference in zip(("mean", "variance", "evidence"), got[method], want):
             error = _worst_relative(value, reference)
