@@ -16,23 +16,25 @@ thread, one after another, so no record's time overlaps another's.
 
 The `seconds` of a record is the wall time of the work done for it. Where
 one CG trace serves every budget, the shared work is charged once, to the
-record of the largest budget. For kmcg at M = N that is Gram assembly, the
-trace, the factorizations and the one kmcg.kmcg_predictions pass that
-predicts every budget; its other records carry only their own remaining
-work. cg-reorth and cg-textbook do all their work in one
+record of the largest budget. For kmcg at M = N that is the operator (the
+Gram, or on an SE grid its per-axis factors), the trace, the factorizations
+and the one kmcg.kmcg_predictions pass that predicts every budget; its other
+records carry only their own remaining work. At M < N each step is a fit of
+its own. cg-reorth and cg-textbook do all their work in one
 solvers.cg_predict_means call, so their other records carry 0 s. sor, dtc,
 fitc and vfe are fitted together on each (step, repetition) subset, and each
 piece of work they share (the subset, K_UU, its factor, K_UN and
 phi(X*) = k(X*, X_U); the sigma2 I fit of sor, dtc and vfe; the prior
 defect of dtc, fitc and vfe) is charged once, to the record of the first
 method in METHODS order that uses it; each record adds its own extra work.
-pbr evaluates the eigenfeatures of X and X* once, at full rank, factors
-the full-rank system once and reads every budget's mean off a prefix sum
-(lowrank.PbrFits); the feature pass and the one factorization are charged
-to the record of the largest budget. The `reason` of a kmcg, cg-reorth or
-cg-textbook record says why CG stopped within its budget (converged,
-maxsteps or breakdown). Baselines say "ok", aggregate rows "aggregate", and
-a failed method "error: " and the exception.
+pbr builds one eigenexpansion, evaluates its features of X and X* once, at
+full rank, factors the full-rank system once and reads every budget's mean
+off a prefix sum (lowrank.PbrFits); the expansion, the feature pass and the
+one factorization are charged to the record of the largest budget. The
+`reason` of a kmcg, cg-reorth or cg-textbook record says why CG stopped
+within its budget (converged, maxsteps or breakdown). Baselines say "ok",
+aggregate rows "aggregate", and a failed method "error: " and the
+exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
 exact.predict_var with kmcg.kmcg_predictions and the pointwise variances of
@@ -235,38 +237,34 @@ def _failure(method, step, budget, run, error) -> ExperimentRecord:
 
 
 def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
+    """One fit of every step at M = N, one fit per step, on its own subset, at M < N.
+
+    A fit's shared work is charged to its largest step; a failed fit fails only its steps.
+    """
     n = data.n_train
     m = n if config.kmcg_m is None else min(config.kmcg_m, n)
-    models, predictions, shared_seconds = {}, {}, {}
-    if m == n:
-        # One CG trace and one pass over k(X*, X_M) serve every step budget.
+    fits = [(config.steps, 0)] if m == n else [((step,), _inducing_seed(config, step, 0)) for step in config.steps]
+    records = {}
+    for steps, seed in fits:
         try:
             start = time.perf_counter()
-            models = kmcg.kmcg_models_for_steps(
-                config.kernel, data.X, data.y, config.sigma2,
-                steps=config.steps, M=m, eps=config.cg_eps, seed=0,
-            )
-            predictions = dict(zip(models, kmcg.kmcg_predictions(list(models.values()), data.X_star)))
-            shared_seconds[max(config.steps)] = time.perf_counter() - start
+            models = kmcg.kmcg_models_for_steps(config.kernel, data.X, data.y, config.sigma2,
+                                                steps=steps, M=m, eps=config.cg_eps, seed=seed)
+            predictions = kmcg.kmcg_predictions(list(models.values()), data.X_star)
+            shared = time.perf_counter() - start
         except Exception as error:
-            return [_failure("kmcg", step, m, "0", error) for step in config.steps]
-    records = []
-    for step in config.steps:
-        try:
-            start = time.perf_counter()
-            if m == n:
-                model, (mean, var) = models[step], predictions[step]
-            else:
-                model = kmcg.kmcg_fit(config.kernel, data.X, data.y, config.sigma2, M=m, eps=config.cg_eps,
-                                      max_steps=step, seed=_inducing_seed(config, step, 0))
-                ((mean, var),) = kmcg.kmcg_predictions([model], data.X_star)
-            evidence = kmcg.kmcg_evidence(model)
-            seconds = shared_seconds.pop(step, 0.0) + (time.perf_counter() - start)
-            records.append(_record("kmcg", step, m, "0", oracle, mean, var, evidence,
-                                   data.y_star, seconds, model.steps, model.reason))
-        except Exception as error:  # recorded, never aborts other methods
-            records.append(_failure("kmcg", step, m, "0", error))
-    return records
+            records.update((step, _failure("kmcg", step, m, "0", error)) for step in steps)
+            continue
+        for (step, model), (mean, var) in zip(models.items(), predictions):
+            try:
+                start = time.perf_counter()
+                evidence = kmcg.kmcg_evidence(model)
+                seconds = (shared if step == max(steps) else 0.0) + (time.perf_counter() - start)
+                records[step] = _record("kmcg", step, m, "0", oracle, mean, var, evidence,
+                                        data.y_star, seconds, model.steps, model.reason)
+            except Exception as error:  # recorded, never aborts other methods
+                records[step] = _failure("kmcg", step, m, "0", error)
+    return [records[step] for step in config.steps]
 
 
 def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
@@ -306,13 +304,14 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
 
 
 def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
-    """pbr at every step, in step order, from one feature pass and one factorization.
+    """pbr at every step, in step order, from one eigenexpansion, one feature pass and one factorization.
 
-    The largest budget runs first, so its record carries both (see
+    The largest budget runs first, so its record carries all three (see
     lowrank.PbrFits). If the eigenexpansion cannot be built, every step
     records the failure.
     """
     n = data.n_train
+    start = time.perf_counter()
     try:
         max_rank = max(budget_for(config, n, step) for step in config.steps)
         sds = np.maximum(data.X.std(axis=0), 1e-8)
@@ -324,12 +323,12 @@ def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
     for step in sorted(config.steps, reverse=True):
         m = budget_for(config, n, step)
         try:
-            start = time.perf_counter()
             mean = fits.predict(min(m, expansion.eigenvalues.size))
             records.append(_record("pbr", step, m, "0", oracle, mean, None, None, data.y_star,
                                    time.perf_counter() - start, 0, "ok"))
         except Exception as error:
             records.append(_failure("pbr", step, m, "0", error))
+        start = time.perf_counter()
     return sorted(records, key=lambda r: r.step)
 
 

@@ -36,30 +36,23 @@ pointwise variance is a prefix sum of squared rows,
 and :func:`kmcg_predictions` reads every budget's mean and variance off one
 pass over k(X*, X_M).
 
-Every k(., X_M) W a model forms (R at M < N, and all prediction and
-learned-kernel features) is contracted without building k(., X_M) whole.
-On scattered inducing points it is assembled in row blocks of at most
-max(2^21, M) entries (16 MiB). With an SE kernel on inducing points laid
-out exactly as a row-major Cartesian grid
-(:func:`kernelcg.structured.grid_axes`, checked once per fit) no M-length
-row is formed at all: k(x, X_M) is k_1(x_1, axis_1) kron t(x) with t(x) the
-Kronecker product of the trailing axes' kernel rows, M / G_1 entries, so
-k(x, X_M) W is the sum over the G_1 first-axis values j of
-k_1(x_1, axis_1)_j t(x)^T W_j, W_j the j-th slab of M / G_1 rows of W
-(GridSpec.cross_products). The products equal the dense path's up to
-rounding, and the scratch per block of test points is their per-axis rows,
-trailing rows and one GEMM result. Matern kernels, scattered points and
-random subsets with M < N take the dense path.
+The CG operator and every k(., X_M) W a model forms (R at M < N, and all
+prediction and learned-kernel features) come from one structure,
+:func:`kernelcg.structured.gram_structure` of the kernel and X_M, read once
+per fit. With an SE kernel on an exact row-major Cartesian grid (at M = N,
+a grid dataset) the operator is the Kronecker product of the per-axis Grams
+and k(., X_M) W is contracted from per-axis rows (GridSpec), so a fit and
+its predictions hold no M x M and no n* x M array. Anything else takes the
+dense path: the operator holds K_M and k(., X_M) is built in row blocks of
+at most max(2^21, M) entries (16 MiB). A caller's `operator` replaces the
+structure's in CG only, for structures the points do not show.
 
-The prior over the kernel has zero mean and a covariance generated by the
-data kernel itself, times a positive `prior_scale`. The scale cancels from
-mean, covariance, learned kernel and evidence; it only multiplies the
-posterior uncertainty over the kernel. The prior covariance is
-cov(k(a,b), k(c,d)) = prior_scale/2 (k(a,c) k(b,d) + k(a,d) k(b,c))
-(Hennig & Kiefel, 2013); given S^T K_M S the posterior has mean khat and
-the same covariance with khat in place of k. :func:`kmcg_kernel_gram`,
-:func:`kmcg_uncertainty_gram`, :func:`kmcg_sample` and
-:func:`error_bound_ratio` read it off a fit's factor1.
+The prior over the kernel has zero mean and the covariance
+cov(k(a,b), k(c,d)) = 1/2 (k(a,c) k(b,d) + k(a,d) k(b,c)) generated by the
+data kernel itself (Hennig & Kiefel, 2013); given S^T K_M S the posterior
+has mean khat and the same covariance with khat in place of k.
+:func:`kmcg_kernel_gram`, :func:`kmcg_uncertainty_gram`, :func:`kmcg_sample`
+and :func:`error_bound_ratio` read it off a fit's factor1.
 """
 
 from __future__ import annotations
@@ -71,10 +64,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram
+from .kernels import Kernel, _as_points, gram
 from .lowrank import choose_inducing
-from .solvers import MvmOperator, cg_reorth, dense_operator, stop_reason_within
-from .structured import GridSpec, grid_axes, grid_spec
+from .solvers import cg_reorth, stop_reason_within
+from .structured import GramStructure, MvmOperator, gram_structure
 
 
 @dataclass(frozen=True)
@@ -92,35 +85,10 @@ class KmcgModel:
     steps: int  # effective P after truncation
     cg_steps: int  # directions the solver produced within the budget
     reason: str  # why CG stopped within the budget: converged, maxsteps or breakdown
-    prior_scale: float  # scale of the prior over the kernel
-    grid: Optional[GridSpec]  # X_M's grid when the kernel is SE and X_M a Cartesian grid, else None
+    structure: GramStructure  # gram_structure(kernel, X_M): every k(., X_M) W goes through it
 
 
-def _cross_products(kernel, X, X_M, grid, W) -> np.ndarray:
-    """k(X, X_M) W without the full cross-Gram k(X, X_M).
-
-    W is a vector or a matrix with M rows. When `grid` is the GridSpec of
-    X_M (an SE kernel on a row-major Cartesian grid, see
-    :func:`kernelcg.structured.grid_axes`) this is
-    GridSpec.cross_products, which contracts per-axis rows with W one
-    first-axis slab at a time and never forms an M-length row. Otherwise
-    `gram` builds k(X, X_M) in row blocks of all M columns, each of which
-    re-reads W once; memory is the output plus one block of at most
-    max(_CROSS_BLOCK_ENTRIES, M) floats. With W = S the transposed output
-    is U = S^T k(X_M, X), the P x n features every prediction shares, as an
-    F-ordered view that `solve_triangular` takes as is.
-    """
-    if grid is not None:
-        return grid.cross_products(X, W)
-    rows = max(1, _CROSS_BLOCK_ENTRIES // X_M.shape[0])
-    out = np.empty((X.shape[0],) + W.shape[1:])
-    for start in range(0, X.shape[0], rows):
-        block = X[start : start + rows]
-        out[start : start + rows] = gram(kernel, block, X_M) @ W
-    return out
-
-
-def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_scale) -> list[KmcgModel]:
+def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[KmcgModel]:
     """One model per step budget, all from one CG trace and one pair of factors.
 
     CG directions are incremental: the first p directions of a run to
@@ -132,15 +100,9 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
     directions before the first pivot that fails in either factorization.
     A budget of None means M; a negative budget raises ValueError.
 
-    With an SE kernel, X_M is checked once for an exact Cartesian grid
-    (:func:`kernelcg.structured.grid_axes`); the models keep its GridSpec,
-    and every k(., X_M) they build is then a per-axis product.
-
     The models share the trace's S and Z, whose memory follows the steps
     taken (see :func:`kernelcg.solvers.cg_reorth`).
     """
-    if not (prior_scale > 0.0):
-        raise ValueError("prior_scale must be positive")
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = X.shape[0]
@@ -156,17 +118,16 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
     idx = choose_inducing(n, M, seed)
     X_M = X[idx]
     y_M = y[idx]
+    structure = gram_structure(kernel, X_M)
     if operator is None:
-        operator = dense_operator(gram(kernel, X_M))
+        operator = structure.operator()
     elif operator.dim != M:
         raise ValueError(f"operator dim {operator.dim} does not match inducing size {M}")
-    axes = grid_axes(X_M) if kernel.family == SQUARED_EXPONENTIAL else None
-    grid = None if axes is None else grid_spec(kernel, axes)
 
     trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M))
     S, Z = trace.S, trace.Z
     shared = M == n
-    R = Z if shared else _cross_products(kernel, X, X_M, grid, S)
+    R = Z if shared else structure.cross_products(X, S)
     A1 = S.T @ Z
     A1 = 0.5 * (A1 + A1.T)
     L1, ok1 = linalg.cholesky_with_truncation(A1)
@@ -190,53 +151,36 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator, prior_sc
             kernel=kernel, y=y, sigma2=sigma2, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
             mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
-            reason=stop_reason_within(trace, p), prior_scale=prior_scale, grid=grid,
+            reason=stop_reason_within(trace, p), structure=structure,
         ))
     return models
 
 
-def kmcg_fit(
-    kernel: Kernel,
-    X,
-    y,
-    sigma2: float,
-    M: Optional[int] = None,
-    eps=None,
-    max_steps=None,
-    seed=0,
-    operator: Optional[MvmOperator] = None,
-    prior_scale: float = 1.0,
-) -> KmcgModel:
+def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=None, max_steps=None, seed=0,
+             operator: Optional[MvmOperator] = None) -> KmcgModel:
     """Collect CG directions on the inducing Gram and build the estimator.
 
     The inducing subset X_M is all of X when M = N, otherwise a uniform
     draw without replacement governed by `seed`. CG runs on K_M y_M = ...
     from x0 = 0 for at most min(max_steps, M) steps (max_steps defaults to
     M) with eps defaulting to 0.01 ||y_M||; its solution is discarded, only
-    the directions matter. A structured `operator` may replace the dense
-    Gram product (it must apply v -> K_M v). `prior_scale` must be positive
-    (see the module docstring).
+    the directions matter. The operator v -> K_M v is the one
+    :func:`kernelcg.structured.gram_structure` reads off X_M (Kronecker on
+    an SE grid, dense otherwise); pass `operator` only for a structure the
+    points do not show, such as a masked Toeplitz series.
 
     Memory: the trace's (see :func:`kernelcg.solvers.cg_reorth`), of which
-    the model keeps S and Z, plus the operator's (the dense default builds
-    the M x M Gram) and, when M < N, the N x P products R.
+    the model keeps S and Z, plus the operator's and, when M < N, the N x P
+    products R. The dense operator holds the M x M Gram; on an SE grid the
+    Kronecker operator holds only the per-axis factors, and no M x M array
+    is allocated.
     """
-    (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator, prior_scale)
+    (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator)
     return model
 
 
-def kmcg_models_for_steps(
-    kernel: Kernel,
-    X,
-    y,
-    sigma2: float,
-    steps,
-    M: Optional[int] = None,
-    eps=None,
-    seed=0,
-    operator: Optional[MvmOperator] = None,
-    prior_scale: float = 1.0,
-) -> dict[int, KmcgModel]:
+def kmcg_models_for_steps(kernel: Kernel, X, y, sigma2: float, steps, M: Optional[int] = None, eps=None, seed=0,
+                          operator: Optional[MvmOperator] = None) -> dict[int, KmcgModel]:
     """Models for several step budgets from a single CG trace.
 
     Each model is the one ``kmcg_fit(..., max_steps=p)`` builds, up to
@@ -244,13 +188,13 @@ def kmcg_models_for_steps(
     :func:`kmcg_predictions` predicts with all of them from one pass.
     """
     steps = [int(p) for p in steps]
-    models = _fit_budgets(kernel, X, y, sigma2, steps, M, eps, seed, operator, prior_scale)
+    models = _fit_budgets(kernel, X, y, sigma2, steps, M, eps, seed, operator)
     return dict(zip(steps, models))
 
 
 def _features(model: KmcgModel, A) -> np.ndarray:
     """V(A) = L1^{-1} S^T k(X_M, A), P x n: the learned kernel is khat(A, B) = V(A)^T V(B)."""
-    U = _cross_products(model.kernel, A, model.X_M, model.grid, model.S).T
+    U = model.structure.cross_products(A, model.S).T
     return solve_triangular(model.factor1.L, U, lower=True)
 
 
@@ -272,7 +216,7 @@ def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
 def kmcg_mean(model: KmcgModel, X_star) -> np.ndarray:
     """Posterior mean prediction k(x*, X_M) @ mean_weights per test point."""
     X_star = _as_points(X_star, model.kernel.dim)
-    return _cross_products(model.kernel, X_star, model.X_M, model.grid, model.mean_weights)
+    return model.structure.cross_products(X_star, model.mean_weights)
 
 
 def kmcg_var(model: KmcgModel, X_star) -> np.ndarray:
@@ -281,7 +225,7 @@ def kmcg_var(model: KmcgModel, X_star) -> np.ndarray:
     K_ss = gram(model.kernel, X_star)
     if model.steps == 0:
         return K_ss
-    U = _cross_products(model.kernel, X_star, model.X_M, model.grid, model.S).T
+    U = model.structure.cross_products(X_star, model.S).T
     V1 = solve_triangular(model.factor1.L, U, lower=True)
     V2 = solve_triangular(model.factor2.L, U, lower=True)
     return K_ss - V1.T @ V1 + model.sigma2 * (V2.T @ V2)
@@ -302,7 +246,7 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     For k models and P directions in the longest this costs
     O(n* M (k + P) + n* P^2) flops; memory is the n* x (k + P) products,
     three P x n* arrays, the outputs and the scratch of one block of
-    _cross_products: no k(X*, X*) and no n* x n* product.
+    the structure's cross-products: no k(X*, X*) and no n* x n* product.
 
     Raises:
         ValueError: if a model's X_M or S is not the longest model's.
@@ -315,7 +259,7 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError("a model's directions are not the leading columns of the longest model's")
     X_star = _as_points(X_star, longest.kernel.dim)
     W = np.column_stack([model.mean_weights for model in models] + [longest.S])
-    products = _cross_products(longest.kernel, X_star, longest.X_M, longest.grid, W)
+    products = longest.structure.cross_products(X_star, W)
     if longest.steps:
         U = products[:, len(models) :].T
         lost = _prefix_quad_diag(longest.factor1, U)
@@ -386,17 +330,17 @@ def _pair_products(K: np.ndarray) -> np.ndarray:
 def kmcg_uncertainty_gram(model: KmcgModel, X_s) -> np.ndarray:
     """Entry (i, j) is the posterior variance of k(x_i, x_j) for x_i, x_j in X_s.
 
-    That is prior_scale/2 (k_ii k_jj + k_ij^2 - khat_ii khat_jj - khat_ij^2)
+    That is 1/2 (k_ii k_jj + k_ij^2 - khat_ii khat_jj - khat_ij^2)
     (see the module docstring): nonnegative up to roundoff, and zero exactly
     where the kernel is fully identified.
     """
     X_s = _as_points(X_s, model.kernel.dim)
     prior = _pair_products(gram(model.kernel, X_s))
-    return 0.5 * model.prior_scale * (prior - _pair_products(kmcg_kernel_gram(model, X_s)))
+    return 0.5 * (prior - _pair_products(kmcg_kernel_gram(model, X_s)))
 
 
-# Posterior kernel variances below this multiple of prior_scale * theta_f^4
-# are rounding noise; see error_bound_ratio.
+# Posterior kernel variances below this multiple of theta_f^4 are rounding
+# noise; see error_bound_ratio.
 _VAR_RESOLUTION = 1e-8
 
 
@@ -404,25 +348,24 @@ def error_bound_ratio(model: KmcgModel, X_s, K_true) -> np.ndarray:
     """Squared kernel error over its posterior variance on every pair of X_s.
 
     K_true is the true Gram on X_s. Near full identification the variance is
-    a cancellation of products of scale prior_scale * theta_f^4 and can
-    round to zero or below while the squared error sits at the same rounding
-    scale. The variance is therefore taken as at least the resolution floor
-    1e-8 * prior_scale * theta_f^4, so 0/0 gives 0; a resolvable variance is
-    used as is.
+    a cancellation of products of scale theta_f^4 and can round to zero or
+    below while the squared error sits at the same rounding scale. The
+    variance is therefore taken as at least the resolution floor
+    1e-8 * theta_f^4, so 0/0 gives 0; a resolvable variance is used as is.
     """
     err2 = (np.asarray(K_true, dtype=float) - kmcg_kernel_gram(model, X_s)) ** 2
-    floor = _VAR_RESOLUTION * model.prior_scale * model.kernel.theta_f**4
+    floor = _VAR_RESOLUTION * model.kernel.theta_f**4
     return err2 / np.maximum(kmcg_uncertainty_gram(model, X_s), floor)
 
 
 def kmcg_sample(model: KmcgModel, X_s, rng: np.random.Generator, size=None) -> np.ndarray:
     """Draw a symmetric Gram matrix on X_s from the posterior over the kernel.
 
-    The draw is khat(X_s, X_s) plus sqrt(prior_scale) times a symmetric
-    Kronecker draw (linalg.sym_kron_sample). An integer `size` gives a
+    The draw is khat(X_s, X_s) plus a symmetric Kronecker draw
+    (linalg.sym_kron_sample). An integer `size` gives a
     (size, n, n) stack of draws that share one pair of factorizations.
     """
     X_s = _as_points(X_s, model.kernel.dim)
     khat = kmcg_kernel_gram(model, X_s)
     draw = linalg.sym_kron_sample(gram(model.kernel, X_s), khat, rng, size)
-    return khat + np.sqrt(model.prior_scale) * draw
+    return khat + draw

@@ -30,12 +30,12 @@ along but callers that report predictions use :func:`fom_solution` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .kernels import Kernel, _as_points, gram
+from .kernels import Kernel, _as_points
+from .structured import MvmOperator, dense_operator, gram_structure  # the operators are re-exported
 
 CONVERGED = "converged"
 MAXSTEPS = "maxsteps"
@@ -52,19 +52,6 @@ _REPASS_RATIO = 1.0 / np.sqrt(2.0)
 
 # Rows a trace buffer holds before its first growth.
 _FIRST_ROWS = 16
-
-
-@dataclass(frozen=True)
-class MvmOperator:
-    """A symmetric linear operator given by its matrix-vector product."""
-
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-def dense_operator(A: np.ndarray) -> MvmOperator:
-    A = np.asarray(A, dtype=float)
-    return MvmOperator(dim=A.shape[0], apply=lambda v: A @ v)
 
 
 @dataclass(frozen=True)
@@ -274,25 +261,29 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
                      reorth: bool = True) -> list[tuple[np.ndarray, int, str]]:
     """GP mean predictions, with the weight vector approximated by CG, at every budget.
 
-    One CG run to max(budgets) steps on K + sigma2 I; budget p takes the
-    Galerkin solution of its first min(p, steps) directions (those of a run
-    capped at p) and applies the exact k(X*, X). Returns (mean, directions
-    used, :func:`stop_reason_within` p) per budget, in the order given. A
-    budget of None means N; a negative one raises ValueError before any work.
-    Memory: the N x N Gram and k(X*, X), plus the trace (see :func:`cg_reorth`).
+    One CG run to max(budgets) steps on K + sigma2 I, in the structure
+    :func:`kernelcg.structured.gram_structure` reads off X; budget p takes
+    the Galerkin solution w_p of its first min(p, steps) directions (those
+    of a run capped at p), and every k(X*, X) w_p comes from one pass over
+    k(X*, X). Returns (mean, directions used, :func:`stop_reason_within` p)
+    per budget, in the order given. A budget of None means N; a negative one
+    raises ValueError before any work.
+
+    Memory: the trace (see :func:`cg_reorth`), N + n* floats per budget, the
+    operator and one block of k(X*, X). On an SE grid there is no N x N and
+    no n* x N array; otherwise the operator holds the N x N Gram.
     """
     X = _as_points(X, kernel.dim)
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
     if min(budgets) < 0:
         raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
-    K = gram(kernel, X)
-    K[np.diag_indices_from(K)] += sigma2
+    structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
-    trace = run(dense_operator(K), y, eps=eps, max_steps=max(budgets))
-    K_star = gram(kernel, _as_points(X_star, kernel.dim), X)
+    trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets))
     used = [min(p, trace.steps) for p in budgets]
-    return [(K_star @ fom_solution(trace.S[:, :q], trace.Z[:, :q], y), q, stop_reason_within(trace, p))
-            for p, q in zip(budgets, used)]
+    weights = [fom_solution(trace.S[:, :q], trace.Z[:, :q], y) for q in used]
+    means = structure.cross_products_each(X_star, weights)
+    return [(mean, q, stop_reason_within(trace, p)) for mean, p, q in zip(means, budgets, used)]
 
 
 def cg_predict_mean(kernel: Kernel, X, y, sigma2: float, X_star, eps=None, max_steps=None,

@@ -1,27 +1,107 @@
-"""Fast matrix-vector products for structured kernel matrices.
+"""Gram operators and cross-products, chosen from the kernel and the points.
 
-Two structures are supported: product-kernel Grams over Cartesian grids,
-which factorize as K_1 kron ... kron K_D and admit O(N sum G_d) products via
-sequential mode products (their cross-products k(X, grid) W contract the
-per-axis kernel rows with W one first-axis slab at a time), and
-symmetric-Toeplitz Grams over equispaced 1-D inputs, multiplied in O(T log T) through a circulant
-embedding. A mask layer handles time series with missing observations,
-whose Gram is a submatrix of a Toeplitz matrix (not Toeplitz itself, but
-products remain fast by scatter-multiply-gather).
+:func:`gram_structure` reads a kernel's Gram over a point set once and
+gives the CG operator v -> (K + noise I) v and the contraction
+k(X, points) W. An SE kernel on an exact row-major Cartesian grid gives a
+:class:`GridSpec`: the Gram factorizes as K_1 kron ... kron K_D, products
+cost O(N sum G_d) via sequential mode products, and k(X, grid) W contracts
+per-axis kernel rows with W one first-axis slab at a time, so no N x N array
+and no N-length row is formed. Anything else gives the :class:`DenseGram`.
+Symmetric-Toeplitz Grams over equispaced 1-D inputs, multiplied in
+O(T log T) through a circulant embedding, are built by hand; a mask layer
+handles series with missing observations, whose Gram is a submatrix of a
+Toeplitz matrix (products stay fast by scatter-multiply-gather).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import linalg
 from .datasets import Dataset
 from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram, se_kernel
-from .solvers import MvmOperator
+
+_MAX_GRID_POINTS = 1_000_000  # the largest grid grid_dataset builds
+
+
+@dataclass(frozen=True)
+class MvmOperator:
+    """A symmetric linear operator given by its matrix-vector product."""
+
+    dim: int
+    apply: Callable[[np.ndarray], np.ndarray]
+
+
+def dense_operator(A: np.ndarray) -> MvmOperator:
+    A = np.asarray(A, dtype=float)
+    return MvmOperator(dim=A.shape[0], apply=lambda v: A @ v)
+
+
+class GramStructure:
+    """A kernel's Gram over fixed points: ``operator(noise)`` gives K + noise I.
+
+    k(X, points) W is formed for blocks of max(1, _CROSS_BLOCK_ENTRIES // r)
+    points, r the entries of a point's row in the structure's form; each
+    block's rows are built once and freed before the next block's.
+    """
+
+    def cross_products(self, X, W) -> np.ndarray:
+        """k(X, points) W, for W of shape (N,) or (N, c)."""
+        (out,) = self.cross_products_each(X, [W])
+        return out
+
+    def cross_products_each(self, X, weights) -> list[np.ndarray]:
+        """k(X, points) W for every W of `weights`, each bit for bit as :meth:`cross_products` gives it."""
+        X = _as_points(X, self.dim)
+        weights = [np.asarray(W, dtype=float) for W in weights]
+        out = [np.empty((X.shape[0],) + W.shape[1:]) for W in weights]
+        step = max(1, _CROSS_BLOCK_ENTRIES // self._row_entries)
+        for start in range(0, X.shape[0], step):
+            product = self._block_product(X[start : start + step])
+            for result, W in zip(out, weights):
+                result[start : start + step] = product(W)
+            del product  # the block's rows go before the next block's are built
+        return out
+
+
+@dataclass(frozen=True)
+class DenseGram(GramStructure):
+    """The Gram of `kernel` over `points`, whole in the operator and in row blocks of k(X, points)."""
+
+    kernel: Kernel
+    points: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.kernel.dim
+
+    @property
+    def _row_entries(self) -> int:
+        return self.points.shape[0]
+
+    def operator(self, noise: float = 0.0) -> MvmOperator:
+        """MvmOperator applying v -> (K + noise I) v, K the dense Gram."""
+        K = gram(self.kernel, self.points)
+        K[np.diag_indices_from(K)] += noise
+        return dense_operator(K)
+
+    def _block_product(self, X) -> Callable[[np.ndarray], np.ndarray]:
+        K = gram(self.kernel, X, self.points)
+        return lambda W: K @ W
+
+
+def gram_structure(kernel: Kernel, points) -> GramStructure:
+    """The structure of `kernel`'s Gram over `points`, read off the points.
+
+    An SE kernel on exact grid points (:func:`grid_axes`) gives their :class:`GridSpec`, else the :class:`DenseGram`.
+    """
+    points = _as_points(points, kernel.dim)
+    axes = grid_axes(points) if kernel.family == SQUARED_EXPONENTIAL else None
+    return DenseGram(kernel, points) if axes is None else grid_spec(kernel, axes)
 
 
 def kron_mvm(factors, v) -> np.ndarray:
@@ -44,11 +124,18 @@ def kron_mvm(factors, v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(GramStructure):
     """A Cartesian product grid with the per-axis parts of a product kernel.
 
     `kernels` holds each axis's 1-D kernel and `factors` its Gram over that
     axis; both are built by :func:`grid_spec`.
+
+    k(X, grid) W forms no N-length row of k(X, grid): with A_d the per-axis
+    rows k_d(X[:, d], axes[d]) and T the row-wise Khatri-Rao product of the
+    trailing axes' rows (N / G_1 entries per point), it is the sum over
+    j < G_1 of A_1[:, j] * (T @ W_j), W_j the j-th slab of N / G_1 rows of
+    W. Scratch per block of b points: the per-axis rows, T (and, while it is
+    built, 1/G_D of it), and two b x c arrays, the running sum and one GEMM.
     """
 
     axes: tuple
@@ -63,41 +150,19 @@ class GridSpec:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def _row_entries(self) -> int:
+        return self.size // self.shape[0]
+
     def points(self) -> np.ndarray:
         """All grid coordinates, row-major (first axis slowest), shape (N, D)."""
         return _grid_points(self.axes)
 
-    def cross_products(self, X, W) -> np.ndarray:
-        """k(X, grid points) W, for W of shape (N,) or (N, c) with rows in the order of :meth:`points`.
-
-        No N-length row of k(X, grid) is formed. Entry (i, j) of the
-        cross-Gram is A_1[i, j_1] T[i, j'] with A_d = k_d(X[:, d], axes[d])
-        the per-axis rows (each from `gram` on that axis's kernel) and
-        T = A_2 (.) ... (.) A_D the row-wise Khatri-Rao product of the
-        trailing axes, N / G_1 entries per point. So the output is the sum
-        over j < G_1 of A_1[:, j] * (T @ W_j), W_j the j-th contiguous slab
-        of N / G_1 rows of W: G_1 GEMMs per block of points, which read W
-        once. Blocks hold max(1, _CROSS_BLOCK_ENTRIES // (N / G_1)) points.
-        Memory: the output plus, for one block of b points at a time, the
-        b x sum_d G_d per-axis rows, the b x N / G_1 trailing product (and
-        while it is built the product of the axes before the last, 1/G_D of
-        its size) and one b x c GEMM result.
-        """
-        X = _as_points(X, len(self.axes))
-        W = np.asarray(W, dtype=float)
-        slabs = W.reshape(self.shape[0], self.size // self.shape[0], -1)
-        out = np.zeros((X.shape[0], slabs.shape[2]))
-        rows = max(1, _CROSS_BLOCK_ENTRIES // slabs.shape[1])
-        for start in range(0, X.shape[0], rows):
-            self._add_block_products(X[start : start + rows], slabs, out[start : start + rows])
-        return out.reshape(X.shape[:1] + W.shape[1:])
-
-    def _add_block_products(self, X, slabs, out) -> None:
-        """Add k(X, grid) W to `out` for one block of points, W given as its first-axis slabs.
-
-        The block's rows and products are freed on return, before the next
-        block's are built.
-        """
+    def _block_product(self, X) -> Callable[[np.ndarray], np.ndarray]:
         first, *trailing = (
             gram(kernel, X[:, d : d + 1], axis.reshape(-1, 1))
             for d, (kernel, axis) in enumerate(zip(self.kernels, self.axes))
@@ -105,10 +170,17 @@ class GridSpec:
         T = np.ones((X.shape[0], 1))
         for row in trailing:
             T = np.einsum("ij,ik->ijk", T, row).reshape(X.shape[0], -1)
-        for j, slab in enumerate(slabs):
-            product = T @ slab
-            product *= first[:, j, None]
-            out += product
+
+        def product(W):
+            slabs = W.reshape(self.shape[0], T.shape[1], -1)
+            out = np.zeros((X.shape[0], slabs.shape[2]))
+            for j, slab in enumerate(slabs):
+                part = T @ slab
+                part *= first[:, j, None]
+                out += part
+            return out.reshape(X.shape[:1] + W.shape[1:])
+
+        return product
 
     def operator(self, noise: float = 0.0) -> MvmOperator:
         """MvmOperator applying v -> (K_1 kron ... kron K_D) v + noise * v."""
@@ -228,9 +300,7 @@ class MaskedToeplitzSpec:
     def _embedding(self):
         return _embedding_fft(self.first_row)
 
-    def operator(self, noise: float = 0.0) -> MvmOperator:
-        if noise:
-            return MvmOperator(dim=self.observed, apply=lambda v: masked_mvm(self, v) + noise * np.asarray(v))
+    def operator(self) -> MvmOperator:
         return MvmOperator(dim=self.observed, apply=lambda v: masked_mvm(self, v))
 
 
@@ -259,32 +329,25 @@ def masked_mvm(spec: MaskedToeplitzSpec, v) -> np.ndarray:
     return _circulant_product(spec._embedding, full)[spec.mask]
 
 
-def grid_dataset(
-    G: int,
-    D: int,
-    kernel: Kernel,
-    axis_noise_sd: float = np.sqrt(1e-3),
-    seed=0,
-    n_test: int = 100,
-    max_points: int = 1_000_000,
-) -> Dataset:
+def grid_dataset(G: int, D: int, kernel: Kernel, seed=0, n_test: int = 100) -> Dataset:
     """Synthetic grid regression problem with Kronecker-structured targets.
 
     Per axis, G points are equally spaced in [-G/4, G/4] and each coordinate
-    is perturbed by Gaussian noise (default variance 1e-3) - the perturbation
+    is perturbed by Gaussian noise of variance 1e-3 - the perturbation
     lives on the axes so the product structure survives. The training targets
     are one GP draw over the grid computed through per-axis Cholesky factors;
     n_test test inputs are uniform over the cube and their targets are drawn
-    from the GP conditioned on the grid draw.
+    from the GP conditioned on the grid draw. Grids of more than
+    _MAX_GRID_POINTS points raise ValueError before any work.
     """
     n = G**D
-    if n > max_points:
-        raise ValueError(f"grid has {n} points, exceeding the budget of {max_points}")
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"grid has {n} points, exceeding the budget of {_MAX_GRID_POINTS}")
     if kernel.dim != D:
         raise ValueError(f"kernel has {kernel.dim} dimensions, grid has {D}")
     rng = np.random.default_rng(seed)
     lo, hi = -G / 4.0, G / 4.0
-    axes = [np.linspace(lo, hi, G) + axis_noise_sd * rng.standard_normal(G) for _ in range(D)]
+    axes = [np.linspace(lo, hi, G) + np.sqrt(1e-3) * rng.standard_normal(G) for _ in range(D)]
     spec = grid_spec(kernel, axes)
     X = spec.points()
     y = spec.sample(rng)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kernelcg import exact, harness, kmcg, linalg, lowrank, solvers
+from kernelcg import exact, harness, kmcg, linalg, lowrank, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.harness import (
     ExperimentConfig,
@@ -457,7 +457,7 @@ def test_test_point_features_computed_once_per_fit(monkeypatch):
     # feature map once on X and once on X* for all budgets.
     data = _small_dataset()
     cross = {"kmcg": 0, "lowrank": 0}
-    for name, module in (("kmcg", kmcg), ("lowrank", lowrank)):
+    for name, module in (("kmcg", structured), ("lowrank", lowrank)):
         def counting(kernel, A, B=None, name=name, original=module.gram):
             cross[name] += int(np.shares_memory(A, data.X_star))
             return original(kernel, A, B)
@@ -504,6 +504,14 @@ def test_pbr_runs_at_short_lengthscales_on_the_toy_problem(metric):
 
 def test_pbr_feature_pass_charged_once_to_largest_budget(monkeypatch):
     _pbr_expansion_with_phi(monkeypatch, _delayed)
+    config = _small_config(methods=("pbr",), steps=(4, 1, 2), repetitions=1)
+    records = run_experiment(config, _small_dataset())
+    assert [r.step for r in records] == [1, 2, 4]
+    assert [r.step for r in records if r.seconds >= SHARED_DELAY] == [4]
+
+
+def test_pbr_expansion_build_charged_to_largest_budget(monkeypatch):
+    monkeypatch.setattr(lowrank, "se_eigen_expansion", _delayed(lowrank.se_eigen_expansion))
     config = _small_config(methods=("pbr",), steps=(4, 1, 2), repetitions=1)
     records = run_experiment(config, _small_dataset())
     assert [r.step for r in records] == [1, 2, 4]

@@ -23,7 +23,7 @@ from kernelcg.kmcg import (
     kmcg_uncertainty_gram,
     kmcg_var,
 )
-from kernelcg.structured import grid_spec
+from kernelcg.structured import GridSpec, grid_spec
 from brute import gauss_solve, mvn_logpdf
 from mpref import kmcg_reference
 
@@ -92,7 +92,7 @@ def _grid_problem(seed, shape, theta=1.7, sigma2=0.1):
 def _full_grid(rng):
     kernel, X, y, sigma2, _ = _grid_problem(3, (3, 4, 5))
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6)
-    assert model.grid is not None and np.array_equal(model.grid.points(), model.X_M)
+    assert isinstance(model.structure, GridSpec) and np.array_equal(model.structure.points(), model.X_M)
     return model, X, rng.uniform(0, 2, (23, 3))
 
 
@@ -106,7 +106,6 @@ def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch,
     # on a grid each block is contracted one first-axis slab at a time.
     model, X, X_star = problem(np.random.default_rng(3))
     kernel = model.kernel
-    monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", block_entries)
     monkeypatch.setattr(structured, "_CROSS_BLOCK_ENTRIES", block_entries)
     K_star = gram(kernel, X_star, model.X_M)
     assert np.allclose(kmcg_mean(model, X_star), K_star @ model.mean_weights, rtol=1e-13, atol=1e-15)
@@ -116,7 +115,7 @@ def test_predictions_in_cross_gram_row_blocks_match_full_cross_gram(monkeypatch,
 
 def _shared_features(model, points):
     """U = S^T k(X_M, points), the features every prediction shares."""
-    return kmcg._cross_products(model.kernel, points, model.X_M, model.grid, model.S).T
+    return model.structure.cross_products(points, model.S).T
 
 
 def _predictions_of_one(model, points):
@@ -139,10 +138,9 @@ def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict, grid):
     else:
         kernel, X, y, sigma2, rng = _problem(3, 300)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=5)
-    assert (model.grid is not None) == grid
+    assert isinstance(model.structure, GridSpec) == grid
     n, P = 4000, model.steps
     X_star = rng.uniform(0, 2, (n, X.shape[1]))
-    monkeypatch.setattr(kmcg, "_CROSS_BLOCK_ENTRIES", 1 << 12)
     monkeypatch.setattr(structured, "_CROSS_BLOCK_ENTRIES", 1 << 12)
     tracemalloc.start()
     try:
@@ -160,6 +158,34 @@ def test_prediction_memory_is_one_cross_gram_block(monkeypatch, predict, grid):
         assert peak <= n * 300 * 8 / 10
 
 
+def test_fit_finds_the_grid_operator_by_itself():
+    # On a grid the fit's default operator is the Kronecker product the
+    # caller could build by hand, so the two fits are the same arithmetic.
+    kernel, X, y, sigma2, _ = _grid_problem(4, (3, 4, 5))
+    operator = grid_spec(kernel, structured.grid_axes(X)).operator()
+    found = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=8)
+    given = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=8, operator=operator)
+    assert isinstance(found.structure, GridSpec) and found.steps == 8
+    for name in ("S", "Z", "mean_weights"):
+        assert np.array_equal(getattr(found, name), getattr(given, name))
+
+
+def test_fit_on_a_grid_allocates_no_quadratic_array():
+    # N = 4096 with no operator passed: the dense K_M alone would be
+    # 128 MiB; the bound is a quarter of it.
+    kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
+    data = structured.grid_dataset(16, 3, kernel, seed=0)
+    n = data.n_train
+    tracemalloc.start()
+    try:
+        models = kmcg_models_for_steps(kernel, data.X, data.y, 0.01, steps=(5, 10, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(models[20].structure, GridSpec) and models[20].cg_steps == 20
+    assert peak < n * n * 8 / 4
+
+
 def test_budgeted_fit_on_a_kronecker_operator_holds_its_trace_rows_once():
     # A 16^3 grid with P = 40 < M: the trace's final 3 P + 1 rows, the
     # solver's few N-vectors and the fit's copies of X_M (3 N) and y_M.
@@ -175,7 +201,7 @@ def test_budgeted_fit_on_a_kronecker_operator_holds_its_trace_rows_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (model.cg_steps, model.reason) == (P, solvers.MAXSTEPS) and model.grid is not None
+    assert (model.cg_steps, model.reason) == (P, solvers.MAXSTEPS) and isinstance(model.structure, GridSpec)
     assert peak <= (3 * (P + 1) + 14) * n * 8
 
 
@@ -235,15 +261,15 @@ def test_learned_kernel_and_its_uncertainty_match_the_dense_closed_form(seed, ma
         X = rng.uniform(0, 2, (30, 2))
         M = 12
     model = kmcg_fit(kernel, X, rng.standard_normal(X.shape[0]), 0.1, M=M, seed=seed, eps=0.0,
-                     max_steps=max_steps, prior_scale=2.0)
-    assert (model.grid is not None) == on_grid
+                     max_steps=max_steps)
+    assert isinstance(model.structure, GridSpec) == on_grid
     A = np.vstack([rng.uniform(0, 2, (8, 2)), X[:3]])
     S, U = model.S, model.S.T @ gram(kernel, model.X_M, A)
     khat = U.T @ np.linalg.solve(S.T @ gram(kernel, model.X_M) @ S, U)
     K = gram(kernel, A)
     pairs = lambda G: np.outer(np.diag(G), np.diag(G)) + G * G.T
     for got, want in [(kmcg_kernel_gram(model, A), khat),
-                      (kmcg_uncertainty_gram(model, A), pairs(K) - pairs(khat))]:
+                      (kmcg_uncertainty_gram(model, A), 0.5 * (pairs(K) - pairs(khat)))]:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -356,13 +382,13 @@ def test_error_ratio_zero_when_identified():
 
 
 def test_error_ratio_rates_unresolvable_variance_against_the_floor(monkeypatch):
-    # A variance below 1e-8 * prior_scale * theta_f^4 is rounding noise
-    # (it can be 0 or negative near full identification); the ratio uses
-    # that floor instead and stays finite.
+    # A variance below 1e-8 * theta_f^4 is rounding noise (it can be 0 or
+    # negative near full identification); the ratio uses that floor
+    # instead and stays finite.
     kernel, X, y, sigma2, _ = _problem(20, 15, lam=8.0)
-    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15, prior_scale=2.0)
+    model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=15)
     K_true = kmcg_kernel_gram(model, X[:2]) + 1e-12
-    floor = 1e-8 * 2.0 * kernel.theta_f**4
+    floor = 1e-8 * kernel.theta_f**4
     for var in (0.0, -1e-15, 0.5 * floor):
         monkeypatch.setattr(kmcg, "kmcg_uncertainty_gram", lambda *args, var=var: np.full((2, 2), var))
         assert error_bound_ratio(model, X[:2], K_true) == pytest.approx(np.full((2, 2), 1e-24 / floor), rel=1e-3)
@@ -477,25 +503,6 @@ def test_pointwise_variance_is_the_covariance_diagonal(seed, n, max_steps, subse
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 * kernel.theta_f)
 
 
-def test_prior_scale_only_scales_uncertainty():
-    kernel, X, y, sigma2, rng = _problem(28, 20)
-    base = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6)
-    scaled = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=6, prior_scale=4.0)
-    X_star = rng.uniform(0, 2, (8, 2))
-    assert np.array_equal(kmcg_mean(base, X_star), kmcg_mean(scaled, X_star))
-    assert np.array_equal(kmcg_var(base, X_star), kmcg_var(scaled, X_star))
-    assert kmcg_evidence(base) == kmcg_evidence(scaled)
-    assert np.array_equal(kmcg_kernel_gram(base, X[:2]), kmcg_kernel_gram(scaled, X[:2]))
-    xz = rng.uniform(0, 2, (2, 2))
-    assert kmcg_uncertainty_gram(scaled, xz) == pytest.approx(4.0 * kmcg_uncertainty_gram(base, xz))
-
-
-def test_nondefault_prior_rejected():
-    kernel, X, y, sigma2, _ = _problem(29, 10)
-    with pytest.raises(ValueError, match="prior_scale"):
-        kmcg_fit(kernel, X, y, sigma2, prior_scale=0.0)
-
-
 def test_models_for_steps_match_individual_fits():
     kernel, X, y, sigma2, rng = _problem(30, 25)
     models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 3, 5), eps=0.0)
@@ -541,8 +548,6 @@ def test_models_for_steps_validate_inputs():
     operator = solvers.dense_operator(gram(kernel, X))
     with pytest.raises(ValueError, match="operator dim"):
         kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), M=6, operator=operator)
-    with pytest.raises(ValueError, match="prior_scale"):
-        kmcg_models_for_steps(kernel, X, y, sigma2, steps=(1, 2), prior_scale=-1.0)
     with pytest.raises(ValueError, match="at least 0, got -1"):
         kmcg_models_for_steps(kernel, X, y, sigma2, steps=(-1, 3))
     with pytest.raises(ValueError, match="at least 0, got -2"):
@@ -650,7 +655,7 @@ def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     models = list(kmcg_models_for_steps(kernel, X, y, 0.1, steps=range(9), M=M, seed=seed, eps=0.0).values())
     longest = models[-1]
     assert longest.steps == 8
-    assert (longest.grid is None) == (grid_shape is None)
+    assert isinstance(longest.structure, GridSpec) == (grid_shape is not None)
     reference = kmcg_reference(kernel, X, y, 0.1, longest.X_M, longest.S, X_star)
     for model, (mean, var) in zip(models, kmcg_predictions(models, X_star)):
         want_mean, want_var, want_evidence, want_khat, want_kvar = reference[model.steps]

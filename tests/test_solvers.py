@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import exact, solvers
+from kernelcg import exact, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.solvers import cg_reorth, cg_textbook, dense_operator, fom_solution
@@ -255,6 +255,49 @@ def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
         assert np.array_equal(mean, alone)
 
 
+@pytest.mark.parametrize("G, D", [(8, 2), (6, 3)])
+@pytest.mark.parametrize("reorth", [True, False])
+def test_cg_predict_means_on_a_grid_match_the_dense_path(reorth, G, D):
+    # The grid is read off X: the Kronecker operator and the per-axis
+    # cross-products replace K + sigma2 I and k(X*, X), and the means agree
+    # with the dense path to rounding, 7e-15 relative at worst seen. Textbook
+    # CG loses orthogonality within a few dozen steps, after which the two
+    # operators' rounding differences grow (1e-7 at 25 steps), so it is
+    # compared at budgets up to 10 only. Each budget is also, bit for bit,
+    # a run capped at that budget.
+    kernel, sigma2 = se_kernel(np.full(D, 1.0), 1.3), 0.01
+    data = structured.grid_dataset(G, D, kernel, seed=1, n_test=20)
+    budgets = (0, 1, 3, 10, 25, G**D) if reorth else (0, 1, 3, 10)
+    got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=0.0, reorth=reorth)
+    K = gram(kernel, data.X)
+    K[np.diag_indices_from(K)] += sigma2
+    trace = (cg_reorth if reorth else cg_textbook)(dense_operator(K), data.y, eps=0.0, max_steps=max(budgets))
+    K_star = gram(kernel, data.X_star, data.X)
+    for p, (mean, steps, reason) in zip(budgets, got):
+        assert (steps, reason) == (min(p, trace.steps), solvers.stop_reason_within(trace, p))
+        want = K_star @ fom_solution(trace.S[:, :steps], trace.Z[:, :steps], data.y)
+        assert np.linalg.norm(mean - want) <= 1e-10 * np.linalg.norm(want)
+        alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=0.0, max_steps=p,
+                                        reorth=reorth)
+        assert np.array_equal(mean, alone)
+
+
+def test_cg_predict_means_on_a_grid_allocate_no_quadratic_array():
+    # N = 4096: K + sigma2 I alone would be 128 MiB, k(X*, X) 3.1 MiB per
+    # 100 test points; the bound is a quarter of the N x N array.
+    kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
+    data = structured.grid_dataset(16, 3, kernel, seed=0)
+    n = data.n_train
+    tracemalloc.start()
+    try:
+        got = solvers.cg_predict_means(kernel, data.X, data.y, 0.01, data.X_star, (5, 10, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [steps for _, steps, _ in got] == [5, 10, 20]
+    assert peak < n * n * 8 / 4
+
+
 def test_negative_step_limits_raise(monkeypatch):
     op = dense_operator(np.eye(3))
     for run in (cg_reorth, cg_textbook):
@@ -268,7 +311,7 @@ def test_negative_step_limits_raise(monkeypatch):
     def no_gram(*args, **kwargs):
         raise AssertionError("a negative budget must be rejected before any Gram work")
 
-    monkeypatch.setattr(solvers, "gram", no_gram)
+    monkeypatch.setattr(structured, "gram", no_gram)
     with pytest.raises(ValueError, match="got -2"):
         solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [3, -2, 1])
 

@@ -14,6 +14,7 @@ from kernelcg import structured
 from kernelcg.kernels import gram, matern52_kernel, se_kernel
 from kernelcg.kmcg import kmcg_fit
 from kernelcg.structured import (
+    DenseGram,
     GridSpec,
     MaskedToeplitzSpec,
     grid_axes,
@@ -136,8 +137,9 @@ def test_grid_cross_products_equal_dense_cross_gram_products(seed, shape, column
 def test_kmcg_keeps_a_grid_only_for_a_product_kernel():
     points = _unequal_grid().points()
     y = np.random.default_rng(14).standard_normal(60)
-    assert kmcg_fit(se_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).grid is not None
-    assert kmcg_fit(matern52_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).grid is None
+    assert isinstance(kmcg_fit(se_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).structure, GridSpec)
+    assert isinstance(kmcg_fit(matern52_kernel([0.7, 1.9, 3.1], 1.7), points, y, 0.1, max_steps=3).structure,
+                      DenseGram)
 
 
 def test_grid_operator_probe_invariants():
@@ -236,7 +238,7 @@ def test_masked_operator_probe_invariants():
     t = 50
     kernel = se_kernel([0.05], 1.0)
     mask = np.sort(rng.choice(t, size=30, replace=False))
-    op = masked_toeplitz_spec(kernel, t, 1.0, mask).operator(noise=0.1)
+    op = masked_toeplitz_spec(kernel, t, 1.0, mask).operator()
     u, v = rng.standard_normal((2, 30))
     assert np.allclose(op.apply(u + v), op.apply(u) + op.apply(v), rtol=1e-10)
     assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-10)
@@ -294,7 +296,7 @@ def test_grid_dataset_shapes_and_determinism():
 def test_grid_dataset_memory_budget():
     kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
     with pytest.raises(ValueError):
-        grid_dataset(100, 3, kernel, max_points=10_000)
+        grid_dataset(101, 3, kernel)  # 1030301 points, past the 10^6 guard
 
 
 @pytest.mark.parametrize("G, D, n_test, seed", [(4, 2, 10, 0), (6, 2, 10, 1), (6, 3, 20, 2)])
