@@ -116,6 +116,7 @@ def _build_dataset(cfg: configparser.ConfigParser):
     if source == "grid":
         g = section.getint("g", 10)
         d = section.getint("d", 2)
+        structured.check_grid_size(g, d)  # before d sizes the kernel
         kcfg = cfg["kernel"]
         if kcfg.get("family", "se").strip() != "se":
             raise SystemExit("error: the grid source draws its targets from an se kernel; [kernel] family must be se")
@@ -144,6 +145,7 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _cmd_gen_grid(args) -> int:
+    structured.check_grid_size(args.g, args.d)  # before d sizes the kernel
     kernel = se_kernel(np.full(args.d, args.metric), args.theta_f)
     data = structured.grid_dataset(args.g, args.d, kernel, seed=args.seed)
     datasets.write_dataset_csv(data, args.out)

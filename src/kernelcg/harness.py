@@ -14,27 +14,22 @@ same subsets at equal (step, repetition). Records are therefore
 deterministic given the master seed. Every method runs in the calling
 thread, one after another, so no record's time overlaps another's.
 
-The `seconds` of a record is the wall time of the work done for it. Where
-one CG trace serves every budget, the shared work is charged once, to the
-record of the largest budget. For kmcg at M = N that is the operator (the
-Gram, or on an SE grid its per-axis factors), the trace, the factorizations
-and the one kmcg.kmcg_predictions pass that predicts every budget; its other
-records carry only their own remaining work. At M < N each step is a fit of
-its own. cg-reorth and cg-textbook do all their work in one
-solvers.cg_predict_means call, so their other records carry 0 s. sor, dtc,
-fitc and vfe are fitted together on each (step, repetition) subset, and each
-piece of work they share (the subset, K_UU, its factor, K_UN and
-phi(X*) = k(X*, X_U); the sigma2 I fit of sor, dtc and vfe; the prior
-defect of dtc, fitc and vfe) is charged once, to the record of the first
-method in METHODS order that uses it; each record adds its own extra work.
-pbr builds one eigenexpansion, evaluates its features of X and X* once, at
-full rank, factors the full-rank system once and reads every budget's mean
-off a prefix sum (lowrank.PbrFits); the expansion, the feature pass and the
-one factorization are charged to the record of the largest budget. The
-`reason` of a kmcg, cg-reorth or cg-textbook record says why CG stopped
-within its budget (converged, maxsteps or breakdown). Baselines say "ok",
-aggregate rows "aggregate", and a failed method "error: " and the
-exception.
+The `seconds` of a record is the wall time of the work done for it, and
+work shared by several records is charged once, by two rules. First,
+kmcg, cg-reorth, cg-textbook and pbr record through timed batches
+(_batch): a batch is one piece of work that gives several steps' records
+(a kmcg fit with its predictions and evidences, one
+solvers.cg_predict_means call, pbr's eigenexpansion with every rank's
+mean); its time goes to the record of its largest step, the others carry
+0 s, and if it raises every step it holds fails. kmcg at M = N is one
+batch, at M < N one per step, each on its own subset. Second, sor, dtc,
+fitc and vfe are fitted together on each (step, repetition) subset
+(lowrank.InducingFits); each piece of work they share is charged to the
+record of the first method in METHODS order that uses it, each record
+adds its own extra work, and each method fails on its own. The `reason`
+of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
+budget (converged, maxsteps or breakdown). Baselines say "ok", aggregate
+rows "aggregate", and a failed method "error: " and the exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
 exact.predict_var with kmcg.kmcg_predictions and the pointwise variances of
@@ -46,10 +41,11 @@ memory grows with n* times the largest of N, M and P, not with n*^2.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -60,8 +56,6 @@ from .kernels import Kernel
 METHODS = ("exact", "cg-textbook", "cg-reorth", "kmcg", "sor", "dtc", "fitc", "vfe", "pbr")
 SQRT_NP = "sqrt-np"
 FIXED_M = "fixed-m"
-
-CSV_HEADER = "method,step,budget,run,eps_f,eps_var,eps_ev,smse,seconds,effective_p,reason"
 
 # Test points whose exact mean is below this fraction of the largest one are
 # excluded from relative errors (the denominator would be meaningless).
@@ -109,11 +103,15 @@ def metric_smse(y_star, pred) -> float:
 
     The sum is not divided by the number of test points and the variance is
     the population variance of the supplied targets, matching the printed
-    benchmark convention.
+    benchmark convention. Targets of zero variance (a single test point
+    among them) give no scale: the error is nan, as :func:`metric_relerr`
+    gives when every point is excluded.
     """
     y_star = np.asarray(y_star, dtype=float).reshape(-1)
     pred = np.asarray(pred, dtype=float).reshape(-1)
     var = float(np.var(y_star))
+    if var == 0.0:
+        return float("nan")
     return float(np.sum((y_star - pred) ** 2) / var)
 
 
@@ -178,6 +176,11 @@ class ExperimentRecord:
     reason: str
 
 
+# (name, type) of each record field, in order: the CSV columns.
+_COLUMNS = tuple(get_type_hints(ExperimentRecord).items())
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 def budget_for(config: ExperimentConfig, n: int, step: int) -> int:
     """Inducing budget matched to `step` CG iterations."""
     if config.budget_rule == FIXED_M:
@@ -236,49 +239,50 @@ def _failure(method, step, budget, run, error) -> ExperimentRecord:
                             reason=f"error: {type(error).__name__}: {error}")
 
 
-def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
-    """One fit of every step at M = N, one fit per step, on its own subset, at M < N.
+def _batch(method, steps, budget, oracle, data, compute) -> list[ExperimentRecord]:
+    """The records of `steps` from one timed compute().
 
-    A fit's shared work is charged to its largest step; a failed fit fails only its steps.
+    compute() returns (mean, var, evidence, effective_p, reason) per step, in
+    order. Its time goes to the record of the largest step; the others carry
+    0 s. If it raises, every step records the failure. budget(step) is the
+    record's budget.
     """
+    try:
+        start = time.perf_counter()
+        results = compute()
+        seconds = time.perf_counter() - start
+    except Exception as error:  # recorded, never aborts other methods
+        return [_failure(method, step, budget(step), "0", error) for step in steps]
+    return [_record(method, step, budget(step), "0", oracle, mean, var, evidence, data.y_star,
+                    seconds if step == max(steps) else 0.0, p, reason)
+            for step, (mean, var, evidence, p, reason) in zip(steps, results)]
+
+
+def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
+    """One batch per fit: every step at M = N, each step on its own subset at M < N."""
     n = data.n_train
     m = n if config.kmcg_m is None else min(config.kmcg_m, n)
     fits = [(config.steps, 0)] if m == n else [((step,), _inducing_seed(config, step, 0)) for step in config.steps]
-    records = {}
-    for steps, seed in fits:
-        try:
-            start = time.perf_counter()
-            models = kmcg.kmcg_models_for_steps(config.kernel, data.X, data.y, config.sigma2,
-                                                steps=steps, M=m, eps=config.cg_eps, seed=seed)
-            predictions = kmcg.kmcg_predictions(list(models.values()), data.X_star)
-            shared = time.perf_counter() - start
-        except Exception as error:
-            records.update((step, _failure("kmcg", step, m, "0", error)) for step in steps)
-            continue
-        for (step, model), (mean, var) in zip(models.items(), predictions):
-            try:
-                start = time.perf_counter()
-                evidence = kmcg.kmcg_evidence(model)
-                seconds = (shared if step == max(steps) else 0.0) + (time.perf_counter() - start)
-                records[step] = _record("kmcg", step, m, "0", oracle, mean, var, evidence,
-                                        data.y_star, seconds, model.steps, model.reason)
-            except Exception as error:  # recorded, never aborts other methods
-                records[step] = _failure("kmcg", step, m, "0", error)
-    return [records[step] for step in config.steps]
+
+    def compute(steps, seed):
+        models = kmcg.kmcg_models_for_steps(config.kernel, data.X, data.y, config.sigma2,
+                                            steps=steps, M=m, eps=config.cg_eps, seed=seed)
+        predictions = kmcg.kmcg_predictions(list(models.values()), data.X_star)
+        return [(mean, var, kmcg.kmcg_evidence(model), model.steps, model.reason)
+                for model, (mean, var) in zip(models.values(), predictions)]
+
+    return [record for steps, seed in fits
+            for record in _batch("kmcg", steps, lambda step: m, oracle, data,
+                                 functools.partial(compute, steps, seed))]
 
 
 def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
-    n = data.n_train
-    try:
-        start = time.perf_counter()
+    def compute():
         means = solvers.cg_predict_means(config.kernel, data.X, data.y, config.sigma2, data.X_star,
                                          config.steps, eps=config.cg_eps, reorth=method == "cg-reorth")
-        shared_seconds = time.perf_counter() - start
-    except Exception as error:
-        return [_failure(method, step, n, "0", error) for step in config.steps]
-    return [_record(method, step, n, "0", oracle, mean, None, None, data.y_star,
-                    shared_seconds if step == max(config.steps) else 0.0, p, reason)
-            for step, (mean, p, reason) in zip(config.steps, means)]
+        return [(mean, None, None, p, reason) for mean, p, reason in means]
+
+    return _batch(method, config.steps, lambda step: data.n_train, oracle, data, compute)
 
 
 def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentRecord]:
@@ -304,32 +308,19 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
 
 
 def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
-    """pbr at every step, in step order, from one eigenexpansion, one feature pass and one factorization.
+    """One batch, in step order: one eigenexpansion, feature pass and factorization serve every step."""
+    steps = sorted(config.steps)
+    budget = functools.partial(budget_for, config, data.n_train)
 
-    The largest budget runs first, so its record carries all three (see
-    lowrank.PbrFits). If the eigenexpansion cannot be built, every step
-    records the failure.
-    """
-    n = data.n_train
-    start = time.perf_counter()
-    try:
-        max_rank = max(budget_for(config, n, step) for step in config.steps)
+    def compute():
         sds = np.maximum(data.X.std(axis=0), 1e-8)
+        max_rank = max(map(budget, steps))
         expansion = lowrank.se_eigen_expansion(config.kernel, data.X.mean(axis=0), sds, max_rank)
-    except Exception as error:
-        return [_failure("pbr", step, budget_for(config, n, step), "0", error) for step in sorted(config.steps)]
-    fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
-    records = []
-    for step in sorted(config.steps, reverse=True):
-        m = budget_for(config, n, step)
-        try:
-            mean = fits.predict(min(m, expansion.eigenvalues.size))
-            records.append(_record("pbr", step, m, "0", oracle, mean, None, None, data.y_star,
-                                   time.perf_counter() - start, 0, "ok"))
-        except Exception as error:
-            records.append(_failure("pbr", step, m, "0", error))
-        start = time.perf_counter()
-    return sorted(records, key=lambda r: r.step)
+        fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
+        return [(fits.predict(min(budget(step), expansion.eigenvalues.size)), None, None, 0, "ok")
+                for step in steps]
+
+    return _batch("pbr", steps, budget, oracle, data, compute)
 
 
 def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]:
@@ -415,11 +406,7 @@ def emit_csv(records, path) -> None:
         handle.write(CSV_HEADER + "\n")
         writer = csv.writer(handle)
         for r in records:
-            writer.writerow([
-                r.method, r.step, r.budget, r.run,
-                _fmt(r.eps_f), _fmt(r.eps_var), _fmt(r.eps_ev), _fmt(r.smse),
-                _fmt(r.seconds), r.effective_p, r.reason,
-            ])
+            writer.writerow([_fmt(getattr(r, name)) for name, _ in _COLUMNS])
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
@@ -433,10 +420,7 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         for row in reader:
             if not row:
                 continue
-            out.append(ExperimentRecord(
-                method=row[0], step=int(row[1]), budget=int(row[2]), run=row[3],
-                eps_f=float(row[4]), eps_var=float(row[5]), eps_ev=float(row[6]),
-                smse=float(row[7]), seconds=float(row[8]), effective_p=int(row[9]),
-                reason=row[10],
-            ))
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"{path}: a row has {len(row)} cells, expected {len(_COLUMNS)}")
+            out.append(ExperimentRecord(*(kind(cell) for (_, kind), cell in zip(_COLUMNS, row))))
     return out

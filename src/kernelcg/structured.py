@@ -329,6 +329,14 @@ def masked_mvm(spec: MaskedToeplitzSpec, v) -> np.ndarray:
     return _circulant_product(spec._embedding, full)[spec.mask]
 
 
+def check_grid_size(G: int, D: int) -> None:
+    """Raise ValueError unless G >= 1 points per axis on D >= 1 axes make at most _MAX_GRID_POINTS points."""
+    if G < 1 or D < 1:
+        raise ValueError(f"a grid needs at least 1 point per axis and 1 axis, got g = {G}, d = {D}")
+    if G**D > _MAX_GRID_POINTS:
+        raise ValueError(f"grid has {G**D} points, exceeding the budget of {_MAX_GRID_POINTS}")
+
+
 def grid_dataset(G: int, D: int, kernel: Kernel, seed=0, n_test: int = 100) -> Dataset:
     """Synthetic grid regression problem with Kronecker-structured targets.
 
@@ -337,12 +345,10 @@ def grid_dataset(G: int, D: int, kernel: Kernel, seed=0, n_test: int = 100) -> D
     lives on the axes so the product structure survives. The training targets
     are one GP draw over the grid computed through per-axis Cholesky factors;
     n_test test inputs are uniform over the cube and their targets are drawn
-    from the GP conditioned on the grid draw. Grids of more than
-    _MAX_GRID_POINTS points raise ValueError before any work.
+    from the GP conditioned on the grid draw. A size :func:`check_grid_size`
+    rejects raises its ValueError before any work.
     """
-    n = G**D
-    if n > _MAX_GRID_POINTS:
-        raise ValueError(f"grid has {n} points, exceeding the budget of {_MAX_GRID_POINTS}")
+    check_grid_size(G, D)
     if kernel.dim != D:
         raise ValueError(f"kernel has {kernel.dim} dimensions, grid has {D}")
     rng = np.random.default_rng(seed)

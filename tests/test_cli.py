@@ -25,6 +25,15 @@ def test_gen_grid_writes_dataset(tmp_path):
     assert data.n_train == 25 and data.dim == 2
 
 
+@pytest.mark.parametrize("g, d", [(3, 0), (0, 3), (3, -1)])
+def test_gen_grid_with_a_size_below_one_is_one_line_error(tmp_path, g, d):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["gen-grid", "--g", str(g), "--d", str(d), "--out", str(out)])
+    assert raised.value.code == f"error: a grid needs at least 1 point per axis and 1 axis, got g = {g}, d = {d}"
+    assert not out.exists()
+
+
 def test_run_and_metrics_roundtrip(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
     config_path = tmp_path / "config.ini"
@@ -308,4 +317,15 @@ def test_run_on_grid_with_matern_kernel_is_one_line_error(tmp_path):
         cli.main(["run", "--config", str(config_path)])
     message = raised.value.code
     assert message.startswith("error:") and "family must be se" in message and "\n" not in message
+    assert not records_path.exists()
+
+
+@pytest.mark.parametrize("g, d", [(3, 0), (0, 3), (3, -1)])
+def test_run_on_a_grid_with_a_size_below_one_is_one_line_error(tmp_path, g, d):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    config_path.write_text(_TOY_CONFIG.format(records=records_path).replace("source = toy", f"source = grid\ng = {g}\nd = {d}"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == f"error: a grid needs at least 1 point per axis and 1 axis, got g = {g}, d = {d}"
     assert not records_path.exists()

@@ -93,6 +93,23 @@ def test_smse_conventions():
     assert metric_smse(y, rng.standard_normal(4)) >= 0.0
 
 
+def test_smse_is_nan_without_warning_for_targets_of_no_variance():
+    # A single test point has no variance to standardize by; this once
+    # returned inf with a divide-by-zero warning.
+    assert np.isnan(metric_smse([1.5], [0.5]))
+    assert np.isnan(metric_smse([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))
+
+
+def test_run_with_a_single_test_point_records_nan_smse():
+    from kernelcg.datasets import Dataset
+
+    data = _small_dataset()
+    one = Dataset(X=data.X, y=data.y, X_star=data.X_star[:1], y_star=data.y_star[:1])
+    records = run_experiment(_small_config(methods=harness.METHODS), one)
+    assert not [r.reason for r in records if r.reason.startswith("error:")]
+    assert all(np.isnan(r.smse) for r in records)
+
+
 def test_budget_rule():
     config = _small_config()
     assert budget_for(config, 100, 4) == 20
@@ -179,6 +196,7 @@ def _delayed(function):
     ("cg-reorth", solvers, "cg_reorth"),
     ("cg-textbook", solvers, "cg_textbook"),
     ("kmcg", kmcg, "kmcg_predictions"),
+    ("kmcg", kmcg, "kmcg_evidence"),
 ])
 def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, module, name):
     monkeypatch.setattr(module, name, _delayed(getattr(module, name)))
@@ -186,6 +204,38 @@ def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, m
     records = {r.step: r for r in run_experiment(config, _small_dataset())}
     assert records[4].seconds >= SHARED_DELAY
     assert records[1].seconds < SHARED_DELAY and records[2].seconds < SHARED_DELAY
+
+
+def test_kmcg_fit_below_n_that_raises_fails_only_its_step(monkeypatch):
+    # At M < N each step is a fit, and a batch, of its own.
+    original = kmcg.kmcg_models_for_steps
+
+    def failing(*args, steps, **kwargs):
+        if 2 in steps:
+            raise RuntimeError("no fit at step 2")
+        return original(*args, steps=steps, **kwargs)
+
+    monkeypatch.setattr(kmcg, "kmcg_models_for_steps", failing)
+    config = _small_config(methods=("kmcg",), steps=(4, 2, 1), kmcg_m=10, repetitions=1)
+    records = run_experiment(config, _small_dataset())
+    assert [(r.step, r.budget) for r in records] == [(4, 10), (2, 10), (1, 10)]
+    assert (records[1].reason, records[1].seconds) == ("error: RuntimeError: no fit at step 2", 0.0)
+    for r in (records[0], records[2]):
+        assert r.reason in ("converged", "maxsteps", "breakdown") and r.effective_p == r.step
+        assert np.all(np.isfinite([r.eps_f, r.eps_var, r.eps_ev, r.smse])) and r.seconds > 0.0
+
+
+@pytest.mark.parametrize("method", ["cg-reorth", "cg-textbook"])
+def test_cg_call_that_raises_fails_every_step_with_no_time(monkeypatch, method):
+    def failing(*args, **kwargs):
+        time.sleep(0.01)
+        raise RuntimeError("no trace")
+
+    monkeypatch.setattr(solvers, "cg_predict_means", failing)
+    config = _small_config(methods=(method,), steps=(4, 1, 2), repetitions=1)
+    records = run_experiment(config, _small_dataset())
+    assert [(r.step, r.budget, r.seconds, r.reason) for r in records] == [
+        (step, 40, 0.0, "error: RuntimeError: no trace") for step in (4, 1, 2)]
 
 
 def test_record_seconds_are_disjoint_wall_time():
@@ -332,6 +382,13 @@ def test_emit_csv_round_trip(tmp_path):
         for field in ("eps_f", "eps_var", "eps_ev", "smse", "seconds"):
             x, y = getattr(a, field), getattr(b, field)
             assert (np.isnan(x) and np.isnan(y)) or x == y
+
+
+def test_read_records_csv_rejects_a_row_of_the_wrong_length(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(harness.CSV_HEADER + "\nkmcg,1,40\n")
+    with pytest.raises(ValueError, match="a row has 3 cells, expected 11"):
+        read_records_csv(path)
 
 
 def _strip_seconds(path):
