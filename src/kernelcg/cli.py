@@ -4,8 +4,9 @@ The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output); see CONFIG_TEMPLATE for the
 recognized keys and an example. The dataset and kernel sections are
 required; an unknown section, or a key its section does not read, is an
-error. A bad config or an unreadable or malformed file ends a command
-with one "error:" line on stderr and exit status 1.
+error. A [schedule] key left out takes harness.ExperimentConfig's default.
+A bad config or an unreadable or malformed file ends a command with one
+"error:" line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ sigma2 = 0.01
 list = exact, kmcg, cg-reorth, sor, dtc, fitc, vfe
 
 [schedule]
-steps = 1:10            ; inclusive range a:b, or a comma list
-budget_rule = sqrt-np   ; sqrt-np | fixed-m
-; fixed_m = 20
+steps = 1:10            ; inclusive range a:b, or a comma list; run in ascending order
+; fixed_m = 20          ; a fixed inducing budget M; left out, M = ceil(sqrt(N P))
 ; kmcg_m =              ; empty means M = N
 repetitions = 10
 inducing_cap = 500
@@ -63,6 +63,10 @@ def _parse_steps(text: str) -> tuple:
         lo, hi = text.split(":")
         return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+def _parse_optional_int(text: str):
+    return int(text) if text.strip() else None
 
 
 def _parse_metric(text: str, dim: int) -> np.ndarray:
@@ -83,11 +87,22 @@ _DATASET_KEYS = {
 }
 
 
+# Each [schedule] key: the harness.ExperimentConfig field it sets and its parser.
+_SCHEDULE = {
+    "steps": ("steps", _parse_steps),
+    "fixed_m": ("fixed_m", _parse_optional_int),  # empty means None
+    "kmcg_m": ("kmcg_m", _parse_optional_int),
+    "repetitions": ("repetitions", int),
+    "inducing_cap": ("inducing_cap", int),
+    "seed": ("master_seed", int),
+}
+
+
 # The keys each section but [dataset] reads.
 _SECTION_KEYS = {
     "kernel": ("family", "metric", "theta_f", "sigma2"),
     "methods": ("list",),
-    "schedule": ("steps", "budget_rule", "fixed_m", "kmcg_m", "repetitions", "inducing_cap", "seed"),
+    "schedule": tuple(_SCHEDULE),
     "output": ("path",),
 }
 
@@ -117,12 +132,9 @@ def _build_dataset(cfg: configparser.ConfigParser):
         g = section.getint("g", 10)
         d = section.getint("d", 2)
         structured.check_grid_size(g, d)  # before d sizes the kernel
-        kcfg = cfg["kernel"]
-        if kcfg.get("family", "se").strip() != "se":
+        if cfg["kernel"].get("family", "se").strip() != "se":
             raise SystemExit("error: the grid source draws its targets from an se kernel; [kernel] family must be se")
-        metric = _parse_metric(kcfg.get("metric", "1.0"), d)
-        kernel = se_kernel(metric, kcfg.getfloat("theta_f", 1.0))
-        return structured.grid_dataset(g, d, kernel, seed=seed)
+        return structured.grid_dataset(g, d, _build_kernel(cfg, d), seed=seed)
 
 
 def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:
@@ -135,6 +147,18 @@ def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:
     if family == "matern52":
         return matern52_kernel(metric, theta_f)
     raise SystemExit(f"error: unknown kernel family {family!r}")
+
+
+def _read_schedule(cfg: configparser.ConfigParser) -> dict:
+    """The ExperimentConfig fields the [schedule] keys of `cfg` set."""
+    fields = {}
+    for key, text in (cfg["schedule"].items() if cfg.has_section("schedule") else ()):
+        field, parse = _SCHEDULE[key]
+        try:
+            fields[field] = parse(text)
+        except ValueError as error:
+            raise ValueError(f"[schedule] {key}: {error}") from None
+    return fields
 
 
 def _cmd_gen_toy(args) -> int:
@@ -176,19 +200,11 @@ def _cmd_run(args) -> int:
     methods = tuple(
         m.strip() for m in cfg.get("methods", "list", fallback="exact, kmcg").split(",") if m.strip()
     )
-    fixed_m = cfg.get("schedule", "fixed_m", fallback="").strip()
-    kmcg_m = cfg.get("schedule", "kmcg_m", fallback="").strip()
     config = harness.ExperimentConfig(
         kernel=kernel,
         sigma2=cfg.getfloat("kernel", "sigma2", fallback=datasets.TOY_DEFAULT_SIGMA2),
         methods=methods,
-        steps=_parse_steps(cfg.get("schedule", "steps", fallback="1:10")),
-        budget_rule=cfg.get("schedule", "budget_rule", fallback=harness.SQRT_NP).strip(),
-        fixed_m=int(fixed_m) if fixed_m else None,
-        kmcg_m=int(kmcg_m) if kmcg_m else None,
-        repetitions=cfg.getint("schedule", "repetitions", fallback=10),
-        master_seed=cfg.getint("schedule", "seed", fallback=0),
-        inducing_cap=cfg.getint("schedule", "inducing_cap", fallback=500),
+        **_read_schedule(cfg),
     )
     output_path = cfg.get("output", "path", fallback="records.csv")
     records = harness.run_experiment(config, data)

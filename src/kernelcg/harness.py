@@ -2,10 +2,10 @@
 
 For every step budget P in the schedule the harness evaluates the CG-based
 estimators at P steps and every inducing-point baseline at the matched
-budget M = ceil(sqrt(N P)) (or a fixed M), against the exact GP oracle.
-Baselines are repeated with freshly drawn inducing subsets; aggregate rows
-carry the mean per step plus the progressive minimum and maximum across
-repetitions and budgets.
+budget M = ceil(sqrt(N P)), or fixed_m if set, against the exact GP oracle,
+in ascending step order. Baselines are repeated with freshly drawn inducing
+subsets; aggregate rows carry the mean per step plus the progressive
+minimum and maximum across repetitions and budgets.
 
 Randomness is derived from the master seed by a counter scheme,
 SeedSequence([master, stream, step, repetition]); the inducing-selection
@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -54,8 +55,6 @@ from .datasets import Dataset
 from .kernels import Kernel
 
 METHODS = ("exact", "cg-textbook", "cg-reorth", "kmcg", "sor", "dtc", "fitc", "vfe", "pbr")
-SQRT_NP = "sqrt-np"
-FIXED_M = "fixed-m"
 
 # Test points whose exact mean is below this fraction of the largest one are
 # excluded from relative errors (the denominator would be meaningless).
@@ -124,9 +123,8 @@ class ExperimentConfig:
     kernel: Kernel
     sigma2: float
     methods: tuple = METHODS
-    steps: tuple = tuple(range(1, 11))
-    budget_rule: str = SQRT_NP
-    fixed_m: Optional[int] = None
+    steps: tuple = tuple(range(1, 11))  # stored in ascending order
+    fixed_m: Optional[int] = None  # None means M = ceil(sqrt(N P))
     kmcg_m: Optional[int] = None  # None means M = N
     cg_eps: Optional[float] = None  # None means 0.01 ||b||
     repetitions: int = 10
@@ -140,13 +138,11 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if not self.steps:
             raise ValueError("the step schedule must be nonempty")
+        if not self.methods:
+            raise ValueError("the method list must be nonempty")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; available: {METHODS}")
-        if self.budget_rule not in (SQRT_NP, FIXED_M):
-            raise ValueError(f"unknown budget rule {self.budget_rule!r}")
-        if self.budget_rule == FIXED_M and self.fixed_m is None:
-            raise ValueError("budget rule fixed-m requires fixed_m")
         for name in ("fixed_m", "kmcg_m", "inducing_cap"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -159,6 +155,7 @@ class ExperimentConfig:
             raise ValueError(f"step budgets must be at least 0, got {min(self.steps)}")
         if len(set(self.steps)) < len(self.steps):
             raise ValueError(f"step budgets must be distinct, got {', '.join(map(str, self.steps))}")
+        object.__setattr__(self, "steps", tuple(sorted(self.steps)))
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,8 @@ CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def budget_for(config: ExperimentConfig, n: int, step: int) -> int:
-    """Inducing budget matched to `step` CG iterations."""
-    if config.budget_rule == FIXED_M:
-        m = config.fixed_m
-    else:
-        m = math.ceil(math.sqrt(n * step))
+    """Inducing budget for `step`: fixed_m if set, else ceil(sqrt(N P)); at most inducing_cap and N."""
+    m = math.ceil(math.sqrt(n * step)) if config.fixed_m is None else config.fixed_m
     return max(1, min(m, config.inducing_cap, n))
 
 
@@ -308,33 +302,28 @@ def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentR
 
 
 def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
-    """One batch, in step order: one eigenexpansion, feature pass and factorization serve every step."""
-    steps = sorted(config.steps)
+    """One batch: one eigenexpansion, feature pass and factorization serve every step."""
     budget = functools.partial(budget_for, config, data.n_train)
 
     def compute():
         sds = np.maximum(data.X.std(axis=0), 1e-8)
-        max_rank = max(map(budget, steps))
+        max_rank = max(map(budget, config.steps))
         expansion = lowrank.se_eigen_expansion(config.kernel, data.X.mean(axis=0), sds, max_rank)
         fits = lowrank.PbrFits(expansion, data.X, data.y, config.sigma2, data.X_star)
         return [(fits.predict(min(budget(step), expansion.eigenvalues.size)), None, None, 0, "ok")
-                for step in steps]
+                for step in config.steps]
 
-    return _batch("pbr", steps, budget, oracle, data, compute)
+    return _batch("pbr", config.steps, budget, oracle, data, compute)
 
 
-def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]:
-    """Mean per step plus progressive min/max across repetitions and budgets."""
+def _aggregate(records: list[ExperimentRecord]) -> list[ExperimentRecord]:
+    """Mean per step plus progressive min/max across repetitions and budgets; records in step order."""
     out = []
-    by_step = {step: [r for r in records if r.step == step] for step in steps}
     metrics = ("eps_f", "eps_var", "eps_ev", "smse")
     running_min = {m: float("inf") for m in metrics}
     running_max = {m: -float("inf") for m in metrics}
-    for step in sorted(steps):
-        rows = by_step[step]
-        if not rows:
-            continue
-        template = rows[0]
+    for _, group in itertools.groupby(records, key=lambda r: r.step):
+        rows = list(group)
         values = {m: np.asarray([getattr(r, m) for r in rows]) for m in metrics}
         mean_row = {m: float(np.nanmean(v)) if np.any(np.isfinite(v)) else float("nan")
                     for m, v in values.items()}
@@ -343,14 +332,10 @@ def _aggregate(records: list[ExperimentRecord], steps) -> list[ExperimentRecord]
             if finite.size:
                 running_min[m] = min(running_min[m], float(np.min(finite)))
                 running_max[m] = max(running_max[m], float(np.max(finite)))
+        seconds = float(np.sum([r.seconds for r in rows]))
         for run, source in (("mean", mean_row), ("min", running_min), ("max", running_max)):
             vals = {m: (source[m] if np.isfinite(source[m]) else float("nan")) for m in metrics}
-            out.append(ExperimentRecord(
-                method=template.method, step=step, budget=template.budget, run=run,
-                eps_f=vals["eps_f"], eps_var=vals["eps_var"], eps_ev=vals["eps_ev"],
-                smse=vals["smse"], seconds=float(np.sum([r.seconds for r in rows])),
-                effective_p=template.effective_p, reason="aggregate",
-            ))
+            out.append(replace(rows[0], run=run, seconds=seconds, reason="aggregate", **vals))
     return out
 
 
@@ -381,10 +366,10 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
     by_subset = [_inducing_once(config, data, oracle, inducing, step, rep)
                  for step in config.steps for rep in range(config.repetitions)] if inducing else []
     for i, method in enumerate(inducing):
-        rows = sorted((subset[i] for subset in by_subset), key=lambda r: (r.step, int(r.run)))
+        rows = [subset[i] for subset in by_subset]
         records.extend(rows)
         if config.repetitions > 1:
-            records.extend(_aggregate(rows, config.steps))
+            records.extend(_aggregate(rows))
     if "pbr" in config.methods:
         records.extend(_run_pbr(config, data, oracle))  # pbr is deterministic: one repetition
     return records

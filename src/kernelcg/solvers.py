@@ -23,8 +23,9 @@ Every run starts from x = 0, whose residual is -b without an operator
 product, so a run of P steps makes P operator products, one more when it
 stops on breakdown. Traces record every search direction s_i together with
 the product z_i = A s_i actually computed, which is exactly the information
-downstream kernel learning consumes; the incremental solution x is carried
-along but callers that report predictions use :func:`fom_solution` instead.
+downstream kernel learning consumes. A trace carries no solution: the
+solution after any number of steps is :func:`fom_solution` of that many
+directions.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ _FIRST_ROWS = 16
 
 @dataclass(frozen=True)
 class CgTrace:
-    """Everything a CG run produced: solution, directions, products, history."""
+    """Everything a CG run produced: directions, products, residual history."""
 
-    x: np.ndarray
     S: np.ndarray  # N x P search directions
     Z: np.ndarray  # N x P operator products, column i is apply(S[:, i])
     residuals: np.ndarray  # N x (P+1) residual vectors as stored by the solver
@@ -106,7 +106,6 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
     if limit < 0:
         raise ValueError(f"max_steps must be at least 0, got {limit}")
 
-    x = np.zeros(op.dim)
     s = b.copy()
     collapse_tol = _COLLAPSE_FACTOR * np.finfo(float).eps * np.linalg.norm(b)
 
@@ -141,7 +140,6 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
         betas = _with_room(betas, k + 1, limit)
         Z[k] = z
         alpha = rr / curvature
-        x += alpha * s
         r_new = res[k + 1]
         np.multiply(z, alpha, out=r_new)
         r_new += res[k]
@@ -177,7 +175,6 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
         S[j] -= res[j]
 
     return CgTrace(
-        x=x,
         S=S.T,
         Z=Z[:k].T,
         residuals=res[: k + 1].T,
@@ -204,10 +201,11 @@ def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     """Plain conjugate gradients: loop while ||r||_2 > eps.
 
     Each step performs one operator application z = A s, a line search
-    alpha = r.r / s.z, and the coupled updates of solution, residual and
-    direction. Breakdown (nonpositive curvature) truncates the trace.
-    eps defaults to 0.01 * ||b||_2; pass eps=0 to force max_steps steps
-    (max_steps defaults to op.dim; a negative max_steps raises ValueError).
+    alpha = r.r / s.z, and the coupled updates of residual and direction;
+    :func:`fom_solution` gives the solution. Breakdown (nonpositive
+    curvature) truncates the trace. eps defaults to 0.01 * ||b||_2; pass
+    eps=0 to force max_steps steps (max_steps defaults to op.dim; a
+    negative max_steps raises ValueError).
     Memory is that of :func:`cg_reorth`.
     """
     return _run_cg(op, b, eps, max_steps, reorth=False)

@@ -220,6 +220,7 @@ def test_run_without_required_section_is_one_line_error(tmp_path, section):
     (("metric = 0.25", "metrics = 0.25"), "[kernel] does not read metrics"),
     (("[output]", "[methods]\nlist = exact\nlists = kmcg\n\n[output]"), "[methods] does not read lists"),
     (("path = ", "path = x\nformat = csv\nfile = "), "[output] does not read format, file"),
+    (("repetitions = 1", "repetitions = 1\nbudget_rule = fixed-m\nfixed_m = 2"), "[schedule] does not read budget_rule"),
 ])
 def test_run_with_an_unknown_section_or_key_is_one_line_error(tmp_path, edit, code):
     records_path = tmp_path / "records.csv"
@@ -230,6 +231,48 @@ def test_run_with_an_unknown_section_or_key_is_one_line_error(tmp_path, edit, co
     message = raised.value.code
     assert message.startswith("error:") and message.endswith(code) and "\n" not in message
     assert not records_path.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("steps", "1:2:3", "too many values to unpack (expected 2)"),
+    ("repetitions", "two", "invalid literal for int() with base 10: 'two'"),
+    ("fixed_m", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("kmcg_m", "all", "invalid literal for int() with base 10: 'all'"),
+    ("seed", "-", "invalid literal for int() with base 10: '-'"),
+])
+def test_run_with_an_unparsable_schedule_value_names_the_key(tmp_path, key, value, message):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path).replace("steps = 1:2\nrepetitions = 1", "")
+    config_path.write_text(text.replace("[schedule]", f"[schedule]\n{key} = {value}"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == f"error: [schedule] {key}: {message}"
+    assert not records_path.exists()
+
+
+def test_run_with_an_empty_method_list_is_one_line_error(tmp_path):
+    # It once fitted the exact oracle and wrote a header-only CSV.
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path)
+    config_path.write_text(text.replace("[schedule]", "[methods]\nlist =\n\n[schedule]"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == "error: the method list must be nonempty"
+    assert not records_path.exists()
+
+
+def test_run_with_fixed_m_sets_every_inducing_budget(tmp_path):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    text = _TOY_CONFIG.format(records=records_path)
+    config_path.write_text(text.replace("[schedule]", "[methods]\nlist = sor, dtc, fitc, vfe, pbr\n\n"
+                                                      "[schedule]\nfixed_m = 5"))
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    records = read_records_csv(records_path)
+    assert {r.method for r in records} == {"sor", "dtc", "fitc", "vfe", "pbr"}
+    assert {r.budget for r in records} == {5}
 
 
 def test_config_template_reads_only_known_keys():

@@ -116,8 +116,12 @@ def test_budget_rule():
     assert budget_for(config, 100, 1) == 10
     capped = _small_config(inducing_cap=15)
     assert budget_for(capped, 100, 4) == 15
-    fixed = _small_config(budget_rule=harness.FIXED_M, fixed_m=7)
-    assert budget_for(fixed, 100, 4) == 7
+    # fixed_m alone sets every budget; it was once ignored without a
+    # second knob, and the budgets followed ceil(sqrt(N P)).
+    fixed = _small_config(fixed_m=7)
+    assert [budget_for(fixed, 100, step) for step in (1, 4, 100)] == [7, 7, 7]
+    assert budget_for(_small_config(fixed_m=50, inducing_cap=30), 100, 1) == 30
+    assert budget_for(_small_config(fixed_m=500), 100, 1) == 100
 
 
 def test_config_validation():
@@ -127,21 +131,41 @@ def test_config_validation():
         _small_config(repetitions=0)
     with pytest.raises(ValueError):
         _small_config(methods=("exact", "mystery"))
-    with pytest.raises(ValueError):
-        _small_config(budget_rule=harness.FIXED_M)
     # Each of these once ran silently with another value (M = 1, or a
     # repeated step's records written and aggregated twice) or wrote
     # error records instead of failing the config.
     for overrides, message in [
         (dict(fixed_m=-50), "fixed_m must be at least 1, got -50"),
-        (dict(budget_rule=harness.FIXED_M, fixed_m=0), "fixed_m must be at least 1, got 0"),
+        (dict(fixed_m=0), "fixed_m must be at least 1, got 0"),
         (dict(inducing_cap=0), "inducing_cap must be at least 1, got 0"),
         (dict(kmcg_m=0), "kmcg_m must be at least 1, got 0"),
         (dict(steps=(2, 1, 2)), "step budgets must be distinct, got 2, 1, 2"),
         (dict(master_seed=-1), "master_seed must be at least 0, got -1"),
+        (dict(methods=()), "the method list must be nonempty"),  # once recorded nothing
     ]:
         with pytest.raises(ValueError, match=message):
             _small_config(**overrides)
+
+
+def _without_seconds(records):
+    return [tuple(harness._fmt(getattr(r, name)) for name, _ in harness._COLUMNS if name != "seconds")
+            for r in records]
+
+
+def test_unsorted_schedule_gives_the_sorted_schedule_records():
+    # Every method's rows once came out in config order for kmcg and CG but
+    # in ascending order for the inducing baselines and pbr.
+    data = _small_dataset()
+    for overrides in (dict(), dict(kmcg_m=12)):
+        config = _small_config(methods=harness.METHODS, steps=(3, 1, 2), **overrides)
+        assert config.steps == (1, 2, 3)
+        records = run_experiment(config, data)
+        individual = [r for r in records if r.reason != "aggregate" and r.method != "exact"]
+        for method in set(harness.METHODS) - {"exact"}:
+            steps = [r.step for r in individual if r.method == method]
+            assert steps == sorted(steps), method
+        ascending = run_experiment(_small_config(methods=harness.METHODS, steps=(1, 2, 3), **overrides), data)
+        assert _without_seconds(records) == _without_seconds(ascending)
 
 
 # --- runner ------------------------------------------------------------------
@@ -169,7 +193,6 @@ def test_kmcg_matches_sor_record_with_aligned_seeds():
     # At P = M with a shared inducing subset the two methods coincide.
     config = _small_config(
         methods=("kmcg", "sor"),
-        budget_rule=harness.FIXED_M,
         fixed_m=4,
         kmcg_m=4,
         steps=(4,),
@@ -218,7 +241,7 @@ def test_kmcg_fit_below_n_that_raises_fails_only_its_step(monkeypatch):
     monkeypatch.setattr(kmcg, "kmcg_models_for_steps", failing)
     config = _small_config(methods=("kmcg",), steps=(4, 2, 1), kmcg_m=10, repetitions=1)
     records = run_experiment(config, _small_dataset())
-    assert [(r.step, r.budget) for r in records] == [(4, 10), (2, 10), (1, 10)]
+    assert [(r.step, r.budget) for r in records] == [(1, 10), (2, 10), (4, 10)]
     assert (records[1].reason, records[1].seconds) == ("error: RuntimeError: no fit at step 2", 0.0)
     for r in (records[0], records[2]):
         assert r.reason in ("converged", "maxsteps", "breakdown") and r.effective_p == r.step
@@ -235,7 +258,7 @@ def test_cg_call_that_raises_fails_every_step_with_no_time(monkeypatch, method):
     config = _small_config(methods=(method,), steps=(4, 1, 2), repetitions=1)
     records = run_experiment(config, _small_dataset())
     assert [(r.step, r.budget, r.seconds, r.reason) for r in records] == [
-        (step, 40, 0.0, "error: RuntimeError: no trace") for step in (4, 1, 2)]
+        (step, 40, 0.0, "error: RuntimeError: no trace") for step in (1, 2, 4)]
 
 
 def test_record_seconds_are_disjoint_wall_time():

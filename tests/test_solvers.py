@@ -33,13 +33,13 @@ def test_one_dimensional_exact_step():
     trace = cg_textbook(dense_operator(np.array([[2.0]])), [4.0], eps=1e-12)
     assert trace.steps == 1
     assert trace.reason == solvers.CONVERGED
-    assert np.allclose(trace.x, [2.0])
+    assert np.allclose(fom_solution(trace.S, trace.Z, [4.0]), [2.0])
 
 
 def test_two_by_two_known_solution():
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     trace = cg_textbook(dense_operator(A), [1.0, 2.0], eps=1e-12, max_steps=2)
-    assert np.allclose(trace.x, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-10)
+    assert np.allclose(fom_solution(trace.S, trace.Z, [1.0, 2.0]), [1.0 / 11.0, 7.0 / 11.0], rtol=1e-10)
     assert trace.steps <= 2
 
 
@@ -47,7 +47,7 @@ def test_zero_rhs_returns_start_point():
     trace = cg_textbook(dense_operator(np.eye(4)), np.zeros(4), eps=1e-12)
     assert trace.steps == 0
     assert trace.reason == solvers.CONVERGED
-    assert np.array_equal(trace.x, np.zeros(4))
+    assert np.array_equal(fom_solution(trace.S, trace.Z, np.zeros(4)), np.zeros(4))
 
 
 def test_trace_products_reused_bit_exactly():
@@ -74,7 +74,7 @@ def test_reorth_agrees_with_textbook_well_conditioned():
     b = rng.standard_normal(10)
     t1 = cg_textbook(dense_operator(A), b, eps=1e-12, max_steps=10)
     t2 = cg_reorth(dense_operator(A), b, eps=1e-12, max_steps=10)
-    assert np.allclose(t1.x, t2.x, rtol=1e-8, atol=1e-10)
+    assert np.allclose(fom_solution(t1.S, t1.Z, b), fom_solution(t2.S, t2.Z, b), rtol=1e-8, atol=1e-10)
 
 
 def test_reorth_residuals_pairwise_orthogonal():
@@ -115,7 +115,7 @@ def test_error_norm_contraction():
     errors = []
     for p in range(1, 31):
         trace = cg_reorth(op, b, eps=0.0, max_steps=p)
-        diff = trace.x - x_true
+        diff = fom_solution(trace.S, trace.Z, b) - x_true
         errors.append(float(diff @ (A @ diff)))
         if trace.steps < p:
             break
@@ -197,15 +197,6 @@ def test_fom_rank_one_galerkin():
     Z = (A @ b).reshape(-1, 1)
     x = fom_solution(S, Z, b)
     assert np.allclose(x, b * (b @ b) / (b @ A @ b))
-
-
-def test_fom_agrees_with_incremental_solution():
-    rng = np.random.default_rng(10)
-    A = random_spd(rng, 10, cond=30.0)
-    b = rng.standard_normal(10)
-    trace = cg_reorth(dense_operator(A), b, eps=1e-13, max_steps=10)
-    x = fom_solution(trace.S, trace.Z, b)
-    assert np.allclose(x, trace.x, rtol=1e-8, atol=1e-10)
 
 
 def test_fom_empty_directions():
@@ -378,10 +369,9 @@ def test_textbook_trace_bit_identical_to_list_loop(case):
     A, b, eps, max_steps = _reference_cases()[case]
     op = dense_operator(A)
     trace = cg_textbook(op, b, eps=eps, max_steps=max_steps)
-    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, max_steps, False)
+    _, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, max_steps, False)
     assert (trace.steps, trace.reason) == (steps, reason)
-    for got, want in ((trace.x, x), (trace.S, S), (trace.Z, Z),
-                      (trace.residuals, residuals), (trace.residual_norms, norms)):
+    for got, want in ((trace.S, S), (trace.Z, Z), (trace.residuals, residuals), (trace.residual_norms, norms)):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -403,7 +393,7 @@ def test_reorth_trace_matches_mgs2_list_loop(seed):
     eps = 1e-6 * np.linalg.norm(b)
     op = dense_operator(A)
     trace = cg_reorth(op, b, eps=eps, max_steps=n)
-    x, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, n, True)
+    _, S, Z, residuals, norms, steps, reason = cg_list_loop(op.apply, b, eps, n, True)
     assert (trace.steps, trace.reason) == (steps, reason)
 
     def column_error(got, want):
