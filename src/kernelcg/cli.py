@@ -1,12 +1,13 @@
 """Command-line entry points: gen-toy, gen-grid, run, metrics.
 
 The `run` subcommand reads a plain-text key/value config with sections
-(dataset, kernel, methods, schedule, output); see CONFIG_TEMPLATE for the
-recognized keys and an example. The dataset and kernel sections are
-required; an unknown section, or a key its section does not read, is an
-error. A [schedule] key left out takes harness.ExperimentConfig's default.
-A bad config or an unreadable or malformed file ends a command with one
-"error:" line on stderr and exit status 1.
+(dataset, kernel, methods, schedule, output) through one key table,
+_SECTIONS, with each dataset source's keys in _SOURCES; CONFIG_TEMPLATE is a
+commented example. An unknown section or key is an error, and so are a
+value that does not parse and a required key left out, both named by
+section and key. A key left out takes the default of the parameter it
+feeds. A bad config or an unreadable or malformed file ends a command with
+one "error:" line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -22,38 +23,38 @@ from .kernels import Kernel, matern52_kernel, se_kernel
 
 CONFIG_TEMPLATE = """\
 [dataset]
-source = toy            ; toy | grid | csv | series-csv
-seed = 0                ; toy, csv and grid (a key the source does not read is an error)
+source = toy            ; toy (default) | grid | csv | series-csv
+seed = 0                ; toy, csv and grid; default 0 (a key the source does not read is an error)
 ; csv only (a split column of train/test labels, as gen-toy and gen-grid
 ; write, fixes the split; otherwise rows are shuffled with seed):
-; path = data.csv
-; target = y
-; test_fraction = 0.5
+; path = data.csv       ; required
+; target = y            ; required
+; test_fraction = 0.5   ; default 0.5
 ; series-csv only (columns time,value,mask; mask 1 = observed):
-; path = series.csv
+; path = series.csv     ; required
 ; grid only:
-; g = 10
-; d = 2
+; g = 10                ; default 10
+; d = 2                 ; default 2
 
 [kernel]
-family = se             ; se | matern52
-metric = 0.25           ; per-dimension entries, comma separated (broadcast if one)
-theta_f = 2.0
-sigma2 = 0.01
+family = se             ; se (default) | matern52
+metric = 0.25           ; per-dimension entries, comma separated (broadcast if one); default 1.0
+theta_f = 2.0           ; default 1.0
+sigma2 = 0.01           ; required
 
 [methods]
-list = exact, kmcg, cg-reorth, sor, dtc, fitc, vfe
+list = exact, kmcg, cg-reorth, sor, dtc, fitc, vfe   ; default: all nine methods
 
 [schedule]
-steps = 1:10            ; inclusive range a:b, or a comma list; run in ascending order
+steps = 1:10            ; inclusive range a:b, or a comma list, run in ascending order; default 1:10
 ; fixed_m = 20          ; a fixed inducing budget M; left out, M = ceil(sqrt(N P))
-; kmcg_m =              ; empty means M = N
-repetitions = 10
-inducing_cap = 500
-seed = 12345
+; kmcg_m =              ; empty or left out means M = N
+repetitions = 10        ; default 10
+inducing_cap = 500      ; default 500
+seed = 12345            ; default 0
 
 [output]
-path = records.csv
+path = records.csv      ; default records.csv
 """
 
 
@@ -69,96 +70,113 @@ def _parse_optional_int(text: str):
     return int(text) if text.strip() else None
 
 
-def _parse_metric(text: str, dim: int) -> np.ndarray:
-    values = [float(t) for t in text.replace(",", " ").split()]
-    if len(values) == 1:
-        return np.full(dim, values[0])
-    if len(values) != dim:
-        raise SystemExit(f"error: kernel metric has {len(values)} entries but the dataset has {dim} dimensions")
-    return np.asarray(values)
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("is empty")
+    return text
 
 
-# The [dataset] keys each source reads besides `source`.
-_DATASET_KEYS = {
-    "toy": ("seed",),
-    "csv": ("path", "target", "test_fraction", "seed"),
-    "series-csv": ("path",),
-    "grid": ("g", "d", "seed"),
+def _one_of(names):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return parse
+
+
+_KERNELS = {"se": se_kernel, "matern52": matern52_kernel}
+_REQUIRED = object()
+
+# Each key is (the parameter its value is passed on as, its parser, its
+# default): None leaves a key left out unpassed, so the parameter's own
+# default holds; _REQUIRED marks a key with none; else it is config text.
+# Each [dataset] source has the function that builds its data and its keys.
+_SOURCES = {
+    "toy": (datasets.gen_toy, {"seed": ("seed", int, None)}),
+    "csv": (datasets.load_csv, {
+        "path": ("path", _nonempty, _REQUIRED),
+        "target": ("target_column", _nonempty, _REQUIRED),
+        "test_fraction": ("test_fraction", float, None),
+        "seed": ("seed", int, None),
+    }),
+    "series-csv": (lambda path: datasets.masked_series_dataset(*datasets.load_masked_series_csv(path)),
+                   {"path": ("path", _nonempty, _REQUIRED)}),
+    "grid": (structured.grid_dataset, {"g": ("G", int, "10"), "d": ("D", int, "2"), "seed": ("seed", int, None)}),
+}
+_SECTIONS = {
+    "dataset": {"source": ("source", _one_of(_SOURCES), "toy")},  # and the source's keys
+    "kernel": {  # sigma2 goes to harness.ExperimentConfig, the rest to _build_kernel
+        "family": ("family", _one_of(_KERNELS), "se"),
+        "metric": ("lam", lambda text: tuple(float(t) for t in text.replace(",", " ").split()), "1.0"),
+        "theta_f": ("theta_f", float, None),
+        "sigma2": ("sigma2", float, _REQUIRED),
+    },
+    "methods": {"list": ("methods", lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), None)},
+    "schedule": {
+        "steps": ("steps", _parse_steps, None),
+        "fixed_m": ("fixed_m", _parse_optional_int, None),  # empty means None
+        "kmcg_m": ("kmcg_m", _parse_optional_int, None),
+        "repetitions": ("repetitions", int, None),
+        "inducing_cap": ("inducing_cap", int, None),
+        "seed": ("master_seed", int, None),
+    },
+    "output": {"path": ("path", _nonempty, "records.csv")},
 }
 
 
-# Each [schedule] key: the harness.ExperimentConfig field it sets and its parser.
-_SCHEDULE = {
-    "steps": ("steps", _parse_steps),
-    "fixed_m": ("fixed_m", _parse_optional_int),  # empty means None
-    "kmcg_m": ("kmcg_m", _parse_optional_int),
-    "repetitions": ("repetitions", int),
-    "inducing_cap": ("inducing_cap", int),
-    "seed": ("master_seed", int),
-}
-
-
-# The keys each section but [dataset] reads.
-_SECTION_KEYS = {
-    "kernel": ("family", "metric", "theta_f", "sigma2"),
-    "methods": ("list",),
-    "schedule": tuple(_SCHEDULE),
-    "output": ("path",),
-}
-
-
-def _build_dataset(cfg: configparser.ConfigParser):
-    section = cfg["dataset"]
-    source = section.get("source", "toy").strip()
-    if source not in _DATASET_KEYS:
-        raise SystemExit(f"error: unknown dataset source {source!r}")
-    unread = [key for key in section if key != "source" and key not in _DATASET_KEYS[source]]
-    if unread:
-        raise SystemExit(f"error: [dataset] source {source} does not read {', '.join(unread)}")
-    seed = section.getint("seed", 0)
-    if source == "toy":
-        return datasets.gen_toy(seed=seed)
-    if source == "csv":
-        return datasets.load_csv(
-            section.get("path"),
-            section.get("target"),
-            section.getfloat("test_fraction", 0.5),
-            seed=seed,
-        )
-    if source == "series-csv":
-        times, values, mask = datasets.load_masked_series_csv(section.get("path"))
-        return datasets.masked_series_dataset(times, values, mask)
-    if source == "grid":
-        g = section.getint("g", 10)
-        d = section.getint("d", 2)
-        structured.check_grid_size(g, d)  # before d sizes the kernel
-        if cfg["kernel"].get("family", "se").strip() != "se":
-            raise SystemExit("error: the grid source draws its targets from an se kernel; [kernel] family must be se")
-        return structured.grid_dataset(g, d, _build_kernel(cfg, d), seed=seed)
-
-
-def _build_kernel(cfg: configparser.ConfigParser, dim: int) -> Kernel:
-    section = cfg["kernel"]
-    family = section.get("family", "se").strip()
-    metric = _parse_metric(section.get("metric", "1.0"), dim)
-    theta_f = section.getfloat("theta_f", 1.0)
-    if family == "se":
-        return se_kernel(metric, theta_f)
-    if family == "matern52":
-        return matern52_kernel(metric, theta_f)
-    raise SystemExit(f"error: unknown kernel family {family!r}")
-
-
-def _read_schedule(cfg: configparser.ConfigParser) -> dict:
-    """The ExperimentConfig fields the [schedule] keys of `cfg` set."""
-    fields = {}
-    for key, text in (cfg["schedule"].items() if cfg.has_section("schedule") else ()):
-        field, parse = _SCHEDULE[key]
+def _read_keys(section: str, keys: dict, given: dict) -> dict:
+    values = {}
+    for key, (name, parse, default) in keys.items():
+        text = given.get(key, default)
+        if text is _REQUIRED:
+            raise ValueError(f"[{section}] {key}: missing, and it has no default")
         try:
-            fields[field] = parse(text)
+            if text is not None:
+                values[name] = parse(text)
         except ValueError as error:
-            raise ValueError(f"[schedule] {key}: {error}") from None
-    return fields
+            raise ValueError(f"[{section}] {key}: {error}") from None
+    return values
+
+
+def _read_config(path) -> tuple:
+    """The dataset source and each section's values by parameter, all checked before any work."""
+    cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    if not cfg.read(path):
+        raise ValueError(f"cannot read config file {path}")
+    for name in ("dataset", "kernel"):
+        if not cfg.has_section(name):
+            raise ValueError(f"{path} has no [{name}] section")
+    for name in [cfg.default_section] * bool(cfg.defaults()) + cfg.sections():  # DEFAULT's keys reach every section
+        if name not in _SECTIONS:
+            raise ValueError(f"{path} has an unknown section [{name}]")
+    values = {}
+    for name, keys in _SECTIONS.items():
+        given = dict(cfg[name]) if cfg.has_section(name) else {}
+        reader = f"[{name}]"
+        if name == "dataset":
+            source = _read_keys(name, keys, given).pop("source")
+            keys, reader = _SOURCES[source][1], f"[dataset] source {source}"
+            given.pop("source", None)
+        unread = [key for key in given if key not in keys]
+        if unread:
+            raise ValueError(f"{reader} does not read {', '.join(unread)}")
+        values[name] = _read_keys(name, keys, given)
+    return source, values
+
+
+def _build_kernel(dim: int, family: str, lam: tuple, **theta_f) -> Kernel:
+    if len(lam) not in (1, dim):
+        raise ValueError(f"[kernel] metric: has {len(lam)} entries but the dataset has {dim} dimensions")
+    return _KERNELS[family](np.full(dim, lam), **theta_f)
+
+
+def _build_dataset(source: str, keys: dict, kernel: dict) -> datasets.Dataset:
+    if source == "grid":  # its targets are drawn from the [kernel]
+        structured.check_grid_size(keys["G"], keys["D"])  # before D sizes the kernel
+        if kernel["family"] != "se":
+            raise ValueError("the grid source draws its targets from an se kernel; [kernel] family must be se")
+        keys = {**keys, "kernel": _build_kernel(keys["D"], **kernel)}
+    return _SOURCES[source][0](**keys)
 
 
 def _cmd_gen_toy(args) -> int:
@@ -169,44 +187,20 @@ def _cmd_gen_toy(args) -> int:
 
 
 def _cmd_gen_grid(args) -> int:
-    structured.check_grid_size(args.g, args.d)  # before d sizes the kernel
-    kernel = se_kernel(np.full(args.d, args.metric), args.theta_f)
-    data = structured.grid_dataset(args.g, args.d, kernel, seed=args.seed)
+    data = _build_dataset("grid", dict(G=args.g, D=args.d, seed=args.seed),
+                          dict(family="se", lam=(args.metric,), theta_f=args.theta_f))
     datasets.write_dataset_csv(data, args.out)
     print(f"wrote {data.n_train} train / {data.n_test} test rows to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cfg.read(args.config)
-    if not read:
-        raise SystemExit(f"error: cannot read config file {args.config}")
-    for name in ("dataset", "kernel"):
-        if not cfg.has_section(name):
-            raise SystemExit(f"error: {args.config} has no [{name}] section")
-    if cfg.defaults():  # its keys would reach every section
-        raise SystemExit(f"error: {args.config} has an unknown section [{cfg.default_section}]")
-    for name in cfg.sections():
-        if name == "dataset":
-            continue  # its keys depend on the source; see _build_dataset
-        if name not in _SECTION_KEYS:
-            raise SystemExit(f"error: {args.config} has an unknown section [{name}]")
-        unknown = [key for key in cfg[name] if key not in _SECTION_KEYS[name]]
-        if unknown:
-            raise SystemExit(f"error: [{name}] does not read {', '.join(unknown)}")
-    data = _build_dataset(cfg)
-    kernel = _build_kernel(cfg, data.dim)
-    methods = tuple(
-        m.strip() for m in cfg.get("methods", "list", fallback="exact, kmcg").split(",") if m.strip()
-    )
-    config = harness.ExperimentConfig(
-        kernel=kernel,
-        sigma2=cfg.getfloat("kernel", "sigma2", fallback=datasets.TOY_DEFAULT_SIGMA2),
-        methods=methods,
-        **_read_schedule(cfg),
-    )
-    output_path = cfg.get("output", "path", fallback="records.csv")
+    source, values = _read_config(args.config)
+    sigma2 = values["kernel"].pop("sigma2")
+    data = _build_dataset(source, values["dataset"], values["kernel"])
+    kernel = _build_kernel(data.dim, **values["kernel"])
+    config = harness.ExperimentConfig(kernel=kernel, sigma2=sigma2, **values["methods"], **values["schedule"])
+    output_path = values["output"]["path"]
     records = harness.run_experiment(config, data)
     harness.emit_csv(records, output_path)
     print(f"wrote {len(records)} records to {output_path}")

@@ -19,7 +19,7 @@ from .kernels import Kernel, gram, se_kernel
 TOY_LAMBDA = 0.25
 TOY_THETA_F = 2.0
 # The toy setup does not pin an observation noise; this package-wide default
-# is what the harness and tests use unless a config overrides it.
+# is what the demos and tests use.
 TOY_DEFAULT_SIGMA2 = 1e-2
 
 
@@ -89,8 +89,12 @@ def gen_toy(seed=0, n_train: int = 100, n_test: int = 100) -> Dataset:
     Inputs come half from a three-component Gaussian mixture and half from
     the uniform distribution on [0, 1]; targets for the train and test
     inputs are one joint draw from the zero-mean squared-exponential GP
-    (metric 0.25, amplitude 2) via a jittered Cholesky factor.
+    (metric 0.25, amplitude 2) via a jittered Cholesky factor. An n_train
+    or n_test below 1 raises ValueError.
     """
+    for name, n in (("n_train", n_train), ("n_test", n_test)):
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     kernel = toy_kernel()
     X = _toy_inputs(rng, n_train)

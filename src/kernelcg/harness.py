@@ -132,8 +132,8 @@ class ExperimentConfig:
     inducing_cap: int = 500
 
     def __post_init__(self):
-        if not (self.sigma2 > 0.0):
-            raise ValueError("sigma2 must be positive")
+        if not (0.0 < self.sigma2 < math.inf):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.steps:

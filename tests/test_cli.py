@@ -1,5 +1,5 @@
-import configparser
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,17 @@ def test_gen_toy_writes_dataset(tmp_path, capsys):
     data = load_csv(out, "y")
     assert data.n_train == 100 and data.n_test == 100
     assert "100 train / 100 test" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--n-train", 0), ("--n-test", -3)])
+def test_gen_toy_with_a_size_below_one_is_one_line_error(tmp_path, flag, value):
+    # --n-train 0 once wrote a file that run rejected, and -3 ended in
+    # "negative dimensions are not allowed".
+    out = tmp_path / "toy.csv"
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["gen-toy", flag, str(value), "--out", str(out)])
+    assert raised.value.code == f"error: {flag[2:].replace('-', '_')} must be at least 1, got {value}"
+    assert not out.exists()
 
 
 def test_gen_grid_writes_dataset(tmp_path):
@@ -80,10 +91,11 @@ def _rows_without_seconds(path):
 
 def test_run_on_a_gen_toy_file_matches_the_toy_dataset(tmp_path):
     # gen-toy writes .17g values and train/test labels, so run on its file
-    # sees the very dataset gen_toy returns, split for split.
-    data_path = tmp_path / "toy.csv"
+    # sees the very dataset gen_toy returns, split for split. A % in a path
+    # is plain text: the config has no interpolation.
+    data_path = tmp_path / "toy_%y.csv"
     assert cli.main(["gen-toy", "--seed", "2", "--out", str(data_path)]) == 0
-    records_path = tmp_path / "records.csv"
+    records_path = tmp_path / "records_%(seed)s.csv"
     config_path = tmp_path / "config.ini"
     config_path.write_text(
         f"""
@@ -233,22 +245,112 @@ def test_run_with_an_unknown_section_or_key_is_one_line_error(tmp_path, edit, co
     assert not records_path.exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("steps", "1:2:3", "too many values to unpack (expected 2)"),
-    ("repetitions", "two", "invalid literal for int() with base 10: 'two'"),
-    ("fixed_m", "2.5", "invalid literal for int() with base 10: '2.5'"),
-    ("kmcg_m", "all", "invalid literal for int() with base 10: 'all'"),
-    ("seed", "-", "invalid literal for int() with base 10: '-'"),
-])
-def test_run_with_an_unparsable_schedule_value_names_the_key(tmp_path, key, value, message):
+def _write_config(path, records, source, edits=()):
+    """A toy-sized config on `source` (None for toy) with its required keys,
+    then each (section, key, value) of `edits` set, or deleted where value is
+    None."""
+    source = source or "toy"
+    sections = {
+        "dataset": {"source": source, **_REQUIRED_DATASET_KEYS.get(source, {})},
+        "kernel": {"metric": "0.25", "sigma2": "0.01"},
+        "schedule": {"steps": "1:2", "repetitions": "1"},
+        "output": {"path": str(records)},
+    }
+    for section, key, value in edits:
+        keys = sections.setdefault(section, {})
+        if value is None:
+            del keys[key]
+        else:
+            keys[key] = value
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                            for section, keys in sections.items()))
+
+
+_REQUIRED_DATASET_KEYS = {"csv": {"path": "data.csv", "target": "y"}, "series-csv": {"path": "series.csv"}}
+
+# One unparsable value for every key the config reads but [methods] list,
+# where any text is a method list: (section, dataset source whose key it is,
+# key, value, message). Values are parsed before any file is read.
+_UNPARSABLE = [
+    ("dataset", None, "source", "tiy", "'tiy' is not one of toy, csv, series-csv, grid"),
+    ("dataset", "toy", "seed", "x", "invalid literal for int() with base 10: 'x'"),
+    ("dataset", "csv", "path", "", "is empty"),
+    ("dataset", "csv", "target", "", "is empty"),
+    ("dataset", "csv", "test_fraction", "half", "could not convert string to float: 'half'"),
+    ("dataset", "csv", "seed", "1e3", "invalid literal for int() with base 10: '1e3'"),
+    ("dataset", "series-csv", "path", "", "is empty"),
+    ("dataset", "grid", "g", "ten", "invalid literal for int() with base 10: 'ten'"),
+    ("dataset", "grid", "d", "2.0", "invalid literal for int() with base 10: '2.0'"),
+    ("dataset", "grid", "seed", "", "invalid literal for int() with base 10: ''"),
+    ("kernel", None, "family", "rbf", "'rbf' is not one of se, matern52"),
+    ("kernel", None, "metric", "0.25, x", "could not convert string to float: 'x'"),
+    ("kernel", None, "theta_f", "two", "could not convert string to float: 'two'"),
+    ("kernel", None, "sigma2", "1e-2.5", "could not convert string to float: '1e-2.5'"),
+    ("schedule", None, "steps", "1:2:3", "too many values to unpack (expected 2)"),
+    ("schedule", None, "repetitions", "two", "invalid literal for int() with base 10: 'two'"),
+    ("schedule", None, "fixed_m", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("schedule", None, "kmcg_m", "all", "invalid literal for int() with base 10: 'all'"),
+    ("schedule", None, "inducing_cap", "many", "invalid literal for int() with base 10: 'many'"),
+    ("schedule", None, "seed", "-", "invalid literal for int() with base 10: '-'"),
+    ("output", None, "path", "", "is empty"),
+]
+
+# Each key with no default: (section, dataset source whose key it is, key).
+_REQUIRED = [("kernel", None, "sigma2"), ("dataset", "csv", "path"), ("dataset", "csv", "target"),
+             ("dataset", "series-csv", "path")]
+
+
+def _table():
+    """Every (section, dataset source or None, key, key spec) the config reads."""
+    rows = [(section, None, key, spec) for section, keys in cli._SECTIONS.items() for key, spec in keys.items()]
+    return rows + [("dataset", source, key, spec) for source, (_, keys) in cli._SOURCES.items()
+                   for key, spec in keys.items()]
+
+
+def test_the_key_cases_cover_the_table():
+    table = {(section, source, key) for section, source, key, _ in _table()}
+    assert {case[:3] for case in _UNPARSABLE} == table - {("methods", None, "list")}
+    assert set(_REQUIRED) == {(section, source, key) for section, source, key, spec in _table()
+                              if spec[2] is cli._REQUIRED}
+
+
+def _case_id(case):
+    section, source, *rest = case
+    # The [schedule] cases keep the ids they had when only that section was named.
+    prefix = () if section == "schedule" else tuple(filter(None, (section, source)))
+    return "-".join((*prefix, *rest))
+
+
+@pytest.mark.parametrize("section, source, key, value, message", _UNPARSABLE, ids=map(_case_id, _UNPARSABLE))
+def test_run_with_an_unparsable_schedule_value_names_the_key(tmp_path, section, source, key, value, message):
     records_path = tmp_path / "records.csv"
     config_path = tmp_path / "config.ini"
-    text = _TOY_CONFIG.format(records=records_path).replace("steps = 1:2\nrepetitions = 1", "")
-    config_path.write_text(text.replace("[schedule]", f"[schedule]\n{key} = {value}"))
+    _write_config(config_path, records_path, source, [(section, key, value)])
     with pytest.raises(SystemExit) as raised:
         cli.main(["run", "--config", str(config_path)])
-    assert raised.value.code == f"error: [schedule] {key}: {message}"
+    assert raised.value.code == f"error: [{section}] {key}: {message}"
     assert not records_path.exists()
+
+
+@pytest.mark.parametrize("section, source, key", _REQUIRED)
+def test_run_without_a_required_key_names_it(tmp_path, section, source, key):
+    # A csv without a path once ended in a TypeError traceback, and one
+    # without a target in "target column None not found".
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    _write_config(config_path, records_path, source, [(section, key, None)])
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == f"error: [{section}] {key}: missing, and it has no default"
+    assert not records_path.exists()
+
+
+def test_run_without_a_methods_section_runs_every_method(tmp_path):
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    _write_config(config_path, records_path, None)
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    assert {r.method for r in read_records_csv(records_path)} == set(harness.METHODS)
 
 
 def test_run_with_an_empty_method_list_is_one_line_error(tmp_path):
@@ -275,13 +377,20 @@ def test_run_with_fixed_m_sets_every_inducing_budget(tmp_path):
     assert {r.budget for r in records} == {5}
 
 
-def test_config_template_reads_only_known_keys():
-    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cfg.read_string(cli.CONFIG_TEMPLATE)
-    assert set(cfg.sections()) == {"dataset", *cli._SECTION_KEYS}
-    for name, keys in cli._SECTION_KEYS.items():
-        assert set(cfg[name]) <= set(keys)
-    assert set(cfg["dataset"]) - {"source"} <= set(cli._DATASET_KEYS[cfg["dataset"]["source"]])
+def test_config_template_reads_only_known_keys(tmp_path):
+    # The template names every key the table holds, set or commented out,
+    # and the reader accepts the template and the shipped series config.
+    template = tmp_path / "template.ini"
+    template.write_text(cli.CONFIG_TEMPLATE)
+    for path in (template, Path(__file__).parents[1] / "demos" / "series_config_example.ini"):
+        cli._read_config(path)
+    named, section = set(), None
+    for line in cli.CONFIG_TEMPLATE.splitlines():
+        section = line[1:-1] if line.startswith("[") else section
+        key = re.match(r"(?:; )?(\w+) =", line)
+        if key:
+            named.add((section, key[1]))
+    assert named == {(section, key) for section, _, key, _ in _table()}
 
 
 def test_run_with_negative_step_budget_is_one_line_error(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import tracemalloc
 
@@ -142,6 +143,7 @@ def test_config_validation():
         (dict(steps=(2, 1, 2)), "step budgets must be distinct, got 2, 1, 2"),
         (dict(master_seed=-1), "master_seed must be at least 0, got -1"),
         (dict(methods=()), "the method list must be nonempty"),  # once recorded nothing
+        (dict(sigma2=math.inf), "sigma2 must be positive and finite, got inf"),  # once died in the oracle fit
     ]:
         with pytest.raises(ValueError, match=message):
             _small_config(**overrides)
