@@ -4,8 +4,10 @@ The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output) through one key table,
 _SECTIONS, with each dataset source's keys in _SOURCES; CONFIG_TEMPLATE is a
 commented example. An unknown section or key is an error, and so are a
-value that does not parse and a required key left out, both named by
-section and key. A key left out takes the default of the parameter it
+value that does not parse or is out of range (an unknown or empty method
+list, a metric entry, theta_f or sigma2 that is not positive and finite)
+and a required key left out, all named by section and key before any data
+file is read. A key left out takes the default of the parameter it
 feeds. A bad config or an unreadable or malformed file ends a command with
 one "error:" line on stderr and exit status 1.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 import numpy as np
@@ -84,6 +87,20 @@ def _one_of(names):
     return parse
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _methods(text: str) -> tuple:
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods:
+        raise ValueError("is empty")
+    return tuple(map(_one_of(harness.METHODS), methods))
+
+
 _KERNELS = {"se": se_kernel, "matern52": matern52_kernel}
 _REQUIRED = object()
 
@@ -107,11 +124,11 @@ _SECTIONS = {
     "dataset": {"source": ("source", _one_of(_SOURCES), "toy")},  # and the source's keys
     "kernel": {  # sigma2 goes to harness.ExperimentConfig, the rest to _build_kernel
         "family": ("family", _one_of(_KERNELS), "se"),
-        "metric": ("lam", lambda text: tuple(float(t) for t in text.replace(",", " ").split()), "1.0"),
-        "theta_f": ("theta_f", float, None),
-        "sigma2": ("sigma2", float, _REQUIRED),
+        "metric": ("lam", lambda text: tuple(map(_positive_finite, text.replace(",", " ").split())), "1.0"),
+        "theta_f": ("theta_f", _positive_finite, None),
+        "sigma2": ("sigma2", _positive_finite, _REQUIRED),
     },
-    "methods": {"list": ("methods", lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), None)},
+    "methods": {"list": ("methods", _methods, None)},
     "schedule": {
         "steps": ("steps", _parse_steps, None),
         "fixed_m": ("fixed_m", _parse_optional_int, None),  # empty means None

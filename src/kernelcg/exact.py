@@ -1,7 +1,10 @@
 """Exact Gaussian-process regression via a full Cholesky factorization.
 
 This is the O(N^3) ground truth that every approximation in this package is
-measured against; it is intentionally limited to desk-scale problems.
+measured against; it is intentionally limited to desk-scale problems. Its
+memory is one N x N array of floats (8 GiB at N = 32,768): the Gram
+K + sigma2 I is factored in its own memory, and predictions add at most one
+block of test points at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +28,13 @@ class ExactGpModel:
 
 
 def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
-    """Factorize K + sigma2 * I and precompute the weight vector alpha."""
+    """Factorize K + sigma2 * I and precompute the weight vector alpha.
+
+    The Gram is factored in place (:func:`kernelcg.linalg.cholesky` with
+    ``in_place=True`` on its F-ordered view), so the model's factor is the
+    Gram's own memory. Memory ceiling: the N x N factor, the N x N bytes of
+    the solver's finiteness check of it, and a few N-vectors.
+    """
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.size or y.size < 1:
@@ -34,7 +43,7 @@ def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
         raise ValueError("noise level sigma2 must be positive")
     K = gram(kernel, X)
     K[np.diag_indices_from(K)] += sigma2
-    factor = linalg.cholesky(K)
+    factor = linalg.cholesky(K.T, in_place=True)  # K is bit-symmetric, K.T its F-ordered view
     alpha = linalg.chol_solve(factor, y)
     return ExactGpModel(kernel=kernel, X=X, y=y, sigma2=float(sigma2), factor=factor, alpha=alpha)
 
@@ -60,16 +69,19 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
 
     Uses k(x, x) = theta_f, which holds for every stationary kernel here.
     Blocked over test points: each block of k(X, X*) holds at most
-    max(_CROSS_BLOCK_ENTRIES, N) entries. Memory: the output plus one block
-    and one array of its size (see :func:`kernelcg.linalg.chol_quad_diag`);
-    O(N^2 n*) flops; no N x n* or n* x n* array.
+    max(_CROSS_BLOCK_ENTRIES, N) entries. It is formed as k(X*_block, X).T,
+    bit-equal to k(X, X*_block) and F-ordered, and solved and squared in its
+    own memory (:func:`kernelcg.linalg.chol_quad_diag` with
+    ``overwrite=True``). Memory beyond the factor: the output, one block,
+    and the solver's finiteness checks (a byte per entry of the factor and
+    of the block); O(N^2 n*) flops; no N x n* or n* x n* array.
     """
     X_star = _as_points(X_star, model.kernel.dim)
     cols = max(1, _CROSS_BLOCK_ENTRIES // model.X.shape[0])
     out = np.empty(X_star.shape[0])
     for start in range(0, X_star.shape[0], cols):
-        K_s = gram(model.kernel, model.X, X_star[start : start + cols])
-        out[start : start + cols] = model.kernel.theta_f - linalg.chol_quad_diag(model.factor, K_s)
+        K_s = gram(model.kernel, X_star[start : start + cols], model.X).T  # k(X, X*) bit for bit, F-ordered
+        out[start : start + cols] = model.kernel.theta_f - linalg.chol_quad_diag(model.factor, K_s, overwrite=True)
     return out
 
 

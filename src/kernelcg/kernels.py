@@ -57,8 +57,8 @@ class Kernel:
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         if lam.ndim != 1 or np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
             raise ValueError("metric entries must be positive finite reals")
-        if not (self.theta_f > 0.0):
-            raise ValueError("amplitude theta_f must be positive")
+        if not (0.0 < self.theta_f < np.inf):
+            raise ValueError(f"amplitude theta_f must be positive and finite, got {self.theta_f}")
         object.__setattr__(self, "lam", lam)
 
     @property

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -37,12 +38,29 @@ class CholeskyFactor:
         return self.L.shape[0]
 
 
-def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
+def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = False) -> CholeskyFactor:
     """Factorize a symmetric matrix, escalating diagonal jitter on failure.
 
     The ladder is relative to the mean diagonal entry; for matrices with a
     zero diagonal (e.g. an all-zero difference of covariances) an absolute
     scale of 1 is used instead so the ladder still terminates.
+
+    By default A is left untouched: each jittered rung factors a shifted
+    copy, and the factor is a new N x N array, so a call holds A, the factor
+    and numpy's LAPACK working copy at once. With ``in_place=True`` the
+    caller hands A over and A becomes the factor: A must be an F-ordered
+    float64 array whose lower triangle is bit-equal to its upper one (the
+    F-ordered view ``K.T`` of a bit-symmetric C-ordered Gram ``K`` is one).
+    LAPACK ``potrf`` reads only the lower triangle and leaves the strict
+    upper one untouched, so between rungs the lower triangle is restored
+    from it and the diagonal from a saved copy; on success the strict upper
+    triangle is zeroed. Beyond A no call holds more than a few N-vectors,
+    and a failing rung restores A, so A is unchanged when every rung fails.
+    Only the exact oracle uses this mode. It runs on scipy's LAPACK, whose
+    bundled OpenBLAS rounds differently from numpy's; the copying mode stays
+    on numpy's, because moving every factor to scipy's moved the baselines'
+    records too (fitc records of ``demos/series_config_example.ini`` became
+    ``error:`` rows).
 
     Raises:
         NotPositiveDefiniteError: if no rung of the ladder succeeds.
@@ -50,10 +68,17 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = float(np.mean(np.diag(A))) if A.size else 0.0
+    if in_place and not (A.flags.f_contiguous and A.flags.writeable):
+        raise ValueError("in-place factorization needs a writeable F-ordered matrix")
+    diag = A.diagonal().copy()
+    scale = float(np.mean(diag)) if A.size else 0.0
     if scale <= 0.0:
         scale = 1.0
     for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
+        if in_place:
+            if _potrf_in_place(A, diag, jitter):
+                return CholeskyFactor(L=A, jitter=jitter)
+            continue
         shifted = A
         if jitter:
             shifted = A.copy()
@@ -66,6 +91,27 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
     raise NotPositiveDefiniteError(
         f"matrix of dim {A.shape[0]} not positive definite within the jitter ladder"
     )
+
+
+def _potrf_in_place(A: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
+    """One rung of the in-place ladder on the F-ordered A with diagonal `diag`.
+
+    On success A holds the lower factor of A + jitter I with a zero strict
+    upper triangle; on failure A is restored from its strict upper triangle
+    and `diag`. Each loop copies one column of N floats at a time.
+    """
+    np.fill_diagonal(A, diag + jitter)
+    info = dpotrf(A, lower=1, clean=0, overwrite_a=1)[1]
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
+    if info > 0:
+        for j in range(A.shape[0]):
+            A[j + 1 :, j] = A[j, j + 1 :]
+        np.fill_diagonal(A, diag)
+        return False
+    for j in range(1, A.shape[0]):
+        A[:j, j] = 0.0
+    return True
 
 
 def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -97,17 +143,19 @@ def chol_solve(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     return solve_triangular(factor.L, Y, lower=True, trans="T")
 
 
-def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray) -> np.ndarray:
+def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Diagonal of U^T (L L^T)^{-1} U: the column sums of (L^{-1} U)^2.
 
     One forward substitution, no back substitution and no n x n product:
     for U of shape P x n this costs O(P^2 n) and holds one P x n array
-    besides U (L^{-1} U, squared in place) and the length-n output.
+    besides U (L^{-1} U, squared in place) and the length-n output. With
+    ``overwrite=True`` the caller hands U over, and an F-ordered float64 U
+    is solved and squared in its own memory: no P x n array besides it.
     """
     U = np.asarray(U, dtype=float)
     if U.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {U.shape}")
-    V = solve_triangular(factor.L, U, lower=True)
+    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite)
     return np.sum(np.square(V, out=V), axis=0)
 
 

@@ -268,9 +268,9 @@ def _write_config(path, records, source, edits=()):
 
 _REQUIRED_DATASET_KEYS = {"csv": {"path": "data.csv", "target": "y"}, "series-csv": {"path": "series.csv"}}
 
-# One unparsable value for every key the config reads but [methods] list,
-# where any text is a method list: (section, dataset source whose key it is,
-# key, value, message). Values are parsed before any file is read.
+# One unparsable value for every key the config reads: (section, dataset
+# source whose key it is, key, value, message). Values are parsed before any
+# file is read.
 _UNPARSABLE = [
     ("dataset", None, "source", "tiy", "'tiy' is not one of toy, csv, series-csv, grid"),
     ("dataset", "toy", "seed", "x", "invalid literal for int() with base 10: 'x'"),
@@ -286,6 +286,7 @@ _UNPARSABLE = [
     ("kernel", None, "metric", "0.25, x", "could not convert string to float: 'x'"),
     ("kernel", None, "theta_f", "two", "could not convert string to float: 'two'"),
     ("kernel", None, "sigma2", "1e-2.5", "could not convert string to float: '1e-2.5'"),
+    ("methods", None, "list", "exact, kmgc", f"'kmgc' is not one of {', '.join(harness.METHODS)}"),
     ("schedule", None, "steps", "1:2:3", "too many values to unpack (expected 2)"),
     ("schedule", None, "repetitions", "two", "invalid literal for int() with base 10: 'two'"),
     ("schedule", None, "fixed_m", "2.5", "invalid literal for int() with base 10: '2.5'"),
@@ -309,7 +310,7 @@ def _table():
 
 def test_the_key_cases_cover_the_table():
     table = {(section, source, key) for section, source, key, _ in _table()}
-    assert {case[:3] for case in _UNPARSABLE} == table - {("methods", None, "list")}
+    assert {case[:3] for case in _UNPARSABLE} == table
     assert set(_REQUIRED) == {(section, source, key) for section, source, key, spec in _table()
                               if spec[2] is cli._REQUIRED}
 
@@ -361,7 +362,35 @@ def test_run_with_an_empty_method_list_is_one_line_error(tmp_path):
     config_path.write_text(text.replace("[schedule]", "[methods]\nlist =\n\n[schedule]"))
     with pytest.raises(SystemExit) as raised:
         cli.main(["run", "--config", str(config_path)])
-    assert raised.value.code == "error: the method list must be nonempty"
+    assert raised.value.code == "error: [methods] list: is empty"
+    assert not records_path.exists()
+
+
+# Values that parse but are out of range: (section, key, value, message).
+_OUT_OF_RANGE = [
+    ("methods", "list", ", ,", "is empty"),
+    ("kernel", "sigma2", "inf", "must be positive and finite, got inf"),
+    ("kernel", "sigma2", "0", "must be positive and finite, got 0.0"),
+    ("kernel", "theta_f", "inf", "must be positive and finite, got inf"),
+    ("kernel", "theta_f", "nan", "must be positive and finite, got nan"),
+    ("kernel", "metric", "0.25, -1", "must be positive and finite, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("source", [None, "csv"])
+@pytest.mark.parametrize("section, key, value, message", _OUT_OF_RANGE)
+def test_run_with_an_out_of_range_value_names_the_key_before_reading_data(tmp_path, source, section, key, value,
+                                                                          message):
+    # These once surfaced after the data file was read (a csv path that does
+    # not exist reported the missing file first) and named no key; an
+    # infinite theta_f ended in "array must not contain infs or NaNs".
+    records_path = tmp_path / "records.csv"
+    config_path = tmp_path / "config.ini"
+    _write_config(config_path, records_path, source,
+                  [("dataset", "path", str(tmp_path / "missing.csv"))] * (source == "csv") + [(section, key, value)])
+    with pytest.raises(SystemExit) as raised:
+        cli.main(["run", "--config", str(config_path)])
+    assert raised.value.code == f"error: [{section}] {key}: {message}"
     assert not records_path.exists()
 
 

@@ -44,6 +44,15 @@ def test_invalid_parameters():
         Kernel("cubic", np.array([1.0]))
 
 
+@pytest.mark.parametrize("theta_f", [0.0, -1.0, np.inf, np.nan])
+def test_amplitude_must_be_positive_and_finite(theta_f):
+    # An infinite amplitude once built a kernel whose Gram only failed in the
+    # oracle's factorization, as "array must not contain infs or NaNs".
+    for make in (se_kernel, matern52_kernel):
+        with pytest.raises(ValueError, match="theta_f must be positive and finite"):
+            make([1.0], theta_f)
+
+
 def test_gram_single_point():
     kernel = se_kernel([2.0], 3.0)
     assert np.allclose(gram(kernel, [[0.5]]), [[3.0]])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import linalg
+from kernelcg.kernels import gram, se_kernel
 from brute import dense_kron, dense_sym_kron, cofactor_det, random_spd
 
 
@@ -201,3 +202,45 @@ def test_cholesky_without_jitter_allocates_only_the_factor():
         tracemalloc.stop()
     assert f.jitter == 0.0
     assert peak < 1.5 * A.nbytes
+
+
+@pytest.mark.parametrize("shift, rung", [(0.0, 1e-12), (5e-9, 1e-8)])
+def test_cholesky_in_place_ladder(shift, rung):
+    # Each point twice: the Gram is singular and the zero rung fails; with
+    # its diagonal lowered by 5e-9 the rungs up to 1e-9 fail too, so the
+    # lower triangle is restored between rungs four times.
+    X = np.random.default_rng(17).uniform(0, 2, (100, 2))
+    K = gram(se_kernel([1.0, 1.0]), np.vstack([X, X]))
+    K[np.diag_indices_from(K)] -= shift
+    A = K.copy()
+    tracemalloc.start()
+    try:
+        f = linalg.cholesky(K.T, in_place=True)  # the F-ordered view of the bit-symmetric Gram
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    jitter = rung * np.mean(np.diag(A))
+    assert f.jitter == jitter == linalg.cholesky(A).jitter
+    assert np.shares_memory(f.L, K)
+    assert not np.any(np.triu(f.L, 1))
+    assert np.allclose(f.L @ f.L.T, A + jitter * np.eye(200), rtol=0.0, atol=1e-13)
+    assert peak < K.nbytes / 8
+
+
+def test_cholesky_in_place_restores_a_matrix_no_rung_factors():
+    A = np.asfortranarray(np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.0], [0.5, 0.0, 3.0]]))
+    before = A.copy()
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.cholesky(A, in_place=True)
+    assert np.array_equal(A, before)
+    with pytest.raises(ValueError, match="F-ordered"):
+        linalg.cholesky(np.ascontiguousarray(A), in_place=True)
+
+
+def test_cholesky_copying_mode_leaves_its_argument_untouched():
+    X = np.random.default_rng(18).uniform(0, 2, (40, 2))
+    K = np.asfortranarray(gram(se_kernel([1.0, 1.0]), np.vstack([X, X])))
+    before = K.copy()
+    f = linalg.cholesky(K)
+    assert f.jitter > 0.0 and not np.shares_memory(f.L, K)
+    assert np.array_equal(K, before)
