@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, gram
+from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, _check_sigma2, gram
 
 
 @dataclass(frozen=True)
@@ -32,20 +32,18 @@ def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
 
     The Gram is factored in place (:func:`kernelcg.linalg.cholesky` with
     ``in_place=True`` on its F-ordered view), so the model's factor is the
-    Gram's own memory. Memory ceiling: the N x N factor, the N x N bytes of
-    the solver's finiteness check of it, and a few N-vectors.
+    Gram's own memory. Memory ceiling: the N x N factor and a few N-vectors.
     """
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).reshape(-1)
     if X.shape[0] != y.size or y.size < 1:
         raise ValueError(f"inconsistent training set: {X.shape[0]} inputs, {y.size} targets")
-    if not (sigma2 > 0.0):
-        raise ValueError("noise level sigma2 must be positive")
+    sigma2 = _check_sigma2(sigma2)
     K = gram(kernel, X)
     K[np.diag_indices_from(K)] += sigma2
     factor = linalg.cholesky(K.T, in_place=True)  # K is bit-symmetric, K.T its F-ordered view
     alpha = linalg.chol_solve(factor, y)
-    return ExactGpModel(kernel=kernel, X=X, y=y, sigma2=float(sigma2), factor=factor, alpha=alpha)
+    return ExactGpModel(kernel=kernel, X=X, y=y, sigma2=sigma2, factor=factor, alpha=alpha)
 
 
 def predict_mean(model: ExactGpModel, X_star) -> np.ndarray:
@@ -73,8 +71,8 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
     bit-equal to k(X, X*_block) and F-ordered, and solved and squared in its
     own memory (:func:`kernelcg.linalg.chol_quad_diag` with
     ``overwrite=True``). Memory beyond the factor: the output, one block,
-    and the solver's finiteness checks (a byte per entry of the factor and
-    of the block); O(N^2 n*) flops; no N x n* or n* x n* array.
+    and the finiteness check of the block (a byte per entry); O(N^2 n*)
+    flops; no N x n* or n* x n* array.
     """
     X_star = _as_points(X_star, model.kernel.dim)
     cols = max(1, _CROSS_BLOCK_ENTRIES // model.X.shape[0])

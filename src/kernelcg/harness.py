@@ -52,7 +52,7 @@ import numpy as np
 
 from . import exact, kmcg, lowrank, solvers
 from .datasets import Dataset
-from .kernels import Kernel
+from .kernels import Kernel, _check_sigma2
 
 METHODS = ("exact", "cg-textbook", "cg-reorth", "kmcg", "sor", "dtc", "fitc", "vfe", "pbr")
 
@@ -132,8 +132,7 @@ class ExperimentConfig:
     inducing_cap: int = 500
 
     def __post_init__(self):
-        if not (0.0 < self.sigma2 < math.inf):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        _check_sigma2(self.sigma2)
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.steps:

@@ -66,6 +66,13 @@ class Kernel:
         return self.lam.size
 
 
+def _check_sigma2(sigma2) -> float:
+    """The noise variance as a float; ValueError unless 0 < sigma2 < inf."""
+    if not (0.0 < sigma2 < np.inf):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
+    return float(sigma2)
+
+
 def se_kernel(lam, theta_f=1.0) -> Kernel:
     return Kernel(SQUARED_EXPONENTIAL, np.asarray(lam, dtype=float), float(theta_f))
 

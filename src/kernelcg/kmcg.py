@@ -64,7 +64,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import Kernel, _as_points, gram
+from .kernels import Kernel, _as_points, _check_sigma2, gram
 from .lowrank import choose_inducing
 from .solvers import cg_reorth, stop_reason_within
 from .structured import GramStructure, MvmOperator, gram_structure
@@ -108,9 +108,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     n = X.shape[0]
     if y.size != n:
         raise ValueError(f"{n} inputs but {y.size} targets")
-    if not (sigma2 > 0.0):
-        raise ValueError("sigma2 must be positive")
-    sigma2 = float(sigma2)
+    sigma2 = _check_sigma2(sigma2)
     M = n if M is None else int(M)
     budgets = [M if p is None else int(p) for p in budgets]
     if min(budgets) < 0:

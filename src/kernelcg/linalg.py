@@ -45,22 +45,22 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
     zero diagonal (e.g. an all-zero difference of covariances) an absolute
     scale of 1 is used instead so the ladder still terminates.
 
-    By default A is left untouched: each jittered rung factors a shifted
-    copy, and the factor is a new N x N array, so a call holds A, the factor
-    and numpy's LAPACK working copy at once. With ``in_place=True`` the
-    caller hands A over and A becomes the factor: A must be an F-ordered
-    float64 array whose lower triangle is bit-equal to its upper one (the
-    F-ordered view ``K.T`` of a bit-symmetric C-ordered Gram ``K`` is one).
-    LAPACK ``potrf`` reads only the lower triangle and leaves the strict
-    upper one untouched, so between rungs the lower triangle is restored
-    from it and the diagonal from a saved copy; on success the strict upper
-    triangle is zeroed. Beyond A no call holds more than a few N-vectors,
-    and a failing rung restores A, so A is unchanged when every rung fails.
-    Only the exact oracle uses this mode. It runs on scipy's LAPACK, whose
-    bundled OpenBLAS rounds differently from numpy's; the copying mode stays
-    on numpy's, because moving every factor to scipy's moved the baselines'
-    records too (fitc records of ``demos/series_config_example.ini`` became
-    ``error:`` rows).
+    Both modes run one ladder on LAPACK ``potrf`` (scipy's ``dpotrf``),
+    which reads only the lower triangle of A; every returned factor has a
+    zero strict upper triangle and is finite. A non-finite diagonal raises
+    ValueError; below a finite one a non-finite entry leaves a NaN or -inf
+    pivot, which fails the rung (OpenBLAS's ``potrf`` does not report a
+    NaN pivot, so the factor's diagonal is checked).
+
+    By default A is left untouched: the factor is an F-ordered copy of A,
+    restored from A after a failed rung, so a call holds A and one N x N
+    array. With ``in_place=True`` the caller hands A over and A becomes the
+    factor: A must be an F-ordered float64 array whose lower triangle is
+    bit-equal to its upper one (as the view ``K.T`` of a bit-symmetric Gram
+    ``K`` is). A failed rung restores the lower triangle from the strict
+    upper one, which ``potrf`` then leaves untouched, and the diagonal from
+    a saved copy, so A is unchanged when every rung fails; beyond A a call
+    holds a few N-vectors. The two modes give bit-equal factors.
 
     Raises:
         NotPositiveDefiniteError: if no rung of the ladder succeeds.
@@ -71,47 +71,29 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
     if in_place and not (A.flags.f_contiguous and A.flags.writeable):
         raise ValueError("in-place factorization needs a writeable F-ordered matrix")
     diag = A.diagonal().copy()
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("cannot factorize a matrix with a non-finite diagonal")
     scale = float(np.mean(diag)) if A.size else 0.0
     if scale <= 0.0:
         scale = 1.0
+    L = A if in_place else np.array(A, order="F")
     for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
+        np.fill_diagonal(L, diag + jitter)
+        info = dpotrf(L, lower=1, clean=int(not in_place), overwrite_a=1)[1]
+        if info == 0 and np.all(np.isfinite(L.diagonal())):
+            if in_place:  # potrf kept the strict upper triangle for a restore
+                for j in range(1, L.shape[0]):
+                    L[:j, j] = 0.0
+            return CholeskyFactor(L=L, jitter=jitter)
         if in_place:
-            if _potrf_in_place(A, diag, jitter):
-                return CholeskyFactor(L=A, jitter=jitter)
-            continue
-        shifted = A
-        if jitter:
-            shifted = A.copy()
-            shifted[np.diag_indices_from(shifted)] += jitter
-        try:
-            L = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        return CholeskyFactor(L=L, jitter=jitter)
+            for j in range(L.shape[0]):
+                L[j + 1 :, j] = L[j, j + 1 :]
+            np.fill_diagonal(L, diag)
+        else:
+            np.copyto(L, A)
     raise NotPositiveDefiniteError(
         f"matrix of dim {A.shape[0]} not positive definite within the jitter ladder"
     )
-
-
-def _potrf_in_place(A: np.ndarray, diag: np.ndarray, jitter: float) -> bool:
-    """One rung of the in-place ladder on the F-ordered A with diagonal `diag`.
-
-    On success A holds the lower factor of A + jitter I with a zero strict
-    upper triangle; on failure A is restored from its strict upper triangle
-    and `diag`. Each loop copies one column of N floats at a time.
-    """
-    np.fill_diagonal(A, diag + jitter)
-    info = dpotrf(A, lower=1, clean=0, overwrite_a=1)[1]
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK potrf")
-    if info > 0:
-        for j in range(A.shape[0]):
-            A[j + 1 :, j] = A[j, j + 1 :]
-        np.fill_diagonal(A, diag)
-        return False
-    for j in range(1, A.shape[0]):
-        A[:j, j] = 0.0
-    return True
 
 
 def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -135,12 +117,15 @@ def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def chol_solve(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) X = B by forward and back substitution."""
-    B = np.asarray(B, dtype=float)
+    """Solve (L L^T) X = B by forward and back substitution.
+
+    Only B is checked for non-finite entries: both Cholesky routines return
+    finite factors."""
+    B = np.asarray_chkfinite(B, dtype=float)
     if B.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {B.shape}")
-    Y = solve_triangular(factor.L, B, lower=True)
-    return solve_triangular(factor.L, Y, lower=True, trans="T")
+    Y = solve_triangular(factor.L, B, lower=True, check_finite=False)
+    return solve_triangular(factor.L, Y, lower=True, trans="T", check_finite=False)
 
 
 def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
@@ -151,11 +136,12 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = F
     besides U (L^{-1} U, squared in place) and the length-n output. With
     ``overwrite=True`` the caller hands U over, and an F-ordered float64 U
     is solved and squared in its own memory: no P x n array besides it.
+    Only U is checked for non-finite entries, as in :func:`chol_solve`.
     """
-    U = np.asarray(U, dtype=float)
+    U = np.asarray_chkfinite(U, dtype=float)
     if U.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {U.shape}")
-    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite)
+    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite, check_finite=False)
     return np.sum(np.square(V, out=V), axis=0)
 
 

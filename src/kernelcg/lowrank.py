@@ -20,6 +20,10 @@ prior restored in its variance,
 
 VFE subtracts tr(K - Q) / 2 sigma2 from its evidence, and FITC has
 Lam = theta_f - diag Q + sigma2 where the others have Lam = sigma2 I.
+The gap theta_f - diag Q and its test-side twin, the prior defect, are
+clamped at 0: a numerically singular K_UU that a ladder rung accepts
+rounds them below it. So FITC's Lam >= sigma2 and VFE's evidence is at
+most DTC's on every inducing set.
 The projected Bayes regressor fits the leading eigenpairs of
 :func:`se_eigen_expansion` (the Hermite recurrence, with an exact
 orthonormality check), and :class:`PbrFits`, its one entry, reads every
@@ -37,7 +41,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, gram
+from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, _check_sigma2, gram
 
 
 def choose_inducing(n_total: int, m: int, seed) -> np.ndarray:
@@ -119,11 +123,10 @@ class PbrFits:
     @cached_property
     def _means(self) -> np.ndarray:
         """Row c - 1 is the rank-c mean at X*."""
-        if not self.sigma2 > 0.0:
-            raise ValueError("sigma2 must be positive")
+        sigma2 = _check_sigma2(self.sigma2)
         phi = self.expansion.phi
         Phi = np.asarray(phi(self.X), dtype=float).T
-        scaled = Phi / self.sigma2
+        scaled = Phi / sigma2
         A = scaled @ Phi.T + np.diag(1.0 / self.expansion.eigenvalues)
         L = linalg.cholesky(0.5 * (A + A.T)).L
         v = solve_triangular(L, scaled @ np.asarray(self.y, dtype=float).reshape(-1), lower=True)
@@ -256,20 +259,24 @@ class InducingFits:
     def _phi_star(self) -> np.ndarray:
         return np.asarray(self._basis[0].phi(self.X_star), dtype=float)
 
+    def _nystrom_gap(self, U: np.ndarray) -> np.ndarray:
+        """theta_f - diag(U^T K_UU^{-1} U) clamped at 0: the prior variance
+        the Nystrom kernel misses at the points whose k(X_U, .) is U."""
+        return np.maximum(self.kernel.theta_f - linalg.chol_quad_diag(self._basis[1], U), 0.0)
+
     @cached_property
     def _defect(self) -> np.ndarray:
-        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[1], self._phi_star.T)
+        return self._nystrom_gap(self._phi_star.T)
 
     def _solve(self, lam):
-        """(mean, plain variance, evidence) of N(y; 0, Q + Lam), Lam a positive
-        scalar (Lam I) or one positive variance per training point."""
+        """(mean, plain variance, evidence) of N(y; 0, Q + Lam), Lam a scalar
+        (Lam I) or one variance per training point, each at least sigma2."""
         expansion, factor_uu, Phi = self._basis
         if Phi.shape[1] != np.size(self.y):
             raise ValueError(f"y has {np.size(self.y)} entries but X has {Phi.shape[1]} points")
         y = np.asarray(self.y, dtype=float).reshape(-1)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), y.shape)
-        if not (self.sigma2 > 0.0 and np.all(lam > 0.0)):
-            raise ValueError("sigma2 must be positive")
+        _check_sigma2(self.sigma2)
         scaled = Phi / lam
         A = scaled @ Phi.T + expansion.Sigma
         factor = linalg.cholesky(0.5 * (A + A.T))
@@ -291,7 +298,7 @@ class InducingFits:
 
     @cached_property
     def _gap(self) -> np.ndarray:
-        return self.kernel.theta_f - linalg.chol_quad_diag(self._basis[1], self._basis[2])
+        return self._nystrom_gap(self._basis[2])
 
     def predict(self, method: str):
         """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe.

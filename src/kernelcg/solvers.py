@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .kernels import Kernel, _as_points
+from .kernels import Kernel, _as_points, _check_sigma2
 from .structured import MvmOperator, dense_operator, gram_structure  # the operators are re-exported
 
 CONVERGED = "converged"
@@ -275,6 +275,7 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
     if min(budgets) < 0:
         raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
+    sigma2 = _check_sigma2(sigma2)
     structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
     trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets))

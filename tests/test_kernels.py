@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kernelcg import kernels
+from kernelcg import exact, kernels, kmcg, lowrank, solvers
+from kernelcg.harness import ExperimentConfig
 from kernelcg.kernels import Kernel, gram, matern52_kernel, se_kernel
 from mpref import gram_reference
 
@@ -51,6 +52,32 @@ def test_amplitude_must_be_positive_and_finite(theta_f):
     for make in (se_kernel, matern52_kernel):
         with pytest.raises(ValueError, match="theta_f must be positive and finite"):
             make([1.0], theta_f)
+
+
+_KERNEL = se_kernel([1.0, 1.0])
+_X = np.random.default_rng(3).uniform(0, 2, (12, 2))
+_Y = np.sin(_X[:, 0])
+_ENTRIES = {
+    "exact.fit": lambda s: exact.fit(_KERNEL, _X, _Y, s),
+    "kmcg_fit": lambda s: kmcg.kmcg_fit(_KERNEL, _X, _Y, s, max_steps=2),
+    "kmcg_models_for_steps": lambda s: kmcg.kmcg_models_for_steps(_KERNEL, _X, _Y, s, steps=(1, 2)),
+    "cg_predict_means": lambda s: solvers.cg_predict_means(_KERNEL, _X, _Y, s, _X[:3], [2]),
+    **{f"InducingFits {m}": lambda s, m=m: lowrank.InducingFits(_KERNEL, _X, _Y, s, _X[:4], _X[:3]).predict(m)
+       for m in ("sor", "dtc", "fitc", "vfe")},
+    "PbrFits": lambda s: lowrank.PbrFits(lowrank.se_eigen_expansion(_KERNEL, 1.0, 0.5, 4), _X, _Y, s, _X[:3]).predict(2),
+    "ExperimentConfig": lambda s: ExperimentConfig(_KERNEL, s),
+}
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_every_library_entry_requires_a_positive_finite_sigma2(entry, sigma2):
+    # At sigma2 = inf kmcg_fit, cg_predict_means and the inducing baselines
+    # once returned a zero mean, and cg_predict_means at sigma2 = -1 a mean
+    # marked breakdown, each without an error.
+    with pytest.raises(ValueError, match=f"sigma2 must be positive and finite, got {sigma2}"):
+        _ENTRIES[entry](sigma2)
+    _ENTRIES[entry](0.1)
 
 
 def test_gram_single_point():

@@ -42,6 +42,7 @@ def test_cholesky_diagonal_and_hand_case():
     assert np.allclose(f.L, np.diag([2.0, 3.0]))
     f = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
     assert np.allclose(f.L, [[2.0, 0.0], [1.0, 2.0]])
+    assert f.L[0, 1] == 0.0
 
 
 def test_cholesky_indefinite_raises():
@@ -49,10 +50,36 @@ def test_cholesky_indefinite_raises():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("in_place", [False, True])
+def test_cholesky_rejects_non_finite_entries(in_place):
+    # An infinite diagonal once came back inside the factor. A non-finite
+    # entry below a finite diagonal leaves a NaN or -inf pivot, which fails
+    # every rung (OpenBLAS's potrf reports no failure at a NaN pivot).
+    inf_diag = np.asfortranarray(np.diag([1.0, np.inf]))
+    with pytest.raises(ValueError, match="non-finite diagonal"):
+        linalg.cholesky(inf_diag, in_place=in_place)
+    for bad in (np.nan, np.inf):
+        A = np.asfortranarray(np.eye(3))
+        A[2, 0] = A[0, 2] = bad
+        before = A.copy()
+        with pytest.raises(linalg.NotPositiveDefiniteError):
+            linalg.cholesky(A, in_place=in_place)
+        assert np.array_equal(A, before, equal_nan=True)
+
+
+def test_solves_check_the_right_hand_side_only():
+    factor = linalg.cholesky(np.diag([4.0, 9.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.chol_solve(factor, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            linalg.chol_quad_diag(factor, np.array([[1.0], [bad]]))
+
+
 def test_cholesky_jitter_reported_on_singular_input():
     ones = np.ones((3, 3))  # rank one, needs a jitter rung
     f = linalg.cholesky(ones)
-    assert f.jitter > 0.0
+    assert f.jitter > 0.0 and not np.any(np.triu(f.L, 1))
     assert np.allclose(f.L @ f.L.T, ones + f.jitter * np.eye(3), rtol=1e-8, atol=1e-10)
     assert np.array_equal(ones, np.ones((3, 3)))  # the jittered matrix is a copy
 
@@ -208,11 +235,16 @@ def test_cholesky_without_jitter_allocates_only_the_factor():
 def test_cholesky_in_place_ladder(shift, rung):
     # Each point twice: the Gram is singular and the zero rung fails; with
     # its diagonal lowered by 5e-9 the rungs up to 1e-9 fail too, so the
-    # lower triangle is restored between rungs four times.
+    # lower triangle is restored between rungs four times. Both modes run
+    # the one ladder on potrf, reading the lower triangle only: the copying
+    # mode, given junk above the diagonal, returns the same factor bit for
+    # bit and leaves its argument as it was.
     X = np.random.default_rng(17).uniform(0, 2, (100, 2))
     K = gram(se_kernel([1.0, 1.0]), np.vstack([X, X]))
     K[np.diag_indices_from(K)] -= shift
-    A = K.copy()
+    A = np.tril(K) + np.triu(np.random.default_rng(19).standard_normal(K.shape), 1)
+    before = A.copy()
+    copied = linalg.cholesky(A)
     tracemalloc.start()
     try:
         f = linalg.cholesky(K.T, in_place=True)  # the F-ordered view of the bit-symmetric Gram
@@ -220,19 +252,22 @@ def test_cholesky_in_place_ladder(shift, rung):
     finally:
         tracemalloc.stop()
     jitter = rung * np.mean(np.diag(A))
-    assert f.jitter == jitter == linalg.cholesky(A).jitter
+    assert f.jitter == jitter == copied.jitter
+    assert np.array_equal(f.L, copied.L)
+    assert np.array_equal(A, before)
     assert np.shares_memory(f.L, K)
     assert not np.any(np.triu(f.L, 1))
-    assert np.allclose(f.L @ f.L.T, A + jitter * np.eye(200), rtol=0.0, atol=1e-13)
+    assert np.allclose(f.L @ f.L.T, np.tril(A) + np.tril(A, -1).T + jitter * np.eye(200), rtol=0.0, atol=1e-13)
     assert peak < K.nbytes / 8
 
 
 def test_cholesky_in_place_restores_a_matrix_no_rung_factors():
     A = np.asfortranarray(np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.0], [0.5, 0.0, 3.0]]))
     before = A.copy()
-    with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.cholesky(A, in_place=True)
-    assert np.array_equal(A, before)
+    for in_place in (False, True):
+        with pytest.raises(linalg.NotPositiveDefiniteError):
+            linalg.cholesky(A, in_place=in_place)
+        assert np.array_equal(A, before)
     with pytest.raises(ValueError, match="F-ordered"):
         linalg.cholesky(np.ascontiguousarray(A), in_place=True)
 
