@@ -100,8 +100,9 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     directions before the first pivot that fails in either factorization.
     A budget of None means M; a negative budget raises ValueError.
 
-    The models share the trace's S and Z, whose memory follows the steps
-    taken (see :func:`kernelcg.solvers.cg_reorth`).
+    The models share the trace's S and Z, cut to the steps taken; S lies
+    over the trace's spent residual rows, so the fit holds two blocks of
+    rows, not three (see :func:`kernelcg.solvers.cg_reorth`).
     """
     X = _as_points(X, kernel.dim)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -122,7 +123,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     elif operator.dim != M:
         raise ValueError(f"operator dim {operator.dim} does not match inducing size {M}")
 
-    trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M))
+    trace = cg_reorth(operator, y_M, eps=eps, max_steps=min(max(budgets), M), _keep_residuals=False)
     S, Z = trace.S, trace.Z
     shared = M == n
     R = Z if shared else structure.cross_products(X, S)
@@ -167,11 +168,13 @@ def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=N
     an SE grid, dense otherwise); pass `operator` only for a structure the
     points do not show, such as a masked Toeplitz series.
 
-    Memory: the trace's (see :func:`kernelcg.solvers.cg_reorth`), of which
-    the model keeps S and Z, plus the operator's and, when M < N, the N x P
-    products R. The dense operator holds the M x M Gram; on an SE grid the
-    Kronecker operator holds only the per-axis factors, and no M x M array
-    is allocated.
+    Memory: a CG trace without residuals, its S built over their rows,
+    which holds 2 P + 1 rows of M floats at most when CG runs its P =
+    max_steps steps (see :func:`kernelcg.solvers.cg_reorth` for the
+    buffers); the model keeps S and Z, the rows used, plus the operator's
+    and, when M < N, the N x P products R. The dense operator holds the
+    M x M Gram; on an SE grid the Kronecker operator holds only the
+    per-axis factors, and no M x M array is allocated.
     """
     (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator)
     return model

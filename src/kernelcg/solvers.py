@@ -15,9 +15,13 @@ the re-pass fires where the recursion has drifted far, as on ill-conditioned
 problems, or where the residual has shrunk to rounding noise. In exact
 arithmetic the two variants coincide.
 
-A trace keeps directions, products and residuals as rows of arrays and
-returns transposed views of the rows filled; its memory follows the steps
-taken, not the step limit (see :func:`cg_reorth`).
+A trace keeps directions, products and residuals as rows of arrays that
+grow in place and are cut to the rows filled, and returns transposed views
+of them; its memory follows the steps taken, not the step limit (see
+:func:`cg_reorth`). The library's own callers, :func:`cg_predict_means` and
+the KMCG fit, pass the private ``_keep_residuals=False`` and take a trace
+without residuals: its directions are built over the spent residual rows,
+so it holds two blocks of rows, not three.
 
 Every run starts from x = 0, whose residual is -b without an operator
 product, so a run of P steps makes P operator products, one more when it
@@ -31,6 +35,7 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -61,22 +66,12 @@ class CgTrace:
 
     S: np.ndarray  # N x P search directions
     Z: np.ndarray  # N x P operator products, column i is apply(S[:, i])
-    residuals: np.ndarray  # N x (P+1) residual vectors as stored by the solver
+    # N x (P+1) residual vectors as stored by the solver; None in the
+    # library's own traces, whose S is built over them.
+    residuals: Optional[np.ndarray]
     residual_norms: np.ndarray
     steps: int
     reason: str
-
-
-def _with_room(buf: np.ndarray, rows: int, limit: int) -> np.ndarray:
-    """`buf`, or a copy of it with room for `rows` rows.
-
-    Capacity at least doubles on each copy and never exceeds `limit`.
-    """
-    if rows <= buf.shape[0]:
-        return buf
-    grown = np.empty((min(max(2 * buf.shape[0], rows), limit),) + buf.shape[1:])
-    grown[: buf.shape[0]] = buf
-    return grown
 
 
 def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> float:
@@ -96,8 +91,12 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> float:
     return after
 
 
-def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
-    """Both CG variants, with their defaults: eps 0.01 * ||b||_2, max_steps op.dim."""
+def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bool) -> CgTrace:
+    """Both CG variants, with their defaults: eps 0.01 * ||b||_2, max_steps op.dim.
+
+    Without `keep_residuals` the trace's residuals are None: S is built
+    over the residual rows, so the trace holds two blocks of rows, not three.
+    """
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match b ({b.size})")
@@ -134,51 +133,65 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool) -> CgTrace:
             # trace gathered so far.
             reason = BREAKDOWN
             break
-        Z = _with_room(Z, k + 1, limit)
-        res = _with_room(res, k + 2, limit + 1)
-        norms = _with_room(norms, k + 2, limit + 1)
-        betas = _with_room(betas, k + 1, limit)
+        if k == Z.shape[0]:
+            # Full: grow in place. No view of a buffer outlives its
+            # statement; resize's reference check would raise on one rather
+            # than leave it dangling.
+            rows = min(2 * k, limit)
+            Z.resize((rows, op.dim))
+            res.resize((rows + 1, op.dim))
+            norms.resize(rows + 1)
+            betas.resize(rows)
         Z[k] = z
         alpha = rr / curvature
-        r_new = res[k + 1]
-        np.multiply(z, alpha, out=r_new)
-        r_new += res[k]
+        np.multiply(z, alpha, out=res[k + 1])
+        res[k + 1] += res[k]
         if reorth:
             # The stored residuals are mutually orthogonal, so they are the
             # basis; one pass, and a second only if the first cancelled.
-            norms[k + 1] = _orthogonalize(r_new, res[: k + 1], norms[: k + 1] ** 2)
+            norms[k + 1] = _orthogonalize(res[k + 1], res[: k + 1], norms[: k + 1] ** 2)
         else:
-            norms[k + 1] = np.linalg.norm(r_new)
+            norms[k + 1] = np.linalg.norm(res[k + 1])
         k += 1
         if reorth and norms[k] <= collapse_tol:
             reason = CONVERGED
             break
-        rr_new = float(r_new @ r_new)
+        rr_new = float(res[k] @ res[k])
         betas[k - 1] = rr_new / rr
-        # s <- -r_new + beta s in place; IEEE addition commutes, so the
-        # bits are the formula's.
+        # s <- -r_k + beta s in place; IEEE addition commutes, so the bits
+        # are the formula's.
         s *= betas[k - 1]
-        s -= r_new
+        s -= res[k]
         rr = rr_new
     else:
         if not (norms[k] > eps):
             reason = CONVERGED
 
-    # The loop never reads a stored direction, so S is built once, at the
-    # steps taken, by the same recursion over the stored residuals: the same
-    # operations on the same values give the loop's bits.
-    S = np.empty((k, op.dim))
+    # The buffers are cut to the rows used. The loop never reads a stored
+    # direction, so S is built once, by the same recursion over the stored
+    # residuals: the same operations on the same values give the loop's
+    # bits. Row 0 of S reads no residual and row j >= 1 reads only r_j, as
+    # it overwrites it, so S can take the residuals' rows. The spent
+    # direction s is scratch.
+    Z.resize((k, op.dim))
+    norms.resize(k + 1)
+    if keep_residuals:
+        res.resize((k + 1, op.dim))
+        S = np.empty((k, op.dim))
+    else:
+        res.resize((k, op.dim))
+        S = res
     if k:
         S[0] = b
     for j in range(1, k):
-        np.multiply(S[j - 1], betas[j - 1], out=S[j])
-        S[j] -= res[j]
+        np.multiply(S[j - 1], betas[j - 1], out=s)
+        np.subtract(s, res[j], out=S[j])
 
     return CgTrace(
         S=S.T,
-        Z=Z[:k].T,
-        residuals=res[: k + 1].T,
-        residual_norms=norms[: k + 1],
+        Z=Z.T,
+        residuals=res.T if keep_residuals else None,
+        residual_norms=norms,
         steps=k,
         reason=reason,
     )
@@ -197,7 +210,7 @@ def stop_reason_within(trace: CgTrace, budget: int) -> str:
     return MAXSTEPS
 
 
-def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
+def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None, *, _keep_residuals=True) -> CgTrace:
     """Plain conjugate gradients: loop while ||r||_2 > eps.
 
     Each step performs one operator application z = A s, a line search
@@ -208,10 +221,10 @@ def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     negative max_steps raises ValueError).
     Memory is that of :func:`cg_reorth`.
     """
-    return _run_cg(op, b, eps, max_steps, reorth=False)
+    return _run_cg(op, b, eps, max_steps, reorth=False, keep_residuals=_keep_residuals)
 
 
-def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
+def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None, *, _keep_residuals=True) -> CgTrace:
     """Conjugate gradients with complete residual reorthogonalization.
 
     Additionally stops once the reorthogonalized residual norm collapses to
@@ -224,17 +237,18 @@ def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None) -> CgTrace:
     and two more when the re-pass test of the module docstring fires.
 
     Memory: the products Z and the residuals are rows of N floats in
-    buffers that start at 16 and 17 rows, at least double when full and
-    never pass max_steps and max_steps + 1 rows; the directions S are built
-    once after the loop, exactly P rows for P steps. While a buffer grows
-    its old rows are held once more, never more rows than S gets, so the
-    ceiling is the final S, Z and residual rows, at most about
-    5 N max(P + 1, 17) floats, plus a few N-vectors and what the operator
-    allocates. That is O(N P) in the steps taken and independent of
-    max_steps: the default max_steps = N allocates no N x N array, and a
-    run that reaches its max_steps holds 3 max_steps + 1 rows at most.
+    buffers that start at 16 and 17 rows, at least double in place when
+    full, never pass max_steps and max_steps + 1 rows, and are cut to the
+    P and P + 1 rows used when the run stops; the directions S are built
+    once after the loop, exactly P rows for P steps. The ceiling is the
+    larger of the buffers at their last size, fewer than
+    2 N max(2 P, 17) floats, and the final 3 P + 1 rows, plus a few
+    N-vectors and what the operator allocates. That is O(N P) in the steps
+    taken and independent of max_steps: the default max_steps = N allocates
+    no N x N array, and a run that reaches its max_steps holds
+    3 max_steps + 1 rows at most.
     """
-    return _run_cg(op, b, eps, max_steps, reorth=True)
+    return _run_cg(op, b, eps, max_steps, reorth=True, keep_residuals=_keep_residuals)
 
 
 def fom_solution(S: np.ndarray, Z: np.ndarray, b) -> np.ndarray:
@@ -267,9 +281,12 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     per budget, in the order given. A budget of None means N; a negative one
     raises ValueError before any work.
 
-    Memory: the trace (see :func:`cg_reorth`), N + n* floats per budget, the
-    operator and one block of k(X*, X). On an SE grid there is no N x N and
-    no n* x N array; otherwise the operator holds the N x N Gram.
+    Memory: a trace without residuals, its S built over their rows, which
+    holds 2 max(budgets) + 1 rows of N floats at most when CG runs to the
+    largest budget (see :func:`cg_reorth` for the buffers); N + n* floats
+    per budget, the operator and one block of k(X*, X). On an SE grid
+    there is no N x N and no n* x N array; otherwise the operator holds the
+    N x N Gram.
     """
     X = _as_points(X, kernel.dim)
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
@@ -278,7 +295,7 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     sigma2 = _check_sigma2(sigma2)
     structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
-    trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets))
+    trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets), _keep_residuals=False)
     used = [min(p, trace.steps) for p in budgets]
     weights = [fom_solution(trace.S[:, :q], trace.Z[:, :q], y) for q in used]
     means = structure.cross_products_each(X_star, weights)

@@ -187,9 +187,10 @@ def test_fit_on_a_grid_allocates_no_quadratic_array():
 
 
 def test_budgeted_fit_on_a_kronecker_operator_holds_its_trace_rows_once():
-    # A 16^3 grid with P = 40 < M: the trace's final 3 P + 1 rows, the
-    # solver's few N-vectors and the fit's copies of X_M (3 N) and y_M.
-    # Growing S beside Z and the residuals would pass this.
+    # A 16^3 grid with P = 40 < M: the trace's 2 P + 1 rows of Z and
+    # residuals, S then built over the residual rows, the solver's few
+    # N-vectors and the fit's copies of X_M (3 N) and y_M. Keeping the
+    # residuals beside S would take 3 P + 1 rows and fail this.
     kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
     spec = grid_spec(kernel, [np.linspace(0, 2, 16)] * 3)
     X = spec.points()
@@ -202,7 +203,25 @@ def test_budgeted_fit_on_a_kronecker_operator_holds_its_trace_rows_once():
     finally:
         tracemalloc.stop()
     assert (model.cg_steps, model.reason) == (P, solvers.MAXSTEPS) and isinstance(model.structure, GridSpec)
-    assert peak <= (3 * (P + 1) + 14) * n * 8
+    assert peak <= (2 * (P + 1) + 14) * n * 8
+
+
+def test_fitted_model_holds_only_the_rows_its_trace_used():
+    # An SE fit on 600 points that breaks down at step 96 (any step from
+    # 65 to 127 leaves its buffers with spare rows, room for 128): the
+    # model keeps S and Z at P rows each, its two q x q factors and a few
+    # N-vectors (X_M, the mean weights). Spare buffer rows kept alive
+    # behind a view would fail this.
+    kernel, X, y, _, _ = _problem(0, 600, lam=1.0, theta=1.0)
+    tracemalloc.start()
+    try:
+        model = kmcg_fit(kernel, X, y, 0.01, eps=0.0)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n, P, q = 600, model.cg_steps, model.steps
+    assert model.reason == solvers.BREAKDOWN and 64 < P < 128
+    assert current <= (2 * (P + 1) + 6) * n * 8 + 2 * q * q * 8
 
 
 # --- degeneracy oracle --------------------------------------------------------

@@ -289,6 +289,26 @@ def test_cg_predict_means_on_a_grid_allocate_no_quadratic_array():
     assert peak < n * n * 8 / 4
 
 
+def test_cg_predict_means_on_a_grid_hold_the_trace_rows_once():
+    # A 16^3 grid at budget P = 40, past two buffer growths (16, 32, 40
+    # rows): the trace's 2 P + 1 rows of Z and residuals, then S over the
+    # residual rows, and a few N-vectors. Keeping the residuals beside S
+    # would take 3 P + 1 rows and fail this.
+    kernel = se_kernel([1.0, 1.0, 1.0], 1.0)
+    data = structured.grid_dataset(16, 3, kernel, seed=0)
+    n, P = data.n_train, 40
+    for reorth in (True, False):
+        tracemalloc.start()
+        try:
+            ((_, used, reason),) = solvers.cg_predict_means(kernel, data.X, data.y, 0.01, data.X_star, [P],
+                                                            eps=0.0, reorth=reorth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (used, reason) == (P, solvers.MAXSTEPS)
+        assert peak <= (2 * (P + 1) + 14) * n * 8
+
+
 def test_negative_step_limits_raise(monkeypatch):
     op = dense_operator(np.eye(3))
     for run in (cg_reorth, cg_textbook):
@@ -364,8 +384,16 @@ def _reference_cases():
     return cases
 
 
+def _bits(a):
+    return a.view(np.uint64)
+
+
 @pytest.mark.parametrize("case", range(len(_reference_cases())))
 def test_textbook_trace_bit_identical_to_list_loop(case):
+    # Without its residuals (the private `_keep_residuals=False` of the
+    # library's own callers) a trace builds S over the residual rows; its
+    # S and Z are the full trace's bit for bit, signed zeros included, for
+    # both loops.
     A, b, eps, max_steps = _reference_cases()[case]
     op = dense_operator(A)
     trace = cg_textbook(op, b, eps=eps, max_steps=max_steps)
@@ -373,6 +401,11 @@ def test_textbook_trace_bit_identical_to_list_loop(case):
     assert (trace.steps, trace.reason) == (steps, reason)
     for got, want in ((trace.S, S), (trace.Z, Z), (trace.residuals, residuals), (trace.residual_norms, norms)):
         assert got.shape == want.shape and np.array_equal(got, want)
+    for run, public in ((cg_textbook, trace), (cg_reorth, cg_reorth(op, b, eps=eps, max_steps=max_steps))):
+        own = run(op, b, eps=eps, max_steps=max_steps, _keep_residuals=False)
+        assert own.residuals is None and (own.steps, own.reason) == (public.steps, public.reason)
+        for got, want in ((own.S, public.S), (own.Z, public.Z), (own.residual_norms, public.residual_norms)):
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
 # cg_reorth's classical Gram-Schmidt (one pass, a second only on
@@ -466,16 +499,18 @@ def test_trace_memory_grows_with_steps_taken_not_max_steps(run, spectrum):
     max_steps = n - 1 if spectrum.endswith("limit-n-1") else None
     trace, peak = _traced_peak(run, diagonal, 1e-8, max_steps)
     assert trace.reason == solvers.CONVERGED and 3 <= trace.steps <= 40
-    # The docstring's ceiling, 5 N max(P + 1, 17) floats, plus ten N-vectors.
-    assert peak <= (5 * max(trace.steps + 1, 17) + 10) * n * 8
+    # The docstring's ceiling, the larger of 2 N max(2 P, 17) and
+    # N (3 P + 1) floats, plus ten N-vectors.
+    P = trace.steps
+    assert peak <= (max(2 * max(2 * P, 17), 3 * P + 1) + 10) * n * 8
     assert peak <= n * n * 8 / 10
 
 
 @pytest.mark.parametrize("run", [cg_reorth, cg_textbook])
 def test_trace_that_reaches_its_limit_holds_its_rows_once(run):
-    # Buffers grow before S is built and never hold more old rows than S
-    # gets, so a run of P = max_steps steps peaks at its final 3 P + 1
-    # rows; growing S beside Z and the residuals would pass this.
+    # S is built after the loop, once Z and the residuals are cut to the
+    # rows used, so a run of P = max_steps steps peaks at its final
+    # 3 P + 1 rows.
     n, P = 4096, 60
     trace, peak = _traced_peak(run, np.linspace(1.0, 1000.0, n), 0.0, max_steps=P)
     assert (trace.steps, trace.reason) == (P, solvers.MAXSTEPS)
