@@ -4,12 +4,13 @@ The `run` subcommand reads a plain-text key/value config with sections
 (dataset, kernel, methods, schedule, output) through one key table,
 _SECTIONS, with each dataset source's keys in _SOURCES; CONFIG_TEMPLATE is a
 commented example. An unknown section or key is an error, and so are a
-value that does not parse or is out of range (an unknown or empty method
-list, a metric entry, theta_f or sigma2 that is not positive and finite)
-and a required key left out, all named by section and key before any data
-file is read. A key left out takes the default of the parameter it
-feeds. A bad config or an unreadable or malformed file ends a command with
-one "error:" line on stderr and exit status 1.
+value that does not parse or is out of range (a metric entry, theta_f or
+sigma2 that is not positive and finite, a [methods] or [schedule] value
+that breaks its field's harness.CONFIG_CHECKS rule) and a required key
+left out, all named by section and key before any data file is read. A key
+left out takes the default of the parameter it feeds. A bad config or an
+unreadable or malformed file ends a command with one "error:" line on
+stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ def _positive_finite(text: str) -> float:
     return value
 
 
-def _methods(text: str) -> tuple:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not methods:
-        raise ValueError("is empty")
-    return tuple(map(_one_of(harness.METHODS), methods))
+def _checked(field: str, parse) -> tuple:  # the key spec: parsed, checked by the field's rule, no default
+    check = harness.CONFIG_CHECKS[field]
+    return field, lambda text: check(parse(text)), None
 
 
 _KERNELS = {"se": se_kernel, "matern52": matern52_kernel}
@@ -116,8 +115,7 @@ _SOURCES = {
         "test_fraction": ("test_fraction", float, None),
         "seed": ("seed", int, None),
     }),
-    "series-csv": (lambda path: datasets.masked_series_dataset(*datasets.load_masked_series_csv(path)),
-                   {"path": ("path", _nonempty, _REQUIRED)}),
+    "series-csv": (datasets.load_series_csv, {"path": ("path", _nonempty, _REQUIRED)}),
     "grid": (structured.grid_dataset, {"g": ("G", int, "10"), "d": ("D", int, "2"), "seed": ("seed", int, None)}),
 }
 _SECTIONS = {
@@ -128,14 +126,14 @@ _SECTIONS = {
         "theta_f": ("theta_f", _positive_finite, None),
         "sigma2": ("sigma2", _positive_finite, _REQUIRED),
     },
-    "methods": {"list": ("methods", _methods, None)},
+    "methods": {"list": _checked("methods", lambda text: [m.strip() for m in text.split(",") if m.strip()])},
     "schedule": {
-        "steps": ("steps", _parse_steps, None),
-        "fixed_m": ("fixed_m", _parse_optional_int, None),  # empty means None
-        "kmcg_m": ("kmcg_m", _parse_optional_int, None),
-        "repetitions": ("repetitions", int, None),
-        "inducing_cap": ("inducing_cap", int, None),
-        "seed": ("master_seed", int, None),
+        "steps": _checked("steps", _parse_steps),
+        "fixed_m": _checked("fixed_m", _parse_optional_int),  # empty means None
+        "kmcg_m": _checked("kmcg_m", _parse_optional_int),
+        "repetitions": _checked("repetitions", int),
+        "inducing_cap": _checked("inducing_cap", int),
+        "seed": _checked("master_seed", int),
     },
     "output": {"path": ("path", _nonempty, "records.csv")},
 }

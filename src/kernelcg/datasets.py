@@ -200,13 +200,13 @@ def _numeric_rows(path, reader, header, label=None) -> tuple[list[int], np.ndarr
     return numbers, np.asarray(rows, dtype=float), labels
 
 
-def load_masked_series_csv(path):
+def load_series_csv(path) -> Dataset:
     """Load an equispaced series CSV with columns time, value, mask.
 
-    Rows with mask 1 are observed (training); rows with mask 0 are held out.
-    Returns (times, values, mask) as arrays over the full grid. A ragged
-    row, a non-numeric cell or a mask other than 0 or 1 raises ValueError
-    naming the row, as :func:`load_csv` does.
+    Rows with mask 1 train, rows with mask 0 test. A ragged row, a
+    non-numeric cell or a mask other than 0 or 1 raises ValueError naming
+    the row, as :func:`load_csv` does; so do a wrong header and gaps that
+    differ from the first gap g by more than 1e-9 max(|g|, 1).
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -214,24 +214,14 @@ def load_masked_series_csv(path):
         if header[:3] != ["time", "value", "mask"]:
             raise ValueError(f"{path}: expected header time,value,mask, got {header}")
         numbers, data, _ = _numeric_rows(path, reader, header)
-    times, values, mask = data[:, 0], data[:, 1], data[:, 2]
+    times, values, mask = data[:, :1], data[:, 1], data[:, 2]
     bad = np.flatnonzero((mask != 0.0) & (mask != 1.0))
     if bad.size:
         raise ValueError(f"{path}: row {numbers[bad[0]]}, column 'mask': {mask[bad[0]]:g} is neither 0 nor 1")
-    mask = mask == 1.0
-    if times.size >= 2:
-        gaps = np.diff(times)
-        if np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(abs(gaps[0]), 1.0):
-            raise ValueError(f"{path}: time column is not equispaced")
-    return times, values, mask
-
-
-def masked_series_dataset(times, values, mask) -> Dataset:
-    """Dataset view of a masked series: observed rows train, the rest test."""
-    times = np.asarray(times, dtype=float).reshape(-1, 1)
-    values = np.asarray(values, dtype=float).reshape(-1)
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    return Dataset(X=times[mask], y=values[mask], X_star=times[~mask], y_star=values[~mask])
+    gaps = np.diff(times[:, 0])
+    if gaps.size and np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(abs(gaps[0]), 1.0):
+        raise ValueError(f"{path}: time column is not equispaced")
+    return Dataset(X=times[mask == 1], y=values[mask == 1], X_star=times[mask == 0], y_star=values[mask == 0])
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

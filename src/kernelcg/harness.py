@@ -118,6 +118,42 @@ def metric_smse(y_star, pred) -> float:
 # Configuration and records.
 
 
+def _at_least(low: int):
+    def check(value):
+        if value is not None and value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return check
+
+
+def _nonempty(values) -> tuple:
+    values = tuple(values)
+    if not values:
+        raise ValueError("is empty")
+    return values
+
+
+def _method_list(methods) -> tuple:
+    methods = _nonempty(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"{method!r} is not one of {', '.join(METHODS)}")
+    return methods
+
+
+def _step_schedule(steps) -> tuple:
+    steps = tuple(map(int, _nonempty(steps)))
+    _at_least(0)(min(steps))
+    if len(set(steps)) < len(steps):
+        raise ValueError(f"must be distinct, got {', '.join(map(str, steps))}")
+    return tuple(sorted(steps))
+
+
+# Each ExperimentConfig field's rule, which the config reader applies too: ValueError, or the value to store.
+CONFIG_CHECKS = {"methods": _method_list, "steps": _step_schedule, "fixed_m": _at_least(1), "kmcg_m": _at_least(1),
+                 "repetitions": _at_least(1), "master_seed": _at_least(0), "inducing_cap": _at_least(1)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kernel: Kernel
@@ -133,28 +169,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_sigma2(self.sigma2)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if not self.steps:
-            raise ValueError("the step schedule must be nonempty")
-        if not self.methods:
-            raise ValueError("the method list must be nonempty")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; available: {METHODS}")
-        for name in ("fixed_m", "kmcg_m", "inducing_cap"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be at least 0, got {self.master_seed}")
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "steps", tuple(int(p) for p in self.steps))
-        if min(self.steps) < 0:
-            raise ValueError(f"step budgets must be at least 0, got {min(self.steps)}")
-        if len(set(self.steps)) < len(self.steps):
-            raise ValueError(f"step budgets must be distinct, got {', '.join(map(str, self.steps))}")
-        object.__setattr__(self, "steps", tuple(sorted(self.steps)))
+        for name, check in CONFIG_CHECKS.items():
+            try:
+                object.__setattr__(self, name, check(getattr(self, name)))
+            except ValueError as error:
+                raise ValueError(f"{name} {error}") from None
 
 
 @dataclass(frozen=True)

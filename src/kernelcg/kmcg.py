@@ -39,13 +39,11 @@ pass over k(X*, X_M).
 The CG operator and every k(., X_M) W a model forms (R at M < N, and all
 prediction and learned-kernel features) come from one structure,
 :func:`kernelcg.structured.gram_structure` of the kernel and X_M, read once
-per fit. With an SE kernel on an exact row-major Cartesian grid (at M = N,
-a grid dataset) the operator is the Kronecker product of the per-axis Grams
-and k(., X_M) W is contracted from per-axis rows (GridSpec), so a fit and
-its predictions hold no M x M and no n* x M array. Anything else takes the
-dense path: the operator holds K_M and k(., X_M) is built in row blocks of
-at most max(2^21, M) entries (16 MiB). A caller's `operator` replaces the
-structure's in CG only, for structures the points do not show.
+per fit: the Kronecker operator and per-axis rows on an SE grid (a fit and
+its predictions then hold no M x M and no n* x M array), the masked
+Toeplitz FFT product on an equispaced 1-D series, and K_M otherwise, with
+k(., X_M) built in row blocks of at most max(2^21, M) entries (16 MiB) off
+the grid. A caller's `operator` replaces the structure's in CG only.
 
 The prior over the kernel has zero mean and the covariance
 cov(k(a,b), k(c,d)) = 1/2 (k(a,c) k(b,d) + k(a,d) k(b,c)) generated by the
@@ -165,16 +163,16 @@ def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=N
     M) with eps defaulting to 0.01 ||y_M||; its solution is discarded, only
     the directions matter. The operator v -> K_M v is the one
     :func:`kernelcg.structured.gram_structure` reads off X_M (Kronecker on
-    an SE grid, dense otherwise); pass `operator` only for a structure the
-    points do not show, such as a masked Toeplitz series.
+    an SE grid, masked Toeplitz on an equispaced 1-D grid, dense
+    otherwise); pass `operator` only to bring one of your own.
 
     Memory: a CG trace without residuals, its S built over their rows,
     which holds 2 P + 1 rows of M floats at most when CG runs its P =
     max_steps steps (see :func:`kernelcg.solvers.cg_reorth` for the
     buffers); the model keeps S and Z, the rows used, plus the operator's
     and, when M < N, the N x P products R. The dense operator holds the
-    M x M Gram; on an SE grid the Kronecker operator holds only the
-    per-axis factors, and no M x M array is allocated.
+    M x M Gram; the Kronecker operator of an SE grid (per-axis factors) and
+    the Toeplitz one of a series (O(T) floats) allocate no M x M array.
     """
     (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator)
     return model
@@ -187,6 +185,9 @@ def kmcg_models_for_steps(kernel: Kernel, X, y, sigma2: float, steps, M: Optiona
     Each model is the one ``kmcg_fit(..., max_steps=p)`` builds, up to
     rounding in the last bits, with the same cg_steps and reason.
     :func:`kmcg_predictions` predicts with all of them from one pass.
+
+    Memory: :func:`kmcg_fit`'s at the largest budget; on a series of
+    T = 4096 positions, M = N = 2048 and budget 40, below M^2 * 8 / 4 bytes.
     """
     steps = [int(p) for p in steps]
     models = _fit_budgets(kernel, X, y, sigma2, steps, M, eps, seed, operator)

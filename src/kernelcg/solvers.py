@@ -285,8 +285,9 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     holds 2 max(budgets) + 1 rows of N floats at most when CG runs to the
     largest budget (see :func:`cg_reorth` for the buffers); N + n* floats
     per budget, the operator and one block of k(X*, X). On an SE grid
-    there is no N x N and no n* x N array; otherwise the operator holds the
-    N x N Gram.
+    there is no N x N and no n* x N array; on a series of T = 4096
+    positions, N = 2048, n* = 100 and budget 40 the peak is below
+    N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram.
     """
     X = _as_points(X, kernel.dim)
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]

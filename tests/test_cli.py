@@ -374,6 +374,15 @@ _OUT_OF_RANGE = [
     ("kernel", "theta_f", "inf", "must be positive and finite, got inf"),
     ("kernel", "theta_f", "nan", "must be positive and finite, got nan"),
     ("kernel", "metric", "0.25, -1", "must be positive and finite, got -1.0"),
+    ("schedule", "steps", "5:1", "is empty"),
+    ("schedule", "steps", "-1:2", "must be at least 0, got -1"),
+    ("schedule", "steps", "1, 1", "must be distinct, got 1, 1"),
+    ("schedule", "steps", "2, 1, 2", "must be distinct, got 2, 1, 2"),
+    ("schedule", "repetitions", "0", "must be at least 1, got 0"),
+    ("schedule", "fixed_m", "0", "must be at least 1, got 0"),
+    ("schedule", "kmcg_m", "0", "must be at least 1, got 0"),
+    ("schedule", "inducing_cap", "0", "must be at least 1, got 0"),
+    ("schedule", "seed", "-1", "must be at least 0, got -1"),
 ]
 
 
@@ -383,7 +392,8 @@ def test_run_with_an_out_of_range_value_names_the_key_before_reading_data(tmp_pa
                                                                           message):
     # These once surfaced after the data file was read (a csv path that does
     # not exist reported the missing file first) and named no key; an
-    # infinite theta_f ended in "array must not contain infs or NaNs".
+    # infinite theta_f ended in "array must not contain infs or NaNs", and
+    # steps = 5:1 in "the step schedule must be nonempty".
     records_path = tmp_path / "records.csv"
     config_path = tmp_path / "config.ini"
     _write_config(config_path, records_path, source,
@@ -420,37 +430,6 @@ def test_config_template_reads_only_known_keys(tmp_path):
         if key:
             named.add((section, key[1]))
     assert named == {(section, key) for section, _, key, _ in _table()}
-
-
-def test_run_with_negative_step_budget_is_one_line_error(tmp_path):
-    records_path = tmp_path / "records.csv"
-    config_path = tmp_path / "config.ini"
-    config_path.write_text(_TOY_CONFIG.format(records=records_path).replace("steps = 1:2", "steps = -1:2"))
-    with pytest.raises(SystemExit) as raised:
-        cli.main(["run", "--config", str(config_path)])
-    assert raised.value.code == "error: step budgets must be at least 0, got -1"
-    assert not records_path.exists()
-
-
-def test_run_with_repeated_step_budget_is_one_line_error(tmp_path):
-    records_path = tmp_path / "records.csv"
-    config_path = tmp_path / "config.ini"
-    config_path.write_text(_TOY_CONFIG.format(records=records_path).replace("steps = 1:2", "steps = 2, 1, 2"))
-    with pytest.raises(SystemExit) as raised:
-        cli.main(["run", "--config", str(config_path)])
-    assert raised.value.code == "error: step budgets must be distinct, got 2, 1, 2"
-    assert not records_path.exists()
-
-
-def test_run_with_negative_master_seed_is_one_line_error(tmp_path):
-    records_path = tmp_path / "records.csv"
-    config_path = tmp_path / "config.ini"
-    text = _TOY_CONFIG.format(records=records_path)
-    config_path.write_text(text.replace("repetitions = 1", "repetitions = 1\nseed = -1"))
-    with pytest.raises(SystemExit) as raised:
-        cli.main(["run", "--config", str(config_path)])
-    assert raised.value.code == "error: master_seed must be at least 0, got -1"
-    assert not records_path.exists()
 
 
 def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):

@@ -6,8 +6,7 @@ from kernelcg.datasets import (
     _toy_inputs,
     gen_toy,
     load_csv,
-    load_masked_series_csv,
-    masked_series_dataset,
+    load_series_csv,
     write_dataset_csv,
 )
 
@@ -124,32 +123,37 @@ def test_masked_series_loader(tmp_path):
     path = tmp_path / "series.csv"
     lines = ["time,value,mask"] + [f"{0.5 * i},{np.sin(i)},{int(i % 3 != 0)}" for i in range(12)]
     path.write_text("\n".join(lines) + "\n")
-    times, values, mask = load_masked_series_csv(path)
-    assert times.size == 12
-    assert int(np.sum(mask)) == 8
-    data = masked_series_dataset(times, values, mask)
+    data = load_series_csv(path)
     assert data.n_train == 8 and data.n_test == 4
+    observed = np.arange(12) % 3 != 0
+    assert np.array_equal(data.X[:, 0], 0.5 * np.arange(12)[observed])
+    assert np.array_equal(data.y, np.sin(np.arange(12))[observed])
+    assert np.array_equal(data.X_star[:, 0], 0.5 * np.arange(12)[~observed])
+    assert np.array_equal(data.y_star, np.sin(np.arange(12))[~observed])
+    path.write_text("time,value,observed\n0,1,1\n1,1,0\n")
+    with pytest.raises(ValueError, match="expected header time,value,mask, got"):
+        load_series_csv(path)
 
 
 def test_masked_series_rejects_irregular_grid(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("time,value,mask\n0,1,1\n1,1,1\n3,1,0\n")
     with pytest.raises(ValueError, match="not equispaced"):
-        load_masked_series_csv(path)
+        load_series_csv(path)
 
 
 def test_masked_series_rejects_ragged_rows(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("time,value,mask\n0,1,1\n1,2\n2,1,0\n")
     with pytest.raises(ValueError, match="row 3 has 2 cells, expected 3"):
-        load_masked_series_csv(path)
+        load_series_csv(path)
 
 
 def test_masked_series_reports_bad_cell(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("time,value,mask\n0,1,1\n1,oops,1\n2,1,0\n")
     with pytest.raises(ValueError, match="row 3, column 'value': non-numeric cell 'oops'"):
-        load_masked_series_csv(path)
+        load_series_csv(path)
     path.write_text("time,value,mask\n0,1,1\n1,2,1\n2,1,2\n")
     with pytest.raises(ValueError, match="row 4, column 'mask': 2 is neither 0 nor 1"):
-        load_masked_series_csv(path)
+        load_series_csv(path)

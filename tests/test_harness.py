@@ -140,9 +140,9 @@ def test_config_validation():
         (dict(fixed_m=0), "fixed_m must be at least 1, got 0"),
         (dict(inducing_cap=0), "inducing_cap must be at least 1, got 0"),
         (dict(kmcg_m=0), "kmcg_m must be at least 1, got 0"),
-        (dict(steps=(2, 1, 2)), "step budgets must be distinct, got 2, 1, 2"),
+        (dict(steps=(2, 1, 2)), "steps must be distinct, got 2, 1, 2"),
         (dict(master_seed=-1), "master_seed must be at least 0, got -1"),
-        (dict(methods=()), "the method list must be nonempty"),  # once recorded nothing
+        (dict(methods=()), "methods is empty"),  # once recorded nothing
         (dict(sigma2=math.inf), "sigma2 must be positive and finite, got inf"),  # once died in the oracle fit
     ]:
         with pytest.raises(ValueError, match=message):

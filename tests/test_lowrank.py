@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import exact, harness, linalg
-from kernelcg.datasets import masked_series_dataset
+from kernelcg.datasets import load_series_csv
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.kmcg import kmcg_fit, kmcg_kernel_gram
 from kernelcg.lowrank import (
@@ -523,7 +523,7 @@ def test_choose_inducing_contract():
         choose_inducing(5, 6, seed=0)
 
 
-def test_nystrom_gap_and_defect_are_clamped_on_every_shipped_series_subset():
+def test_nystrom_gap_and_defect_are_clamped_on_every_shipped_series_subset(tmp_path):
     # The 80-point series of test_cli::test_shipped_series_config_runs and
     # every inducing subset of demos/series_config_example.ini's schedule.
     # Many of these K_UU are numerically singular, and potrf accepts some
@@ -532,7 +532,10 @@ def test_nystrom_gap_and_defect_are_clamped_on_every_shipped_series_subset():
     # lifted VFE's bound above DTC's evidence.
     rng = np.random.default_rng(5)
     values = np.sin(0.1 * np.arange(80)) + 0.03 * rng.standard_normal(80)
-    data = masked_series_dataset(np.arange(80.0), values, np.arange(80) % 4 != 1)
+    mask = (np.arange(80) % 4 != 1).astype(int)
+    rows = ["time,value,mask"] + [f"{float(i)},{values[i]:.17g},{mask[i]}" for i in range(80)]
+    (tmp_path / "series.csv").write_text("\n".join(rows) + "\n")
+    data = load_series_csv(tmp_path / "series.csv")
     config = harness.ExperimentConfig(se_kernel([0.01], 1.0), 0.001, steps=tuple(range(1, 21)),
                                       repetitions=10, master_seed=12345, inducing_cap=500)
     for step in config.steps:

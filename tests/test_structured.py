@@ -1,6 +1,7 @@
 import runpy
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from unittest import mock
@@ -12,17 +13,18 @@ from hypothesis import strategies as st
 
 from kernelcg import structured
 from kernelcg.kernels import gram, matern52_kernel, se_kernel
-from kernelcg.kmcg import kmcg_fit
+from kernelcg.kmcg import kmcg_fit, kmcg_models_for_steps
+from kernelcg.solvers import cg_predict_means
 from kernelcg.structured import (
     DenseGram,
     GridSpec,
-    MaskedToeplitzSpec,
+    ToeplitzGram,
     grid_axes,
     grid_dataset,
     grid_spec,
+    gram_structure,
     kron_mvm,
-    masked_mvm,
-    masked_toeplitz_spec,
+    toeplitz_offsets,
 )
 
 
@@ -170,11 +172,10 @@ def test_kron_runtime_subquadratic():
     assert best[32] < ratio_quadratic * max(best[16], 1e-5)
 
 
-def _full_mask_mvm(first_row, v):
-    """masked_mvm with every grid position observed: the full Toeplitz product."""
-    first_row = np.asarray(first_row, dtype=float)
-    spec = MaskedToeplitzSpec(grid_size=first_row.size, first_row=first_row, mask=np.arange(first_row.size))
-    return masked_mvm(spec, v)
+def _series(kernel, offsets, spacing=1.0):
+    """The ToeplitzGram of `kernel` over the points spacing * offsets, whatever the cost rule says."""
+    offsets = np.asarray(offsets)
+    return ToeplitzGram(kernel, (spacing * offsets).reshape(-1, 1), spacing, offsets)
 
 
 def _dense_toeplitz(first_row):
@@ -183,15 +184,15 @@ def _dense_toeplitz(first_row):
 
 
 def test_toeplitz_identity_row():
+    # exp(-1e4 / 2) underflows to 0: the Gram over unit spacing is the identity.
     v = np.random.default_rng(5).standard_normal(9)
-    first_row = np.zeros(9)
-    first_row[0] = 1.0
-    assert np.allclose(_full_mask_mvm(first_row, v), v, atol=1e-12)
+    assert np.allclose(_series(se_kernel([1e4], 1.0), np.arange(9)).operator().apply(v), v, atol=1e-12)
 
 
 def test_toeplitz_hand_case():
-    got = _full_mask_mvm([2.0, 1.0, 0.0], [1.0, 1.0, 1.0])
-    assert np.allclose(got, [3.0, 4.0, 3.0], atol=1e-12)
+    # theta_f 2 and metric 2 ln 2: the first row is 2, 2 / 2 = 1 and 2 / 16.
+    got = _series(se_kernel([2 * np.log(2.0)], 2.0), np.arange(3)).operator().apply([1.0, 1.0, 1.0])
+    assert np.allclose(got, [3.125, 4.0, 3.125], atol=1e-12)
 
 
 def test_toeplitz_matches_dense():
@@ -199,7 +200,7 @@ def test_toeplitz_matches_dense():
     t = 257
     first_row = np.exp(-0.5 * (np.arange(t) / 40.0) ** 2)
     v = rng.standard_normal(t)
-    got = _full_mask_mvm(first_row, v)
+    got = _series(se_kernel([1 / 1600], 1.0), np.arange(t)).operator().apply(v)
     want = _dense_toeplitz(first_row) @ v
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -207,16 +208,15 @@ def test_toeplitz_matches_dense():
 def test_masked_full_mask_reduces_to_toeplitz():
     rng = np.random.default_rng(7)
     t = 32
-    first_row = np.exp(-np.arange(t) / 5.0)
+    kernel = matern52_kernel([0.04], 1.0)
+    first_row = gram(kernel, np.zeros((1, 1)), np.arange(t, dtype=float).reshape(-1, 1))[0]
     v = rng.standard_normal(t)
-    assert np.allclose(_full_mask_mvm(first_row, v), _dense_toeplitz(first_row) @ v)
+    assert np.allclose(_series(kernel, np.arange(t)).operator().apply(v), _dense_toeplitz(first_row) @ v)
 
 
 def test_masked_single_index():
-    t = 16
-    first_row = np.exp(-np.arange(t) / 3.0)
-    spec = MaskedToeplitzSpec(grid_size=t, first_row=first_row, mask=np.array([5]))
-    assert np.allclose(masked_mvm(spec, np.array([2.0])), 2.0 * first_row[0])
+    kernel = se_kernel([1 / 9], 1.3)
+    assert np.allclose(_series(kernel, [5]).operator().apply(np.array([2.0])), 2.0 * 1.3)
 
 
 def test_masked_matches_dense_submatrix():
@@ -224,11 +224,10 @@ def test_masked_matches_dense_submatrix():
     t = 64
     kernel = se_kernel([0.02], 1.7)
     mask = np.sort(rng.choice(t, size=40, replace=False))
-    spec = masked_toeplitz_spec(kernel, t, spacing=1.0, mask=mask)
     grid = np.arange(t, dtype=float).reshape(-1, 1)
     K_sub = gram(kernel, grid[mask])
     v = rng.standard_normal(40)
-    got = masked_mvm(spec, v)
+    got = _series(kernel, mask).operator().apply(v)
     want = K_sub @ v
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -238,7 +237,7 @@ def test_masked_operator_probe_invariants():
     t = 50
     kernel = se_kernel([0.05], 1.0)
     mask = np.sort(rng.choice(t, size=30, replace=False))
-    op = masked_toeplitz_spec(kernel, t, 1.0, mask).operator()
+    op = _series(kernel, mask).operator(noise=0.3)
     u, v = rng.standard_normal((2, 30))
     assert np.allclose(op.apply(u + v), op.apply(u) + op.apply(v), rtol=1e-10)
     assert u @ op.apply(v) == pytest.approx(v @ op.apply(u), rel=1e-10)
@@ -248,24 +247,85 @@ def test_masked_operator_builds_the_embedding_once():
     rng = np.random.default_rng(10)
     t = 70
     mask = np.sort(rng.choice(t, size=45, replace=False))
-    spec = masked_toeplitz_spec(se_kernel([0.05], 1.3), t, 1.0, mask)
-    op = spec.operator()
+    series = _series(se_kernel([0.05], 1.3), mask)
     u, v = rng.standard_normal((2, 45))
-    with mock.patch.object(structured, "_embedding_fft", wraps=structured._embedding_fft) as embed:
+    with mock.patch.object(structured.np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        op = series.operator()
         products = [op.apply(u), op.apply(v)]
-    assert embed.call_count == 1
-    fresh = MaskedToeplitzSpec(grid_size=t, first_row=spec.first_row, mask=mask)
+    assert rfft.call_count == 1 + 2  # the embedding's transform, then one per product
     for w, got in zip((u, v), products):
-        assert np.array_equal(got, masked_mvm(fresh, w))
+        assert np.array_equal(got, series.operator().apply(w))
 
 
-def test_masked_spec_validation():
-    with pytest.raises(ValueError):
-        MaskedToeplitzSpec(grid_size=4, first_row=np.ones(4), mask=np.array([2, 1]))
-    with pytest.raises(ValueError):
-        MaskedToeplitzSpec(grid_size=4, first_row=np.ones(4), mask=np.array([3, 4]))
-    with pytest.raises(ValueError):
-        MaskedToeplitzSpec(grid_size=4, first_row=np.array([1.0, np.inf, 0, 0]), mask=np.array([0]))
+@pytest.mark.parametrize("family", [se_kernel, matern52_kernel])
+@pytest.mark.parametrize("spacing", [1.0, 0.1])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_gram_structure_reads_a_series_off_equispaced_points(family, spacing, shuffled):
+    # 300 of 400 positions of a grid that starts at 3.7; load_csv shuffles
+    # rows that have no split column, so the points may come in any order.
+    rng = np.random.default_rng(17)
+    offsets = np.sort(rng.choice(400, size=300, replace=False))
+    offsets = rng.permutation(offsets) if shuffled else offsets
+    points = (3.7 + spacing * offsets).reshape(-1, 1)
+    kernel = family([0.01 / spacing**2], 1.3)
+    structure = gram_structure(kernel, points)
+    assert type(structure) is ToeplitzGram
+    assert np.array_equal(structure.offsets, offsets - offsets.min())
+    v = rng.standard_normal(300)
+    want = (gram(kernel, points) + 0.3 * np.eye(300)) @ v
+    got = structure.operator(0.3).apply(v)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _jittered(points, h):
+    return points + 1e-12 * h * (-1.0) ** np.arange(points.size).reshape(points.shape)
+
+
+@pytest.mark.parametrize("case, points", [
+    ("random", np.random.default_rng(18).uniform(0, 400, (300, 1))),
+    ("duplicate", np.append(np.arange(300.0), 150.0).reshape(-1, 1)),
+    # 1e-12 of the spacing off the grid: the series loader's 1e-9 check
+    # accepts it, but it is 4.4 and 7 times the 4-ulp rebuild allowance.
+    ("jittered, spacing 1", _jittered(np.arange(300.0).reshape(-1, 1), 1.0)),
+    ("jittered, spacing 0.1", _jittered(0.1 * np.arange(300.0).reshape(-1, 1), 0.1)),
+    ("span 64 N", np.r_[np.arange(299.0), 64 * 300].reshape(-1, 1)),
+    ("single point", np.array([[2.5]])),
+])
+def test_gram_structure_keeps_the_dense_gram_off_an_affordable_series(case, points):
+    assert type(gram_structure(se_kernel([0.01], 1.0), points)) is DenseGram
+
+
+def test_toeplitz_cost_rule_boundary():
+    # At N = 300 the rule allows L log2 L <= 22500: T = 512 has L = 1024
+    # (10240) and T = 513 has L = 2048 (22528).
+    offsets = np.r_[np.arange(299), 511]
+    assert toeplitz_offsets(offsets.astype(float)) is not None
+    assert toeplitz_offsets(np.r_[np.arange(299), 512].astype(float)) is None
+    spacing, got = toeplitz_offsets(0.25 * offsets)
+    assert spacing == 0.25 and np.array_equal(got, offsets)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_series_fit_and_cg_means_hold_no_dense_gram():
+    # T = 4096 positions, N = 2048 observed, 100 of the others to predict, a
+    # budget of 40: each call peaks below a quarter of the 32 MiB Gram.
+    rng = np.random.default_rng(19)
+    positions = rng.permutation(4096)
+    X, X_star = positions[:2048].reshape(-1, 1) * 1.0, positions[2048:2148].reshape(-1, 1) * 1.0
+    y = np.sin(0.05 * X[:, 0]) + 0.1 * rng.standard_normal(2048)
+    kernel = se_kernel([1e-3], 1.0)
+    assert type(gram_structure(kernel, X)) is ToeplitzGram
+    ceiling = 2048**2 * 8 / 4
+    assert _peak(lambda: kmcg_models_for_steps(kernel, X, y, 0.01, [40], eps=0.0)) < ceiling
+    assert _peak(lambda: cg_predict_means(kernel, X, y, 0.01, X_star, [40], eps=0.0)) < ceiling
 
 
 def test_grid_sample_stack_equals_successive_draws_from_one_factorization():
