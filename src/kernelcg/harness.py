@@ -3,14 +3,18 @@
 For every step budget P in the schedule the harness evaluates the CG-based
 estimators at P steps and every inducing-point baseline at the matched
 budget M = ceil(sqrt(N P)), or fixed_m if set, against the exact GP oracle,
-in ascending step order. Baselines are repeated with freshly drawn inducing
-subsets; aggregate rows carry the mean per step plus the progressive
-minimum and maximum across repetitions and budgets.
+in ascending step order. Baselines are repeated over several draws;
+aggregate rows carry the mean per step plus the progressive minimum and
+maximum across repetitions and budgets.
 
 Randomness is derived from the master seed by a counter scheme,
-SeedSequence([master, stream, step, repetition]); the inducing-selection
-stream is shared by all methods so that budget-matched methods draw the
-same subsets at equal (step, repetition). Records are therefore
+SeedSequence([master, stream, repetition]). Each repetition draws one
+permutation of the training points from the inducing-selection stream, and
+the baselines at budget M take its first M points, so every record's
+subset is a uniform draw of M points and one repetition's subsets are
+nested (the prefixes lowrank.choose_inducing gives for M < N). kmcg at
+kmcg_m < N takes repetition 0's prefix, so kmcg_m = fixed_m puts kmcg and
+the baselines' repetition 0 on one subset. Records are therefore
 deterministic given the master seed. Every method runs in the calling
 thread, one after another, so no record's time overlaps another's.
 
@@ -21,20 +25,24 @@ kmcg, cg-reorth, cg-textbook and pbr record through timed batches
 (a kmcg fit with its predictions and evidences, one
 solvers.cg_predict_means call, pbr's eigenexpansion with every rank's
 mean); its time goes to the record of its largest step, the others carry
-0 s, and if it raises every step it holds fails. kmcg at M = N is one
-batch, at M < N one per step, each on its own subset. Second, sor, dtc,
-fitc and vfe are fitted together on each (step, repetition) subset
+0 s, and if it raises every step it holds fails. kmcg is one batch, at
+M = N on all the points and at M < N on one subset. Second, sor, dtc,
+fitc and vfe are fitted together once per repetition, at the largest
+budget, and every step reads its budget's prefix off that fit
 (lowrank.InducingFits); each piece of work they share is charged to the
-record of the first method in METHODS order that uses it, each record
-adds its own extra work, and each method fails on its own. The `reason`
-of a kmcg, cg-reorth or cg-textbook record says why CG stopped within its
-budget (converged, maxsteps or breakdown). Baselines say "ok", aggregate
-rows "aggregate", and a failed method "error: " and the exception.
+record, at the repetition's largest step, of the first method in METHODS
+order that uses it, and each record adds its own extra work. A failure
+in shared work fails every record of the repetition that needs it (the
+Grams and K_UU's factor: all of them), a method's own failure only its
+own record. The `reason` of a kmcg, cg-reorth or cg-textbook record says
+why CG stopped within its budget (converged, maxsteps or breakdown).
+Baselines say "ok", aggregate rows "aggregate", and a failed method
+"error: " and the exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
 exact.predict_var with kmcg.kmcg_predictions and the pointwise variances of
 lowrank (plain for sor, dtc for dtc, fitc and vfe, from the phi(X*) each
-subset shares). No method forms k(X*, X*) or any other n* x n* array, so
+repetition shares). No method forms k(X*, X*) or any other n* x n* array, so
 memory grows with n* times the largest of N, M and P, not with n*^2.
 """
 
@@ -202,8 +210,8 @@ def budget_for(config: ExperimentConfig, n: int, step: int) -> int:
     return max(1, min(m, config.inducing_cap, n))
 
 
-def _inducing_seed(config: ExperimentConfig, step: int, rep: int) -> np.random.Generator:
-    seq = np.random.SeedSequence([int(config.master_seed), _STREAM_INDUCING, int(step), int(rep)])
+def _inducing_seed(config: ExperimentConfig, rep: int) -> np.random.Generator:
+    seq = np.random.SeedSequence([int(config.master_seed), _STREAM_INDUCING, int(rep)])
     return np.random.default_rng(seq)
 
 
@@ -271,21 +279,18 @@ def _batch(method, steps, budget, oracle, data, compute) -> list[ExperimentRecor
 
 
 def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
-    """One batch per fit: every step at M = N, each step on its own subset at M < N."""
-    n = data.n_train
-    m = n if config.kmcg_m is None else min(config.kmcg_m, n)
-    fits = [(config.steps, 0)] if m == n else [((step,), _inducing_seed(config, step, 0)) for step in config.steps]
+    """One batch: one fit serves every step, on all the points at M = N and
+    on the first M of repetition 0's permutation at M < N."""
+    m = data.n_train if config.kmcg_m is None else min(config.kmcg_m, data.n_train)
 
-    def compute(steps, seed):
-        models = kmcg.kmcg_models_for_steps(config.kernel, data.X, data.y, config.sigma2,
-                                            steps=steps, M=m, eps=config.cg_eps, seed=seed)
+    def compute():
+        models = kmcg.kmcg_models_for_steps(config.kernel, data.X, data.y, config.sigma2, steps=config.steps,
+                                            M=m, eps=config.cg_eps, seed=_inducing_seed(config, 0))
         predictions = kmcg.kmcg_predictions(list(models.values()), data.X_star)
         return [(mean, var, kmcg.kmcg_evidence(model), model.steps, model.reason)
                 for model, (mean, var) in zip(models.values(), predictions)]
 
-    return [record for steps, seed in fits
-            for record in _batch("kmcg", steps, lambda step: m, oracle, data,
-                                 functools.partial(compute, steps, seed))]
+    return _batch("kmcg", config.steps, lambda step: m, oracle, data, compute)
 
 
 def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
@@ -297,25 +302,32 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
     return _batch(method, config.steps, lambda step: data.n_train, oracle, data, compute)
 
 
-def _inducing_once(config, data, oracle, methods, step, rep) -> list[ExperimentRecord]:
-    """The listed inducing baselines (sor, dtc, fitc, vfe) on one inducing subset.
+def _inducing_repetition(config, data, oracle, methods, rep) -> dict:
+    """The records of the listed inducing baselines (sor, dtc, fitc, vfe) at
+    every step of one repetition, by (step, method).
 
-    Shared work is done once (see lowrank.InducingFits) and charged to the
-    first method, in METHODS order, that uses it.
+    One lowrank.InducingFits on the first M points of the repetition's
+    permutation, M the largest budget, serves every step, each reading the
+    fit on its own budget's prefix. Records are made from the largest step
+    down, methods in METHODS order, so each piece of shared work is charged
+    to the largest step's record of the first method that uses it.
     """
-    m = budget_for(config, data.n_train, step)
+    n = data.n_train
+    budgets = {step: budget_for(config, n, step) for step in config.steps}
     start = time.perf_counter()
-    X_U = data.X[lowrank.choose_inducing(data.n_train, m, _inducing_seed(config, step, rep))]
+    X_U = data.X[_inducing_seed(config, rep).permutation(n)[: max(budgets.values())]]
     fits = lowrank.InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
-    records = []
-    for method in methods:
-        try:
-            mean, var, evidence = fits.predict(method)
-            records.append(_record(method, step, m, str(rep), oracle, mean, var, evidence,
-                                   data.y_star, time.perf_counter() - start, 0, "ok"))
-        except Exception as error:
-            records.append(_failure(method, step, m, str(rep), error))
-        start = time.perf_counter()
+    records = {}
+    for step in reversed(config.steps):
+        m = budgets[step]
+        for method in methods:
+            try:
+                mean, var, evidence = fits.predict(method, m)
+                records[step, method] = _record(method, step, m, str(rep), oracle, mean, var, evidence,
+                                                data.y_star, time.perf_counter() - start, 0, "ok")
+            except Exception as error:
+                records[step, method] = _failure(method, step, m, str(rep), error)
+            start = time.perf_counter()
     return records
 
 
@@ -381,10 +393,10 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
             records.extend(_run_cg(config, data, oracle, method))
 
     inducing = [m for m in ("sor", "dtc", "fitc", "vfe") if m in config.methods]
-    by_subset = [_inducing_once(config, data, oracle, inducing, step, rep)
-                 for step in config.steps for rep in range(config.repetitions)] if inducing else []
-    for i, method in enumerate(inducing):
-        rows = [subset[i] for subset in by_subset]
+    by_rep = [_inducing_repetition(config, data, oracle, inducing, rep)
+              for rep in range(config.repetitions)] if inducing else []
+    for method in inducing:
+        rows = [records_of[step, method] for step in config.steps for records_of in by_rep]
         records.extend(rows)
         if config.repetitions > 1:
             records.extend(_aggregate(rows))

@@ -158,7 +158,9 @@ def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=N
     """Collect CG directions on the inducing Gram and build the estimator.
 
     The inducing subset X_M is all of X when M = N, otherwise a uniform
-    draw without replacement governed by `seed`. CG runs on K_M y_M = ...
+    draw without replacement governed by `seed`: the first M points of one
+    permutation, in its order (:func:`kernelcg.lowrank.choose_inducing`).
+    CG runs on K_M y_M = ...
     from x0 = 0 for at most min(max_steps, M) steps (max_steps defaults to
     M) with eps defaulting to 0.01 ||y_M||; its solution is discarded, only
     the directions matter. The operator v -> K_M v is the one
@@ -264,8 +266,8 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     products = longest.structure.cross_products(X_star, W)
     if longest.steps:
         U = products[:, len(models) :].T
-        lost = _prefix_quad_diag(longest.factor1, U)
-        gained = _prefix_quad_diag(longest.factor2, U)
+        lost = linalg.chol_prefix_quad_diag(longest.factor1, U)
+        gained = linalg.chol_prefix_quad_diag(longest.factor2, U)
     theta_f = longest.kernel.theta_f
     out = []
     for i, model in enumerate(models):
@@ -276,17 +278,6 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
             var = np.full(X_star.shape[0], theta_f)
         out.append((products[:, i].copy(), var))
     return out
-
-
-def _prefix_quad_diag(factor: linalg.CholeskyFactor, U: np.ndarray) -> np.ndarray:
-    """Row q - 1 is the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
-
-    L_q^{-1} U_q is the first q rows of L^{-1} U, so these are the running
-    sums of its squared rows; the last row is the sum linalg.chol_quad_diag
-    takes, up to its summation order.
-    """
-    V = solve_triangular(factor.L, U, lower=True)
-    return np.cumsum(np.square(V, out=V), axis=0)
 
 
 def kmcg_evidence(model: KmcgModel) -> float:

@@ -145,6 +145,19 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = F
     return np.sum(np.square(V, out=V), axis=0)
 
 
+def chol_prefix_quad_diag(factor: CholeskyFactor, U: np.ndarray) -> np.ndarray:
+    """Row q - 1 is the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
+
+    U_q is the first q rows of U and L_q the leading q x q block of L, the
+    factor of the leading block of L L^T. L_q^{-1} U_q is the first q rows
+    of L^{-1} U, so these are the running sums of its squared rows; the last
+    row is :func:`chol_quad_diag`'s sum, up to its summation order. Holds
+    one P x n array besides U, the output.
+    """
+    V = solve_triangular(factor.L, U, lower=True)
+    return np.cumsum(np.square(V, out=V), axis=0, out=V)
+
+
 def logdet(factor: CholeskyFactor) -> float:
     """Log determinant of the factored matrix: 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(factor.L))))

@@ -307,7 +307,18 @@ def toeplitz_offsets(points) -> Optional[tuple]:
     gap = np.min(np.diff(t[order]))
     if not (gap > 0 and span < n * n * gap):  # duplicates, or L >= 2 T past the cost rule
         return None
-    steps = np.rint(span / gap)
+    # The smallest gap carries the rounding of max |t|, which span / gap
+    # multiplies by the step count. Refine it by least squares over the
+    # points within `reach` steps of the start, doubling the reach: a fit
+    # over R steps reads the offsets within 2 R to well under half a step.
+    rel, spacing, reach = t[order] - start, gap, 2.0
+    while reach * spacing < span:
+        near = rel[: np.searchsorted(rel, reach * spacing, side="right")]
+        k = np.rint(near / spacing)
+        if not k.any():  # no point a step or more out: off any grid
+            return None
+        spacing, reach = float(k @ near) / float(k @ k), 2.0 * reach
+    steps = np.rint(span / spacing)
     length = 1 << int(2 * steps + 1).bit_length()  # of the embedding of T = steps + 1 positions
     if length * (length.bit_length() - 1) > n * n / 4:
         return None

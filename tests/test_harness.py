@@ -231,23 +231,39 @@ def test_shared_trace_time_charged_once_to_largest_budget(monkeypatch, method, m
     assert records[1].seconds < SHARED_DELAY and records[2].seconds < SHARED_DELAY
 
 
-def test_kmcg_fit_below_n_that_raises_fails_only_its_step(monkeypatch):
-    # At M < N each step is a fit, and a batch, of its own.
+def test_kmcg_below_n_is_one_fit_on_repetition_zeros_prefix(monkeypatch):
+    # One fit serves every step, on the first M points of the permutation
+    # that repetition 0's inducing baselines read; it is one batch, whose
+    # time goes to the largest step.
+    fits = []
     original = kmcg.kmcg_models_for_steps
 
-    def failing(*args, steps, **kwargs):
-        if 2 in steps:
-            raise RuntimeError("no fit at step 2")
-        return original(*args, steps=steps, **kwargs)
+    def recording(*args, **kwargs):
+        fits.append(original(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(kmcg, "kmcg_models_for_steps", recording)
+    data = _small_dataset()
+    config = _small_config(methods=("kmcg",), steps=(4, 2, 1), kmcg_m=10, repetitions=1)
+    records = run_experiment(config, data)
+    assert [list(models) for models in fits] == [[1, 2, 4]]
+    order = harness._inducing_seed(config, 0).permutation(data.n_train)
+    assert all(np.array_equal(model.X_M, data.X[order[:10]]) for model in fits[0].values())
+    assert [(r.step, r.budget, r.seconds > 0.0) for r in records] == [(1, 10, False), (2, 10, False), (4, 10, True)]
+    for r in records:
+        assert r.reason in ("converged", "maxsteps", "breakdown") and r.effective_p == r.step
+        assert np.all(np.isfinite([r.eps_f, r.eps_var, r.eps_ev, r.smse]))
+
+
+def test_kmcg_fit_below_n_that_raises_fails_every_step(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("no fit")
 
     monkeypatch.setattr(kmcg, "kmcg_models_for_steps", failing)
     config = _small_config(methods=("kmcg",), steps=(4, 2, 1), kmcg_m=10, repetitions=1)
     records = run_experiment(config, _small_dataset())
-    assert [(r.step, r.budget) for r in records] == [(1, 10), (2, 10), (4, 10)]
-    assert (records[1].reason, records[1].seconds) == ("error: RuntimeError: no fit at step 2", 0.0)
-    for r in (records[0], records[2]):
-        assert r.reason in ("converged", "maxsteps", "breakdown") and r.effective_p == r.step
-        assert np.all(np.isfinite([r.eps_f, r.eps_var, r.eps_ev, r.smse])) and r.seconds > 0.0
+    assert [(r.step, r.budget, r.seconds, r.reason) for r in records] == [
+        (step, 10, 0.0, "error: RuntimeError: no fit") for step in (1, 2, 4)]
 
 
 @pytest.mark.parametrize("method", ["cg-reorth", "cg-textbook"])
@@ -365,8 +381,6 @@ def test_quadratic_term_better_approximated_than_determinant():
 def test_nested_budget_monotonicity():
     # Along a fixed nested inducing sequence the mean error is nonincreasing
     # (sor, dtc and vfe share the same mean predictor).
-    from kernelcg import lowrank
-
     kernel = se_kernel([2.0, 2.0], 1.5)
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -375,12 +389,8 @@ def test_nested_budget_monotonicity():
         X_star = rng.uniform(0, 2, (30, 2))
         oracle = exact.fit(kernel, X, y, 0.1)
         want = exact.predict_mean(oracle, X_star)
-        perm = rng.permutation(60)
-        errors = []
-        for m in (5, 10, 20, 40, 60):
-            X_U = X[np.sort(perm[:m])]
-            mean, _, _ = lowrank.InducingFits(kernel, X, y, 0.1, X_U, X_star).predict("dtc")
-            errors.append(metric_relerr(want, mean))
+        fits = lowrank.InducingFits(kernel, X, y, 0.1, X[rng.permutation(60)], X_star)
+        errors = [metric_relerr(want, fits.predict("dtc", m)[0]) for m in (5, 10, 20, 40, 60)]
         assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
@@ -491,8 +501,9 @@ def test_sor_dtc_and_vfe_share_one_fit_per_subset():
         assert vfe.eps_ev != dtc.eps_ev
 
 
-def test_inducing_baselines_factor_three_matrices_per_subset(monkeypatch):
-    # K_UU, the shared sor/dtc/vfe fit and the fitc fit.
+def test_inducing_baselines_factor_two_matrices_per_repetition_and_one_per_budget(monkeypatch):
+    # K_UU and the shared sor/dtc/vfe fit once per repetition, at the
+    # largest budget, and the fitc fit once per budget.
     calls = []
     original = linalg.cholesky
 
@@ -508,18 +519,71 @@ def test_inducing_baselines_factor_three_matrices_per_subset(monkeypatch):
     calls.clear()
     records = run_experiment(config, data)
     assert not [r.reason for r in records if r.reason.startswith("error:")]
-    assert len(calls) - oracle_calls <= 3 * len(config.steps) * config.repetitions
+    budgets = {budget_for(config, data.n_train, step) for step in config.steps}
+    assert len(budgets) == 3
+    assert len(calls) - oracle_calls == config.repetitions * (2 + len(budgets))
 
 
-def test_shared_inducing_fit_charged_once_per_subset(monkeypatch):
+def test_shared_inducing_fit_charged_once_per_repetition(monkeypatch):
     # sor is not listed: the first listed method in METHODS order, dtc,
-    # carries the shared fit, fitc and vfe only their own work.
+    # carries the shared fit at the repetition's largest step; every other
+    # record only its own work.
     monkeypatch.setattr(lowrank, "sor_expansion", _delayed(lowrank.sor_expansion))
-    config = _small_config(methods=("vfe", "fitc", "dtc"), steps=(2,), repetitions=2)
+    config = _small_config(methods=("vfe", "fitc", "dtc"), steps=(2, 1, 4), repetitions=2)
     subsets = _by_subset(run_experiment(config, _small_dataset()))
-    assert len(subsets) == 2
-    for rows in subsets.values():
-        assert [m for m, r in rows.items() if r.seconds >= SHARED_DELAY] == ["dtc"]
+    assert len(subsets) == 6
+    charged = [(step, run, m) for (step, run), rows in subsets.items() for m, r in rows.items()
+               if r.seconds >= SHARED_DELAY]
+    assert sorted(charged) == [(4, "0", "dtc"), (4, "1", "dtc")]
+
+
+def test_inducing_records_read_nested_prefixes_of_one_permutation():
+    # Repetition r's record at budget m is the fit on the first m points of
+    # r's permutation, as a fit on that subset alone gives it.
+    data = _small_dataset(seed=4)
+    config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2)
+    oracle = harness._fit_oracle(config, data)
+    for (step, run), rows in _by_subset(run_experiment(config, data)).items():
+        m = budget_for(config, data.n_train, step)
+        X_U = data.X[harness._inducing_seed(config, int(run)).permutation(data.n_train)[:m]]
+        fits = lowrank.InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
+        for method, record in rows.items():
+            mean, var, evidence = fits.predict(method)
+            assert (record.step, record.budget, record.reason) == (step, m, "ok")
+            assert record.eps_f == pytest.approx(metric_relerr(oracle.mean, mean), rel=1e-9)
+            assert record.eps_var == pytest.approx(metric_relerr(oracle.var, var), rel=1e-9)
+            assert record.eps_ev == pytest.approx(metric_ev_err(oracle.evidence, evidence), rel=1e-9)
+
+
+def test_inducing_failures_fail_the_records_that_need_the_work(monkeypatch):
+    # A failure in the shared basis fails every record of its repetition; a
+    # fitc factor that fails fails only its own budget's fitc records.
+    data = _small_dataset()
+    config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2)
+    original_expansion, original_cholesky, first = lowrank.sor_expansion, linalg.cholesky, []
+
+    def first_fails(kernel, X_U):
+        first[:] = first or [X_U]
+        if X_U is first[0]:
+            raise RuntimeError("no basis")
+        return original_expansion(kernel, X_U)
+
+    def middle_budget_fails(A, *args, **kwargs):
+        if A.shape == (9, 9):
+            raise linalg.NotPositiveDefiniteError("no fitc factor")
+        return original_cholesky(A, *args, **kwargs)
+
+    monkeypatch.setattr(lowrank, "sor_expansion", first_fails)
+    monkeypatch.setattr(linalg, "cholesky", middle_budget_fails)
+    assert [budget_for(config, data.n_train, step) for step in config.steps] == [7, 9, 13]
+    for (step, run), rows in _by_subset(run_experiment(config, data)).items():
+        for method, record in rows.items():
+            if run == "0":
+                assert record.reason == "error: RuntimeError: no basis" and record.seconds == 0.0
+            elif (step, method) == (2, "fitc"):
+                assert record.reason == "error: NotPositiveDefiniteError: no fitc factor"
+            else:
+                assert record.reason == "ok" and np.isfinite(record.eps_f)
 
 
 def _pbr_expansion_with_phi(monkeypatch, wrap):
@@ -534,8 +598,9 @@ def _pbr_expansion_with_phi(monkeypatch, wrap):
 
 
 def test_test_point_features_computed_once_per_fit(monkeypatch):
-    # kmcg at M = N assembles k(X*, X_M) once for all budgets, each inducing
-    # subset k(X*, X_U) once for all four baselines, and pbr evaluates its
+    # kmcg at M = N assembles k(X*, X_M) once for all budgets, each
+    # repetition's inducing set k(X*, X_U) once for all four baselines at
+    # every budget, and pbr evaluates its
     # feature map once on X and once on X* for all budgets.
     data = _small_dataset()
     cross = {"kmcg": 0, "lowrank": 0}
@@ -556,7 +621,7 @@ def test_test_point_features_computed_once_per_fit(monkeypatch):
     config = _small_config(methods=("kmcg", "sor", "dtc", "fitc", "vfe", "pbr"), steps=(1, 2, 4), repetitions=2)
     records = run_experiment(config, data)
     assert not [r.reason for r in records if r.reason.startswith("error:")]
-    assert cross == {"kmcg": 1, "lowrank": len(config.steps) * config.repetitions}
+    assert cross == {"kmcg": 1, "lowrank": config.repetitions}
     assert len(points) == 2 and points[0] is data.X and points[1] is data.X_star
 
 

@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kernelcg import exact, harness, linalg
@@ -490,17 +491,22 @@ def _worst_relative(got, want):
     return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
-# (metric entry, seed) -> cond(K_UU) on 8 of 30 points in [0, 2]^2. Worst
-# relative error seen, at cond 1.1e5: 2.8e-9 (sor/dtc/vfe mean), 2.2e-9
-# (sor variance), 1.2e-9 (dtc/vfe variance), 9.7e-10 (fitc mean), 1.8e-10
-# (evidence); at cond <= 5.2e4 at most 2.7e-10.
-@pytest.mark.parametrize("lam, seed, cond", [(4.0, 1, 1.5e1), (2.0, 6, 4.1e2), (2.0, 2, 5.2e4), (0.5, 3, 1.1e5)])
-def test_inducing_baselines_match_a_40_digit_reference(lam, seed, cond):
+# (metric entry, seed, subset) -> cond(K_UU) on 8 of 30 points in [0, 2]^2.
+# Worst relative error seen, at cond 1.1e5: 2.8e-9 (sor/dtc/vfe mean),
+# 2.2e-9 (sor variance), 1.2e-9 (dtc/vfe variance), 9.7e-10 (fitc mean),
+# 1.8e-10 (evidence); at cond <= 5.2e4 at most 2.7e-10.
+@pytest.mark.parametrize("lam, seed, subset, cond", [
+    (4.0, 1, [0, 4, 10, 12, 18, 23, 24, 28], 1.5e1),
+    (2.0, 6, [8, 10, 11, 12, 19, 24, 25, 27], 4.1e2),
+    (2.0, 2, [2, 6, 7, 11, 13, 19, 22, 29], 5.2e4),
+    (0.5, 3, [2, 4, 6, 17, 18, 22, 25, 26], 1.1e5),
+])
+def test_inducing_baselines_match_a_40_digit_reference(lam, seed, subset, cond):
     rng = np.random.default_rng(seed)
     kernel = se_kernel([lam, lam], 1.5)
     X = rng.uniform(0, 2, (30, 2))
     y = rng.standard_normal(30)
-    X_U = X[choose_inducing(30, 8, seed=seed)]
+    X_U = X[subset]
     X_star = np.vstack([rng.uniform(0, 2, (3, 2)), X[:2]])
     sigma2 = 1e-2
     assert np.linalg.cond(gram(kernel, X_U)) == pytest.approx(cond, rel=0.1)
@@ -519,17 +525,23 @@ def test_choose_inducing_contract():
     b = choose_inducing(100, 12, seed=5)
     assert np.array_equal(a, b)
     assert len(np.unique(a)) == 12
+    # Nested: a smaller draw with the same seed is the larger one's prefix,
+    # in the permutation's order.
+    assert np.array_equal(choose_inducing(100, 5, seed=5), a[:5])
+    assert np.array_equal(choose_inducing(100, 99, seed=np.random.default_rng(5))[:12], a)
+    assert np.array_equal(a, np.random.default_rng(5).permutation(100)[:12])
     with pytest.raises(ValueError):
         choose_inducing(5, 6, seed=0)
 
 
 def test_nystrom_gap_and_defect_are_clamped_on_every_shipped_series_subset(tmp_path):
     # The 80-point series of test_cli::test_shipped_series_config_runs and
-    # every inducing subset of demos/series_config_example.ini's schedule.
-    # Many of these K_UU are numerically singular, and potrf accepts some
-    # of them at rung 0: unclamped, the gap theta_f - diag Q fell to -0.34
-    # (-4.1e-7 on numpy's potrf), which turned FITC's Lam negative and
-    # lifted VFE's bound above DTC's evidence.
+    # every inducing subset of demos/series_config_example.ini's schedule:
+    # every prefix of every repetition's permutation. Many of these K_UU
+    # are numerically singular, and potrf accepts some of them at rung 0:
+    # unclamped, the gap theta_f - diag Q fell to -0.34 (-4.1e-7 on numpy's
+    # potrf), which turned FITC's Lam negative and lifted VFE's bound above
+    # DTC's evidence.
     rng = np.random.default_rng(5)
     values = np.sin(0.1 * np.arange(80)) + 0.03 * rng.standard_normal(80)
     mask = (np.arange(80) % 4 != 1).astype(int)
@@ -538,12 +550,67 @@ def test_nystrom_gap_and_defect_are_clamped_on_every_shipped_series_subset(tmp_p
     data = load_series_csv(tmp_path / "series.csv")
     config = harness.ExperimentConfig(se_kernel([0.01], 1.0), 0.001, steps=tuple(range(1, 21)),
                                       repetitions=10, master_seed=12345, inducing_cap=500)
-    for step in config.steps:
-        m = harness.budget_for(config, data.n_train, step)
-        for rep in range(config.repetitions):
-            X_U = data.X[choose_inducing(data.n_train, m, harness._inducing_seed(config, step, rep))]
-            fits = InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
-            mean, var, evidence = fits.predict("fitc")
-            assert np.all(fits._gap >= 0.0) and np.all(fits._defect >= 0.0)
+    largest = harness.budget_for(config, data.n_train, config.steps[-1])
+    for rep in range(config.repetitions):
+        X_U = data.X[harness._inducing_seed(config, rep).permutation(data.n_train)[:largest]]
+        fits = InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
+        for m in range(1, largest + 1):
+            mean, var, evidence = fits.predict("fitc", m)
             assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var)) and np.isfinite(evidence)
-            assert fits.predict("vfe")[2] <= fits.predict("dtc")[2]
+            assert fits.predict("vfe", m)[2] <= fits.predict("dtc", m)[2]
+        assert np.all(fits._gaps >= 0.0) and np.all(fits._defects >= 0.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(5, 30), st.integers(1, 12), st.floats(-2.0, 0.0),
+       st.sampled_from([0.5, 2.0, 8.0]))
+def test_every_count_is_the_fit_on_its_prefix(seed, n, m, log_sigma2, lam):
+    # Drawn where the largest K_UU factors at rung 0, so a prefix fitted
+    # alone takes rung 0 too and the two agree to rounding.
+    kernel, X, y, _, rng = _problem(seed, n, lam=lam)
+    sigma2 = 10.0**log_sigma2
+    X_U = X[choose_inducing(n, min(m, n), seed=seed)]
+    assume(linalg.cholesky(gram(kernel, X_U)).jitter == 0.0)
+    X_star = np.vstack([rng.uniform(0, 2, (6, 2)), X[:2]])
+    fits = InducingFits(kernel, X, y, sigma2, X_U, X_star)
+    for count in range(1, len(X_U) + 1):
+        got = {method: fits.predict(method, count) for method in ("sor", "dtc", "fitc", "vfe")}
+        for method, values in got.items():
+            want = InducingFits(kernel, X, y, sigma2, X_U[:count], X_star).predict(method)
+            for quantity, value, reference in zip(("mean", "variance", "evidence"), values, want):
+                error = _worst_relative(value, reference)
+                assert error <= 1e-8, f"{method} {quantity} at count {count}: relative error {error:.2e}"
+        assert np.all(fits._gaps[count - 1] >= 0.0) and np.all(fits._defects[count - 1] >= 0.0)
+        assert got["vfe"][2] <= got["dtc"][2]
+    assert fits.predict("sor")[2] == got["sor"][2]
+
+
+def test_predict_rejects_a_count_outside_one_to_m():
+    kernel, X, y, sigma2, _ = _problem(35, 10)
+    fits = InducingFits(kernel, X, y, sigma2, X[:4], X[:2])
+    for count in (0, 5):
+        with pytest.raises(ValueError, match=r"count must be in \[1, 4\]"):
+            fits.predict("fitc", count)
+    with pytest.raises(ValueError, match="unknown inducing baseline 'pbr'"):
+        fits.predict("pbr")
+
+
+def test_nested_fit_memory_at_the_harness_shape():
+    # N 1500, n* 500, M 123 as in the harness-dense benchmark: every count of
+    # every method holds what the InducingFits docstring states, 3 M N +
+    # 6 M n* + M^2 floats at most (8.4 MB; 7.5 MB seen), below one N x N
+    # array (18 MB).
+    rng = np.random.default_rng(36)
+    n, n_star, m = 1500, 500, 123
+    kernel = se_kernel(np.full(4, 2.0), 1.5)
+    X = rng.uniform(0, 2, (n, 4))
+    fits = InducingFits(kernel, X, rng.standard_normal(n), 0.1, X[:m], rng.uniform(0, 2, (n_star, 4)))
+    tracemalloc.start()
+    try:
+        for count in (m, 1, 60):
+            for method in ("sor", "dtc", "fitc", "vfe"):
+                fits.predict(method, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (3 * m * n + 6 * m * n_star) + (1 << 20)

@@ -277,6 +277,25 @@ def test_gram_structure_reads_a_series_off_equispaced_points(family, spacing, sh
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_gram_structure_reads_a_long_series_at_a_large_offset():
+    # The smallest gap of these times is 2.99886e-7: its rounding, an ulp of
+    # 1e6, times 4095 steps once made span / gap round to the wrong T, and
+    # the points stayed dense. That ulp is 4e-4 of a step, so the times
+    # themselves place the points no better; the dense Gram compared is the
+    # one of the grid read off them, spacing * offsets.
+    offsets = np.arange(4096)
+    points = (1e6 + 3e-7 * offsets).reshape(-1, 1)
+    kernel = se_kernel([1e12], 1.3)
+    structure = gram_structure(kernel, points)
+    assert type(structure) is ToeplitzGram
+    assert np.array_equal(structure.offsets, offsets)
+    assert structure.spacing == pytest.approx(3e-7, rel=1e-6)
+    v = np.random.default_rng(19).standard_normal(4096)
+    want = (gram(kernel, structure.spacing * offsets.reshape(-1, 1)) + 0.3 * np.eye(4096)) @ v
+    got = structure.operator(0.3).apply(v)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def _jittered(points, h):
     return points + 1e-12 * h * (-1.0) ** np.arange(points.size).reshape(points.shape)
 
