@@ -206,7 +206,8 @@ def load_series_csv(path) -> Dataset:
     Rows with mask 1 train, rows with mask 0 test. A ragged row, a
     non-numeric cell or a mask other than 0 or 1 raises ValueError naming
     the row, as :func:`load_csv` does; so do a wrong header and gaps that
-    differ from the first gap g by more than 1e-9 max(|g|, 1).
+    differ from the first gap g by more than 1e-9 max(|g|, 1). A mask with
+    no training or no test row raises ValueError naming the file.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -218,6 +219,10 @@ def load_series_csv(path) -> Dataset:
     bad = np.flatnonzero((mask != 0.0) & (mask != 1.0))
     if bad.size:
         raise ValueError(f"{path}: row {numbers[bad[0]]}, column 'mask': {mask[bad[0]]:g} is neither 0 nor 1")
+    n_train = int(np.count_nonzero(mask))
+    if not 0 < n_train < mask.size:
+        raise ValueError(f"{path}: the mask column gives {n_train} training and "
+                         f"{mask.size - n_train} test rows; both need at least one")
     gaps = np.diff(times[:, 0])
     if gaps.size and np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(abs(gaps[0]), 1.0):
         raise ValueError(f"{path}: time column is not equispaced")

@@ -19,25 +19,23 @@ deterministic given the master seed. Every method runs in the calling
 thread, one after another, so no record's time overlaps another's.
 
 The `seconds` of a record is the wall time of the work done for it, and
-work shared by several records is charged once, by two rules. First,
-kmcg, cg-reorth, cg-textbook and pbr record through timed batches
-(_batch): a batch is one piece of work that gives several steps' records
-(a kmcg fit with its predictions and evidences, one
-solvers.cg_predict_means call, pbr's eigenexpansion with every rank's
-mean); its time goes to the record of its largest step, the others carry
-0 s, and if it raises every step it holds fails. kmcg is one batch, at
-M = N on all the points and at M < N on one subset. Second, sor, dtc,
-fitc and vfe are fitted together once per repetition, at the largest
-budget, and every step reads its budget's prefix off that fit
-(lowrank.InducingFits); each piece of work they share is charged to the
-record, at the repetition's largest step, of the first method in METHODS
-order that uses it, and each record adds its own extra work. A failure
-in shared work fails every record of the repetition that needs it (the
-Grams and K_UU's factor: all of them), a method's own failure only its
-own record. The `reason` of a kmcg, cg-reorth or cg-textbook record says
-why CG stopped within its budget (converged, maxsteps or breakdown).
-Baselines say "ok", aggregate rows "aggregate", and a failed method
-"error: " and the exception.
+work shared by several records is charged once, by one rule: every method
+but exact records through timed batches (_batch). A batch is one piece of
+work that gives several steps' records: a kmcg fit with its predictions
+and evidences, one solvers.cg_predict_means call, pbr's eigenexpansion
+with every rank's mean, or one inducing baseline's records of one
+repetition. Its time goes to the record of its largest step, the others
+carry 0 s, and if it raises every step it holds fails. kmcg is one batch,
+at M = N on all the points and at M < N on one subset. sor, dtc, fitc and
+vfe share one fit per repetition, at the largest budget, from which every
+step reads its budget's prefix (lowrank.InducingFits); the batches run in
+METHODS order, so a piece of work they share is charged to the first batch
+that needs it. A shared piece that raises is not kept: each later batch of
+the repetition that needs it tries it once more, and fails too. The
+`reason` of a kmcg, cg-reorth or cg-textbook record says why CG stopped
+within its budget (converged, maxsteps or breakdown). Baselines say "ok",
+aggregate rows "aggregate", and a failed method "error: " and the
+exception.
 
 Records use pointwise predictive variances only: `eps_var` compares
 exact.predict_var with kmcg.kmcg_predictions and the pointwise variances of
@@ -239,43 +237,31 @@ def _fit_oracle(config: ExperimentConfig, data: Dataset) -> _Oracle:
                    smse=metric_smse(data.y_star, mean), seconds=seconds)
 
 
-def _record(method, step, budget, run, oracle, mean, var, evidence, y_star, seconds,
-            effective_p, reason) -> ExperimentRecord:
-    return ExperimentRecord(
-        method=method, step=step, budget=budget, run=run,
-        eps_f=metric_relerr(oracle.mean, mean),
-        eps_var=float("nan") if var is None else metric_relerr(oracle.var, var),
-        eps_ev=float("nan") if evidence is None else metric_ev_err(oracle.evidence, evidence),
-        smse=metric_smse(y_star, mean),
-        seconds=seconds, effective_p=effective_p, reason=reason,
-    )
-
-
-def _failure(method, step, budget, run, error) -> ExperimentRecord:
-    nan = float("nan")
-    return ExperimentRecord(method=method, step=step, budget=budget, run=run,
-                            eps_f=nan, eps_var=nan, eps_ev=nan, smse=nan,
-                            seconds=0.0, effective_p=0,
-                            reason=f"error: {type(error).__name__}: {error}")
-
-
-def _batch(method, steps, budget, oracle, data, compute) -> list[ExperimentRecord]:
-    """The records of `steps` from one timed compute().
+def _batch(method, steps, budget, run, oracle, data, compute) -> list[ExperimentRecord]:
+    """The records of `steps` from one timed compute(), labelled `run`.
 
     compute() returns (mean, var, evidence, effective_p, reason) per step, in
-    order. Its time goes to the record of the largest step; the others carry
-    0 s. If it raises, every step records the failure. budget(step) is the
+    order; a var or evidence of None records nan. Its time goes to the
+    record of the largest step; the others carry 0 s. If it raises, every
+    step records the failure, with nan metrics and 0 s. budget(step) is the
     record's budget.
     """
+    nan = float("nan")
     try:
         start = time.perf_counter()
         results = compute()
         seconds = time.perf_counter() - start
     except Exception as error:  # recorded, never aborts other methods
-        return [_failure(method, step, budget(step), "0", error) for step in steps]
-    return [_record(method, step, budget(step), "0", oracle, mean, var, evidence, data.y_star,
-                    seconds if step == max(steps) else 0.0, p, reason)
-            for step, (mean, var, evidence, p, reason) in zip(steps, results)]
+        return [ExperimentRecord(method, step, budget(step), run, nan, nan, nan, nan, 0.0, 0,
+                                 f"error: {type(error).__name__}: {error}") for step in steps]
+    return [ExperimentRecord(
+        method=method, step=step, budget=budget(step), run=run,
+        eps_f=metric_relerr(oracle.mean, mean),
+        eps_var=nan if var is None else metric_relerr(oracle.var, var),
+        eps_ev=nan if evidence is None else metric_ev_err(oracle.evidence, evidence),
+        smse=metric_smse(data.y_star, mean), seconds=seconds if step == max(steps) else 0.0,
+        effective_p=p, reason=reason,
+    ) for step, (mean, var, evidence, p, reason) in zip(steps, results)]
 
 
 def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
@@ -290,7 +276,7 @@ def _run_kmcg(config, data, oracle) -> list[ExperimentRecord]:
         return [(mean, var, kmcg.kmcg_evidence(model), model.steps, model.reason)
                 for model, (mean, var) in zip(models.values(), predictions)]
 
-    return _batch("kmcg", config.steps, lambda step: m, oracle, data, compute)
+    return _batch("kmcg", config.steps, lambda step: m, "0", oracle, data, compute)
 
 
 def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
@@ -299,36 +285,28 @@ def _run_cg(config, data, oracle, method) -> list[ExperimentRecord]:
                                          config.steps, eps=config.cg_eps, reorth=method == "cg-reorth")
         return [(mean, None, None, p, reason) for mean, p, reason in means]
 
-    return _batch(method, config.steps, lambda step: data.n_train, oracle, data, compute)
+    return _batch(method, config.steps, lambda step: data.n_train, "0", oracle, data, compute)
 
 
-def _inducing_repetition(config, data, oracle, methods, rep) -> dict:
-    """The records of the listed inducing baselines (sor, dtc, fitc, vfe) at
-    every step of one repetition, by (step, method).
+def _run_inducing(config, data, oracle, methods, rep) -> dict[str, list[ExperimentRecord]]:
+    """One batch per listed inducing baseline (sor, dtc, fitc, vfe) at every
+    step of one repetition, by method.
 
     One lowrank.InducingFits on the first M points of the repetition's
     permutation, M the largest budget, serves every step, each reading the
-    fit on its own budget's prefix. Records are made from the largest step
-    down, methods in METHODS order, so each piece of shared work is charged
-    to the largest step's record of the first method that uses it.
+    fit on its own budget's prefix. The batches run in METHODS order, so
+    each piece of shared work is charged to the largest step's record of
+    the first method that uses it.
     """
-    n = data.n_train
-    budgets = {step: budget_for(config, n, step) for step in config.steps}
-    start = time.perf_counter()
-    X_U = data.X[_inducing_seed(config, rep).permutation(n)[: max(budgets.values())]]
+    budget = functools.partial(budget_for, config, data.n_train)
+    X_U = data.X[_inducing_seed(config, rep).permutation(data.n_train)[: max(map(budget, config.steps))]]
     fits = lowrank.InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
-    records = {}
-    for step in reversed(config.steps):
-        m = budgets[step]
-        for method in methods:
-            try:
-                mean, var, evidence = fits.predict(method, m)
-                records[step, method] = _record(method, step, m, str(rep), oracle, mean, var, evidence,
-                                                data.y_star, time.perf_counter() - start, 0, "ok")
-            except Exception as error:
-                records[step, method] = _failure(method, step, m, str(rep), error)
-            start = time.perf_counter()
-    return records
+
+    def compute(method):
+        return [(*fits.predict(method, budget(step)), 0, "ok") for step in config.steps]
+
+    return {method: _batch(method, config.steps, budget, str(rep), oracle, data, functools.partial(compute, method))
+            for method in methods}
 
 
 def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
@@ -343,7 +321,7 @@ def _run_pbr(config, data, oracle) -> list[ExperimentRecord]:
         return [(fits.predict(min(budget(step), expansion.eigenvalues.size)), None, None, 0, "ok")
                 for step in config.steps]
 
-    return _batch("pbr", config.steps, budget, oracle, data, compute)
+    return _batch("pbr", config.steps, budget, "0", oracle, data, compute)
 
 
 def _aggregate(records: list[ExperimentRecord]) -> list[ExperimentRecord]:
@@ -393,10 +371,9 @@ def run_experiment(config: ExperimentConfig, data: Dataset) -> list[ExperimentRe
             records.extend(_run_cg(config, data, oracle, method))
 
     inducing = [m for m in ("sor", "dtc", "fitc", "vfe") if m in config.methods]
-    by_rep = [_inducing_repetition(config, data, oracle, inducing, rep)
-              for rep in range(config.repetitions)] if inducing else []
+    by_rep = [_run_inducing(config, data, oracle, inducing, rep) for rep in range(config.repetitions)]
     for method in inducing:
-        rows = [records_of[step, method] for step in config.steps for records_of in by_rep]
+        rows = [row for at_step in zip(*(batches[method] for batches in by_rep)) for row in at_step]
         records.extend(rows)
         if config.repetitions > 1:
             records.extend(_aggregate(rows))

@@ -19,7 +19,10 @@ M = N):
     evidence    = -(1/2 sigma2)(y^T y - y^T R w) - 1/2 ln|R^T R + sigma2 S^T K_M S|
                   + 1/2 ln|S^T K_M S| - (N-P)/2 ln sigma2 - N/2 ln(2 pi)
 
-At P = M the directions span everything and the kernel reduces to the
+These are DTC's (:mod:`kernelcg.lowrank`; Quinonero-Candela & Rasmussen,
+2005) with the features S^T k(X_M, .) and the inner matrix S^T Z: its
+Nystrom kernel is khat and its A is L2 L2^T / sigma2. At P = M the
+directions span everything and the kernel reduces to the
 subset-of-regressors kernel with X_U = X_M; at M = N, P = N the regressor is
 exact. Only the span of S matters: right-multiplying S by any invertible
 matrix leaves all predictions unchanged.
@@ -33,8 +36,9 @@ pointwise variance is a prefix sum of squared rows,
 
     var_q(x*) = theta_f - sum_{i<q} (L1^{-1} u)_i^2 + sigma2 sum_{i<q} (L2^{-1} u)_i^2
 
-and :func:`kmcg_predictions` reads every budget's mean and variance off one
-pass over k(X*, X_M).
+and so is every budget's mean, of (L2^{-1} R^T y)_i (L2^{-1} u)_i:
+:func:`kmcg_predictions` reads both off one pass over k(X*, X_M) and the
+inducing baselines' prefix solve, :func:`kernelcg.linalg.chol_prefix_solve`.
 
 The CG operator and every k(., X_M) W a model forms (R at M < N, and all
 prediction and learned-kernel features) come from one structure,
@@ -239,44 +243,43 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     """(mean, pointwise variance) at X_star for each of several models of one fit.
 
     The models come from one :func:`kmcg_models_for_steps` fit, any of them
-    in any order: every X_M is the longest model's and every S the leading
-    columns of the longest model's S. One pass over k(X*, X_M) gives every
-    mean and U = S^T k(X_M, X*) of the longest model; one forward
-    substitution of U with each of its two factors gives every variance as
-    theta_f - ||L1_q^{-1} U_q||^2 + sigma2 ||L2_q^{-1} U_q||^2, a prefix sum
-    of squared rows (see the module docstring), with k(x, x) = theta_f
-    (every stationary kernel here).
+    in any order: every X_M, S and factor is a leading part of the longest
+    model's. One pass over k(X*, X_M) gives its U = S^T k(X_M, X*); one
+    :func:`kernelcg.linalg.chol_prefix_solve` of [R^T y, U] with factor2
+    gives every mean and sigma2 term, and one forward substitution of U
+    with factor1 every khat term of the variance (see the module
+    docstring), with k(x, x) = theta_f (every stationary kernel here).
 
-    For k models and P directions in the longest this costs
-    O(n* M (k + P) + n* P^2) flops; memory is the n* x (k + P) products,
-    three P x n* arrays, the outputs and the scratch of one block of
-    the structure's cross-products: no k(X*, X*) and no n* x n* product.
+    For P directions in the longest this costs O(n* M P + n* P^2) flops;
+    memory is three P x n* arrays (U, solved in place, and the prefix
+    solve's two), the outputs and the scratch of one block of the
+    structure's cross-products: no k(X*, X*) and no n* x n* product.
 
     Raises:
-        ValueError: if a model's X_M or S is not the longest model's.
+        ValueError: if a model's X_M, y, sigma2 or S is not the longest model's.
     """
     longest = max(models, key=lambda model: model.steps)
     for model in models:
-        if not np.array_equal(model.X_M, longest.X_M):
-            raise ValueError("the models have different inducing points; they must come from one fit")
+        if not (np.array_equal(model.X_M, longest.X_M) and np.array_equal(model.y, longest.y)
+                and model.sigma2 == longest.sigma2):
+            raise ValueError("the models have different inducing points, targets or noise; "
+                             "they must come from one fit")
         if not np.array_equal(model.S, longest.S[:, : model.steps]):
             raise ValueError("a model's directions are not the leading columns of the longest model's")
     X_star = _as_points(X_star, longest.kernel.dim)
-    W = np.column_stack([model.mean_weights for model in models] + [longest.S])
-    products = longest.structure.cross_products(X_star, W)
+    n_star, theta_f = X_star.shape[0], longest.kernel.theta_f
     if longest.steps:
-        U = products[:, len(models) :].T
-        lost = linalg.chol_prefix_quad_diag(longest.factor1, U)
-        gained = linalg.chol_prefix_quad_diag(longest.factor2, U)
-    theta_f = longest.kernel.theta_f
+        U = longest.structure.cross_products(X_star, longest.S).T
+        means, gained, _ = linalg.chol_prefix_solve(longest.factor2, longest.R.T @ longest.y, U)
+        lost = linalg.chol_prefix_quad_diag(longest.factor1, U, overwrite=True)
     out = []
-    for i, model in enumerate(models):
+    for model in models:
         q = model.steps
         if q:
             var = theta_f - lost[q - 1] + model.sigma2 * gained[q - 1]
+            out.append((means[q - 1].copy(), var))
         else:
-            var = np.full(X_star.shape[0], theta_f)
-        out.append((products[:, i].copy(), var))
+            out.append((np.zeros(n_star), np.full(n_star, theta_f)))
     return out
 
 

@@ -145,17 +145,41 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = F
     return np.sum(np.square(V, out=V), axis=0)
 
 
-def chol_prefix_quad_diag(factor: CholeskyFactor, U: np.ndarray) -> np.ndarray:
+def chol_prefix_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Row q - 1 is the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
 
     U_q is the first q rows of U and L_q the leading q x q block of L, the
     factor of the leading block of L L^T. L_q^{-1} U_q is the first q rows
     of L^{-1} U, so these are the running sums of its squared rows; the last
     row is :func:`chol_quad_diag`'s sum, up to its summation order. Holds
-    one P x n array besides U, the output.
+    one P x n array besides U, the output; with ``overwrite=True`` an
+    F-ordered float64 U becomes the output, as in :func:`chol_quad_diag`.
     """
-    V = solve_triangular(factor.L, U, lower=True)
+    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite)
     return np.cumsum(np.square(V, out=V), axis=0, out=V)
+
+
+def chol_prefix_solve(factor: CholeskyFactor, b: np.ndarray,
+                      U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row q - 1 of the first two outputs and entry q - 1 of the third are
+    U_q^T A_q^{-1} b_q, diag(U_q^T A_q^{-1} U_q) and b_q^T A_q^{-1} b_q, A = L L^T.
+
+    With v = L^{-1} b and V = L^{-1} U these are the running sums of
+    v_i V_i, V_i^2 and v_i^2 over the rows i < q (as in
+    :func:`chol_prefix_quad_diag`): one forward substitution of [b, U]
+    serves every count. Holds two P x n arrays besides U: [b, U], solved
+    and then squared and summed in place, and the first output.
+    """
+    if np.shape(b) != (factor.dim,) or np.ndim(U) != 2 or np.shape(U)[0] != factor.dim:
+        raise ValueError(f"dimension mismatch: factor dim {factor.dim}, b {np.shape(b)}, U {np.shape(U)}")
+    B = np.empty((factor.dim, 1 + np.shape(U)[1]), order="F")
+    B[:, 0], B[:, 1:] = b, U
+    B = solve_triangular(factor.L, B, lower=True, overwrite_b=True)
+    v, V = B[:, 0], B[:, 1:]
+    cross = np.multiply(V, v[:, None])
+    np.cumsum(cross, axis=0, out=cross)
+    np.cumsum(np.square(V, out=V), axis=0, out=V)
+    return cross, V, np.cumsum(np.square(v))
 
 
 def logdet(factor: CholeskyFactor) -> float:

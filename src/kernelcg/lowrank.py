@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, _check_sigma2, gram
@@ -118,10 +117,10 @@ class PbrFits:
     A_c = Phi_c Phi_c^T / sigma2 + Lam_c^{-1} on the leading c eigenpairs:
     the low-rank model with Sigma = Lam_c^{-1}. Sigma is diagonal, so A_c is
     the leading block of A and chol(A_c) the leading block of L = chol(A).
-    With v = L^{-1} Phi y / sigma2 and V = L^{-1} phi(X*)^T, the rank-c mean
-    is the prefix sum of v_j V_j over j < c, as in kmcg.kmcg_predictions.
-    The first :meth:`predict` (again if it raised) evaluates phi(X) and
-    phi(X*), factors A and forward-substitutes both, once.
+    So every rank's mean phi*_c A_c^{-1} b_c, b = Phi y / sigma2, is a
+    prefix sum of one :func:`kernelcg.linalg.chol_prefix_solve`. The first
+    :meth:`predict` (again if it raised) evaluates phi(X) and phi(X*),
+    factors A and forward-substitutes [b, phi(X*)^T], once.
     """
 
     def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
@@ -135,10 +134,9 @@ class PbrFits:
         Phi = np.asarray(phi(self.X), dtype=float).T
         scaled = Phi / sigma2
         A = scaled @ Phi.T + np.diag(1.0 / self.expansion.eigenvalues)
-        L = linalg.cholesky(0.5 * (A + A.T)).L
-        v = solve_triangular(L, scaled @ np.asarray(self.y, dtype=float).reshape(-1), lower=True)
-        V = solve_triangular(L, np.asarray(phi(self.X_star), dtype=float).T, lower=True)
-        return np.cumsum(np.multiply(V, v[:, None], out=V), axis=0)
+        factor = linalg.cholesky(0.5 * (A + A.T))
+        b = scaled @ np.asarray(self.y, dtype=float).reshape(-1)
+        return linalg.chol_prefix_solve(factor, b, np.asarray(phi(self.X_star), dtype=float).T)[0]
 
     def predict(self, count: int) -> np.ndarray:
         """The mean of the regressor on the leading `count` eigenpairs, 1 <= count <= rank."""
@@ -251,16 +249,16 @@ class InducingFits:
     Cholesky factor is the factor of the leading block, and forward
     substitution is row-incremental, so chol(K_UU) and chol(A), A =
     Phi Phi^T / sigma2 + K_UU, hold every count's factors, and every count's
-    pieces are prefix sums over the rows of L^{-1}(.) (as in
-    kmcg.kmcg_predictions): with v = L_A^{-1} Phi y / sigma2 and
-    V = L_A^{-1} phi(X*)^T the sor/dtc/vfe mean at count m sums v_i V_i over
-    i < m, the plain variance V_i^2, y's quadratic form v_i^2, and the two
-    log-determinants the logs of the factors' diagonals; the prior defect
-    and the Nystrom gap diag(K - Q) at the training inputs subtract the
-    running sums of the squared rows of L_UU^{-1} phi(X*)^T and L_UU^{-1} Phi
-    from theta_f, each clamped at 0 per count. fitc's Lam = gap + sigma2
-    depends on m, the count's gap read off those sums: it factors its own
-    m x m A per count, by the same solve, and takes the full sums. Each
+    pieces are prefix sums over the rows of L^{-1}(.): one
+    :func:`kernelcg.linalg.chol_prefix_solve` of [Phi y / sigma2, phi(X*)^T]
+    with chol(A) gives every count's sor/dtc/vfe mean, plain variance and
+    y's quadratic form, and the two log-determinants are running sums of
+    the logs of the factors' diagonals; the prior defect and the Nystrom
+    gap diag(K - Q) at the training inputs subtract the running sums of the
+    squared rows of L_UU^{-1} phi(X*)^T and L_UU^{-1} Phi from theta_f, each
+    clamped at 0 per count. fitc's Lam = gap + sigma2 depends on m, the
+    count's gap read off those sums: it factors its own m x m A per count
+    and makes the same prefix solve, reading its last row. Each shared
     piece is computed by the first :meth:`predict` that needs it (again if
     it raised).
 
@@ -272,9 +270,10 @@ class InducingFits:
     Memory: besides the inputs, two M x N arrays (Phi and the gaps) and
     four M x n* ones (phi(X*), the defects, the means and the plain
     variances); each factored fit, the shared one and fitc's at each
-    count, adds Phi_m Lam^{-1} (m x N), A and two m x n* arrays while it
-    runs. No N x N and no n* x n* array: at N 1500, n* 500 and M 123 the
-    peak is 7.5 MB, against 18 MB for one N x N array.
+    count, adds Phi_m Lam^{-1} (m x N), A and the prefix solve's two
+    m x n* arrays while it runs, and fitc's last rows outlive it. No N x N
+    and no n* x n* array: at N 1500, n* 500 and M 123 the peak is 7.5 MB,
+    against 18 MB for one N x N array.
     """
 
     def __init__(self, kernel: Kernel, X, y, sigma2: float, X_U, X_star):
@@ -309,43 +308,29 @@ class InducingFits:
     def _gaps(self) -> np.ndarray:
         return self._nystrom_gaps(self._basis[2])
 
-    def _solve(self, lam, m: int):
-        """The pieces of N(y; 0, Q_m + Lam) on the first m inducing points,
-        Lam a scalar (Lam I) or one variance per training point, each at
-        least sigma2: with L L^T = A = Phi_m Lam^{-1} Phi_m^T + K_UU,m,
-        v = L^{-1} Phi_m Lam^{-1} y, V = L^{-1} phi(X*)_m^T, y^T Lam^{-1} y
-        + ln|Lam| and 2 ln diag L."""
-        expansion, _, Phi, _ = self._basis
+    def _fit(self, lam, m: int):
+        """Row i - 1 of the mean and plain variance at X* and entry i - 1 of
+        the log evidence of N(y; 0, Q_i + Lam) on the first i inducing
+        points, for every i <= m: Lam a scalar (Lam I) or one variance per
+        training point, each at least sigma2. With L L^T = A = Phi_m Lam^{-1}
+        Phi_m^T + K_UU,m these are prefix sums of one forward substitution
+        (linalg.chol_prefix_solve), and ln|A_i| the running sum of 2 ln diag L."""
+        expansion, _, Phi, logdets = self._basis
         y = np.asarray(self.y, dtype=float).reshape(-1)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), y.shape)
         Phi = Phi[:m]
         scaled = Phi / lam
         A = scaled @ Phi.T + expansion.Sigma[:m, :m]
-        L = linalg.cholesky(0.5 * (A + A.T)).L
-        rhs = np.vstack([scaled @ y, self._phi_star[:, :m]]).T  # F-ordered: solved in place
-        solved = solve_triangular(L, rhs, lower=True, overwrite_b=True)
-        return solved[:, 0], solved[:, 1:], y @ (y / lam) + np.sum(np.log(lam)), 2.0 * np.log(np.diag(L))
-
-    def _evidence(self, terms):
-        """The log evidence from y^T (Q + Lam)^{-1} y + ln|Q + Lam|."""
-        return -0.5 * (terms + np.size(self.y) * np.log(2.0 * np.pi))
+        factor = linalg.cholesky(0.5 * (A + A.T))
+        means, plains, quads = linalg.chol_prefix_solve(factor, scaled @ y, self._phi_star[:, :m].T)
+        logdet_a = np.cumsum(2.0 * np.log(np.diag(factor.L)))
+        terms = y @ (y / lam) + np.sum(np.log(lam)) - quads + logdet_a - logdets[:m]
+        return means, plains, -0.5 * (terms + y.size * np.log(2.0 * np.pi))
 
     @cached_property
-    def _fit(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row m - 1 of the mean and plain variance and entry m - 1 of the
-        evidence of N(y; 0, Q + sigma2 I) at count m, as prefix sums."""
-        v, V, data_terms, log_diag = self._solve(self.sigma2, self._basis[1].dim)
-        means = np.cumsum(V * v[:, None], axis=0)
-        plains = np.cumsum(np.square(V, out=V), axis=0, out=V)
-        terms = data_terms - np.cumsum(np.square(v)) + np.cumsum(log_diag) - self._basis[3]
-        return means, plains, self._evidence(terms)
-
-    def _fitc(self, m: int):
-        """(mean, variance, evidence) of FITC at count m: Lam = gap + sigma2."""
-        v, V, data_terms, log_diag = self._solve(self._gaps[m - 1] + self.sigma2, m)
-        mean = V.T @ v
-        evidence = self._evidence(data_terms - v @ v + np.sum(log_diag) - self._basis[3][m - 1])
-        return mean, self._defects[m - 1] + np.sum(np.square(V, out=V), axis=0), float(evidence)
+    def _shared(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sor's, dtc's and vfe's fit, N(y; 0, Q + sigma2 I), at every count."""
+        return self._fit(self.sigma2, self._basis[1].dim)
 
     def predict(self, method: str, count: Optional[int] = None):
         """(mean, pointwise variance, evidence) of one of sor, dtc, fitc, vfe
@@ -364,12 +349,12 @@ class InducingFits:
         if not (1 <= m <= size):
             raise ValueError(f"count must be in [1, {size}]")
         if method == "fitc":
-            return self._fitc(m)
-        means, plains, evidences = self._fit
-        mean, plain, evidence = means[m - 1].copy(), plains[m - 1].copy(), float(evidences[m - 1])
+            means, plains, evidences = self._fit(self._gaps[m - 1] + self.sigma2, m)
+        else:
+            means, plains, evidences = self._shared
+        mean, plain, evidence = means[m - 1].copy(), plains[m - 1], float(evidences[m - 1])
         if method == "sor":
-            return mean, plain, evidence
-        var = self._defects[m - 1] + plain
-        if method == "dtc":
-            return mean, var, evidence
-        return mean, var, evidence - 0.5 * float(np.sum(self._gaps[m - 1])) / self.sigma2
+            return mean, plain.copy(), evidence
+        if method == "vfe":
+            evidence -= 0.5 * float(np.sum(self._gaps[m - 1])) / self.sigma2
+        return mean, self._defects[m - 1] + plain, evidence

@@ -441,16 +441,23 @@ def test_run_on_config_without_section_headers_is_one_line_error(tmp_path):
     assert message.startswith("error:") and "section" in message and "\n" not in message
 
 
-def test_run_on_ragged_masked_series_is_one_line_error(tmp_path):
+@pytest.mark.parametrize("rows, expected", [
+    pytest.param("0,1,1\n1,2\n2,1,0\n", "row 3 has 2 cells", id="ragged"),
+    pytest.param("".join(f"{t},{t % 3},1\n" for t in range(50)), "gives 50 training and 0 test rows", id="all-mask-1"),
+    pytest.param("".join(f"{t},{t % 3},0\n" for t in range(50)), "gives 0 training and 50 test rows", id="all-mask-0"),
+])
+def test_run_on_ragged_masked_series_is_one_line_error(tmp_path, rows, expected):
+    # A ragged row, and a mask with no test or no training row, end the run
+    # at load time with one line naming the file.
     series = tmp_path / "series.csv"
-    series.write_text("time,value,mask\n0,1,1\n1,2\n2,1,0\n")
+    series.write_text("time,value,mask\n" + rows)
     config_path = tmp_path / "config.ini"
     text = _TOY_CONFIG.format(records=tmp_path / "records.csv")
     config_path.write_text(text.replace("source = toy", f"source = series-csv\npath = {series}"))
     with pytest.raises(SystemExit) as raised:
         cli.main(["run", "--config", str(config_path)])
     message = raised.value.code
-    assert message.startswith("error:") and "row 3 has 2 cells" in message and "\n" not in message
+    assert message.startswith(f"error: {series}: ") and expected in message and "\n" not in message
 
 
 def test_run_with_a_dataset_key_the_source_does_not_read_is_one_line_error(tmp_path):

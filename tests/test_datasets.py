@@ -135,6 +135,14 @@ def test_masked_series_loader(tmp_path):
         load_series_csv(path)
 
 
+@pytest.mark.parametrize("mask, counts", [(1, "3 training and 0 test"), (0, "0 training and 3 test")])
+def test_masked_series_rejects_a_mask_with_an_empty_side(tmp_path, mask, counts):
+    path = tmp_path / "series.csv"
+    path.write_text(f"time,value,mask\n0,1,{mask}\n1,2,{mask}\n2,1,{mask}\n")
+    with pytest.raises(ValueError, match=f"series.csv: the mask column gives {counts} rows; both need at least one"):
+        load_series_csv(path)
+
+
 def test_masked_series_rejects_irregular_grid(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("time,value,mask\n0,1,1\n1,1,1\n3,1,0\n")

@@ -556,14 +556,19 @@ def test_inducing_records_read_nested_prefixes_of_one_permutation():
 
 
 def test_inducing_failures_fail_the_records_that_need_the_work(monkeypatch):
-    # A failure in the shared basis fails every record of its repetition; a
-    # fitc factor that fails fails only its own budget's fitc records.
+    # Each listed method is one batch per repetition on the repetition's one
+    # fit. A failure in the shared basis fails every record of its
+    # repetition, and since a piece that raised is not kept, it is built
+    # again by each method's batch: once per listed method, not once per
+    # record. A fitc factor that fails at one budget fails every fitc record
+    # of its repetition; sor, dtc and vfe stay ok.
     data = _small_dataset()
     config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2)
-    original_expansion, original_cholesky, first = lowrank.sor_expansion, linalg.cholesky, []
+    original_expansion, original_cholesky, first, built = lowrank.sor_expansion, linalg.cholesky, [], []
 
     def first_fails(kernel, X_U):
         first[:] = first or [X_U]
+        built.append(X_U is first[0])
         if X_U is first[0]:
             raise RuntimeError("no basis")
         return original_expansion(kernel, X_U)
@@ -576,12 +581,15 @@ def test_inducing_failures_fail_the_records_that_need_the_work(monkeypatch):
     monkeypatch.setattr(lowrank, "sor_expansion", first_fails)
     monkeypatch.setattr(linalg, "cholesky", middle_budget_fails)
     assert [budget_for(config, data.n_train, step) for step in config.steps] == [7, 9, 13]
-    for (step, run), rows in _by_subset(run_experiment(config, data)).items():
+    subsets = _by_subset(run_experiment(config, data))
+    assert built == [True] * len(config.methods) + [False]
+    assert len(subsets) == 6
+    for (step, run), rows in subsets.items():
         for method, record in rows.items():
             if run == "0":
                 assert record.reason == "error: RuntimeError: no basis" and record.seconds == 0.0
-            elif (step, method) == (2, "fitc"):
-                assert record.reason == "error: NotPositiveDefiniteError: no fitc factor"
+            elif method == "fitc":
+                assert record.reason == "error: NotPositiveDefiniteError: no fitc factor" and record.seconds == 0.0
             else:
                 assert record.reason == "ok" and np.isfinite(record.eps_f)
 

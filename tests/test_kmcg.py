@@ -23,6 +23,7 @@ from kernelcg.kmcg import (
     kmcg_uncertainty_gram,
     kmcg_var,
 )
+from kernelcg.lowrank import choose_inducing
 from kernelcg.structured import GridSpec, grid_spec
 from brute import gauss_solve, mvn_logpdf
 from mpref import kmcg_reference
@@ -640,9 +641,17 @@ def test_predictions_reject_models_of_different_fits():
     b = kmcg_models_for_steps(kernel, X, y, sigma2, steps=(2, 4), M=10, seed=2, eps=0.0)
     with pytest.raises(ValueError, match="inducing points"):
         kmcg_predictions([a[4], b[2]], X[:3])
-    other_targets = kmcg_fit(kernel, X, -y + 1.0, sigma2, M=10, seed=1, eps=0.0, max_steps=2)
     with pytest.raises(ValueError, match="leading columns"):
-        kmcg_predictions([a[4], other_targets], X[:3])
+        kmcg_predictions([a[4], dataclasses.replace(a[2], S=2.0 * a[2].S)], X[:3])
+    # Every mean comes from the longest model's targets and noise, which S
+    # does not see off X_M, nor sigma2 at all.
+    y_off = y.copy()
+    y_off[np.setdiff1d(np.arange(20), choose_inducing(20, 10, 1))[0]] += 1.0
+    for other in (kmcg_fit(kernel, X, -y + 1.0, sigma2, M=10, seed=1, eps=0.0, max_steps=2),
+                  kmcg_fit(kernel, X, y_off, sigma2, M=10, seed=1, eps=0.0, max_steps=2),
+                  kmcg_fit(kernel, X, y, 2.0 * sigma2, M=10, seed=1, eps=0.0, max_steps=2)):
+        with pytest.raises(ValueError, match="targets or noise"):
+            kmcg_predictions([a[4], other], X[:3])
 
 
 @pytest.mark.parametrize("seed, M, lam, grid_shape", [
