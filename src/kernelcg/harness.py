@@ -294,16 +294,17 @@ def _run_inducing(config, data, oracle, methods, rep) -> dict[str, list[Experime
 
     One lowrank.InducingFits on the first M points of the repetition's
     permutation, M the largest budget, serves every step, each reading the
-    fit on its own budget's prefix. The batches run in METHODS order, so
-    each piece of shared work is charged to the largest step's record of
-    the first method that uses it.
+    fit on its own budget's prefix, predicted once per distinct budget. The
+    batches run in METHODS order, so each piece of shared work is charged to
+    the largest step's record of the first method that uses it.
     """
     budget = functools.partial(budget_for, config, data.n_train)
     X_U = data.X[_inducing_seed(config, rep).permutation(data.n_train)[: max(map(budget, config.steps))]]
     fits = lowrank.InducingFits(config.kernel, data.X, data.y, config.sigma2, X_U, data.X_star)
 
     def compute(method):
-        return [(*fits.predict(method, budget(step)), 0, "ok") for step in config.steps]
+        fitted = {m: fits.predict(method, m) for m in sorted(set(map(budget, config.steps)))}
+        return [(*fitted[budget(step)], 0, "ok") for step in config.steps]
 
     return {method: _batch(method, config.steps, budget, str(rep), oracle, data, functools.partial(compute, method))
             for method in methods}

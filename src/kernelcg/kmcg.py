@@ -25,7 +25,9 @@ Nystrom kernel is khat and its A is L2 L2^T / sigma2. At P = M the
 directions span everything and the kernel reduces to the
 subset-of-regressors kernel with X_U = X_M; at M = N, P = N the regressor is
 exact. Only the span of S matters: right-multiplying S by any invertible
-matrix leaves all predictions unchanged.
+matrix leaves all predictions unchanged. With no directions both factors
+are 0 x 0 and every formula gives the prior: zero mean and khat, the prior
+covariance, and the evidence of y under sigma2 I.
 
 The models of several step budgets from one trace are leading slices of the
 longest budget's (see :func:`kmcg_models_for_steps`): S, Z and R are its
@@ -81,8 +83,8 @@ class KmcgModel:
     S: np.ndarray  # M x P search directions (after truncation)
     Z: np.ndarray  # M x P products K_M S, reused from the CG trace
     R: np.ndarray  # N x P cross products k(X, X_M) S; the same object as Z when M = N
-    factor1: Optional[linalg.CholeskyFactor]  # chol(S^T Z)
-    factor2: Optional[linalg.CholeskyFactor]  # chol(sigma2 S^T Z + R^T R)
+    factor1: linalg.CholeskyFactor  # chol(S^T Z), P x P: 0 x 0 with no directions
+    factor2: linalg.CholeskyFactor  # chol(sigma2 S^T Z + R^T R), P x P
     mean_weights: np.ndarray  # S (R^T R + sigma2 S^T K_M S)^{-1} R^T y, length M
     steps: int  # effective P after truncation
     cg_steps: int  # directions the solver produced within the budget
@@ -141,17 +143,12 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     for p in budgets:
         q = min(p, trace.steps, ok1, ok2)
         S_q, Z_q = S[:, :q], Z[:, :q]
-        if q:
-            factor1 = linalg.CholeskyFactor(L1[:q, :q].copy())
-            factor2 = linalg.CholeskyFactor(L2[:q, :q].copy())
-            mean_weights = S_q @ linalg.chol_solve(factor2, Ry[:q])
-        else:
-            factor1 = factor2 = None
-            mean_weights = np.zeros(M)
+        factor2 = linalg.CholeskyFactor(L2[:q, :q].copy())
         models.append(KmcgModel(
             kernel=kernel, y=y, sigma2=sigma2, X_M=X_M,
-            S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q], factor1=factor1, factor2=factor2,
-            mean_weights=mean_weights, steps=q, cg_steps=min(p, trace.steps),
+            S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q],
+            factor1=linalg.CholeskyFactor(L1[:q, :q].copy()), factor2=factor2,
+            mean_weights=S_q @ linalg.chol_solve(factor2, Ry[:q]), steps=q, cg_steps=min(p, trace.steps),
             reason=stop_reason_within(trace, p), structure=structure,
         ))
     return models
@@ -214,8 +211,6 @@ def kmcg_kernel_gram(model: KmcgModel, A, B=None) -> np.ndarray:
     A = _as_points(A, model.kernel.dim)
     same = B is None
     B = A if same else _as_points(B, model.kernel.dim)
-    if model.steps == 0:
-        return np.zeros((A.shape[0], B.shape[0]))
     V = _features(model, A)
     out = V.T @ (V if same else _features(model, B))
     return 0.5 * (out + out.T) if same else out
@@ -231,8 +226,6 @@ def kmcg_var(model: KmcgModel, X_star) -> np.ndarray:
     """Predictive covariance with the exact kernel restored in the prior term."""
     X_star = _as_points(X_star, model.kernel.dim)
     K_ss = gram(model.kernel, X_star)
-    if model.steps == 0:
-        return K_ss
     U = model.structure.cross_products(X_star, model.S).T
     V1 = solve_triangular(model.factor1.L, U, lower=True)
     V2 = solve_triangular(model.factor2.L, U, lower=True)
@@ -268,10 +261,9 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError("a model's directions are not the leading columns of the longest model's")
     X_star = _as_points(X_star, longest.kernel.dim)
     n_star, theta_f = X_star.shape[0], longest.kernel.theta_f
-    if longest.steps:
-        U = longest.structure.cross_products(X_star, longest.S).T
-        means, gained, _ = linalg.chol_prefix_solve(longest.factor2, longest.R.T @ longest.y, U)
-        lost = linalg.chol_prefix_quad_diag(longest.factor1, U, overwrite=True)
+    U = longest.structure.cross_products(X_star, longest.S).T
+    means, gained, _ = linalg.chol_prefix_solve(longest.factor2, longest.R.T @ longest.y, U)
+    lost = linalg.chol_prefix_quad_diag(longest.factor1, U, overwrite=True)
     out = []
     for model in models:
         q = model.steps
@@ -303,10 +295,6 @@ def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
     """
     n = model.y.size
     y = model.y
-    if model.steps == 0:
-        quad = float(y @ y)
-        det = -0.5 * n * np.log(model.sigma2)
-        return -0.5 * quad / model.sigma2, det
     Ry = model.R.T @ y
     quad = float(y @ y - Ry @ linalg.chol_solve(model.factor2, Ry))
     det = (

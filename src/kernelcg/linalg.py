@@ -9,7 +9,6 @@ work with the N x N factors only; no N^2 x N^2 matrix is ever formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,18 @@ class CholeskyFactor:
         return self.L.shape[0]
 
 
+def _pivots(L: np.ndarray, info: int) -> int:
+    """How many leading pivots of the ``potrf`` factor L are positive and finite.
+
+    ``potrf`` stops at the first nonpositive pivot (info > 0) but runs on
+    through a NaN one (OpenBLAS does not report it) or an infinite one, so
+    the diagonal before the stop is scanned.
+    """
+    d = L.diagonal()[: info - 1 if info > 0 else None]
+    bad = np.flatnonzero(~((d > 0.0) & (d < np.inf)))
+    return int(bad[0]) if bad.size else d.size
+
+
 def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = False) -> CholeskyFactor:
     """Factorize a symmetric matrix, escalating diagonal jitter on failure.
 
@@ -49,8 +60,8 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
     which reads only the lower triangle of A; every returned factor has a
     zero strict upper triangle and is finite. A non-finite diagonal raises
     ValueError; below a finite one a non-finite entry leaves a NaN or -inf
-    pivot, which fails the rung (OpenBLAS's ``potrf`` does not report a
-    NaN pivot, so the factor's diagonal is checked).
+    pivot; a rung succeeds when every pivot is positive and finite, the
+    rule :func:`cholesky_with_truncation` cuts at.
 
     By default A is left untouched: the factor is an F-ordered copy of A,
     restored from A after a failed rung, so a call holds A and one N x N
@@ -80,7 +91,7 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
     for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
         np.fill_diagonal(L, diag + jitter)
         info = dpotrf(L, lower=1, clean=int(not in_place), overwrite_a=1)[1]
-        if info == 0 and np.all(np.isfinite(L.diagonal())):
+        if _pivots(L, info) == L.shape[0]:
             if in_place:  # potrf kept the strict upper triangle for a restore
                 for j in range(1, L.shape[0]):
                     L[:j, j] = 0.0
@@ -97,23 +108,17 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
 
 
 def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
-    """Column-by-column Cholesky that stops at the first nonpositive pivot.
+    """Factor of the largest leading block of A whose pivots are positive
+    and finite, and that block's size.
 
-    Returns the factor of the largest leading block that is numerically
-    positive definite together with its size. No jitter is applied; callers
-    that prefer jitter over truncation should use :func:`cholesky`.
+    One ``potrf`` call on a copy of A, cut at the pivot rule of
+    :func:`cholesky`'s rungs; when nothing is cut the factor itself is
+    returned. No jitter is applied; callers that prefer jitter over
+    truncation should use :func:`cholesky`.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        pivot = A[j, j] - L[j, :j] @ L[j, :j]
-        if not (pivot > 0.0) or not math.isfinite(pivot):
-            return L[:j, :j].copy(), j
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L, n
+    L, info = dpotrf(np.asarray(A, dtype=float), lower=1, clean=1)
+    k = _pivots(L, info)
+    return (L, k) if k == L.shape[0] else (L[:k, :k].copy(), k)
 
 
 def chol_solve(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:

@@ -255,15 +255,13 @@ def fom_solution(S: np.ndarray, Z: np.ndarray, b) -> np.ndarray:
     """Galerkin solution S (S^T Z)^{-1} S^T b in the span of the directions.
 
     S and Z must come from the same trace (so Z = A S); with zero collected
-    directions the solution is the zero vector.
+    directions S^T Z is 0 x 0 and the solution is the zero vector.
     """
     S = np.asarray(S, dtype=float)
     Z = np.asarray(Z, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if S.shape != Z.shape or S.shape[0] != b.size:
         raise ValueError(f"inconsistent shapes: S {S.shape}, Z {Z.shape}, b {b.shape}")
-    if S.shape[1] == 0:
-        return np.zeros(b.size)
     G = S.T @ Z
     factor = linalg.cholesky(0.5 * (G + G.T))
     return S @ linalg.chol_solve(factor, S.T @ b)

@@ -501,9 +501,11 @@ def test_sor_dtc_and_vfe_share_one_fit_per_subset():
         assert vfe.eps_ev != dtc.eps_ev
 
 
-def test_inducing_baselines_factor_two_matrices_per_repetition_and_one_per_budget(monkeypatch):
+@pytest.mark.parametrize("fixed_m", [None, 5])
+def test_inducing_baselines_factor_two_matrices_per_repetition_and_one_per_budget(monkeypatch, fixed_m):
     # K_UU and the shared sor/dtc/vfe fit once per repetition, at the
-    # largest budget, and the fitc fit once per budget.
+    # largest budget, and the fitc fit once per distinct budget: at a
+    # fixed_m every step of a repetition shares one.
     calls = []
     original = linalg.cholesky
 
@@ -512,7 +514,7 @@ def test_inducing_baselines_factor_two_matrices_per_repetition_and_one_per_budge
         return original(*args, **kwargs)
 
     data = _small_dataset()
-    config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2)
+    config = _small_config(methods=("sor", "dtc", "fitc", "vfe"), steps=(1, 2, 4), repetitions=2, fixed_m=fixed_m)
     monkeypatch.setattr(linalg, "cholesky", counting)
     harness._fit_oracle(config, data)
     oracle_calls = len(calls)
@@ -520,7 +522,7 @@ def test_inducing_baselines_factor_two_matrices_per_repetition_and_one_per_budge
     records = run_experiment(config, data)
     assert not [r.reason for r in records if r.reason.startswith("error:")]
     budgets = {budget_for(config, data.n_train, step) for step in config.steps}
-    assert len(budgets) == 3
+    assert len(budgets) == (3 if fixed_m is None else 1)
     assert len(calls) - oracle_calls == config.repetitions * (2 + len(budgets))
 
 

@@ -47,14 +47,40 @@ def test_fit_toy_dataset_full_budget():
     assert 0 < model.steps <= 100
 
 
-def test_zero_targets_prior_fallback():
-    kernel, X, _, sigma2, rng = _problem(1, 15)
-    model = kmcg_fit(kernel, X, np.zeros(15), sigma2)
-    assert model.steps == 0
-    X_star = rng.uniform(0, 2, (5, 2))
-    assert np.array_equal(kmcg_mean(model, X_star), np.zeros(5))
-    assert np.allclose(kmcg_var(model, X_star), gram(kernel, X_star))
-    assert np.array_equal(kmcg_kernel_gram(model, X[:1], X[1:2]), np.zeros((1, 1)))
+def _dense_points(rng):
+    return se_kernel([2.0, 2.0], 1.5), rng.uniform(0, 2, (15, 2)), rng.uniform(0, 2, (5, 2))
+
+
+def _grid_points(rng):
+    kernel, X, _, _, _ = _grid_problem(3, (3, 4))
+    return kernel, X, rng.uniform(0, 2, (5, 2))
+
+
+def _series_points(rng):
+    times = rng.permutation(400).reshape(-1, 1) * 1.0  # 300 of 400 unit-spaced times are observed
+    return se_kernel([1e-2], 1.5), times[:300], times[300:305]
+
+
+@pytest.mark.parametrize("points, structure", [
+    (_dense_points, structured.DenseGram), (_grid_points, GridSpec), (_series_points, structured.ToeplitzGram)])
+def test_zero_targets_prior_fallback(points, structure):
+    # With no directions (zero targets, or a budget of 0) both factors are
+    # 0 x 0 and every formula gives the prior, bit for bit.
+    kernel, X, X_star = points(np.random.default_rng(1))
+    n, n_star, sigma2 = X.shape[0], X_star.shape[0], 0.1
+    y = np.random.default_rng(2).standard_normal(n)
+    zero_targets = kmcg_fit(kernel, X, np.zeros(n), sigma2)
+    (zero_budget,) = kmcg_models_for_steps(kernel, X, y, sigma2, [0]).values()
+    for model in (zero_targets, zero_budget):
+        assert type(model.structure) is structure
+        assert model.steps == model.factor1.dim == model.factor2.dim == 0
+        assert np.array_equal(kmcg_mean(model, X_star), np.zeros(n_star))
+        assert np.array_equal(kmcg_var(model, X_star), gram(kernel, X_star))
+        assert np.array_equal(kmcg_kernel_gram(model, X_star), np.zeros((n_star, n_star)))
+        assert np.array_equal(kmcg_kernel_gram(model, X_star, X[:3]), np.zeros((n_star, 3)))
+        assert kmcg_evidence_terms(model) == (-0.5 * (model.y @ model.y) / sigma2, -0.5 * n * np.log(sigma2))
+        ((mean, var),) = kmcg_predictions([model], X_star)
+        assert np.array_equal(mean, np.zeros(n_star)) and np.array_equal(var, np.full(n_star, kernel.theta_f))
 
 
 def test_trace_products_reused_and_r_aliased():

@@ -91,6 +91,33 @@ def test_cholesky_with_truncation_reports_column():
     assert np.allclose(L, np.diag([2.0, 1.0]))
     L, cols = linalg.cholesky_with_truncation(np.diag([1.0, 2.0]))
     assert cols == 2
+    # potrf runs on through NaN and +inf pivots (info 0), so only the scan
+    # of the factor's diagonal cuts at them.
+    # A NaN at (3, 1) is first read by pivot 3.
+    for entry, value, kept in [((3, 1), np.nan, 3), ((2, 2), np.nan, 2), ((2, 2), np.inf, 2)]:
+        A = np.diag([4.0, 1.0, 9.0, 2.0, 3.0])
+        A[entry] = value
+        L, cols = linalg.cholesky_with_truncation(A)
+        assert cols == kept
+        assert np.array_equal(L, np.diag([2.0, 1.0, 3.0])[:kept, :kept])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 11), st.floats(0.01, 1.0))
+def test_truncation_keeps_an_spd_factor_and_cuts_at_a_nonpositive_pivot(seed, n, k, depth):
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, n)
+    L, cols = linalg.cholesky_with_truncation(A)
+    factor = linalg.cholesky(A)
+    assert (cols, factor.jitter) == (n, 0.0) and np.array_equal(L, factor.L)
+    # The Schur complement of the leading k x k block, pivot k, becomes
+    # -depth * A_kk: the cut is at k, and the kept factor is the block's.
+    k %= n
+    lead = A[:k, :k]
+    A[k, k] = A[:k, k] @ np.linalg.solve(lead, A[:k, k]) - depth * A[k, k]
+    L, cols = linalg.cholesky_with_truncation(A)
+    assert cols == k and L.shape == (k, k)
+    assert np.max(np.abs(L @ L.T - lead), initial=0.0) <= 1e-12 * np.max(np.abs(lead), initial=0.0)
 
 
 def test_chol_solve_identity_and_contract():
