@@ -3,18 +3,20 @@
 This is the O(N^3) ground truth that every approximation in this package is
 measured against; it is intentionally limited to desk-scale problems. Its
 memory is one N x N array of floats (8 GiB at N = 32,768): the Gram
-K + sigma2 I is factored in its own memory, and predictions add at most one
-block of test points at a time.
+K + sigma2 I is factored in its own memory, and :func:`predict_mean` and
+:func:`predict_var` add one block of k(X*, X) for ceil(N / 8) test points at
+a time, so at every n* the oracle peaks at 9/8 N^2 floats plus O(N + n*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .kernels import _CROSS_BLOCK_ENTRIES, Kernel, _as_points, _check_sigma2, gram
+from .kernels import Kernel, _as_points, _check_sigma2, gram
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,30 @@ def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
     return ExactGpModel(kernel=kernel, X=X, y=y, sigma2=sigma2, factor=factor, alpha=alpha)
 
 
+def _over_blocks(model: ExactGpModel, X_star, reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """reduce(k(X*_block, X)) for each block of ceil(N / 8) test points, in order.
+
+    A block is a temporary of the call, so it is freed before the next one
+    is built: N ceil(N / 8) floats at a time beside the N x N factor, the
+    width of each triangular solve growing with N.
+    """
+    X_star = _as_points(X_star, model.kernel.dim)
+    cols = -(-model.X.shape[0] // 8)
+    out = np.empty(X_star.shape[0])
+    for start in range(0, X_star.shape[0], cols):
+        out[start : start + cols] = reduce(gram(model.kernel, X_star[start : start + cols], model.X))
+    return out
+
+
 def predict_mean(model: ExactGpModel, X_star) -> np.ndarray:
-    """Posterior mean k(x*, X) @ alpha for every test point."""
-    K_star = gram(model.kernel, _as_points(X_star, model.kernel.dim), model.X)
-    return K_star @ model.alpha
+    """Posterior mean k(x*, X) @ alpha for every test point.
+
+    Blocked over test points as :func:`predict_var`: memory beyond the
+    factor is one block of k(X*, X) for ceil(N / 8) test points and the
+    output, so fit and predict peak at 9/8 N^2 floats plus O(N + n*) at
+    every n*; no n* x N array.
+    """
+    return _over_blocks(model, X_star, lambda K_s: K_s @ model.alpha)
 
 
 def predict_cov(model: ExactGpModel, X_star, X_star2=None) -> np.ndarray:
@@ -66,21 +88,18 @@ def predict_var(model: ExactGpModel, X_star) -> np.ndarray:
     """Pointwise posterior variance (diagonal of :func:`predict_cov`).
 
     Uses k(x, x) = theta_f, which holds for every stationary kernel here.
-    Blocked over test points: each block of k(X, X*) holds at most
-    max(_CROSS_BLOCK_ENTRIES, N) entries. It is formed as k(X*_block, X).T,
-    bit-equal to k(X, X*_block) and F-ordered, and solved and squared in its
-    own memory (:func:`kernelcg.linalg.chol_quad_diag` with
-    ``overwrite=True``). Memory beyond the factor: the output, one block,
-    and the finiteness check of the block (a byte per entry); O(N^2 n*)
-    flops; no N x n* or n* x n* array.
+    Blocked over ceil(N / 8) test points at a time: each block of k(X, X*)
+    is formed as k(X*_block, X).T, bit-equal to k(X, X*_block) and
+    F-ordered, and solved and squared in its own memory
+    (:func:`kernelcg.linalg.chol_quad_diag` with ``overwrite=True``).
+    Memory beyond the factor: the output, one block, and the finiteness
+    check of the block (a byte per entry), so fit and predict peak at
+    9/8 N^2 floats plus N^2 / 8 bytes and O(N + n*) at every n*;
+    O(N^2 n*) flops; no N x n* or n* x n* array.
     """
-    X_star = _as_points(X_star, model.kernel.dim)
-    cols = max(1, _CROSS_BLOCK_ENTRIES // model.X.shape[0])
-    out = np.empty(X_star.shape[0])
-    for start in range(0, X_star.shape[0], cols):
-        K_s = gram(model.kernel, X_star[start : start + cols], model.X).T  # k(X, X*) bit for bit, F-ordered
-        out[start : start + cols] = model.kernel.theta_f - linalg.chol_quad_diag(model.factor, K_s, overwrite=True)
-    return out
+    return _over_blocks(
+        model, X_star, lambda K_s: model.kernel.theta_f - linalg.chol_quad_diag(model.factor, K_s.T, overwrite=True)
+    )
 
 
 def log_evidence(model: ExactGpModel) -> float:

@@ -270,7 +270,7 @@ class InducingFits:
     Memory: besides the inputs, two M x N arrays (Phi and the gaps) and
     four M x n* ones (phi(X*), the defects, the means and the plain
     variances); each factored fit, the shared one and fitc's at each
-    count, adds Phi_m Lam^{-1} (m x N), A and the prefix solve's two
+    count, adds Phi_m Lam^{-1/2} (m x N), A and the prefix solve's two
     m x n* arrays while it runs, and fitc's last rows outlive it. No N x N
     and no n* x n* array: at N 1500, n* 500 and M 123 the peak is 7.5 MB,
     against 18 MB for one N x N array.
@@ -312,17 +312,18 @@ class InducingFits:
         """Row i - 1 of the mean and plain variance at X* and entry i - 1 of
         the log evidence of N(y; 0, Q_i + Lam) on the first i inducing
         points, for every i <= m: Lam a scalar (Lam I) or one variance per
-        training point, each at least sigma2. With L L^T = A = Phi_m Lam^{-1}
-        Phi_m^T + K_UU,m these are prefix sums of one forward substitution
-        (linalg.chol_prefix_solve), and ln|A_i| the running sum of 2 ln diag L."""
+        training point, each at least sigma2. With W = Phi_m Lam^{-1/2} and
+        L L^T = A = W W^T + K_UU,m these are prefix sums of one forward
+        substitution (linalg.chol_prefix_solve) of [W Lam^{-1/2} y, phi(X*)^T],
+        and ln|A_i| the running sum of 2 ln diag L. W W^T is one syrk: half a
+        GEMM's flops, and bit-symmetric, as the Gram K_UU,m is."""
         expansion, _, Phi, logdets = self._basis
         y = np.asarray(self.y, dtype=float).reshape(-1)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), y.shape)
-        Phi = Phi[:m]
-        scaled = Phi / lam
-        A = scaled @ Phi.T + expansion.Sigma[:m, :m]
-        factor = linalg.cholesky(0.5 * (A + A.T))
-        means, plains, quads = linalg.chol_prefix_solve(factor, scaled @ y, self._phi_star[:, :m].T)
+        root = np.sqrt(lam)
+        W = Phi[:m] / root
+        factor = linalg.cholesky(W @ W.T + expansion.Sigma[:m, :m])
+        means, plains, quads = linalg.chol_prefix_solve(factor, W @ (y / root), self._phi_star[:, :m].T)
         logdet_a = np.cumsum(2.0 * np.log(np.diag(factor.L)))
         terms = y @ (y / lam) + np.sum(np.log(lam)) - quads + logdet_a - logdets[:m]
         return means, plains, -0.5 * (terms + y.size * np.log(2.0 * np.pi))

@@ -154,12 +154,13 @@ def test_fit_holds_no_n_by_n_temporary_beyond_gram_and_factor():
 
 
 def test_predict_var_holds_one_block_beyond_the_factor():
-    # N = 300 and n* = 4000 fit in one default block: each block of k(X, X*)
-    # is solved and squared in its own memory, so only its finiteness check
-    # (a byte per entry) and the output come on top of it.
-    kernel, X, y, sigma2 = _random_problem(15, 300)
+    # N = 800 and n* = 1000 make ten blocks of ceil(N / 8) = 100 test points:
+    # each block of k(X, X*) is solved and squared in its own memory and
+    # freed before the next, so only its finiteness check (a byte per
+    # entry) and the output come on top of one block.
+    kernel, X, y, sigma2 = _random_problem(15, 800)
     model = exact.fit(kernel, X, y, sigma2)
-    X_star = np.random.default_rng(16).uniform(0, 2, (4000, 2))
+    X_star = np.random.default_rng(16).uniform(0, 2, (1000, 2))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -167,18 +168,17 @@ def test_predict_var_holds_one_block_beyond_the_factor():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 300 * 4000 * 8
+    assert peak <= 1.25 * 800 * 100 * 8
 
 
-def test_predict_var_is_blocked_over_test_points(monkeypatch):
-    # N = 300 and n* = 4000 fit in one default block; with 16384-entry blocks
-    # (54 test points each) the peak stays below a quarter of one N x n*
-    # array and every variance is unchanged.
+def test_predict_var_is_blocked_over_test_points():
+    # N = 300 and n* = 4000: blocks of ceil(N / 8) = 38 test points keep the
+    # peak below a quarter of one N x n* array, and every variance is
+    # bit-equal to one solve of the whole k(X, X*).
     kernel, X, y, sigma2 = _random_problem(13, 300)
     model = exact.fit(kernel, X, y, sigma2)
     X_star = np.random.default_rng(14).uniform(0, 2, (4000, 2))
-    want = exact.predict_var(model, X_star)
-    monkeypatch.setattr(exact, "_CROSS_BLOCK_ENTRIES", 1 << 14)
+    want = kernel.theta_f - linalg.chol_quad_diag(model.factor, gram(kernel, X, X_star))
     tracemalloc.start()
     try:
         got = exact.predict_var(model, X_star)
@@ -187,6 +187,25 @@ def test_predict_var_is_blocked_over_test_points(monkeypatch):
         tracemalloc.stop()
     assert peak < 300 * 4000 * 8 / 4
     assert np.array_equal(got, want)
+
+
+def test_fit_and_predict_peak_at_one_factor_and_one_block_of_n_over_8_test_points():
+    # n* = 600 > N / 8 = 50 test points: fit, predict_mean and predict_var
+    # together hold the N x N factor and one N x ceil(N / 8) block of
+    # k(X*, X) at a time. The 64 KiB of slack covers the block's
+    # finiteness check (a byte per entry, 20 kB here) and a few N- and
+    # n*-vectors; the whole n* x N cross-Gram would add 1.9 MB.
+    kernel, X, y, sigma2 = _random_problem(17, 400)
+    X_star = np.random.default_rng(18).uniform(0, 2, (600, 2))
+    tracemalloc.start()
+    try:
+        model = exact.fit(kernel, X, y, sigma2)
+        exact.predict_mean(model, X_star)
+        exact.predict_var(model, X_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (400 * 400 + 400 * 50) * 8 + (64 << 10)
 
 
 def test_mean_var_and_evidence_match_a_40_digit_reference():
