@@ -230,7 +230,7 @@ def _cmd_metrics(args) -> int:
         rows = [r for r in records if r.method == method and r.run in ("0", "mean")]
         if not rows:
             continue
-        last = max(rows, key=lambda r: r.step)
+        last = max(rows, key=lambda r: (r.step, r.run == "mean"))  # the mean row where there is one
         print(
             f"{method:<14}{last.step:>6}{last.budget:>8}"
             f"{last.eps_f:>12.3e}{last.eps_var:>12.3e}{last.eps_ev:>12.3e}{last.smse:>12.3e}"

@@ -11,36 +11,35 @@ factorizes over argument pairs, the posterior mean is the rank-P kernel
 
 and mean, covariance and evidence of the resulting GP regressor have closed
 forms in terms of two small Cholesky factors, L1 = chol(S^T Z) and
-L2 = chol(sigma2 S^T Z + R^T R) with R = k(X, X_M) S (R is Z itself when
-M = N):
+L2 = chol(S^T Z + R^T R / sigma2) with R = k(X, X_M) S (R is Z itself when
+M = N), and u = S^T k(X_M, x*):
 
-    mean(x*)    = k(x*, X_M) S (R^T R + sigma2 S^T K_M S)^{-1} R^T y
-    cov(x*,x**) = k(x*,x**) - khat-prior term + sigma2-weighted L2 term
-    evidence    = -(1/2 sigma2)(y^T y - y^T R w) - 1/2 ln|R^T R + sigma2 S^T K_M S|
-                  + 1/2 ln|S^T K_M S| - (N-P)/2 ln sigma2 - N/2 ln(2 pi)
+    mean(x*)    = u^T (S^T Z + R^T R / sigma2)^{-1} R^T y / sigma2
+    cov(x*,x**) = k(x*,x**) - u^T (L1 L1^T)^{-1} u** + u^T (L2 L2^T)^{-1} u**
+    evidence    = -1/2 (y^T y / sigma2 - |L2^{-1} R^T y / sigma2|^2) - 1/2 ln|L2 L2^T|
+                  + 1/2 ln|S^T K_M S| - N/2 ln sigma2 - N/2 ln(2 pi)
 
-These are DTC's (:mod:`kernelcg.lowrank`; Quinonero-Candela & Rasmussen,
-2005) with the features S^T k(X_M, .) and the inner matrix S^T Z: its
-Nystrom kernel is khat and its A is L2 L2^T / sigma2. At P = M the
-directions span everything and the kernel reduces to the
-subset-of-regressors kernel with X_U = X_M; at M = N, P = N the regressor is
-exact. Only the span of S matters: right-multiplying S by any invertible
-matrix leaves all predictions unchanged. With no directions both factors
-are 0 x 0 and every formula gives the prior: zero mean and khat, the prior
-covariance, and the evidence of y under sigma2 I.
+KMCG is the projection of :class:`kernelcg.lowrank._Projection` with
+Sigma = S^T Z, F = R^T and Lam = sigma2: DTC (Quinonero-Candela &
+Rasmussen, 2005) with the features S^T k(X_M, .), whose Nystrom kernel is
+khat and whose A is L2 L2^T. At P = M the directions span everything and
+the kernel reduces to the subset-of-regressors kernel with X_U = X_M; at
+M = N, P = N the regressor is exact. Only the span of S matters:
+right-multiplying S by any invertible matrix leaves all predictions
+unchanged. With no directions both factors are 0 x 0 and every formula
+gives the prior: zero mean and khat, the prior covariance, and the evidence
+of y under sigma2 I.
 
 The models of several step budgets from one trace are leading slices of the
 longest budget's (see :func:`kmcg_models_for_steps`): S, Z and R are its
-leading columns and L1, L2 the leading blocks of its factors. Forward
-substitution is row-incremental, so with u = S^T k(X_M, x*) the first q rows
-of L1^{-1} u and L2^{-1} u are those of the q-direction model. Every budget's
-pointwise variance is a prefix sum of squared rows,
+leading columns, L1 and L2 views of the leading blocks of its factors, and
+all share its projection, whose prefix sums give every budget's mean,
+variance and evidence. The variance's gap is clamped at 0
+(:func:`kernelcg.lowrank._nystrom_gaps`),
 
-    var_q(x*) = theta_f - sum_{i<q} (L1^{-1} u)_i^2 + sigma2 sum_{i<q} (L2^{-1} u)_i^2
+    var_q(x*) = max(theta_f - sum_{i<q} (L1^{-1} u)_i^2, 0) + sum_{i<q} (L2^{-1} u)_i^2
 
-and so is every budget's mean, of (L2^{-1} R^T y)_i (L2^{-1} u)_i:
-:func:`kmcg_predictions` reads both off one pass over k(X*, X_M) and the
-inducing baselines' prefix solve, :func:`kernelcg.linalg.chol_prefix_solve`.
+and :func:`kmcg_predictions` reads every budget's off one pass over k(X*, X_M).
 
 The CG operator and every k(., X_M) W a model forms (R at M < N, and all
 prediction and learned-kernel features) come from one structure,
@@ -69,7 +68,7 @@ from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import Kernel, _as_points, _check_sigma2, gram
-from .lowrank import choose_inducing
+from .lowrank import _nystrom_gaps, _Projection, choose_inducing
 from .solvers import cg_reorth, stop_reason_within
 from .structured import GramStructure, MvmOperator, gram_structure
 
@@ -84,24 +83,25 @@ class KmcgModel:
     Z: np.ndarray  # M x P products K_M S, reused from the CG trace
     R: np.ndarray  # N x P cross products k(X, X_M) S; the same object as Z when M = N
     factor1: linalg.CholeskyFactor  # chol(S^T Z), P x P: 0 x 0 with no directions
-    factor2: linalg.CholeskyFactor  # chol(sigma2 S^T Z + R^T R), P x P
-    mean_weights: np.ndarray  # S (R^T R + sigma2 S^T K_M S)^{-1} R^T y, length M
+    factor2: linalg.CholeskyFactor  # chol(S^T Z + R^T R / sigma2), P x P
+    mean_weights: np.ndarray  # S (S^T Z + R^T R / sigma2)^{-1} R^T y / sigma2, length M
     steps: int  # effective P after truncation
     cg_steps: int  # directions the solver produced within the budget
     reason: str  # why CG stopped within the budget: converged, maxsteps or breakdown
     structure: GramStructure  # gram_structure(kernel, X_M): every k(., X_M) W goes through it
+    projection: _Projection  # the fit's, with Sigma = S^T Z and F = R^T: every budget's evidence
 
 
 def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[KmcgModel]:
     """One model per step budget, all from one CG trace and one pair of factors.
 
     CG directions are incremental: the first p directions of a run to
-    max(budgets) are exactly the directions of a p-step run. The leading
-    p x p block of a Cholesky factor is the factor of the leading block, so
-    the two truncating factorizations of S^T Z and sigma2 S^T Z + R^T R at
-    the trace's full length hold every budget's factors. CG direction
-    matrices lose conditioning in floating point; a budget keeps only the
-    directions before the first pivot that fails in either factorization.
+    max(budgets) are exactly the directions of a p-step run, so one
+    :class:`kernelcg.lowrank._Projection` with Sigma = S^T Z and F = R^T at
+    the trace's full length, and its two truncating factorizations, hold
+    every budget's factors and evidence. CG direction matrices lose
+    conditioning in floating point; a budget keeps only the directions
+    before the first pivot that fails in either factorization.
     A budget of None means M; a negative budget raises ValueError.
 
     The models share the trace's S and Z, cut to the steps taken; S lies
@@ -131,25 +131,23 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     S, Z = trace.S, trace.Z
     shared = M == n
     R = Z if shared else structure.cross_products(X, S)
-    A1 = S.T @ Z
-    A1 = 0.5 * (A1 + A1.T)
-    L1, ok1 = linalg.cholesky_with_truncation(A1)
-    A2 = sigma2 * A1 + R.T @ R
-    A2 = 0.5 * (A2 + A2.T)
-    L2, ok2 = linalg.cholesky_with_truncation(A2)
-    Ry = R.T @ y
+    Sigma = S.T @ Z
+    Sigma = 0.5 * (Sigma + Sigma.T)
+    L1 = linalg.cholesky_with_truncation(Sigma)[0]
+    projection = _Projection(linalg.CholeskyFactor(L1), Sigma, R.T, y, sigma2, cut=True)
 
     models = []
     for p in budgets:
-        q = min(p, trace.steps, ok1, ok2)
+        q = min(p, projection.count)
         S_q, Z_q = S[:, :q], Z[:, :q]
-        factor2 = linalg.CholeskyFactor(L2[:q, :q].copy())
+        factor2 = linalg.CholeskyFactor(projection.factor.L[:q, :q])
         models.append(KmcgModel(
             kernel=kernel, y=y, sigma2=sigma2, X_M=X_M,
             S=S_q, Z=Z_q, R=Z_q if shared else R[:, :q],
-            factor1=linalg.CholeskyFactor(L1[:q, :q].copy()), factor2=factor2,
-            mean_weights=S_q @ linalg.chol_solve(factor2, Ry[:q]), steps=q, cg_steps=min(p, trace.steps),
-            reason=stop_reason_within(trace, p), structure=structure,
+            factor1=linalg.CholeskyFactor(L1[:q, :q]), factor2=factor2,
+            mean_weights=S_q @ linalg.chol_solve(factor2, projection.b[:q]), steps=q,
+            cg_steps=min(p, trace.steps), reason=stop_reason_within(trace, p), structure=structure,
+            projection=projection,
         ))
     return models
 
@@ -229,7 +227,7 @@ def kmcg_var(model: KmcgModel, X_star) -> np.ndarray:
     U = model.structure.cross_products(X_star, model.S).T
     V1 = solve_triangular(model.factor1.L, U, lower=True)
     V2 = solve_triangular(model.factor2.L, U, lower=True)
-    return K_ss - V1.T @ V1 + model.sigma2 * (V2.T @ V2)
+    return K_ss - V1.T @ V1 + V2.T @ V2
 
 
 def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -237,15 +235,15 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
 
     The models come from one :func:`kmcg_models_for_steps` fit, any of them
     in any order: every X_M, S and factor is a leading part of the longest
-    model's. One pass over k(X*, X_M) gives its U = S^T k(X_M, X*); one
-    :func:`kernelcg.linalg.chol_prefix_solve` of [R^T y, U] with factor2
-    gives every mean and sigma2 term, and one forward substitution of U
-    with factor1 every khat term of the variance (see the module
-    docstring), with k(x, x) = theta_f (every stationary kernel here).
+    model's. One pass over k(X*, X_M) gives its U = S^T k(X_M, X*); the
+    fit's projection predicts every mean and plain variance from U, and
+    :func:`kernelcg.lowrank._nystrom_gaps` of U with factor1 gives every
+    gap theta_f - khat(x*, x*) (see the module docstring), with
+    k(x, x) = theta_f (every stationary kernel here).
 
     For P directions in the longest this costs O(n* M P + n* P^2) flops;
-    memory is three P x n* arrays (U, solved in place, and the prefix
-    solve's two), the outputs and the scratch of one block of the
+    memory is three P x n* arrays (U, solved in place for the gaps, and the
+    projection's two), the outputs and the scratch of one block of the
     structure's cross-products: no k(X*, X*) and no n* x n* product.
 
     Raises:
@@ -262,17 +260,10 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     X_star = _as_points(X_star, longest.kernel.dim)
     n_star, theta_f = X_star.shape[0], longest.kernel.theta_f
     U = longest.structure.cross_products(X_star, longest.S).T
-    means, gained, _ = linalg.chol_prefix_solve(longest.factor2, longest.R.T @ longest.y, U)
-    lost = linalg.chol_prefix_quad_diag(longest.factor1, U, overwrite=True)
-    out = []
-    for model in models:
-        q = model.steps
-        if q:
-            var = theta_f - lost[q - 1] + model.sigma2 * gained[q - 1]
-            out.append((means[q - 1].copy(), var))
-        else:
-            out.append((np.zeros(n_star), np.full(n_star, theta_f)))
-    return out
+    means, plains = longest.projection.predict(U)
+    gaps = _nystrom_gaps(longest.factor1, U, theta_f, overwrite=True)
+    return [(means[q - 1].copy(), gaps[q - 1] + plains[q - 1]) if q else (np.zeros(n_star), np.full(n_star, theta_f))
+            for q in (model.steps for model in models)]
 
 
 def kmcg_evidence(model: KmcgModel) -> float:
@@ -280,11 +271,10 @@ def kmcg_evidence(model: KmcgModel) -> float:
 
     This is the degenerate-model evidence for features S^T k(X_M, .) with
     inner matrix S^T K_M S; with M = N and a complete direction set it
-    coincides with the exact log marginal likelihood.
+    coincides with the exact log marginal likelihood. It is read off the
+    fit's projection, with no solve.
     """
-    quad_term, det_term = kmcg_evidence_terms(model)
-    n = model.y.size
-    return quad_term + det_term - 0.5 * n * np.log(2.0 * np.pi)
+    return model.projection.evidence(model.steps)
 
 
 def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
@@ -293,16 +283,7 @@ def kmcg_evidence_terms(model: KmcgModel) -> tuple[float, float]:
     Split so the two can be compared separately against the exact oracle's
     -1/2 y^T alpha and -1/2 ln|K + sigma2 I|.
     """
-    n = model.y.size
-    y = model.y
-    Ry = model.R.T @ y
-    quad = float(y @ y - Ry @ linalg.chol_solve(model.factor2, Ry))
-    det = (
-        -0.5 * linalg.logdet(model.factor2)
-        + 0.5 * linalg.logdet(model.factor1)
-        - 0.5 * (n - model.steps) * np.log(model.sigma2)
-    )
-    return -0.5 * quad / model.sigma2, det
+    return float(model.projection.quads[model.steps]), float(model.projection.dets[model.steps])
 
 
 def _pair_products(K: np.ndarray) -> np.ndarray:

@@ -164,29 +164,6 @@ def chol_prefix_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: b
     return np.cumsum(np.square(V, out=V), axis=0, out=V)
 
 
-def chol_prefix_solve(factor: CholeskyFactor, b: np.ndarray,
-                      U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row q - 1 of the first two outputs and entry q - 1 of the third are
-    U_q^T A_q^{-1} b_q, diag(U_q^T A_q^{-1} U_q) and b_q^T A_q^{-1} b_q, A = L L^T.
-
-    With v = L^{-1} b and V = L^{-1} U these are the running sums of
-    v_i V_i, V_i^2 and v_i^2 over the rows i < q (as in
-    :func:`chol_prefix_quad_diag`): one forward substitution of [b, U]
-    serves every count. Holds two P x n arrays besides U: [b, U], solved
-    and then squared and summed in place, and the first output.
-    """
-    if np.shape(b) != (factor.dim,) or np.ndim(U) != 2 or np.shape(U)[0] != factor.dim:
-        raise ValueError(f"dimension mismatch: factor dim {factor.dim}, b {np.shape(b)}, U {np.shape(U)}")
-    B = np.empty((factor.dim, 1 + np.shape(U)[1]), order="F")
-    B[:, 0], B[:, 1:] = b, U
-    B = solve_triangular(factor.L, B, lower=True, overwrite_b=True)
-    v, V = B[:, 0], B[:, 1:]
-    cross = np.multiply(V, v[:, None])
-    np.cumsum(cross, axis=0, out=cross)
-    np.cumsum(np.square(V, out=V), axis=0, out=V)
-    return cross, V, np.cumsum(np.square(v))
-
-
 def logdet(factor: CholeskyFactor) -> float:
     """Log determinant of the factored matrix: 2 * sum(log diag(L))."""
     return 2.0 * float(np.sum(np.log(np.diag(factor.L))))

@@ -1,36 +1,28 @@
 """Finite-rank kernel approximations and the inducing-point baselines.
 
-SoR, DTC, VFE and FITC are one model, N(y; 0, Q + Lam), with the Nystrom
-kernel Q = Phi^T Sigma^{-1} Phi of :func:`sor_expansion` (Sigma = K_UU,
-Phi = K_UN) and different noise Lam (Quinonero-Candela & Rasmussen, 2005).
-The matrix-inversion and matrix-determinant lemmas reduce it from O(N^3)
-to O(N M^2) with A = Phi Lam^{-1} Phi^T + Sigma:
-
-    mean(x*)   = phi(x*)^T A^{-1} Phi Lam^{-1} y
-    var(x*)    = phi(x*)^T A^{-1} phi(x*)
-    evidence   = -1/2 (y^T Lam^{-1} y - y^T Lam^{-1} Phi^T A^{-1} Phi Lam^{-1} y)
-                 - 1/2 (sum log Lam + ln|A| - ln|Sigma|) - N/2 ln(2 pi)
-
-:class:`InducingFits` is this one algebra, their one entry, and the only
-place an inducing-point A is factored; it reads every leading subset of
-one inducing set off one factor of K_UU and one of A (FITC, whose Lam
-depends on the subset, one A per subset), and :func:`choose_inducing`'s
-draws with one seed are such leading subsets. SoR's variance is the plain one
-above, which decays to zero far from the data; DTC is SoR with the exact
-prior restored in its variance,
+Every finite-rank regressor here, and KMCG (:mod:`kernelcg.kmcg`), is one
+model, N(y; 0, F^T Sigma^{-1} F + Lam), with features F, an inner matrix
+Sigma and noise Lam (Quinonero-Candela & Rasmussen, 2005): :class:`_Projection`
+is its one algebra, and reads every leading count of the features off one
+factor of Sigma and one of A = Sigma + F Lam^{-1} F^T. SoR, DTC, VFE and FITC
+take the Nystrom kernel of :func:`sor_expansion` (Sigma = K_UU, F = K_UN)
+and :class:`InducingFits` is their one entry; :func:`choose_inducing`'s
+draws with one seed are leading subsets of one inducing set. SoR's variance
+is the projection's plain one, which decays to zero far from the data; DTC
+is SoR with the exact prior restored in its variance,
 
     var_dtc(x*) = theta_f - phi(x*)^T K_UU^{-1} phi(x*) + var(x*),
 
 VFE subtracts tr(K - Q) / 2 sigma2 from its evidence, and FITC has
 Lam = theta_f - diag Q + sigma2 where the others have Lam = sigma2 I.
 The gap theta_f - diag Q and its test-side twin, the prior defect, are
-clamped at 0: a numerically singular K_UU that a ladder rung accepts
-rounds them below it. So FITC's Lam >= sigma2 and VFE's evidence is at
-most DTC's on every inducing set and every leading subset of one.
-The projected Bayes regressor fits the leading eigenpairs of
+:func:`_nystrom_gaps`, clamped at 0: a numerically singular K_UU that a
+ladder rung accepts rounds them below it. So FITC's Lam >= sigma2 and VFE's
+evidence is at most DTC's on every inducing set and every leading subset of
+one. The projected Bayes regressor fits the leading eigenpairs of
 :func:`se_eigen_expansion` (the Hermite recurrence, with an exact
-orthonormality check), and :class:`PbrFits`, its one entry, reads every
-rank off one factor.
+orthonormality check), and :class:`PbrFits`, its one entry, is the
+projection with Sigma the inverse eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,6 +33,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from . import linalg
 from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, _check_sigma2, gram
@@ -85,6 +79,82 @@ def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
 
 
 # ---------------------------------------------------------------------------
+# The projected regressor under every method.
+
+
+class _Projection:
+    """N(y; 0, F^T Sigma^{-1} F + Lam) on every leading count q of m
+    features: Sigma's leading q x q block and the first q rows of F (m x N).
+
+    With A = Sigma + F Lam^{-1} F^T and b = F Lam^{-1} y, a test point with
+    features u has mean u^T A^{-1} b and plain variance u^T A^{-1} u, and the
+    log evidence is -1/2 (y^T Lam^{-1} y - b^T A^{-1} b) - 1/2 (sum log Lam
+    + ln|A| - ln|Sigma|) - N/2 ln(2 pi). The leading q x q block of
+    L = chol(A) is chol(A_q) and forward substitution is row-incremental, so
+    with v = L^{-1} b and V = L^{-1} U every count's pieces are prefix sums
+    over rows: of v_i V_i and V_i^2 (:meth:`predict`), of v_i^2, and of
+    2 ln L_ii for ln|A_q| and ln|Sigma_q|. ``quads[q]`` and ``dets[q]`` are
+    count q's quadratic and determinant parts of the evidence, count 0 the
+    prior's.
+
+    The caller factors Sigma and fixes the failed-pivot rule: with ``cut`` A
+    takes :func:`kernelcg.linalg.cholesky_with_truncation` and the counts
+    end before the first failing pivot of either factor, otherwise the
+    jitter ladder of :func:`kernelcg.linalg.cholesky`. Lam is a positive
+    scalar, A = Sigma + F F^T / Lam by one syrk with no copy of F, or one
+    variance per training point, A = Sigma + W W^T with W = F Lam^{-1/2}.
+    A is written into the lower triangle of a copy of Sigma, the one both
+    factorizations read. Keeps chol(A), b, v and the evidence terms only.
+    """
+
+    def __init__(self, sigma_factor: linalg.CholeskyFactor, Sigma, F, y, lam, *, cut: bool = False):
+        y = np.asarray(y, dtype=float).reshape(-1)
+        self.n = y.size
+        if np.ndim(lam) == 0:
+            alpha, self.b = 1.0 / lam, (F @ y) / lam
+            y_quad, log_lam = (y @ y) / lam, y.size * np.log(lam)
+        else:
+            root = np.sqrt(lam)
+            F = F / root
+            alpha, self.b = 1.0, F @ (y / root)
+            y_quad, log_lam = y @ (y / lam), np.sum(np.log(lam))
+        A = np.array(Sigma, dtype=float, order="F")
+        if F.shape[0]:
+            trans = not F.flags.f_contiguous  # F^T is Fortran-ordered when F is C-ordered
+            A = dsyrk(alpha, F.T if trans else F, beta=1.0, c=A, trans=int(trans), lower=1, overwrite_c=1)
+        self.factor = linalg.CholeskyFactor(linalg.cholesky_with_truncation(A)[0]) if cut else linalg.cholesky(A)
+        q = self.count = min(sigma_factor.dim, self.factor.dim)
+        L = self.factor.L[:q, :q]
+        self.v = solve_triangular(L, self.b[:q], lower=True)
+        logdets = np.cumsum(2.0 * np.log(np.diag(L))) - np.cumsum(2.0 * np.log(np.diag(sigma_factor.L)[:q]))
+        self.quads = -0.5 * (y_quad - np.concatenate(([0.0], np.cumsum(np.square(self.v)))))
+        self.dets = -0.5 * (log_lam + np.concatenate(([0.0], logdets)))
+
+    def evidence(self, q: int) -> float:
+        """The log evidence of count q."""
+        return float(self.quads[q] + self.dets[q] - 0.5 * self.n * np.log(2.0 * np.pi))
+
+    def predict(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row q - 1 of each output is count q's mean and plain variance at
+        the points whose features are U's columns, for every count up to U's
+        rows (at most ``count``). Holds two arrays of U's shape besides U."""
+        k = U.shape[0]
+        V = solve_triangular(self.factor.L[:k, :k], U, lower=True)
+        means = np.multiply(V, self.v[:k, None])
+        np.cumsum(means, axis=0, out=means)
+        return means, np.cumsum(np.square(V, out=V), axis=0, out=V)
+
+
+def _nystrom_gaps(factor: linalg.CholeskyFactor, U: np.ndarray, theta_f: float, *, overwrite=False) -> np.ndarray:
+    """Row q - 1 is theta_f - diag(U_q^T Sigma_q^{-1} U_q) clamped at 0,
+    Sigma = L L^T: the prior variance the count-q Nystrom kernel misses at
+    the points whose features are U's columns. ``overwrite`` as in
+    :func:`kernelcg.linalg.chol_prefix_quad_diag`."""
+    gaps = linalg.chol_prefix_quad_diag(factor, U, overwrite=overwrite)
+    return np.maximum(np.subtract(theta_f, gaps, out=gaps), 0.0, out=gaps)
+
+
+# ---------------------------------------------------------------------------
 # Eigenfunction expansions and the projected Bayes regressor.
 
 
@@ -113,14 +183,12 @@ class EigenExpansion:
 class PbrFits:
     """Projected Bayes regressors of every rank on one eigenexpansion.
 
-    The rank-c regressor predicts phi*_c A_c^{-1} Phi_c y / sigma2 with
-    A_c = Phi_c Phi_c^T / sigma2 + Lam_c^{-1} on the leading c eigenpairs:
-    the low-rank model with Sigma = Lam_c^{-1}. Sigma is diagonal, so A_c is
-    the leading block of A and chol(A_c) the leading block of L = chol(A).
-    So every rank's mean phi*_c A_c^{-1} b_c, b = Phi y / sigma2, is a
-    prefix sum of one :func:`kernelcg.linalg.chol_prefix_solve`. The first
-    :meth:`predict` (again if it raised) evaluates phi(X) and phi(X*),
-    factors A and forward-substitutes [b, phi(X*)^T], once.
+    The rank-c regressor is the :class:`_Projection` on the leading c
+    eigenpairs, with F = phi(X)^T, Sigma the inverse eigenvalues and
+    Lam = sigma2: Sigma is diagonal, so its leading blocks are the lower
+    ranks' and one projection serves every rank. The first :meth:`predict`
+    (again if it raised) evaluates phi(X) and phi(X*), factors A and
+    forward-substitutes phi(X*)^T, once.
     """
 
     def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
@@ -129,14 +197,10 @@ class PbrFits:
     @cached_property
     def _means(self) -> np.ndarray:
         """Row c - 1 is the rank-c mean at X*."""
-        sigma2 = _check_sigma2(self.sigma2)
-        phi = self.expansion.phi
-        Phi = np.asarray(phi(self.X), dtype=float).T
-        scaled = Phi / sigma2
-        A = scaled @ Phi.T + np.diag(1.0 / self.expansion.eigenvalues)
-        factor = linalg.cholesky(0.5 * (A + A.T))
-        b = scaled @ np.asarray(self.y, dtype=float).reshape(-1)
-        return linalg.chol_prefix_solve(factor, b, np.asarray(phi(self.X_star), dtype=float).T)[0]
+        phi, inverse = self.expansion.phi, 1.0 / self.expansion.eigenvalues
+        fit = _Projection(linalg.CholeskyFactor(np.diag(np.sqrt(inverse))), np.diag(inverse),
+                          np.asarray(phi(self.X), dtype=float).T, self.y, _check_sigma2(self.sigma2))
+        return fit.predict(np.asarray(phi(self.X_star), dtype=float).T)[0]
 
     def predict(self, count: int) -> np.ndarray:
         """The mean of the regressor on the leading `count` eigenpairs, 1 <= count <= rank."""
@@ -245,91 +309,64 @@ class InducingFits:
 
     The fit at count m is the fit on X_U[:m], so X_U's order matters (see
     :func:`choose_inducing`). K_UU, Phi = K_UN and phi(X*) = k(X*, X_U) are
-    computed once, at the full count M. The leading m x m block of a
-    Cholesky factor is the factor of the leading block, and forward
-    substitution is row-incremental, so chol(K_UU) and chol(A), A =
-    Phi Phi^T / sigma2 + K_UU, hold every count's factors, and every count's
-    pieces are prefix sums over the rows of L^{-1}(.): one
-    :func:`kernelcg.linalg.chol_prefix_solve` of [Phi y / sigma2, phi(X*)^T]
-    with chol(A) gives every count's sor/dtc/vfe mean, plain variance and
-    y's quadratic form, and the two log-determinants are running sums of
-    the logs of the factors' diagonals; the prior defect and the Nystrom
-    gap diag(K - Q) at the training inputs subtract the running sums of the
-    squared rows of L_UU^{-1} phi(X*)^T and L_UU^{-1} Phi from theta_f, each
-    clamped at 0 per count. fitc's Lam = gap + sigma2 depends on m, the
-    count's gap read off those sums: it factors its own m x m A per count
-    and makes the same prefix solve, reading its last row. Each shared
-    piece is computed by the first :meth:`predict` that needs it (again if
-    it raised).
+    computed once, at the full count M, and so is chol(K_UU), whose leading
+    blocks are every count's. sor, dtc and vfe share one :class:`_Projection`
+    with Lam = sigma2, which gives every count's mean, plain variance and
+    evidence. The prior defect at X* and the Nystrom gap diag(K - Q) at the
+    training inputs are :func:`_nystrom_gaps` of phi(X*)^T and Phi at every
+    count. fitc's Lam = gap + sigma2 depends on m: it makes one projection
+    per count, on the leading block of chol(K_UU), and reads its last row.
+    Each shared piece is computed by the first :meth:`predict` that needs
+    it (again if it raised).
 
-    Jitter: K_UU and A each run one jitter ladder, at the full count, and
-    every count carries the rung it stopped at, since the leading block of
-    chol(K + j I) is chol(K_m + j I); a fit on X_U[:m] alone may stop at a
-    lower rung. fitc's factors run a ladder per count.
+    Jitter: K_UU and the shared A each run one jitter ladder, at the full
+    count, and every count carries the rung it stopped at, since the
+    leading block of chol(K + j I) is chol(K_m + j I); a fit on X_U[:m]
+    alone may stop at a lower rung. fitc's A runs a ladder per count.
 
     Memory: besides the inputs, two M x N arrays (Phi and the gaps) and
     four M x n* ones (phi(X*), the defects, the means and the plain
-    variances); each factored fit, the shared one and fitc's at each
-    count, adds Phi_m Lam^{-1/2} (m x N), A and the prefix solve's two
-    m x n* arrays while it runs, and fitc's last rows outlive it. No N x N
-    and no n* x n* array: at N 1500, n* 500 and M 123 the peak is 7.5 MB,
-    against 18 MB for one N x N array.
+    variances); each projection adds A and two m x n* arrays while it
+    predicts, fitc's its W = Phi_m Lam^{-1/2} (m x N) too, and fitc's last
+    rows outlive it. No N x N and no n* x n* array: at N 1500, n* 500 and
+    M 123 the peak is 7.5 MB, against 18 MB for one N x N array.
     """
 
     def __init__(self, kernel: Kernel, X, y, sigma2: float, X_U, X_star):
         self.kernel, self.X, self.y, self.sigma2, self.X_U, self.X_star = kernel, X, y, sigma2, X_U, X_star
 
     @cached_property
-    def _basis(self) -> tuple[FeatureExpansion, linalg.CholeskyFactor, np.ndarray, np.ndarray]:
-        """The expansion, chol(K_UU), Phi = K_UN and ln|K_UU| at every count."""
+    def _basis(self) -> tuple[FeatureExpansion, linalg.CholeskyFactor, np.ndarray]:
+        """The expansion, chol(K_UU) and Phi = K_UN."""
         expansion = sor_expansion(self.kernel, self.X_U)
         factor = linalg.cholesky(expansion.Sigma)
         Phi = np.asarray(expansion.phi(self.X), dtype=float).T
         if Phi.shape[1] != np.size(self.y):
             raise ValueError(f"y has {np.size(self.y)} entries but X has {Phi.shape[1]} points")
-        return expansion, factor, Phi, 2.0 * np.cumsum(np.log(np.diag(factor.L)))
+        return expansion, factor, Phi
 
     @cached_property
     def _phi_star(self) -> np.ndarray:
         return np.asarray(self._basis[0].phi(self.X_star), dtype=float)
 
-    def _nystrom_gaps(self, U: np.ndarray) -> np.ndarray:
-        """Row m - 1 is theta_f - diag(U_m^T K_UU,m^{-1} U_m) clamped at 0: the
-        prior variance the count-m Nystrom kernel misses at the points whose
-        k(X_U, .) is U."""
-        gaps = linalg.chol_prefix_quad_diag(self._basis[1], U)
-        return np.maximum(np.subtract(self.kernel.theta_f, gaps, out=gaps), 0.0, out=gaps)
-
     @cached_property
     def _defects(self) -> np.ndarray:
-        return self._nystrom_gaps(self._phi_star.T)
+        return _nystrom_gaps(self._basis[1], self._phi_star.T, self.kernel.theta_f)
 
     @cached_property
     def _gaps(self) -> np.ndarray:
-        return self._nystrom_gaps(self._basis[2])
+        return _nystrom_gaps(self._basis[1], self._basis[2], self.kernel.theta_f)
 
-    def _fit(self, lam, m: int):
-        """Row i - 1 of the mean and plain variance at X* and entry i - 1 of
-        the log evidence of N(y; 0, Q_i + Lam) on the first i inducing
-        points, for every i <= m: Lam a scalar (Lam I) or one variance per
-        training point, each at least sigma2. With W = Phi_m Lam^{-1/2} and
-        L L^T = A = W W^T + K_UU,m these are prefix sums of one forward
-        substitution (linalg.chol_prefix_solve) of [W Lam^{-1/2} y, phi(X*)^T],
-        and ln|A_i| the running sum of 2 ln diag L. W W^T is one syrk: half a
-        GEMM's flops, and bit-symmetric, as the Gram K_UU,m is."""
-        expansion, _, Phi, logdets = self._basis
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), y.shape)
-        root = np.sqrt(lam)
-        W = Phi[:m] / root
-        factor = linalg.cholesky(W @ W.T + expansion.Sigma[:m, :m])
-        means, plains, quads = linalg.chol_prefix_solve(factor, W @ (y / root), self._phi_star[:, :m].T)
-        logdet_a = np.cumsum(2.0 * np.log(np.diag(factor.L)))
-        terms = y @ (y / lam) + np.sum(np.log(lam)) - quads + logdet_a - logdets[:m]
-        return means, plains, -0.5 * (terms + y.size * np.log(2.0 * np.pi))
+    def _fit(self, lam, m: int) -> tuple[_Projection, np.ndarray, np.ndarray]:
+        """The projection on the first m inducing points with noise lam, and
+        its means and plain variances at X* at every count up to m."""
+        expansion, factor, Phi = self._basis
+        fit = _Projection(linalg.CholeskyFactor(factor.L[:m, :m], factor.jitter), expansion.Sigma[:m, :m],
+                          Phi[:m], self.y, lam)
+        return (fit, *fit.predict(self._phi_star[:, :m].T))
 
     @cached_property
-    def _shared(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _shared(self) -> tuple[_Projection, np.ndarray, np.ndarray]:
         """sor's, dtc's and vfe's fit, N(y; 0, Q + sigma2 I), at every count."""
         return self._fit(self.sigma2, self._basis[1].dim)
 
@@ -349,11 +386,8 @@ class InducingFits:
         m = size if count is None else int(count)
         if not (1 <= m <= size):
             raise ValueError(f"count must be in [1, {size}]")
-        if method == "fitc":
-            means, plains, evidences = self._fit(self._gaps[m - 1] + self.sigma2, m)
-        else:
-            means, plains, evidences = self._shared
-        mean, plain, evidence = means[m - 1].copy(), plains[m - 1], float(evidences[m - 1])
+        fit, means, plains = self._fit(self._gaps[m - 1] + self.sigma2, m) if method == "fitc" else self._shared
+        mean, plain, evidence = means[m - 1].copy(), plains[m - 1], fit.evidence(m)
         if method == "sor":
             return mean, plain.copy(), evidence
         if method == "vfe":

@@ -80,6 +80,11 @@ path = {records_path}
     assert cli.main(["metrics", "--records", str(records_path)]) == 0
     printed = capsys.readouterr().out
     assert "kmcg" in printed and "eps_f" in printed
+    # A repeated baseline prints its mean over the repetitions at the last
+    # step, not one repetition's record.
+    (line,) = [line for line in printed.splitlines() if line.startswith("sor ")]
+    at_last = {r.run: f"{r.eps_f:.3e}" for r in records if r.method == "sor" and r.step == 4}
+    assert at_last["mean"] != at_last["0"] and line.split()[3] == at_last["mean"]
 
 
 def _rows_without_seconds(path):

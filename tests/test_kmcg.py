@@ -392,6 +392,24 @@ def test_evidence_terms_sum_to_evidence():
     assert quad + det - 0.5 * 20 * np.log(2 * np.pi) == pytest.approx(kmcg_evidence(model))
 
 
+def test_every_budgets_evidence_is_read_off_the_fit_without_a_solve():
+    # The fit holds every budget's evidence as running sums: no budget
+    # solves with its factor for it, where one solve per budget was made.
+    kernel, X, y, sigma2, _ = _problem(16, 30)
+    models = kmcg_models_for_steps(kernel, X, y, sigma2, steps=range(1, 11), eps=0.0)
+    calls = []
+    solve = linalg.chol_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].dim)
+        return solve(*args, **kwargs)
+
+    with mock.patch.object(linalg, "chol_solve", counting):
+        evidences = [kmcg_evidence(model) for model in models.values()]
+    assert calls == [] and np.all(np.isfinite(evidences))
+    assert [model.steps for model in models.values()] == list(range(1, 11))
+
+
 # --- kernel uncertainty ------------------------------------------------------------
 
 
@@ -688,11 +706,11 @@ def test_predictions_reject_models_of_different_fits():
 def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     # Every prefix of the longest model's S (q = 0..8) against mpref at 40
     # digits, N = 30; cond(S^T K_M S) is 1.7e3 at M = N and 5.6e2 at M = 12.
-    # Worst relative errors seen: mean 1.9e-14, variance 8.1e-14, evidence
-    # 7.4e-16 (M = N); mean 1.0e-14, variance 1.7e-14, evidence 3.5e-16
+    # Worst relative errors seen: mean 1.3e-14, variance 8.0e-14, evidence
+    # 1.5e-15 (M = N); mean 2.0e-14, variance 2.4e-14, evidence 5.7e-15
     # (M = 12). On the 5 x 6 grid, where k(X*, X_M) W is the per-axis path,
-    # cond(S^T K_M S) is 69 and the worst errors mean 7.3e-15, variance
-    # 6.5e-14, evidence 1.4e-15. The learned kernel and the pairwise kernel
+    # cond(S^T K_M S) is 69 and the worst errors mean 2.3e-15, variance
+    # 6.0e-14, evidence 6.0e-16. The learned kernel and the pairwise kernel
     # variance on X_star: khat 2.1e-15, 1.5e-15, 5.8e-15 (max-scaled) and
     # variance 5.5e-12 (smallest 7.3e-4), 2.6e-14, 1.8e-13 (entrywise).
     rng = np.random.default_rng(seed)

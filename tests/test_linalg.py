@@ -180,27 +180,16 @@ def test_chol_quad_diag_rejects_mismatched_rows():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6), st.floats(0.0, 2.0))
 def test_prefix_rows_are_solves_with_the_leading_block(seed, p, n, log_cond):
-    # Row q - 1 of each prefix output is its count-q quantity, solved
-    # directly with the leading q x q block A_q of A = L L^T.
+    # Row q - 1 is the count-q diagonal, solved directly with the leading
+    # q x q block A_q of A = L L^T.
     rng = np.random.default_rng(seed)
     A = random_spd(rng, p, cond=10.0**log_cond)
-    factor = linalg.cholesky(A)
-    b, U = rng.standard_normal(p), rng.standard_normal((p, n))
-    cross, quad, b_quad = linalg.chol_prefix_solve(factor, b, U)
-    diag = linalg.chol_prefix_quad_diag(factor, U)
-    assert cross.shape == quad.shape == diag.shape == (p, n) and b_quad.shape == (p,)
+    U = rng.standard_normal((p, n))
+    diag = linalg.chol_prefix_quad_diag(linalg.cholesky(A), U)
+    assert diag.shape == (p, n)
     for q in range(1, p + 1):
-        W = gauss_solve(A[:q, :q], np.column_stack([b[:q], U[:q]]))  # A_q^{-1} [b_q, U_q]
-        want = (U[:q].T @ W[:, 0], np.sum(U[:q] * W[:, 1:], axis=0), b[:q] @ W[:, :1])
-        for got, expected in zip((cross[q - 1], quad[q - 1], b_quad[q - 1 : q], diag[q - 1]), want + want[1:2]):
-            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-
-def test_chol_prefix_solve_rejects_mismatched_shapes():
-    factor = linalg.cholesky(np.eye(3))
-    for b, U in ((np.ones(2), np.ones((3, 4))), (np.ones(3), np.ones((2, 4))), (np.ones(3), np.ones((1, 4)))):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.chol_prefix_solve(factor, b, U)
+        expected = np.sum(U[:q] * gauss_solve(A[:q, :q], U[:q]).reshape(q, n), axis=0)
+        assert np.max(np.abs(diag[q - 1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_logdet_cases():

@@ -15,11 +15,12 @@ from kernelcg.lowrank import (
     EigenExpansion,
     InducingFits,
     PbrFits,
+    _Projection,
     choose_inducing,
     se_eigen_expansion,
     sor_expansion,
 )
-from brute import gauss_solve, mvn_logpdf
+from brute import gauss_solve, mvn_logpdf, random_spd
 from mpref import inducing_reference
 
 
@@ -492,9 +493,9 @@ def _worst_relative(got, want):
 
 
 # (metric entry, seed, subset) -> cond(K_UU) on 8 of 30 points in [0, 2]^2.
-# Worst relative error seen, at cond 1.1e5: 2.8e-9 (sor/dtc/vfe mean),
-# 2.2e-9 (sor variance), 1.2e-9 (dtc/vfe variance), 9.7e-10 (fitc mean),
-# 1.8e-10 (evidence); at cond <= 5.2e4 at most 2.7e-10.
+# Worst relative error seen, at cond 1.1e5: 3.3e-9 (sor/dtc/vfe mean),
+# 2.1e-9 (sor variance), 1.2e-9 (dtc/vfe variance), 2.3e-9 (fitc mean),
+# 2.3e-10 (evidence); at cond <= 5.2e4 at most 2.7e-10.
 @pytest.mark.parametrize("lam, seed, subset, cond", [
     (4.0, 1, [0, 4, 10, 12, 18, 23, 24, 28], 1.5e1),
     (2.0, 6, [8, 10, 11, 12, 19, 24, 25, 27], 4.1e2),
@@ -614,3 +615,64 @@ def test_nested_fit_memory_at_the_harness_shape():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (3 * m * n + 6 * m * n_star) + (1 << 20)
+
+
+# --- the projection under every method -------------------------------------
+
+
+def _check_projection_counts(fit, Sigma, F, y, lam, U, counts):
+    # Count q against elimination and the dense density on the leading
+    # blocks: the mean U_q^T A_q^{-1} b_q and plain variance
+    # diag(U_q^T A_q^{-1} U_q), A_q = Sigma_q + F_q Lam^{-1} F_q^T and
+    # b_q = F_q Lam^{-1} y, and the evidence N(y; 0, F_q^T Sigma_q^{-1} F_q + Lam).
+    n = y.size
+    means, plains = fit.predict(U[:counts])
+    assert fit.count == counts and means.shape == plains.shape == (counts, U.shape[1])
+    for q in range(counts + 1):
+        cov = np.diag(np.broadcast_to(lam, n).astype(float))
+        if q:
+            scaled = F[:q] / lam
+            W = gauss_solve(Sigma[:q, :q] + scaled @ F[:q].T, np.column_stack([scaled @ y, U[:q]])).reshape(q, -1)
+            for got, expected in ((means[q - 1], U[:q].T @ W[:, 0]), (plains[q - 1], np.sum(U[:q] * W[:, 1:], axis=0))):
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            cov += F[:q].T @ gauss_solve(Sigma[:q, :q], F[:q]).reshape(q, n)
+        want = mvn_logpdf(y, cov)
+        assert abs(fit.evidence(q) - want) <= 1e-12 * abs(want)
+        assert fit.quads[q] + fit.dets[q] - 0.5 * n * np.log(2.0 * np.pi) == fit.evidence(q)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 2.0), st.booleans(),
+       st.booleans())
+def test_projection_counts_are_fits_on_the_leading_blocks(seed, m, n_star, log_cond, per_point, cut):
+    # Every count's mean, plain variance and evidence, with Lam a scalar or
+    # one variance per point, under either pivot rule.
+    rng = np.random.default_rng(seed)
+    n = 5
+    Sigma = random_spd(rng, m, cond=10.0**log_cond)
+    F, y, U = rng.standard_normal((m, n)), rng.standard_normal(n), rng.standard_normal((m, n_star))
+    lam = rng.uniform(0.2, 2.0, n) if per_point else 0.3
+    factor = linalg.CholeskyFactor(linalg.cholesky_with_truncation(Sigma)[0]) if cut else linalg.cholesky(Sigma)
+    fit = _Projection(factor, Sigma, F, y, lam, cut=cut)
+    _check_projection_counts(fit, Sigma, F, y, lam, U, m)
+
+
+@pytest.mark.parametrize("zero_feature", [False, True], ids=["sigma-pivot", "both-pivots"])
+@pytest.mark.parametrize("per_point", [False, True], ids=["scalar", "per-point"])
+def test_projection_cut_ends_the_counts_before_the_first_failing_pivot(zero_feature, per_point):
+    # A zero third row and column of Sigma make its third pivot exactly
+    # zero; a zero third feature makes A's zero too. Either way the cutting
+    # rule keeps the counts 0, 1 and 2, each still the fit on its block.
+    rng = np.random.default_rng(7)
+    n, m = 6, 5
+    Sigma = random_spd(rng, m, cond=10.0)
+    Sigma[2, :] = Sigma[:, 2] = 0.0
+    F, y, U = rng.standard_normal((m, n)), rng.standard_normal(n), rng.standard_normal((m, 4))
+    if zero_feature:
+        F[2] = 0.0
+    lam = rng.uniform(0.2, 2.0, n) if per_point else 0.3
+    L, kept = linalg.cholesky_with_truncation(Sigma)
+    assert kept == 2
+    fit = _Projection(linalg.CholeskyFactor(L), Sigma, F, y, lam, cut=True)
+    assert fit.factor.dim == (2 if zero_feature else m)
+    _check_projection_counts(fit, Sigma, F, y, lam, U, 2)
