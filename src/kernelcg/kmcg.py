@@ -102,7 +102,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     every budget's factors and evidence. CG direction matrices lose
     conditioning in floating point; a budget keeps only the directions
     before the first pivot that fails in either factorization.
-    A budget of None means M; a negative budget raises ValueError.
+    A budget of None means M; no budgets or a negative one raise ValueError.
 
     The models share the trace's S and Z, cut to the steps taken; S lies
     over the trace's spent residual rows, so the fit holds two blocks of
@@ -116,6 +116,8 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     sigma2 = _check_sigma2(sigma2)
     M = n if M is None else int(M)
     budgets = [M if p is None else int(p) for p in budgets]
+    if not budgets:
+        raise ValueError("no step budgets given")
     if min(budgets) < 0:
         raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
     idx = choose_inducing(n, M, seed)
@@ -235,11 +237,11 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
 
     The models come from one :func:`kmcg_models_for_steps` fit, any of them
     in any order: every X_M, S and factor is a leading part of the longest
-    model's. One pass over k(X*, X_M) gives its U = S^T k(X_M, X*); the
-    fit's projection predicts every mean and plain variance from U, and
-    :func:`kernelcg.lowrank._nystrom_gaps` of U with factor1 gives every
-    gap theta_f - khat(x*, x*) (see the module docstring), with
-    k(x, x) = theta_f (every stationary kernel here).
+    model's. One pass over k(X*, X_M) gives its U = S^T k(X_M, X*), whose
+    prefix reads (:func:`kernelcg.linalg.chol_prefix_reads`) give every mean
+    and plain variance (the fit's projection) and gap theta_f - khat(x*, x*)
+    (:func:`kernelcg.lowrank._nystrom_gaps` with factor1; module docstring),
+    with k(x, x) = theta_f (every stationary kernel here).
 
     For P directions in the longest this costs O(n* M P + n* P^2) flops;
     memory is three P x n* arrays (U, solved in place for the gaps, and the
@@ -247,8 +249,10 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     structure's cross-products: no k(X*, X*) and no n* x n* product.
 
     Raises:
-        ValueError: if a model's X_M, y, sigma2 or S is not the longest model's.
+        ValueError: if `models` is empty, or a model's X_M, y, sigma2 or S is not the longest model's.
     """
+    if not models:
+        raise ValueError("no models given")
     longest = max(models, key=lambda model: model.steps)
     for model in models:
         if not (np.array_equal(model.X_M, longest.X_M) and np.array_equal(model.y, longest.y)
@@ -257,9 +261,8 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
                              "they must come from one fit")
         if not np.array_equal(model.S, longest.S[:, : model.steps]):
             raise ValueError("a model's directions are not the leading columns of the longest model's")
-    X_star = _as_points(X_star, longest.kernel.dim)
-    n_star, theta_f = X_star.shape[0], longest.kernel.theta_f
     U = longest.structure.cross_products(X_star, longest.S).T
+    n_star, theta_f = U.shape[1], longest.kernel.theta_f
     means, plains = longest.projection.predict(U)
     gaps = _nystrom_gaps(longest.factor1, U, theta_f, overwrite=True)
     return [(means[q - 1].copy(), gaps[q - 1] + plains[q - 1]) if q else (np.zeros(n_star), np.full(n_star, theta_f))

@@ -150,18 +150,25 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = F
     return np.sum(np.square(V, out=V), axis=0)
 
 
-def chol_prefix_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-    """Row q - 1 is the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
+def chol_prefix_reads(factor: CholeskyFactor, U: np.ndarray, v=None, *,
+                      overwrite: bool = False) -> tuple[np.ndarray | None, np.ndarray]:
+    """Row q - 1 of the outputs is U_q^T (L_q L_q^T)^{-1} b_q, with v = L^{-1} b
+    (None without v), and the diagonal of U_q^T (L_q L_q^T)^{-1} U_q, for every q.
 
-    U_q is the first q rows of U and L_q the leading q x q block of L, the
-    factor of the leading block of L L^T. L_q^{-1} U_q is the first q rows
-    of L^{-1} U, so these are the running sums of its squared rows; the last
-    row is :func:`chol_quad_diag`'s sum, up to its summation order. Holds
-    one P x n array besides U, the output; with ``overwrite=True`` an
-    F-ordered float64 U becomes the output, as in :func:`chol_quad_diag`.
+    U_q is the first q of U's k <= dim rows and L_q the leading q x q block
+    of L, the factor of the leading block of L L^T. L_q^{-1} U_q is the
+    first q rows of V = L^{-1} U, so these are the running sums of v_i V_i
+    and V_i^2; the last diagonal is :func:`chol_quad_diag`'s sum, up to its
+    summation order. Holds V, squared into the second output, and the first;
+    ``overwrite=True`` solves an F-ordered float64 U in its own memory.
     """
-    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite)
-    return np.cumsum(np.square(V, out=V), axis=0, out=V)
+    k = U.shape[0]
+    V = solve_triangular(factor.L[:k, :k], U, lower=True, overwrite_b=overwrite)
+    sums = None
+    if v is not None:
+        sums = np.multiply(V, np.asarray(v)[:k, None])
+        np.cumsum(sums, axis=0, out=sums)
+    return sums, np.cumsum(np.square(V, out=V), axis=0, out=V)
 
 
 def logdet(factor: CholeskyFactor) -> float:

@@ -138,19 +138,15 @@ class _Projection:
         """Row q - 1 of each output is count q's mean and plain variance at
         the points whose features are U's columns, for every count up to U's
         rows (at most ``count``). Holds two arrays of U's shape besides U."""
-        k = U.shape[0]
-        V = solve_triangular(self.factor.L[:k, :k], U, lower=True)
-        means = np.multiply(V, self.v[:k, None])
-        np.cumsum(means, axis=0, out=means)
-        return means, np.cumsum(np.square(V, out=V), axis=0, out=V)
+        return linalg.chol_prefix_reads(self.factor, U, self.v)
 
 
 def _nystrom_gaps(factor: linalg.CholeskyFactor, U: np.ndarray, theta_f: float, *, overwrite=False) -> np.ndarray:
     """Row q - 1 is theta_f - diag(U_q^T Sigma_q^{-1} U_q) clamped at 0,
     Sigma = L L^T: the prior variance the count-q Nystrom kernel misses at
     the points whose features are U's columns. ``overwrite`` as in
-    :func:`kernelcg.linalg.chol_prefix_quad_diag`."""
-    gaps = linalg.chol_prefix_quad_diag(factor, U, overwrite=overwrite)
+    :func:`kernelcg.linalg.chol_prefix_reads`."""
+    gaps = linalg.chol_prefix_reads(factor, U, overwrite=overwrite)[1]
     return np.maximum(np.subtract(theta_f, gaps, out=gaps), 0.0, out=gaps)
 
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import linalg
 from .kernels import Kernel, _as_points, _check_sigma2
@@ -272,33 +273,38 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     """GP mean predictions, with the weight vector approximated by CG, at every budget.
 
     One CG run to max(budgets) steps on K + sigma2 I, in the structure
-    :func:`kernelcg.structured.gram_structure` reads off X; budget p takes
-    the Galerkin solution w_p of its first min(p, steps) directions (those
-    of a run capped at p), and every k(X*, X) w_p comes from one pass over
-    k(X*, X). Returns (mean, directions used, :func:`stop_reason_within` p)
-    per budget, in the order given. A budget of None means N; a negative one
-    raises ValueError before any work.
+    :func:`kernelcg.structured.gram_structure` reads off X. Budget p's mean
+    is the Galerkin mean of the first q = min(p, steps) directions (a run
+    capped at p), read (:func:`kernelcg.linalg.chol_prefix_reads`) off
+    U = S^T k(X, X*), one pass over k(X*, X), and one factor of S^T Z,
+    whose one jitter ladder sets every budget's rung: O(P^3 + n* N P) flops.
+    Returns (mean, q, :func:`stop_reason_within` p) per budget, in order. A
+    budget of None means N; none or a negative one raises ValueError first.
 
     Memory: a trace without residuals, its S built over their rows, which
     holds 2 max(budgets) + 1 rows of N floats at most when CG runs to the
-    largest budget (see :func:`cg_reorth` for the buffers); N + n* floats
-    per budget, the operator and one block of k(X*, X). On an SE grid
-    there is no N x N and no n* x N array; on a series of T = 4096
-    positions, N = 2048, n* = 100 and budget 40 the peak is below
-    N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram.
+    largest budget (see :func:`cg_reorth` for the buffers); one P x n* U,
+    solved in place, and its running sums; the operator and one block of
+    k(X*, X). On an SE grid there is no N x N and no n* x N array; on a
+    series of T = 4096 positions, N = 2048, n* = 100 and budget 40 the peak
+    is below N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram.
     """
     X = _as_points(X, kernel.dim)
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
+    if not budgets:
+        raise ValueError("no step budgets given")
     if min(budgets) < 0:
         raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
     sigma2 = _check_sigma2(sigma2)
     structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
     trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets), _keep_residuals=False)
-    used = [min(p, trace.steps) for p in budgets]
-    weights = [fom_solution(trace.S[:, :q], trace.Z[:, :q], y) for q in used]
-    means = structure.cross_products_each(X_star, weights)
-    return [(mean, q, stop_reason_within(trace, p)) for mean, p, q in zip(means, budgets, used)]
+    G = trace.S.T @ trace.Z
+    factor = linalg.cholesky(0.5 * (G + G.T))
+    v = solve_triangular(factor.L, trace.S.T @ np.ravel(y), lower=True)
+    means = linalg.chol_prefix_reads(factor, structure.cross_products(X_star, trace.S).T, v, overwrite=True)[0]
+    return [(means[q - 1].copy() if q else np.zeros(means.shape[1]), q, stop_reason_within(trace, p))
+            for p, q in ((p, min(p, trace.steps)) for p in budgets)]
 
 
 def cg_predict_mean(kernel: Kernel, X, y, sigma2: float, X_star, eps=None, max_steps=None,

@@ -42,27 +42,19 @@ def dense_operator(A: np.ndarray) -> MvmOperator:
 class GramStructure:
     """A kernel's Gram over fixed points: ``operator(noise)`` gives K + noise I.
 
-    k(X, points) W is formed for blocks of max(1, _CROSS_BLOCK_ENTRIES // r)
-    points, r the entries of a point's row in the structure's form; each
-    block's rows are built once and freed before the next block's.
+    One pass forms k(X, points) W for every column of W, over blocks of
+    max(1, _CROSS_BLOCK_ENTRIES // r) points, r the entries of a point's row
+    in the structure's form; each block's rows are freed before the next's.
     """
 
     def cross_products(self, X, W) -> np.ndarray:
         """k(X, points) W, for W of shape (N,) or (N, c)."""
-        (out,) = self.cross_products_each(X, [W])
-        return out
-
-    def cross_products_each(self, X, weights) -> list[np.ndarray]:
-        """k(X, points) W for every W of `weights`, each bit for bit as :meth:`cross_products` gives it."""
         X = _as_points(X, self.dim)
-        weights = [np.asarray(W, dtype=float) for W in weights]
-        out = [np.empty((X.shape[0],) + W.shape[1:]) for W in weights]
+        W = np.asarray(W, dtype=float)
+        out = np.empty((X.shape[0],) + W.shape[1:])
         step = max(1, _CROSS_BLOCK_ENTRIES // self._row_entries)
         for start in range(0, X.shape[0], step):
-            product = self._block_product(X[start : start + step])
-            for result, W in zip(out, weights):
-                result[start : start + step] = product(W)
-            del product  # the block's rows go before the next block's are built
+            out[start : start + step] = self._block_product(X[start : start + step], W)
         return out
 
 
@@ -87,9 +79,8 @@ class DenseGram(GramStructure):
         K[np.diag_indices_from(K)] += noise
         return dense_operator(K)
 
-    def _block_product(self, X) -> Callable[[np.ndarray], np.ndarray]:
-        K = gram(self.kernel, X, self.points)
-        return lambda W: K @ W
+    def _block_product(self, X, W) -> np.ndarray:
+        return gram(self.kernel, X, self.points) @ W
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,7 @@ class GridSpec(GramStructure):
         """All grid coordinates, row-major (first axis slowest), shape (N, D)."""
         return _grid_points(self.axes)
 
-    def _block_product(self, X) -> Callable[[np.ndarray], np.ndarray]:
+    def _block_product(self, X, W) -> np.ndarray:
         first, *trailing = (
             gram(kernel, X[:, d : d + 1], axis.reshape(-1, 1))
             for d, (kernel, axis) in enumerate(zip(self.kernels, self.axes))
@@ -206,17 +197,13 @@ class GridSpec(GramStructure):
         T = np.ones((X.shape[0], 1))
         for row in trailing:
             T = np.einsum("ij,ik->ijk", T, row).reshape(X.shape[0], -1)
-
-        def product(W):
-            slabs = W.reshape(self.shape[0], T.shape[1], -1)
-            out = np.zeros((X.shape[0], slabs.shape[2]))
-            for j, slab in enumerate(slabs):
-                part = T @ slab
-                part *= first[:, j, None]
-                out += part
-            return out.reshape(X.shape[:1] + W.shape[1:])
-
-        return product
+        slabs = W.reshape(self.shape[0], T.shape[1], -1)
+        out = np.zeros((X.shape[0], slabs.shape[2]))
+        for j, slab in enumerate(slabs):
+            part = T @ slab
+            part *= first[:, j, None]
+            out += part
+        return out.reshape(X.shape[:1] + W.shape[1:])
 
     def operator(self, noise: float = 0.0) -> MvmOperator:
         """MvmOperator applying v -> (K_1 kron ... kron K_D) v + noise * v."""

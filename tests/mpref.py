@@ -43,6 +43,11 @@ U = [u(x*_1) .. u(x*_n)] and K = k(X*, X*):
 
     khat      = U^T G^{-1} U
     kvar_ij   = 1/2 (K_ii K_jj + K_ij^2 - khat_ii khat_jj - khat_ij^2)
+
+:func:`galerkin_reference` evaluates the CG baselines' Galerkin mean for
+given directions S, with u = S^T k(X, x*):
+
+    mean(x*)  = u^T (S^T (K + sigma2 I) S)^{-1} S^T y
 """
 
 from __future__ import annotations
@@ -248,4 +253,27 @@ def kmcg_reference(kernel, X, y, sigma2, X_M, S, X_star) -> list:
             out.append((np.array([mean[j] for j in range(U.cols)], dtype=float), np.array(var, dtype=float),
                         float(evidence), np.array(khat.tolist(), dtype=float),
                         np.array(_kernel_variance(K_ss, khat), dtype=float)))
+        return out
+
+
+def galerkin_reference(kernel, X, y, sigma2, S, X_star) -> list:
+    """[mean] of the Galerkin solution on the leading q columns of S, q = 0..P.
+
+    Evaluated at DIGITS significant digits from the float64 S and returned
+    as float64. S is N x P; S^T (K + sigma2 I) S, S^T y and U are formed
+    once for all P columns, and the q-column mean uses their leading
+    blocks. Keep N <= 30 and P <= 8.
+    """
+    with mpmath.workdps(DIGITS):
+        y = mpmath.matrix([mpmath.mpf(v) for v in np.asarray(y, dtype=float)])
+        S = mpmath.matrix(np.asarray(S, dtype=float).tolist())
+        K = _gram(kernel, X, X)
+        for i in range(K.rows):
+            K[i, i] += mpmath.mpf(sigma2)
+        G, b = S.T * K * S, S.T * y
+        U = S.T * _gram(kernel, X, X_star)
+        out = [np.zeros(U.cols)]
+        for q in range(1, S.cols + 1):
+            mean = _leading(U, q, U.cols).T * (mpmath.inverse(_leading(G, q, q)) * _leading(b, q, 1))
+            out.append(np.array([mean[j] for j in range(U.cols)], dtype=float))
         return out

@@ -211,9 +211,10 @@ def test_fit_and_predict_peak_at_one_factor_and_one_block_of_n_over_8_test_point
 def test_mean_var_and_evidence_match_a_40_digit_reference():
     # N = 24, n* = 5 (three new points and two training inputs), noise swept
     # so that cond(K + sigma2 I) runs from 2.8e2 to 1.8e11. The test allows
-    # a relative error of 4 cond eps; the worst seen was 0.69 cond eps (the
-    # mean at cond 2.8e2, 4.2e-14). At cond 1.8e11 the errors were mean
-    # 7.3e-7, variance 2.9e-7 and evidence 1.3e-6.
+    # a relative error of 4 cond eps; the worst seen was 0.19 cond eps (the
+    # mean at cond 2.8e2, 1.2e-14). At cond 1.8e11 the errors were mean
+    # 3.7e-7, variance 3.7e-7 and evidence 1.2e-6 (numpy 2.4.6, scipy
+    # 1.17.1, OpenBLAS; the figures move with the BLAS build).
     rng = np.random.default_rng(0)
     kernel = se_kernel([0.5, 0.5], 1.5)
     X = rng.uniform(0, 2, (24, 2))

@@ -602,7 +602,7 @@ def test_breakdown_reported_only_past_the_last_direction():
     assert (models[1].reason, models[3].reason) == ("maxsteps", "breakdown")
 
 
-def test_models_for_steps_validate_inputs():
+def test_models_for_steps_validate_inputs(monkeypatch):
     kernel, X, y, sigma2, _ = _problem(32, 12)
     with pytest.raises(ValueError, match="targets"):
         kmcg_models_for_steps(kernel, X, y[:-1], sigma2, steps=(1, 2))
@@ -613,6 +613,16 @@ def test_models_for_steps_validate_inputs():
         kmcg_models_for_steps(kernel, X, y, sigma2, steps=(-1, 3))
     with pytest.raises(ValueError, match="at least 0, got -2"):
         kmcg_fit(kernel, X, y, sigma2, max_steps=-2)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("an empty budget or model list must be rejected before any Gram work")
+
+    monkeypatch.setattr(kmcg, "gram_structure", no_gram)
+    monkeypatch.setattr(kmcg, "gram", no_gram)
+    with pytest.raises(ValueError, match="no step budgets given"):
+        kmcg_models_for_steps(kernel, X, y, sigma2, steps=[])
+    with pytest.raises(ValueError, match="no models given"):
+        kmcg_predictions([], X)
 
 
 def test_one_pair_of_factorizations_serves_every_budget():
@@ -711,8 +721,10 @@ def test_predictions_match_a_40_digit_reference(seed, M, lam, grid_shape):
     # (M = 12). On the 5 x 6 grid, where k(X*, X_M) W is the per-axis path,
     # cond(S^T K_M S) is 69 and the worst errors mean 2.3e-15, variance
     # 6.0e-14, evidence 6.0e-16. The learned kernel and the pairwise kernel
-    # variance on X_star: khat 2.1e-15, 1.5e-15, 5.8e-15 (max-scaled) and
-    # variance 5.5e-12 (smallest 7.3e-4), 2.6e-14, 1.8e-13 (entrywise).
+    # variance on X_star: khat 2.1e-15, 2.7e-15, 1.6e-15 (max-scaled) and
+    # variance 5.5e-12 (smallest 7.3e-4), 4.6e-14, 1.6e-13 (entrywise).
+    # Seen on numpy 2.4.6, scipy 1.17.1 and OpenBLAS; the figures move with
+    # the BLAS build.
     rng = np.random.default_rng(seed)
     kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
     if grid_shape is None:

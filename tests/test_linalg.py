@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_triangular
+
 from kernelcg import linalg
 from kernelcg.kernels import gram, se_kernel
 from brute import dense_kron, dense_sym_kron, cofactor_det, gauss_solve, random_spd
@@ -180,16 +182,26 @@ def test_chol_quad_diag_rejects_mismatched_rows():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6), st.floats(0.0, 2.0))
 def test_prefix_rows_are_solves_with_the_leading_block(seed, p, n, log_cond):
-    # Row q - 1 is the count-q diagonal, solved directly with the leading
-    # q x q block A_q of A = L L^T.
+    # Row q - 1 of the reads is U_q^T A_q^{-1} b_q and the count-q diagonal
+    # of U_q^T A_q^{-1} U_q, solved directly with the leading q x q block A_q
+    # of A = L L^T; U with k < p rows reads the leading k x k block of L.
     rng = np.random.default_rng(seed)
     A = random_spd(rng, p, cond=10.0**log_cond)
     U = rng.standard_normal((p, n))
-    diag = linalg.chol_prefix_quad_diag(linalg.cholesky(A), U)
-    assert diag.shape == (p, n)
+    b = rng.standard_normal(p)
+    factor = linalg.cholesky(A)
+    sums, diag = linalg.chol_prefix_reads(factor, U, solve_triangular(factor.L, b, lower=True))
+    assert sums.shape == diag.shape == (p, n)
     for q in range(1, p + 1):
-        expected = np.sum(U[:q] * gauss_solve(A[:q, :q], U[:q]).reshape(q, n), axis=0)
+        solved = gauss_solve(A[:q, :q], np.column_stack([U[:q], b[:q]])).reshape(q, n + 1)
+        expected = np.sum(U[:q] * solved[:, :n], axis=0)
         assert np.max(np.abs(diag[q - 1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = U[:q].T @ solved[:, n]
+        assert np.max(np.abs(sums[q - 1] - expected)) <= 1e-10 * np.max(np.abs(U[:q])) * np.max(np.abs(solved[:, n]))
+    k = (p + 1) // 2
+    none, leading = linalg.chol_prefix_reads(factor, U[:k].copy())
+    assert none is None
+    assert np.allclose(leading, diag[:k], rtol=1e-12, atol=0.0)
 
 
 def test_logdet_cases():

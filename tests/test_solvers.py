@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelcg import exact, solvers, structured
+from kernelcg import exact, linalg, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
 from kernelcg.solvers import cg_reorth, cg_textbook, dense_operator, fom_solution
 from brute import cg_list_loop, gauss_solve, random_spd
+from mpref import galerkin_reference
 
 
 def spectral_matrix(rng, n, eigenvalues):
@@ -223,13 +224,34 @@ def test_cg_predict_mean_zero_targets():
     assert np.array_equal(got, np.zeros(8))
 
 
+def _prefix_means(K_star, trace, y, used):
+    """k(X*, X) S_q (L_q L_q^T)^{-1} S_q^T y for every q in `used`, L the factor
+    of S^T Z at the trace's full length (with its jitter rung), and L."""
+    G = trace.S.T @ trace.Z
+    factor = linalg.cholesky(0.5 * (G + G.T))
+    means = [K_star @ trace.S[:, :q] @ linalg.chol_solve(linalg.CholeskyFactor(factor.L[:q, :q]),
+                                                         trace.S[:, :q].T @ y) for q in used]
+    return means, factor
+
+
+def _relative(got, want) -> float:
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
+
+
 @pytest.mark.parametrize("eps", [None, 0.0])
 @pytest.mark.parametrize("reorth", [True, False])
 def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
-    # Every budget of the shared trace must reproduce a run capped at that
-    # budget bit for bit: its mean, its directions and its stop reason. The
-    # default eps converges after 3 steps, and cg_reorth at eps = 0 after 9
-    # (its residual collapses), so the larger budgets stop early.
+    # Every budget of the shared trace takes the directions and the stop
+    # reason of a run capped at that budget, bit for bit. Its mean is read
+    # off the factor of S^T Z at the trace's full length, so it is the
+    # Galerkin mean with that factor's leading block (1.7e-15 relative at
+    # worst seen), and where the factor takes no jitter rung it is the
+    # capped run's mean to rounding (2.6e-16). cg-textbook at eps = 0 runs
+    # 40 steps and its factor takes rung 1 (1e-12 of the mean diagonal),
+    # which every budget carries: the short budgets move by up to 2.7e-7
+    # from their capped runs, which factor their own S^T Z. The default eps
+    # converges after 3 steps, and cg_reorth at eps = 0 after 9 (its
+    # residual collapses), so the larger budgets stop early.
     data = gen_toy(seed=0)
     kernel, sigma2 = toy_kernel(), TOY_DEFAULT_SIGMA2
     K = gram(kernel, data.X)
@@ -238,12 +260,38 @@ def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
     budgets = (7, 0, 1, 2, 3, 9, 10, 40)
     got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=eps, reorth=reorth)
     assert len(got) == len(budgets)
-    for p, (mean, steps, reason) in zip(budgets, got):
+    trace = run(dense_operator(K), data.y, eps=eps, max_steps=max(budgets))
+    wants, factor = _prefix_means(gram(kernel, data.X_star, data.X), trace, data.y, [steps for _, steps, _ in got])
+    for p, (mean, steps, reason), want in zip(budgets, got, wants):
         capped = run(dense_operator(K), data.y, eps=eps, max_steps=p)
         assert (steps, reason) == (capped.steps, capped.reason)
-        alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=eps, max_steps=p,
-                                        reorth=reorth)
-        assert np.array_equal(mean, alone)
+        assert np.array_equal(capped.S, trace.S[:, :steps])
+        assert _relative(mean, want) <= 1e-12
+        if factor.jitter == 0.0:
+            alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=eps, max_steps=p,
+                                            reorth=reorth)
+            assert _relative(mean, alone) <= 1e-12
+
+
+def test_cg_predict_means_make_one_factorization_and_one_pass(monkeypatch):
+    # The eight budgets of the toy case above read one factor of S^T Z and
+    # one product k(X*, X) S, whatever their number.
+    data = gen_toy(seed=0)
+    calls = {"cholesky": 0, "cross_products": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "cholesky", counted("cholesky", linalg.cholesky))
+    monkeypatch.setattr(structured.GramStructure, "cross_products",
+                        counted("cross_products", structured.GramStructure.cross_products))
+    got = solvers.cg_predict_means(toy_kernel(), data.X, data.y, TOY_DEFAULT_SIGMA2, data.X_star,
+                                   (7, 0, 1, 2, 3, 9, 10, 40), eps=0.0)
+    assert [steps for _, steps, _ in got] == [7, 0, 1, 2, 3, 9, 9, 9]
+    assert calls == {"cholesky": 1, "cross_products": 1}
 
 
 @pytest.mark.parametrize("G, D", [(8, 2), (6, 3)])
@@ -254,23 +302,66 @@ def test_cg_predict_means_on_a_grid_match_the_dense_path(reorth, G, D):
     # with the dense path to rounding, 7e-15 relative at worst seen. Textbook
     # CG loses orthogonality within a few dozen steps, after which the two
     # operators' rounding differences grow (1e-7 at 25 steps), so it is
-    # compared at budgets up to 10 only. Each budget is also, bit for bit,
-    # a run capped at that budget.
+    # compared at budgets up to 10 only. On the Kronecker operator's own
+    # trace each budget takes the directions and stop reason of a run capped
+    # there, bit for bit, and its mean is the Galerkin mean with the leading
+    # block of the full-length factor of S^T Z (2.3e-15 relative at worst
+    # seen) and, where that factor takes no jitter rung, the capped run's
+    # (1.8e-15).
     kernel, sigma2 = se_kernel(np.full(D, 1.0), 1.3), 0.01
     data = structured.grid_dataset(G, D, kernel, seed=1, n_test=20)
     budgets = (0, 1, 3, 10, 25, G**D) if reorth else (0, 1, 3, 10)
     got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=0.0, reorth=reorth)
     K = gram(kernel, data.X)
     K[np.diag_indices_from(K)] += sigma2
-    trace = (cg_reorth if reorth else cg_textbook)(dense_operator(K), data.y, eps=0.0, max_steps=max(budgets))
+    run = cg_reorth if reorth else cg_textbook
+    trace = run(dense_operator(K), data.y, eps=0.0, max_steps=max(budgets))
+    kron = structured.gram_structure(kernel, data.X).operator(sigma2)
+    kron_trace = run(kron, data.y, eps=0.0, max_steps=max(budgets))
     K_star = gram(kernel, data.X_star, data.X)
-    for p, (mean, steps, reason) in zip(budgets, got):
+    wants, factor = _prefix_means(K_star, kron_trace, data.y, [steps for _, steps, _ in got])
+    for p, (mean, steps, reason), want in zip(budgets, got, wants):
         assert (steps, reason) == (min(p, trace.steps), solvers.stop_reason_within(trace, p))
-        want = K_star @ fom_solution(trace.S[:, :steps], trace.Z[:, :steps], data.y)
-        assert np.linalg.norm(mean - want) <= 1e-10 * np.linalg.norm(want)
-        alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=0.0, max_steps=p,
-                                        reorth=reorth)
-        assert np.array_equal(mean, alone)
+        dense = K_star @ fom_solution(trace.S[:, :steps], trace.Z[:, :steps], data.y)
+        assert np.linalg.norm(mean - dense) <= 1e-10 * np.linalg.norm(dense)
+        capped = run(kron, data.y, eps=0.0, max_steps=p)
+        assert (steps, reason) == (capped.steps, capped.reason)
+        assert np.array_equal(capped.S, kron_trace.S[:, :steps])
+        assert _relative(mean, want) <= 1e-12
+        if factor.jitter == 0.0:
+            alone = solvers.cg_predict_mean(kernel, data.X, data.y, sigma2, data.X_star, eps=0.0, max_steps=p,
+                                            reorth=reorth)
+            assert _relative(mean, alone) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, lam, grid_shape", [
+    pytest.param(42, 0.5, None, id="42-0.5"),
+    pytest.param(41, 2.0, None, id="41-2.0"),
+    pytest.param(43, (0.7, 1.9), (5, 6), id="grid-5x6"),
+])
+@pytest.mark.parametrize("reorth", [True, False])
+def test_cg_predict_means_match_a_40_digit_reference(reorth, seed, lam, grid_shape):
+    # The data of test_kmcg's 40-digit test, N = 30: every budget q <= 8 at
+    # eps = 0 against mpref's Galerkin mean on the library's own directions
+    # (the trace on the operator its structure gives, the Kronecker one on
+    # the 5 x 6 grid). Worst relative error seen: 1.9e-14.
+    rng = np.random.default_rng(seed)
+    kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
+    if grid_shape is None:
+        X = rng.uniform(0, 2, (30, 2))
+    else:
+        X = structured.grid_spec(kernel, [np.linspace(0, 2, g) + 0.05 * rng.standard_normal(g)
+                                          for g in grid_shape]).points()
+    y = rng.standard_normal(30)
+    X_star = np.vstack([rng.uniform(0, 2, (4, 2)), X[:1]])
+    structure = structured.gram_structure(kernel, X)
+    assert isinstance(structure, structured.GridSpec) == (grid_shape is not None)
+    trace = (cg_reorth if reorth else cg_textbook)(structure.operator(0.1), y, eps=0.0, max_steps=8)
+    reference = galerkin_reference(kernel, X, y, 0.1, trace.S, X_star)
+    got = solvers.cg_predict_means(kernel, X, y, 0.1, X_star, range(9), eps=0.0, reorth=reorth)
+    assert [steps for _, steps, _ in got] == list(range(9))
+    for (mean, _, _), want in zip(got, reference):
+        assert np.max(np.abs(mean - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
 
 def test_cg_predict_means_on_a_grid_allocate_no_quadratic_array():
@@ -320,11 +411,13 @@ def test_negative_step_limits_raise(monkeypatch):
         solvers.cg_predict_mean(kernel, X, np.ones(8), 0.1, X, max_steps=-1)
 
     def no_gram(*args, **kwargs):
-        raise AssertionError("a negative budget must be rejected before any Gram work")
+        raise AssertionError("an empty or negative budget must be rejected before any Gram work")
 
     monkeypatch.setattr(structured, "gram", no_gram)
     with pytest.raises(ValueError, match="got -2"):
         solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [3, -2, 1])
+    with pytest.raises(ValueError, match="no step budgets given"):
+        solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [])
 
 
 @pytest.mark.parametrize("run", [cg_textbook, cg_reorth])
