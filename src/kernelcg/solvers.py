@@ -101,7 +101,11 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bo
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match b ({b.size})")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
     eps = 0.01 * float(np.linalg.norm(b)) if eps is None else float(eps)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and at least 0, got {eps}")
     limit = op.dim if max_steps is None else int(max_steps)
     if limit < 0:
         raise ValueError(f"max_steps must be at least 0, got {limit}")
@@ -122,11 +126,8 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bo
     rr = float(res[0] @ res[0])
 
     k = 0
-    reason = MAXSTEPS
-    while k < limit:
-        if not (norms[k] > eps):
-            reason = CONVERGED
-            break
+    reason = None  # set where the loop breaks
+    while k < limit and norms[k] > eps:
         z = op.apply(s)
         curvature = float(s @ z)
         if curvature <= 0.0 or not np.isfinite(curvature):
@@ -164,9 +165,8 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bo
         s *= betas[k - 1]
         s -= res[k]
         rr = rr_new
-    else:
-        if not (norms[k] > eps):
-            reason = CONVERGED
+    if reason is None:  # out of steps, or the residual norm reached eps
+        reason = MAXSTEPS if norms[k] > eps else CONVERGED
 
     # The buffers are cut to the rows used. The loop never reads a stored
     # direction, so S is built once, by the same recursion over the stored
@@ -218,8 +218,8 @@ def cg_textbook(op: MvmOperator, b, eps=None, max_steps=None, *, _keep_residuals
     alpha = r.r / s.z, and the coupled updates of residual and direction;
     :func:`fom_solution` gives the solution. Breakdown (nonpositive
     curvature) truncates the trace. eps defaults to 0.01 * ||b||_2; pass
-    eps=0 to force max_steps steps (max_steps defaults to op.dim; a
-    negative max_steps raises ValueError).
+    eps=0 to force max_steps steps (max_steps defaults to op.dim). A NaN or
+    infinite entry of b or eps, or a negative eps or max_steps, raises ValueError.
     Memory is that of :func:`cg_reorth`.
     """
     return _run_cg(op, b, eps, max_steps, reorth=False, keep_residuals=_keep_residuals)
@@ -231,7 +231,7 @@ def cg_reorth(op: MvmOperator, b, eps=None, max_steps=None, *, _keep_residuals=T
     Additionally stops once the reorthogonalized residual norm collapses to
     machine scale relative to ||b||, since further directions would be pure
     rounding noise. eps defaults to 0.01 * ||b||_2 and max_steps to op.dim;
-    a negative max_steps raises ValueError.
+    bad input raises ValueError as in :func:`cg_textbook`.
 
     Cost: step k (counting from 1) makes one operator product and two
     products of an N-vector with the k stored residual rows (4 N k flops),
@@ -272,11 +272,11 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
                      reorth: bool = True) -> list[tuple[np.ndarray, int, str]]:
     """GP mean predictions, with the weight vector approximated by CG, at every budget.
 
-    One CG run to max(budgets) steps on K + sigma2 I, in the structure
-    :func:`kernelcg.structured.gram_structure` reads off X. Budget p's mean
-    is the Galerkin mean of the first q = min(p, steps) directions (a run
-    capped at p), read (:func:`kernelcg.linalg.chol_prefix_reads`) off
-    U = S^T k(X, X*), one pass over k(X*, X), and one factor of S^T Z,
+    One CG run to max(budgets) steps on K + sigma2 I, as K v + sigma2 v with
+    K the operator :func:`kernelcg.structured.gram_structure` reads off X.
+    Budget p's mean is the Galerkin mean of the first q = min(p, steps)
+    directions (a run capped at p), read (:func:`kernelcg.linalg.chol_prefix_reads`)
+    off U = S^T k(X, X*), one pass over k(X*, X), and one factor of S^T Z,
     whose one jitter ladder sets every budget's rung: O(P^3 + n* N P) flops.
     Returns (mean, q, :func:`stop_reason_within` p) per budget, in order. A
     budget of None means N; none or a negative one raises ValueError first.
@@ -287,7 +287,8 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     solved in place, and its running sums; the operator and one block of
     k(X*, X). On an SE grid there is no N x N and no n* x N array; on a
     series of T = 4096 positions, N = 2048, n* = 100 and budget 40 the peak
-    is below N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram.
+    is below N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram,
+    freed as CG returns, before k(X*, X) is read.
     """
     X = _as_points(X, kernel.dim)
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
@@ -298,7 +299,9 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     sigma2 = _check_sigma2(sigma2)
     structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
-    trace = run(structure.operator(sigma2), y, eps=eps, max_steps=max(budgets), _keep_residuals=False)
+    K = structure.operator()
+    trace = run(MvmOperator(K.dim, lambda v: K.apply(v) + sigma2 * v), y, eps, max(budgets), _keep_residuals=False)
+    del K  # with the shifted operator gone, a dense K is freed here
     G = trace.S.T @ trace.Z
     factor = linalg.cholesky(0.5 * (G + G.T))
     v = solve_triangular(factor.L, trace.S.T @ np.ravel(y), lower=True)

@@ -1,7 +1,7 @@
 """Gram operators and cross-products, chosen from the kernel and the points.
 
 :func:`gram_structure` reads a kernel's Gram over a point set once and
-gives the CG operator v -> (K + noise I) v and the contraction
+gives the CG operator v -> K v, K alone, and the contraction
 k(X, points) W. An SE kernel on an exact row-major Cartesian grid gives a
 :class:`GridSpec`: the Gram factorizes as K_1 kron ... kron K_D, products
 cost O(N sum G_d) via sequential mode products, and k(X, grid) W contracts
@@ -40,7 +40,7 @@ def dense_operator(A: np.ndarray) -> MvmOperator:
 
 
 class GramStructure:
-    """A kernel's Gram over fixed points: ``operator(noise)`` gives K + noise I.
+    """A kernel's Gram over fixed points: ``operator()`` gives v -> K v.
 
     One pass forms k(X, points) W for every column of W, over blocks of
     max(1, _CROSS_BLOCK_ENTRIES // r) points, r the entries of a point's row
@@ -73,11 +73,9 @@ class DenseGram(GramStructure):
     def _row_entries(self) -> int:
         return self.points.shape[0]
 
-    def operator(self, noise: float = 0.0) -> MvmOperator:
-        """MvmOperator applying v -> (K + noise I) v, K the dense Gram."""
-        K = gram(self.kernel, self.points)
-        K[np.diag_indices_from(K)] += noise
-        return dense_operator(K)
+    def operator(self) -> MvmOperator:
+        """MvmOperator applying v -> K v, K the dense Gram, which it holds."""
+        return dense_operator(gram(self.kernel, self.points))
 
     def _block_product(self, X, W) -> np.ndarray:
         return gram(self.kernel, X, self.points) @ W
@@ -93,8 +91,8 @@ class ToeplitzGram(DenseGram):
     spacing: float
     offsets: np.ndarray
 
-    def operator(self, noise: float = 0.0) -> MvmOperator:
-        """MvmOperator applying v -> K v + noise * v by scatter onto the grid, circulant product and gather.
+    def operator(self) -> MvmOperator:
+        """MvmOperator applying v -> K v by scatter onto the grid, circulant product and gather.
 
         The power-of-two circulant embedding (length L < 4 T) is transformed once here; a product costs O(L log L).
         """
@@ -109,10 +107,7 @@ class ToeplitzGram(DenseGram):
         def apply(v):
             full = np.zeros(length)
             full[self.offsets] = v
-            out = np.fft.irfft(transform * np.fft.rfft(full), n=length)[self.offsets]
-            if noise:
-                out += noise * np.asarray(v)
-            return out
+            return np.fft.irfft(transform * np.fft.rfft(full), n=length)[self.offsets]
 
         return MvmOperator(dim=self.offsets.size, apply=apply)
 
@@ -205,12 +200,9 @@ class GridSpec(GramStructure):
             out += part
         return out.reshape(X.shape[:1] + W.shape[1:])
 
-    def operator(self, noise: float = 0.0) -> MvmOperator:
-        """MvmOperator applying v -> (K_1 kron ... kron K_D) v + noise * v."""
-        factors = self.factors
-        if noise:
-            return MvmOperator(dim=self.size, apply=lambda v: kron_mvm(factors, v) + noise * np.asarray(v))
-        return MvmOperator(dim=self.size, apply=lambda v: kron_mvm(factors, v))
+    def operator(self) -> MvmOperator:
+        """MvmOperator applying v -> (K_1 kron ... kron K_D) v."""
+        return MvmOperator(dim=self.size, apply=lambda v: kron_mvm(self.factors, v))
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Zero-mean GP draws over the grid via per-axis Cholesky factors.

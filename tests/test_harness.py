@@ -142,6 +142,7 @@ def test_config_validation():
         (dict(kmcg_m=0), "kmcg_m must be at least 1, got 0"),
         (dict(steps=(2, 1, 2)), "steps must be distinct, got 2, 1, 2"),
         (dict(master_seed=-1), "master_seed must be at least 0, got -1"),
+        (dict(cg_eps=math.nan), "cg_eps must be finite and at least 0, got nan"),  # once recorded converged CG
         (dict(methods=()), "methods is empty"),  # once recorded nothing
         (dict(sigma2=math.inf), "sigma2 must be positive and finite, got inf"),  # once died in the oracle fit
     ]:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from kernelcg import exact, linalg, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
-from kernelcg.solvers import cg_reorth, cg_textbook, dense_operator, fom_solution
+from kernelcg.kmcg import kmcg_fit
+from kernelcg.solvers import MvmOperator, cg_reorth, cg_textbook, dense_operator, fom_solution
 from brute import cg_list_loop, gauss_solve, random_spd
 from mpref import galerkin_reference
 
@@ -234,6 +235,11 @@ def _prefix_means(K_star, trace, y, used):
     return means, factor
 
 
+def _shifted(op, sigma2):
+    """v -> K v + sigma2 v around K's operator: the system the CG baselines solve."""
+    return MvmOperator(op.dim, lambda v: op.apply(v) + sigma2 * v)
+
+
 def _relative(got, want) -> float:
     return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
 
@@ -244,7 +250,7 @@ def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
     # Every budget of the shared trace takes the directions and the stop
     # reason of a run capped at that budget, bit for bit. Its mean is read
     # off the factor of S^T Z at the trace's full length, so it is the
-    # Galerkin mean with that factor's leading block (1.7e-15 relative at
+    # Galerkin mean with that factor's leading block (1.5e-15 relative at
     # worst seen), and where the factor takes no jitter rung it is the
     # capped run's mean to rounding (2.6e-16). cg-textbook at eps = 0 runs
     # 40 steps and its factor takes rung 1 (1e-12 of the mean diagonal),
@@ -254,16 +260,15 @@ def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
     # residual collapses), so the larger budgets stop early.
     data = gen_toy(seed=0)
     kernel, sigma2 = toy_kernel(), TOY_DEFAULT_SIGMA2
-    K = gram(kernel, data.X)
-    K[np.diag_indices_from(K)] += sigma2
+    system = _shifted(dense_operator(gram(kernel, data.X)), sigma2)
     run = cg_reorth if reorth else cg_textbook
     budgets = (7, 0, 1, 2, 3, 9, 10, 40)
     got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=eps, reorth=reorth)
     assert len(got) == len(budgets)
-    trace = run(dense_operator(K), data.y, eps=eps, max_steps=max(budgets))
+    trace = run(system, data.y, eps=eps, max_steps=max(budgets))
     wants, factor = _prefix_means(gram(kernel, data.X_star, data.X), trace, data.y, [steps for _, steps, _ in got])
     for p, (mean, steps, reason), want in zip(budgets, got, wants):
-        capped = run(dense_operator(K), data.y, eps=eps, max_steps=p)
+        capped = run(system, data.y, eps=eps, max_steps=p)
         assert (steps, reason) == (capped.steps, capped.reason)
         assert np.array_equal(capped.S, trace.S[:, :steps])
         assert _relative(mean, want) <= 1e-12
@@ -298,7 +303,7 @@ def test_cg_predict_means_make_one_factorization_and_one_pass(monkeypatch):
 @pytest.mark.parametrize("reorth", [True, False])
 def test_cg_predict_means_on_a_grid_match_the_dense_path(reorth, G, D):
     # The grid is read off X: the Kronecker operator and the per-axis
-    # cross-products replace K + sigma2 I and k(X*, X), and the means agree
+    # cross-products replace the dense K and k(X*, X), and the means agree
     # with the dense path to rounding, 7e-15 relative at worst seen. Textbook
     # CG loses orthogonality within a few dozen steps, after which the two
     # operators' rounding differences grow (1e-7 at 25 steps), so it is
@@ -312,11 +317,9 @@ def test_cg_predict_means_on_a_grid_match_the_dense_path(reorth, G, D):
     data = structured.grid_dataset(G, D, kernel, seed=1, n_test=20)
     budgets = (0, 1, 3, 10, 25, G**D) if reorth else (0, 1, 3, 10)
     got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=0.0, reorth=reorth)
-    K = gram(kernel, data.X)
-    K[np.diag_indices_from(K)] += sigma2
     run = cg_reorth if reorth else cg_textbook
-    trace = run(dense_operator(K), data.y, eps=0.0, max_steps=max(budgets))
-    kron = structured.gram_structure(kernel, data.X).operator(sigma2)
+    trace = run(_shifted(dense_operator(gram(kernel, data.X)), sigma2), data.y, eps=0.0, max_steps=max(budgets))
+    kron = _shifted(structured.gram_structure(kernel, data.X).operator(), sigma2)
     kron_trace = run(kron, data.y, eps=0.0, max_steps=max(budgets))
     K_star = gram(kernel, data.X_star, data.X)
     wants, factor = _prefix_means(K_star, kron_trace, data.y, [steps for _, steps, _ in got])
@@ -343,8 +346,8 @@ def test_cg_predict_means_on_a_grid_match_the_dense_path(reorth, G, D):
 def test_cg_predict_means_match_a_40_digit_reference(reorth, seed, lam, grid_shape):
     # The data of test_kmcg's 40-digit test, N = 30: every budget q <= 8 at
     # eps = 0 against mpref's Galerkin mean on the library's own directions
-    # (the trace on the operator its structure gives, the Kronecker one on
-    # the 5 x 6 grid). Worst relative error seen: 1.9e-14.
+    # (the trace on K + 0.1 I around the operator its structure gives, the
+    # Kronecker one on the 5 x 6 grid). Worst relative error seen: 1.9e-14.
     rng = np.random.default_rng(seed)
     kernel = se_kernel(np.broadcast_to(lam, 2), 1.5)
     if grid_shape is None:
@@ -356,12 +359,31 @@ def test_cg_predict_means_match_a_40_digit_reference(reorth, seed, lam, grid_sha
     X_star = np.vstack([rng.uniform(0, 2, (4, 2)), X[:1]])
     structure = structured.gram_structure(kernel, X)
     assert isinstance(structure, structured.GridSpec) == (grid_shape is not None)
-    trace = (cg_reorth if reorth else cg_textbook)(structure.operator(0.1), y, eps=0.0, max_steps=8)
+    trace = (cg_reorth if reorth else cg_textbook)(_shifted(structure.operator(), 0.1), y, eps=0.0, max_steps=8)
     reference = galerkin_reference(kernel, X, y, 0.1, trace.S, X_star)
     got = solvers.cg_predict_means(kernel, X, y, 0.1, X_star, range(9), eps=0.0, reorth=reorth)
     assert [steps for _, steps, _ in got] == list(range(9))
     for (mean, _, _), want in zip(got, reference):
         assert np.max(np.abs(mean - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+def test_cg_predict_means_on_dense_data_free_the_gram_before_the_cross_products():
+    # N = n* = 1000 scattered points: the dense operator holds the N x N
+    # Gram and k(X*, X) is read in one block of n* x N. The Gram is freed as
+    # CG returns, so the two never coexist: 1.02 N^2 floats at the peak
+    # seen, 2.02 N^2 when the Gram outlived the trace.
+    rng = np.random.default_rng(23)
+    n = 1000
+    X, X_star = rng.uniform(0, 4, (2, n, 2))
+    y = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        got = solvers.cg_predict_means(se_kernel([1.0, 1.0], 1.0), X, y, 0.1, X_star, range(1, 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [steps for _, steps, _ in got] == [1, 2, 3, 4, 5]
+    assert peak < 1.25 * n * n * 8
 
 
 def test_cg_predict_means_on_a_grid_allocate_no_quadratic_array():
@@ -401,12 +423,33 @@ def test_cg_predict_means_on_a_grid_hold_the_trace_rows_once():
 
 
 def test_negative_step_limits_raise(monkeypatch):
-    op = dense_operator(np.eye(3))
+    # A NaN in b or a NaN eps once stopped CG at once as converged (NaN
+    # compares false with the tolerance); an infinite or negative eps is no
+    # tolerance either. Each is rejected before any operator product.
+    def no_product(v):
+        raise AssertionError("a bad input must be rejected before any operator product")
+
+    op = MvmOperator(3, no_product)
     for run in (cg_reorth, cg_textbook):
-        with pytest.raises(ValueError, match="max_steps must be at least 0, got -1"):
-            run(op, np.ones(3), max_steps=-1)
+        for b, eps, max_steps, message in [
+            (np.ones(3), None, -1, "max_steps must be at least 0, got -1"),
+            ([1.0, np.nan, 1.0], None, None, "b must be finite"),
+            ([1.0, np.inf, 1.0], 0.0, None, "b must be finite"),
+            (np.ones(3), np.nan, None, "eps must be finite and at least 0, got nan"),
+            (np.ones(3), np.inf, None, "eps must be finite and at least 0, got inf"),
+            (np.ones(3), -1e-3, None, "eps must be finite and at least 0, got -0.001"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run(op, b, eps=eps, max_steps=max_steps)
     kernel = se_kernel([1.0], 1.0)
     X = np.linspace(0, 1, 8).reshape(-1, 1)
+    y = np.ones(8)
+    y[3] = np.nan
+    for targets, eps in [(y, None), (np.ones(8), np.nan), (np.ones(8), np.inf), (np.ones(8), -1.0)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            kmcg_fit(kernel, X, targets, 0.1, eps=eps)
+        with pytest.raises(ValueError, match="must be finite"):
+            solvers.cg_predict_means(kernel, X, targets, 0.1, X, [3], eps=eps)
     with pytest.raises(ValueError, match="step budgets must be at least 0, got -1"):
         solvers.cg_predict_mean(kernel, X, np.ones(8), 0.1, X, max_steps=-1)
 
