@@ -133,3 +133,34 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
         cdist(X[start : start + rows], Z, "sqeuclidean", w=kernel.lam, out=block)
         _kernel_from_sqdist(kernel, block)
     return out
+
+
+def gram_lower(kernel: Kernel, X, column, shift: float = 0.0) -> None:
+    """Write the lower triangle of gram(kernel, X) + shift I, column by column.
+
+    Column j, the N - j entries k(X[j:], X_j) with shift added to the
+    first, goes into the vector column(j), so one pass fills any triangular
+    layout (:func:`kernelcg.linalg.rfp_columns`,
+    :func:`kernelcg.linalg.packed_columns`). Rows are computed in blocks,
+    each row j against the points from the block's first on, and row j from
+    column j on is column j from row j down: every entry is bit-equal to
+    :func:`gram`'s, which is bit-symmetric.
+
+    Memory: one scratch block of max(_BLOCK_ENTRIES, N) floats, and for
+    Matern the three scratch blocks of its conversion; no N x N array.
+    """
+    X = _as_points(X, kernel.dim)
+    n = X.shape[0]
+    scratch = np.empty(max(_BLOCK_ENTRIES, n))
+    start = 0
+    while start < n:
+        width = n - start
+        rows = min(max(1, _BLOCK_ENTRIES // width), width)
+        block = scratch[: rows * width].reshape(rows, width)
+        cdist(X[start : start + rows], X[start:], "sqeuclidean", w=kernel.lam, out=block)
+        _kernel_from_sqdist(kernel, block)
+        for i in range(rows):
+            out = column(start + i)
+            out[...] = block[i, i:]
+            out[0] += shift
+        start += rows

@@ -46,9 +46,10 @@ prediction and learned-kernel features) come from one structure,
 :func:`kernelcg.structured.gram_structure` of the kernel and X_M, read once
 per fit: the Kronecker operator and per-axis rows on an SE grid (a fit and
 its predictions then hold no M x M and no n* x M array), the masked
-Toeplitz FFT product on an equispaced 1-D series, and K_M otherwise, with
-k(., X_M) built in row blocks of at most max(2^21, M) entries (16 MiB) off
-the grid. A caller's `operator` replaces the structure's in CG only.
+Toeplitz FFT product on an equispaced 1-D series, and otherwise BLAS
+``spmv`` on K_M's packed lower triangle (M(M+1)/2 floats), with k(., X_M)
+built in row blocks of at most max(2^21, M) entries (16 MiB) off the grid.
+A caller's `operator` replaces the structure's in CG only.
 
 The prior over the kernel has zero mean and the covariance
 cov(k(a,b), k(c,d)) = 1/2 (k(a,c) k(b,d) + k(a,d) k(b,c)) generated by the
@@ -69,7 +70,7 @@ from scipy.linalg import solve_triangular
 from . import linalg
 from .kernels import Kernel, _as_points, _check_sigma2, gram
 from .lowrank import _nystrom_gaps, _Projection, choose_inducing
-from .solvers import cg_reorth, stop_reason_within
+from .solvers import _checked, cg_reorth, stop_reason_within
 from .structured import GramStructure, MvmOperator, gram_structure
 
 
@@ -109,7 +110,7 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     rows, not three (see :func:`kernelcg.solvers.cg_reorth`).
     """
     X = _as_points(X, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _checked(y, eps, "y")  # all N targets, before any Gram work
     n = X.shape[0]
     if y.size != n:
         raise ValueError(f"{n} inputs but {y.size} targets")
@@ -173,9 +174,16 @@ def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=N
     which holds 2 P + 1 rows of M floats at most when CG runs its P =
     max_steps steps (see :func:`kernelcg.solvers.cg_reorth` for the
     buffers); the model keeps S and Z, the rows used, plus the operator's
-    and, when M < N, the N x P products R. The dense operator holds the
-    M x M Gram; the Kronecker operator of an SE grid (per-axis factors) and
-    the Toeplitz one of a series (O(T) floats) allocate no M x M array.
+    and, when M < N, the N x P products R. The dense operator holds K_M's
+    packed lower triangle, M(M+1)/2 floats, assembled beside one block of
+    rows (:func:`kernelcg.kernels.gram_lower`), so a dense fit at M = N and
+    a few steps peaks near M^2 / 2 floats; the Kronecker operator of an SE
+    grid (per-axis factors) and the Toeplitz one of a series (O(T) floats)
+    allocate no M x M array.
+
+    A non-finite target among all N, not only the inducing ones, or an eps
+    that is NaN, infinite or negative raises ValueError before any Gram
+    work.
     """
     (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator)
     return model

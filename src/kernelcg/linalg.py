@@ -5,6 +5,11 @@ on vec(C) = C.reshape(-1), the rows of an N x N matrix stacked (column
 stacking would be an equivalent convention, we fix rows), with Gamma the
 symmetrization vec(C) -> vec(C/2 + C^T/2). The solve and the sampler below
 work with the N x N factors only; no N^2 x N^2 matrix is ever formed.
+
+A large symmetric matrix that is only factored or multiplied is held as one
+triangle of N(N+1)/2 floats: :func:`cholesky_rfp` factors it in LAPACK's
+rectangular full packed form, and :func:`packed_columns` lays it out for
+BLAS ``spmv``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpftrf, dpftrs, dpotrf, dtfsm
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -36,42 +41,127 @@ class CholeskyFactor:
     def dim(self) -> int:
         return self.L.shape[0]
 
+    def diagonal(self) -> np.ndarray:
+        return self.L.diagonal()
 
-def _pivots(L: np.ndarray, info: int) -> int:
-    """How many leading pivots of the ``potrf`` factor L are positive and finite.
+    def solve_lower(self, B: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """L^{-1} B; ``overwrite=True`` solves an F-ordered float64 B in its own memory."""
+        return solve_triangular(self.L, B, lower=True, overwrite_b=overwrite, check_finite=False)
 
-    ``potrf`` stops at the first nonpositive pivot (info > 0) but runs on
-    through a NaN one (OpenBLAS does not report it) or an infinite one, so
-    the diagonal before the stop is scanned.
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """(L L^T)^{-1} B by forward and back substitution."""
+        return solve_triangular(self.L, self.solve_lower(B), lower=True, trans="T", check_finite=False)
+
+
+@dataclass(frozen=True)
+class RfpFactor:
+    """Lower-triangular factor L with L L^T = A + jitter I, in rectangular full packed form.
+
+    `arf` holds the N(N+1)/2 entries of L in LAPACK's RFP layout with
+    TRANSR 'N' and UPLO 'L' (Gustavson, Wasniewski, Dongarra and Langou,
+    "Rectangular Full Packed Format for Cholesky's Algorithm", ACM TOMS
+    2010; see :func:`rfp_columns`). Its solves are LAPACK's ``tfsm`` and
+    ``pftrs``, level-3 on the two triangles and the square of the layout.
     """
-    d = L.diagonal()[: info - 1 if info > 0 else None]
+
+    arf: np.ndarray
+    dim: int
+    jitter: float = 0.0
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate(_rfp_diagonals(self.arf, self.dim))
+
+    def solve_lower(self, B: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """L^{-1} B; ``overwrite=True`` solves an F-ordered float64 B in its own memory."""
+        X = dtfsm(1.0, self.arf, B.reshape(self.dim, -1), transr="N", side="L", uplo="L", trans="N",
+                  overwrite_b=overwrite)
+        return X.reshape(B.shape)
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """(L L^T)^{-1} B."""
+        return dpftrs(self.dim, self.arf, B.reshape(self.dim, -1), transr="N", uplo="L")[0].reshape(B.shape)
+
+
+def _rfp_shape(n: int) -> tuple[int, int, int]:
+    """(n1, s, ld) of the RFP layout of an n x n lower triangle: the array is
+    an F-ordered ld x n1 matrix, n1 = ceil(n / 2), ld = n + s, s = 1 for even n."""
+    s = 1 - n % 2
+    return n - n // 2, s, n + s
+
+
+def rfp_columns(arf: np.ndarray, n: int):
+    """j -> the view of column j's lower entries A[j:, j] in the RFP array `arf` of an n x n matrix.
+
+    TRANSR 'N', UPLO 'L': arf is an F-ordered ld x n1 matrix whose column
+    j < n1 holds A[j:, j] from row s on, and whose upper triangle holds the
+    trailing n - n1 columns transposed, column n1 + i in row i from column
+    i + 1 - s on (see :func:`_rfp_shape` for n1, s and ld).
+    """
+    n1, s, ld = _rfp_shape(n)
+    a = arf.reshape(n1, ld).T
+    return lambda j: a[s + j :, j] if j < n1 else a[j - n1, j - n1 + 1 - s :]
+
+
+def _rfp_diagonals(arf: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of A's diagonal entries 0 .. n1 - 1 and n1 .. n - 1 in the RFP array `arf`:
+    the diagonals of its two triangles."""
+    n1, s, ld = _rfp_shape(n)
+    return arf[s :: ld + 1][:n1], arf[(1 - s) * ld :: ld + 1][: n - n1]
+
+
+def packed_columns(ap: np.ndarray, n: int):
+    """j -> the view of column j's lower entries A[j:, j] in the BLAS packed lower triangle `ap`:
+    the columns of the triangle one after another."""
+    return lambda j: ap[j * n - j * (j - 1) // 2 :][: n - j]
+
+
+def _pivots(d: np.ndarray, info: int) -> int:
+    """How many leading pivots of a ``potrf`` or ``pftrf`` factor, whose diagonal is d, are positive and finite.
+
+    Both stop at the first nonpositive pivot (info > 0) but run on through
+    a NaN one (OpenBLAS does not report it) or an infinite one, so the
+    diagonal before the stop is scanned.
+    """
+    d = d[: info - 1 if info > 0 else None]
     bad = np.flatnonzero(~((d > 0.0) & (d < np.inf)))
     return int(bad[0]) if bad.size else d.size
 
 
-def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = False) -> CholeskyFactor:
+def _climb(diag: np.ndarray, jitter_ladder, factors) -> float:
+    """The first jitter of the ladder at which factors(jitter) succeeds.
+
+    `diag` is the diagonal of the matrix. The ladder is relative to its mean
+    entry; for matrices with a zero diagonal (e.g. an all-zero difference of
+    covariances) an absolute scale of 1 is used instead so the ladder still
+    terminates. A non-finite diagonal raises ValueError first.
+
+    Raises:
+        NotPositiveDefiniteError: if no rung of the ladder succeeds.
+    """
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("cannot factorize a matrix with a non-finite diagonal")
+    scale = float(np.mean(diag)) if diag.size else 0.0
+    if scale <= 0.0:
+        scale = 1.0
+    for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
+        if factors(jitter):
+            return jitter
+    raise NotPositiveDefiniteError(f"matrix of dim {diag.size} not positive definite within the jitter ladder")
+
+
+def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER) -> CholeskyFactor:
     """Factorize a symmetric matrix, escalating diagonal jitter on failure.
 
-    The ladder is relative to the mean diagonal entry; for matrices with a
-    zero diagonal (e.g. an all-zero difference of covariances) an absolute
-    scale of 1 is used instead so the ladder still terminates.
+    The ladder runs on LAPACK ``potrf`` (scipy's ``dpotrf``), which reads
+    only the lower triangle of A; the returned factor has a zero strict
+    upper triangle and is finite. A non-finite diagonal raises ValueError;
+    below a finite one a non-finite entry leaves a NaN or -inf pivot; a
+    rung succeeds when every pivot is positive and finite, the rule
+    :func:`cholesky_with_truncation` cuts at. :func:`cholesky_rfp` runs the
+    same ladder on a triangle held in rectangular full packed form.
 
-    Both modes run one ladder on LAPACK ``potrf`` (scipy's ``dpotrf``),
-    which reads only the lower triangle of A; every returned factor has a
-    zero strict upper triangle and is finite. A non-finite diagonal raises
-    ValueError; below a finite one a non-finite entry leaves a NaN or -inf
-    pivot; a rung succeeds when every pivot is positive and finite, the
-    rule :func:`cholesky_with_truncation` cuts at.
-
-    By default A is left untouched: the factor is an F-ordered copy of A,
-    restored from A after a failed rung, so a call holds A and one N x N
-    array. With ``in_place=True`` the caller hands A over and A becomes the
-    factor: A must be an F-ordered float64 array whose lower triangle is
-    bit-equal to its upper one (as the view ``K.T`` of a bit-symmetric Gram
-    ``K`` is). A failed rung restores the lower triangle from the strict
-    upper one, which ``potrf`` then leaves untouched, and the diagonal from
-    a saved copy, so A is unchanged when every rung fails; beyond A a call
-    holds a few N-vectors. The two modes give bit-equal factors.
+    A is left untouched: the factor is an F-ordered copy of A, restored from
+    A after a failed rung, so a call holds A and one N x N array.
 
     Raises:
         NotPositiveDefiniteError: if no rung of the ladder succeeds.
@@ -79,32 +169,51 @@ def cholesky(A: np.ndarray, jitter_ladder=JITTER_LADDER, *, in_place: bool = Fal
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if in_place and not (A.flags.f_contiguous and A.flags.writeable):
-        raise ValueError("in-place factorization needs a writeable F-ordered matrix")
     diag = A.diagonal().copy()
-    if not np.all(np.isfinite(diag)):
-        raise ValueError("cannot factorize a matrix with a non-finite diagonal")
-    scale = float(np.mean(diag)) if A.size else 0.0
-    if scale <= 0.0:
-        scale = 1.0
-    L = A if in_place else np.array(A, order="F")
-    for jitter in (0.0, *[scale * rung for rung in jitter_ladder]):
+    L = np.array(A, order="F")
+
+    def factors(jitter):
         np.fill_diagonal(L, diag + jitter)
-        info = dpotrf(L, lower=1, clean=int(not in_place), overwrite_a=1)[1]
-        if _pivots(L, info) == L.shape[0]:
-            if in_place:  # potrf kept the strict upper triangle for a restore
-                for j in range(1, L.shape[0]):
-                    L[:j, j] = 0.0
-            return CholeskyFactor(L=L, jitter=jitter)
-        if in_place:
-            for j in range(L.shape[0]):
-                L[j + 1 :, j] = L[j, j + 1 :]
-            np.fill_diagonal(L, diag)
-        else:
-            np.copyto(L, A)
-    raise NotPositiveDefiniteError(
-        f"matrix of dim {A.shape[0]} not positive definite within the jitter ladder"
-    )
+        info = dpotrf(L, lower=1, clean=1, overwrite_a=1)[1]
+        if _pivots(L.diagonal(), info) == L.shape[0]:
+            return True
+        np.copyto(L, A)
+        return False
+
+    return CholeskyFactor(L=L, jitter=_climb(diag, jitter_ladder, factors))
+
+
+def cholesky_rfp(n: int, fill) -> RfpFactor:
+    """Factorize the symmetric n x n matrix A that `fill` writes, in rectangular full packed form.
+
+    fill(arf) writes the lower triangle of A into the RFP array arf of
+    n(n+1)/2 floats (see :func:`rfp_columns`), which LAPACK ``pftrf``
+    factors in its own memory at level-3 speed: the factor is arf. The
+    ladder, its checks and its pivot rule are :func:`cholesky`'s. ``pftrf``
+    overwrites the whole array, so each rung after the first calls `fill`
+    to rebuild A: a rung costs one fill and one factorization, and a call
+    holds arf and what `fill` allocates, no copy of A.
+
+    Raises:
+        NotPositiveDefiniteError: if no rung of the ladder succeeds.
+    """
+    arf = np.empty(n * (n + 1) // 2)
+    fill(arf)
+    first, second = _rfp_diagonals(arf, n)
+    diag = np.concatenate((first, second))
+    refill = False
+
+    def factors(jitter):
+        nonlocal refill
+        if refill:  # pftrf overwrote the whole array on the rung that failed
+            fill(arf)
+        refill = True
+        np.add(diag[: first.size], jitter, out=first)
+        np.add(diag[first.size :], jitter, out=second)
+        info = dpftrf(n, arf, transr="N", uplo="L", overwrite_a=1)[1]
+        return _pivots(np.concatenate((first, second)), info) == n
+
+    return RfpFactor(arf=arf, dim=n, jitter=_climb(diag, JITTER_LADDER, factors))
 
 
 def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -117,23 +226,22 @@ def cholesky_with_truncation(A: np.ndarray) -> tuple[np.ndarray, int]:
     truncation should use :func:`cholesky`.
     """
     L, info = dpotrf(np.asarray(A, dtype=float), lower=1, clean=1)
-    k = _pivots(L, info)
+    k = _pivots(L.diagonal(), info)
     return (L, k) if k == L.shape[0] else (L[:k, :k].copy(), k)
 
 
-def chol_solve(factor: CholeskyFactor, B: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) X = B by forward and back substitution.
+def chol_solve(factor: CholeskyFactor | RfpFactor, B: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) X = B, L held whole or in rectangular full packed form.
 
-    Only B is checked for non-finite entries: both Cholesky routines return
-    finite factors."""
+    Only B is checked for non-finite entries: every Cholesky routine here
+    returns a finite factor."""
     B = np.asarray_chkfinite(B, dtype=float)
     if B.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {B.shape}")
-    Y = solve_triangular(factor.L, B, lower=True, check_finite=False)
-    return solve_triangular(factor.L, Y, lower=True, trans="T", check_finite=False)
+    return factor.solve(B)
 
 
-def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+def chol_quad_diag(factor: CholeskyFactor | RfpFactor, U: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Diagonal of U^T (L L^T)^{-1} U: the column sums of (L^{-1} U)^2.
 
     One forward substitution, no back substitution and no n x n product:
@@ -146,7 +254,7 @@ def chol_quad_diag(factor: CholeskyFactor, U: np.ndarray, *, overwrite: bool = F
     U = np.asarray_chkfinite(U, dtype=float)
     if U.shape[0] != factor.dim:
         raise ValueError(f"dimension mismatch: factor dim {factor.dim}, rhs {U.shape}")
-    V = solve_triangular(factor.L, U, lower=True, overwrite_b=overwrite, check_finite=False)
+    V = factor.solve_lower(U, overwrite)
     return np.sum(np.square(V, out=V), axis=0)
 
 
@@ -171,9 +279,9 @@ def chol_prefix_reads(factor: CholeskyFactor, U: np.ndarray, v=None, *,
     return sums, np.cumsum(np.square(V, out=V), axis=0, out=V)
 
 
-def logdet(factor: CholeskyFactor) -> float:
+def logdet(factor: CholeskyFactor | RfpFactor) -> float:
     """Log determinant of the factored matrix: 2 * sum(log diag(L))."""
-    return 2.0 * float(np.sum(np.log(np.diag(factor.L))))
+    return 2.0 * float(np.sum(np.log(factor.diagonal())))
 
 
 def _check_symmetric(A: np.ndarray, name: str, tol: float = 1e-10) -> None:

@@ -92,20 +92,27 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> float:
     return after
 
 
+def _checked(b, eps, name: str) -> np.ndarray:
+    """b as a float vector; ValueError naming `name` for a NaN or infinite
+    entry, and naming eps unless it is None or finite and at least 0."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} must be finite")
+    if eps is not None and not 0.0 <= float(eps) < np.inf:
+        raise ValueError(f"eps must be finite and at least 0, got {float(eps)}")
+    return b
+
+
 def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bool) -> CgTrace:
     """Both CG variants, with their defaults: eps 0.01 * ||b||_2, max_steps op.dim.
 
     Without `keep_residuals` the trace's residuals are None: S is built
     over the residual rows, so the trace holds two blocks of rows, not three.
     """
-    b = np.asarray(b, dtype=float).reshape(-1)
+    b = _checked(b, eps, "b")
     if b.size != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match b ({b.size})")
-    if not np.isfinite(b).all():
-        raise ValueError("b must be finite")
     eps = 0.01 * float(np.linalg.norm(b)) if eps is None else float(eps)
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and at least 0, got {eps}")
     limit = op.dim if max_steps is None else int(max_steps)
     if limit < 0:
         raise ValueError(f"max_steps must be at least 0, got {limit}")
@@ -287,10 +294,13 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     solved in place, and its running sums; the operator and one block of
     k(X*, X). On an SE grid there is no N x N and no n* x N array; on a
     series of T = 4096 positions, N = 2048, n* = 100 and budget 40 the peak
-    is below N^2 * 8 / 4 bytes. Otherwise the operator holds the N x N Gram,
-    freed as CG returns, before k(X*, X) is read.
+    is below N^2 * 8 / 4 bytes. Otherwise the operator holds the Gram's
+    packed lower triangle, N(N+1)/2 floats, freed as CG returns, before
+    k(X*, X) is read. A non-finite y or an eps that is NaN, infinite or
+    negative raises ValueError before any Gram work.
     """
     X = _as_points(X, kernel.dim)
+    y = _checked(y, eps, "y")
     budgets = [X.shape[0] if p is None else int(p) for p in budgets]
     if not budgets:
         raise ValueError("no step budgets given")
@@ -304,7 +314,7 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     del K  # with the shifted operator gone, a dense K is freed here
     G = trace.S.T @ trace.Z
     factor = linalg.cholesky(0.5 * (G + G.T))
-    v = solve_triangular(factor.L, trace.S.T @ np.ravel(y), lower=True)
+    v = solve_triangular(factor.L, trace.S.T @ y, lower=True)
     means = linalg.chol_prefix_reads(factor, structure.cross_products(X_star, trace.S).T, v, overwrite=True)[0]
     return [(means[q - 1].copy() if q else np.zeros(means.shape[1]), q, stop_reason_within(trace, p))
             for p, q in ((p, min(p, trace.steps)) for p in budgets)]

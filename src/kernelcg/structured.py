@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import dspmv
 
 from . import linalg
 from .datasets import Dataset
-from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram, se_kernel
+from .kernels import _CROSS_BLOCK_ENTRIES, SQUARED_EXPONENTIAL, Kernel, _as_points, gram, gram_lower, se_kernel
 
 _MAX_GRID_POINTS = 1_000_000  # the largest grid grid_dataset builds
 
@@ -60,7 +61,7 @@ class GramStructure:
 
 @dataclass(frozen=True)
 class DenseGram(GramStructure):
-    """The Gram of `kernel` over `points`, whole in the operator and in row blocks of k(X, points)."""
+    """The Gram of `kernel` over `points`: its lower triangle in the operator, row blocks of k(X, points) in products."""
 
     kernel: Kernel
     points: np.ndarray
@@ -74,8 +75,17 @@ class DenseGram(GramStructure):
         return self.points.shape[0]
 
     def operator(self) -> MvmOperator:
-        """MvmOperator applying v -> K v, K the dense Gram, which it holds."""
-        return dense_operator(gram(self.kernel, self.points))
+        """MvmOperator applying v -> K v by BLAS ``spmv`` on K's packed lower triangle, which it holds.
+
+        The triangle is N(N+1)/2 floats, bit-equal to :func:`gram`'s entries
+        and assembled beside one block (:func:`kernelcg.kernels.gram_lower`):
+        no N x N array. A product reads each stored entry once, half the
+        memory a full-storage product reads.
+        """
+        n = self.points.shape[0]
+        packed = np.empty(n * (n + 1) // 2)
+        gram_lower(self.kernel, self.points, linalg.packed_columns(packed, n))
+        return MvmOperator(dim=n, apply=lambda v: dspmv(n, 1.0, packed, v, lower=1))
 
     def _block_product(self, X, W) -> np.ndarray:
         return gram(self.kernel, X, self.points) @ W

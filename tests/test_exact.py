@@ -2,11 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from kernelcg import exact, linalg
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
-from kernelcg.kernels import gram, se_kernel
+from kernelcg.kernels import _BLOCK_ENTRIES, gram, se_kernel
 from kernelcg.lowrank import InducingFits
 from brute import gauss_solve, mvn_logpdf
 from mpref import exact_reference
@@ -77,11 +76,11 @@ def test_predict_cov_far_field_and_diagonal():
 
 def test_predict_mean_and_var_bit_identical_to_the_direct_formulas():
     # The direct formulas: k(X*, X) alpha, and theta_f minus the column
-    # sums of (L^{-1} k(X, X*))^2.
+    # sums of (L^{-1} k(X, X*))^2, with L the RFP factor.
     kernel, X, y, sigma2 = _random_problem(8, 60)
     model = exact.fit(kernel, X, y, sigma2)
     X_star = np.random.default_rng(9).uniform(0, 2, (45, 2))
-    half = solve_triangular(model.factor.L, gram(kernel, X, X_star), lower=True)
+    half = model.factor.solve_lower(gram(kernel, X, X_star))
     want_var = np.full(45, kernel.theta_f) - np.sum(half * half, axis=0)
     assert np.array_equal(exact.predict_var(model, X_star), want_var)
     assert np.array_equal(exact.predict_mean(model, X_star), gram(kernel, X_star, X) @ model.alpha)
@@ -139,9 +138,10 @@ def test_mean_matches_complete_degeneracy_lowrank():
 
 
 def test_fit_holds_no_n_by_n_temporary_beyond_gram_and_factor():
-    # The factor is the Gram's own memory: one N x N array and a few
-    # N-vectors. The solves do not scan the factor for non-finite entries,
-    # which once took N x N bytes more.
+    # The factor is the Gram's own memory: one triangle of N(N+1)/2 floats
+    # in RFP storage, assembled beside one block of _BLOCK_ENTRIES floats,
+    # and a few N-vectors. The solves do not scan the factor for non-finite
+    # entries, which once took N x N bytes more.
     kernel, X, y, sigma2 = _random_problem(7, 400)
     tracemalloc.start()
     try:
@@ -149,8 +149,8 @@ def test_fit_holds_no_n_by_n_temporary_beyond_gram_and_factor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.05 * 400 * 400 * 8
-    assert model.factor.L.flags.f_contiguous and not np.any(np.triu(model.factor.L, 1))
+    assert peak < 1.05 * 400 * 401 // 2 * 8 + _BLOCK_ENTRIES * 8
+    assert model.factor.arf.shape == (400 * 401 // 2,)
 
 
 def test_predict_var_holds_one_block_beyond_the_factor():
@@ -191,10 +191,11 @@ def test_predict_var_is_blocked_over_test_points():
 
 def test_fit_and_predict_peak_at_one_factor_and_one_block_of_n_over_8_test_points():
     # n* = 600 > N / 8 = 50 test points: fit, predict_mean and predict_var
-    # together hold the N x N factor and one N x ceil(N / 8) block of
-    # k(X*, X) at a time. The 64 KiB of slack covers the block's
-    # finiteness check (a byte per entry, 20 kB here) and a few N- and
-    # n*-vectors; the whole n* x N cross-Gram would add 1.9 MB.
+    # together hold the N(N+1)/2 floats of the RFP factor and one block at a
+    # time, of the assembly (_BLOCK_ENTRIES floats) in fit and of k(X*, X)
+    # (N x ceil(N / 8)) in prediction. The 64 KiB of slack covers the
+    # block's finiteness check (a byte per entry, 20 kB here) and a few N-
+    # and n*-vectors; the whole n* x N cross-Gram would add 1.9 MB.
     kernel, X, y, sigma2 = _random_problem(17, 400)
     X_star = np.random.default_rng(18).uniform(0, 2, (600, 2))
     tracemalloc.start()
@@ -205,7 +206,7 @@ def test_fit_and_predict_peak_at_one_factor_and_one_block_of_n_over_8_test_point
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (400 * 400 + 400 * 50) * 8 + (64 << 10)
+    assert peak < (400 * 401 // 2 + max(400 * 50, _BLOCK_ENTRIES)) * 8 + (64 << 10)
 
 
 def test_mean_var_and_evidence_match_a_40_digit_reference():
@@ -232,3 +233,35 @@ def test_mean_var_and_evidence_match_a_40_digit_reference():
             error = np.max(np.abs(value - reference)) / np.max(np.abs(reference))
             assert error <= bound, f"sigma2 {sigma2:.0e} {quantity}: relative error {error:.2e}"
     assert conds[0] < 1e3 and conds[-1] > 1e11
+
+
+def test_fit_climbs_the_ladder_in_packed_storage(monkeypatch):
+    # Rung 0's pftrf is made to report a failed first pivot: the fit
+    # assembles K + sigma2 I again, factors it at rung 1 (1e-12 of the mean
+    # diagonal), and its mean, variance and evidence are those of a
+    # full-storage factor of K + sigma2 I at that jitter.
+    kernel, X, y, sigma2 = _random_problem(19, 80)
+    X_star = np.random.default_rng(20).uniform(0, 2, (30, 2))
+    pftrf, calls = linalg.dpftrf, []
+
+    def failing_first(n, arf, **kwargs):
+        calls.append(n)
+        return (arf, 1) if len(calls) == 1 else pftrf(n, arf, **kwargs)
+
+    assemblies = []
+    gram_lower = exact.gram_lower
+    monkeypatch.setattr(linalg, "dpftrf", failing_first)
+    monkeypatch.setattr(exact, "gram_lower", lambda *args: assemblies.append(1) or gram_lower(*args))
+    model = exact.fit(kernel, X, y, sigma2)
+    K = gram(kernel, X)
+    K[np.diag_indices_from(K)] += sigma2
+    jitter = float(np.mean(np.diag(K))) * linalg.JITTER_LADDER[0]
+    assert (model.factor.jitter, len(calls), len(assemblies)) == (jitter, 2, 2)
+    full = linalg.cholesky(K + jitter * np.eye(80), jitter_ladder=())
+    alpha = linalg.chol_solve(full, y)
+    want = (gram(kernel, X_star, X) @ alpha,
+            kernel.theta_f - linalg.chol_quad_diag(full, gram(kernel, X, X_star)),
+            -0.5 * y @ alpha - 0.5 * linalg.logdet(full) - 40 * np.log(2 * np.pi))
+    got = (exact.predict_mean(model, X_star), exact.predict_var(model, X_star), exact.log_evidence(model))
+    for value, reference in zip(got, want):
+        assert np.max(np.abs(value - reference)) <= 1e-12 * np.max(np.abs(reference))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dtrttf
 
-from kernelcg import exact, kernels, kmcg, lowrank, solvers
+from kernelcg import exact, kernels, kmcg, linalg, lowrank, solvers
 from kernelcg.harness import ExperimentConfig
 from kernelcg.kernels import Kernel, gram, matern52_kernel, se_kernel
 from mpref import gram_reference
@@ -246,6 +247,23 @@ def test_gram_block_boundaries_at_the_real_block_size(n, m):
     Z = rng.uniform(-1, 1, (m, 3))
     for kernel in (se_kernel([1.0, 2.0, 0.5], 1.3), matern52_kernel([1.0, 2.0, 0.5], 1.3)):
         assert np.array_equal(gram(kernel, X, Z), _broadcast_gram(kernel, X, Z))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 400, 401])  # 400: 81 rows in the first block, a whole one at the end
+def test_gram_lower_writes_gram_bit_for_bit_into_both_triangular_layouts(n):
+    # The RFP array is LAPACK's own conversion (trttf) of gram's matrix and
+    # the packed one its lower columns one after another, shift on the
+    # diagonal, at odd and even N.
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-1, 1, (n, 3))
+    for kernel in (se_kernel([1.0, 2.0, 0.5], 1.3), matern52_kernel([1.0, 2.0, 0.5], 1.3)):
+        K = gram(kernel, X)
+        K[np.diag_indices_from(K)] += 0.3
+        rfp, packed = np.empty(n * (n + 1) // 2), np.empty(n * (n + 1) // 2)
+        kernels.gram_lower(kernel, X, linalg.rfp_columns(rfp, n), 0.3)
+        kernels.gram_lower(kernel, X, linalg.packed_columns(packed, n), 0.3)
+        assert np.array_equal(rfp, dtrttf(np.asfortranarray(K), transr="N", uplo="L")[0])
+        assert np.array_equal(packed, np.concatenate([K[j:, j] for j in range(n)]))
 
 
 @pytest.mark.parametrize("kernel, scratch_blocks", [

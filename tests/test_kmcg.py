@@ -87,9 +87,13 @@ def test_trace_products_reused_and_r_aliased():
     kernel, X, y, sigma2, _ = _problem(2, 25)
     model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=25)
     assert model.R is model.Z  # M = N shares the product matrix
+    # Bit for bit the products of the operator CG ran on, which holds K_M's
+    # packed triangle; to rounding those of the full K_M.
+    operator = structured.gram_structure(kernel, model.X_M).operator()
     K_M = gram(kernel, model.X_M)
     for i in range(model.steps):
-        assert np.array_equal(model.Z[:, i], K_M @ model.S[:, i])
+        assert np.array_equal(model.Z[:, i], operator.apply(model.S[:, i]))
+        assert np.allclose(model.Z[:, i], K_M @ model.S[:, i], rtol=0.0, atol=1e-13 * np.abs(K_M).sum())
     G = model.S.T @ model.Z
     assert np.max(np.abs(G - G.T)) <= 1e-10 * np.max(np.abs(G))
 
@@ -249,6 +253,22 @@ def test_fitted_model_holds_only_the_rows_its_trace_used():
     n, P, q = 600, model.cg_steps, model.steps
     assert model.reason == solvers.BREAKDOWN and 64 < P < 128
     assert current <= (2 * (P + 1) + 6) * n * 8 + 2 * q * q * 8
+
+
+def test_dense_fit_at_m_equal_n_holds_one_triangle_of_the_gram():
+    # M = N = 1000 scattered points and 10 steps: the dense operator holds
+    # K_M's packed lower triangle, M(M+1)/2 floats, assembled beside one
+    # block; then the trace's rows come on top. The whole Gram alone would
+    # be M^2 floats.
+    kernel, X, y, sigma2, _ = _problem(41, 1000)
+    tracemalloc.start()
+    try:
+        model = kmcg_fit(kernel, X, y, sigma2, eps=0.0, max_steps=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(model.structure, structured.DenseGram) and model.cg_steps == 10
+    assert peak < 0.6 * 1000**2 * 8
 
 
 # --- degeneracy oracle --------------------------------------------------------

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtfttr
 
 from kernelcg import linalg
-from kernelcg.kernels import gram, se_kernel
+from kernelcg.kernels import _BLOCK_ENTRIES, gram, gram_lower, se_kernel
 from brute import dense_kron, dense_sym_kron, cofactor_det, gauss_solve, random_spd
 
 
@@ -52,20 +53,37 @@ def test_cholesky_indefinite_raises():
         linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_cholesky_rejects_non_finite_entries(in_place):
+def _filler(A, fills):
+    """fill(arf) for linalg.cholesky_rfp, writing A's lower triangle and counting its calls in `fills`."""
+    def fill(arf):
+        fills.append(1)
+        column = linalg.rfp_columns(arf, A.shape[0])
+        for j in range(A.shape[0]):
+            column(j)[...] = A[j:, j]
+
+    return fill
+
+
+def _factor(A, packed):
+    """linalg.cholesky of A, or with `packed` the RFP ladder on A's lower triangle."""
+    return linalg.cholesky_rfp(A.shape[0], _filler(A, [])) if packed else linalg.cholesky(A)
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_cholesky_rejects_non_finite_entries(packed):
     # An infinite diagonal once came back inside the factor. A non-finite
     # entry below a finite diagonal leaves a NaN or -inf pivot, which fails
-    # every rung (OpenBLAS's potrf reports no failure at a NaN pivot).
+    # every rung (OpenBLAS's potrf reports no failure at a NaN pivot), in
+    # full storage and in rectangular full packed form alike.
     inf_diag = np.asfortranarray(np.diag([1.0, np.inf]))
     with pytest.raises(ValueError, match="non-finite diagonal"):
-        linalg.cholesky(inf_diag, in_place=in_place)
+        _factor(inf_diag, packed)
     for bad in (np.nan, np.inf):
         A = np.asfortranarray(np.eye(3))
         A[2, 0] = A[0, 2] = bad
         before = A.copy()
         with pytest.raises(linalg.NotPositiveDefiniteError):
-            linalg.cholesky(A, in_place=in_place)
+            _factor(A, packed)
         assert np.array_equal(A, before, equal_nan=True)
 
 
@@ -286,44 +304,61 @@ def test_cholesky_without_jitter_allocates_only_the_factor():
 
 
 @pytest.mark.parametrize("shift, rung", [(0.0, 1e-12), (5e-9, 1e-8)])
-def test_cholesky_in_place_ladder(shift, rung):
+def test_cholesky_rfp_ladder(shift, rung):
     # Each point twice: the Gram is singular and the zero rung fails; with
-    # its diagonal lowered by 5e-9 the rungs up to 1e-9 fail too, so the
-    # lower triangle is restored between rungs four times. Both modes run
-    # the one ladder on potrf, reading the lower triangle only: the copying
-    # mode, given junk above the diagonal, returns the same factor bit for
-    # bit and leaves its argument as it was.
+    # its diagonal lowered by 5e-9 the rungs up to 1e-9 fail too. The
+    # copying mode restores its factor from A after each failed rung and
+    # reads the lower
+    # triangle only: given junk above the diagonal it returns the factor of
+    # the symmetric Gram bit for bit and leaves its argument as it was.
+    # pftrf overwrites the whole RFP array, so each rung after the first
+    # fills it again: one fill per rung tried, beside one array of N(N+1)/2
+    # floats and one assembly block. The packed ladder stops at the same
+    # rung, and its factor reproduces the jittered matrix.
     X = np.random.default_rng(17).uniform(0, 2, (100, 2))
-    K = gram(se_kernel([1.0, 1.0]), np.vstack([X, X]))
+    kernel, points, n = se_kernel([1.0, 1.0]), np.vstack([X, X]), 200
+    K = gram(kernel, points)
     K[np.diag_indices_from(K)] -= shift
     A = np.tril(K) + np.triu(np.random.default_rng(19).standard_normal(K.shape), 1)
     before = A.copy()
     copied = linalg.cholesky(A)
+    fills = []
+
+    def fill(arf):
+        fills.append(1)
+        gram_lower(kernel, points, linalg.rfp_columns(arf, n), -shift)
+
     tracemalloc.start()
     try:
-        f = linalg.cholesky(K.T, in_place=True)  # the F-ordered view of the bit-symmetric Gram
+        f = linalg.cholesky_rfp(n, fill)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    jitter = rung * np.mean(np.diag(A))
+    jitter = rung * np.mean(np.diag(K))
     assert f.jitter == jitter == copied.jitter
-    assert np.array_equal(f.L, copied.L)
+    assert np.array_equal(copied.L, linalg.cholesky(K).L)
     assert np.array_equal(A, before)
-    assert np.shares_memory(f.L, K)
-    assert not np.any(np.triu(f.L, 1))
-    assert np.allclose(f.L @ f.L.T, np.tril(A) + np.tril(A, -1).T + jitter * np.eye(200), rtol=0.0, atol=1e-13)
-    assert peak < K.nbytes / 8
+    assert not np.any(np.triu(copied.L, 1))
+    assert np.allclose(copied.L @ copied.L.T, np.tril(A) + np.tril(A, -1).T + jitter * np.eye(n), rtol=0.0, atol=1e-13)
+    assert len(fills) == linalg.JITTER_LADDER.index(rung) + 2
+    L = dtfttr(n, f.arf, transr="N", uplo="L")[0]
+    assert np.array_equal(L.diagonal(), f.diagonal())
+    assert np.allclose(np.tril(L) @ np.tril(L).T, K + jitter * np.eye(n), rtol=0.0, atol=1e-13)
+    assert peak < f.arf.nbytes + _BLOCK_ENTRIES * 8 + (16 << 10)
 
 
-def test_cholesky_in_place_restores_a_matrix_no_rung_factors():
+def test_cholesky_restores_a_matrix_no_rung_factors():
+    # Neither ladder factors an indefinite matrix; the full one leaves its
+    # argument as it was, and the packed one tries every rung, filling its
+    # array once for each.
     A = np.asfortranarray(np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.0], [0.5, 0.0, 3.0]]))
-    before = A.copy()
-    for in_place in (False, True):
-        with pytest.raises(linalg.NotPositiveDefiniteError):
-            linalg.cholesky(A, in_place=in_place)
-        assert np.array_equal(A, before)
-    with pytest.raises(ValueError, match="F-ordered"):
-        linalg.cholesky(np.ascontiguousarray(A), in_place=True)
+    before, fills = A.copy(), []
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.cholesky(A)
+    assert np.array_equal(A, before)
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.cholesky_rfp(3, _filler(A, fills))
+    assert len(fills) == len(linalg.JITTER_LADDER) + 1
 
 
 def test_cholesky_copying_mode_leaves_its_argument_untouched():

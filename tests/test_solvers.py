@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from kernelcg import exact, linalg, solvers, structured
 from kernelcg.datasets import TOY_DEFAULT_SIGMA2, gen_toy, toy_kernel
 from kernelcg.kernels import gram, se_kernel
-from kernelcg.kmcg import kmcg_fit
+from kernelcg.kmcg import kmcg_fit, kmcg_models_for_steps
+from kernelcg.lowrank import choose_inducing
 from kernelcg.solvers import MvmOperator, cg_reorth, cg_textbook, dense_operator, fom_solution
 from brute import cg_list_loop, gauss_solve, random_spd
 from mpref import galerkin_reference
@@ -257,10 +258,13 @@ def test_cg_predict_means_equal_one_run_per_budget(reorth, eps):
     # which every budget carries: the short budgets move by up to 2.7e-7
     # from their capped runs, which factor their own S^T Z. The default eps
     # converges after 3 steps, and cg_reorth at eps = 0 after 9 (its
-    # residual collapses), so the larger budgets stop early.
+    # residual collapses), so the larger budgets stop early. The reference
+    # runs are on the system the library solves, the structure's operator
+    # (K's packed triangle) plus sigma2 v; on the full-storage K, whose
+    # products round differently, cg-textbook's 40 steps drift apart.
     data = gen_toy(seed=0)
     kernel, sigma2 = toy_kernel(), TOY_DEFAULT_SIGMA2
-    system = _shifted(dense_operator(gram(kernel, data.X)), sigma2)
+    system = _shifted(structured.gram_structure(kernel, data.X).operator(), sigma2)
     run = cg_reorth if reorth else cg_textbook
     budgets = (7, 0, 1, 2, 3, 9, 10, 40)
     got = solvers.cg_predict_means(kernel, data.X, data.y, sigma2, data.X_star, budgets, eps=eps, reorth=reorth)
@@ -457,10 +461,38 @@ def test_negative_step_limits_raise(monkeypatch):
         raise AssertionError("an empty or negative budget must be rejected before any Gram work")
 
     monkeypatch.setattr(structured, "gram", no_gram)
+    monkeypatch.setattr(structured, "gram_lower", no_gram)
     with pytest.raises(ValueError, match="got -2"):
         solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [3, -2, 1])
     with pytest.raises(ValueError, match="no step budgets given"):
         solvers.cg_predict_means(kernel, X, np.ones(8), 0.1, X, [])
+
+
+def test_bad_targets_and_eps_are_rejected_before_any_gram_work(monkeypatch):
+    # Every one of the N targets is checked, and eps, before the operator is
+    # assembled: no Gram entry is computed for a call that fails. At M < N a
+    # NaN outside the inducing subset, which CG never sees, once surfaced
+    # from inside the projection without naming y.
+    kernel = se_kernel([1.0, 1.0], 1.0)
+    X = np.random.default_rng(24).uniform(0, 2, (20, 2))
+    outside = np.setdiff1d(np.arange(20), choose_inducing(20, 5, 0))[0]
+    y = np.ones(20)
+    y[outside] = np.nan
+    assemblies = []
+    for name in ("gram", "gram_lower"):
+        monkeypatch.setattr(structured, name, lambda *args, _name=name, **kwargs: assemblies.append(_name))
+    calls = [
+        (lambda: kmcg_fit(kernel, X, y, 0.1, M=5, seed=0), "y must be finite"),
+        (lambda: kmcg_models_for_steps(kernel, X, y, 0.1, [2, 4], M=5, seed=0), "y must be finite"),
+        (lambda: kmcg_fit(kernel, X, y, 0.1), "y must be finite"),
+        (lambda: kmcg_fit(kernel, X, np.ones(20), 0.1, eps=np.nan), "eps must be finite"),
+        (lambda: solvers.cg_predict_means(kernel, X, y, 0.1, X, [3]), "y must be finite"),
+        (lambda: solvers.cg_predict_means(kernel, X, np.ones(20), 0.1, X, [3], eps=-1.0), "eps must be finite"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert assemblies == []
 
 
 @pytest.mark.parametrize("run", [cg_textbook, cg_reorth])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelcg import structured
-from kernelcg.kernels import gram, matern52_kernel, se_kernel
+from kernelcg.kernels import _BLOCK_ENTRIES, gram, matern52_kernel, se_kernel
 from kernelcg.kmcg import kmcg_fit, kmcg_models_for_steps
 from kernelcg.solvers import cg_predict_means
 from kernelcg.structured import (
@@ -331,6 +331,29 @@ def _peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_dense_operator_holds_one_triangle_beside_one_assembly_block():
+    # N = 700 scattered points: the operator holds K's packed lower
+    # triangle, N(N+1)/2 floats, assembled beside one block of
+    # _BLOCK_ENTRIES floats; the full Gram would take N^2. Its products are
+    # those of the full-storage Gram to rounding.
+    rng = np.random.default_rng(23)
+    kernel, X = se_kernel([2.0, 0.5], 1.3), rng.uniform(0, 2, (700, 2))
+    structure = gram_structure(kernel, X)
+    assert type(structure) is DenseGram
+    tracemalloc.start()
+    try:
+        operator = structure.operator()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    triangle = 700 * 701 // 2 * 8
+    assert held <= triangle + (4 << 10)
+    assert peak <= triangle + _BLOCK_ENTRIES * 8 + (16 << 10)
+    v = rng.standard_normal(700)
+    want = gram(kernel, X) @ v
+    assert np.max(np.abs(operator.apply(v) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_series_fit_and_cg_means_hold_no_dense_gram():
