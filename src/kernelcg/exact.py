@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .kernels import Kernel, _as_points, _check_sigma2, gram, gram_lower
+from .kernels import Kernel, _as_points, _check_training, gram, gram_lower
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,10 @@ def fit(kernel: Kernel, X, y, sigma2: float) -> ExactGpModel:
     entries) and factored there by :func:`kernelcg.linalg.cholesky_rfp`,
     whose jitter ladder assembles the Gram again at each rung after the first;
     the model's factor is that array. Memory ceiling: the N(N+1)/2 floats of
-    the factor, one assembly block and a few N-vectors.
+    the factor, one assembly block and a few N-vectors. X, y and sigma2 are
+    checked (:func:`kernelcg.kernels._check_training`) before any Gram work.
     """
-    X = _as_points(X, kernel.dim)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if X.shape[0] != y.size or y.size < 1:
-        raise ValueError(f"inconsistent training set: {X.shape[0]} inputs, {y.size} targets")
-    sigma2 = _check_sigma2(sigma2)
+    X, y, sigma2 = _check_training(X, y, sigma2, kernel.dim)
     n = y.size
     factor = linalg.cholesky_rfp(n, lambda arf: gram_lower(kernel, X, linalg.rfp_columns(arf, n), sigma2))
     alpha = linalg.chol_solve(factor, y)

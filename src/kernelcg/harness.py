@@ -155,15 +155,10 @@ def _step_schedule(steps) -> tuple:
     return tuple(sorted(steps))
 
 
-def _eps(value):
-    if value is not None and not 0.0 <= value < math.inf:
-        raise ValueError(f"must be finite and at least 0, got {value}")
-    return value
-
-
 # Each ExperimentConfig field's rule, which the config reader applies too: ValueError, or the value to store.
 CONFIG_CHECKS = {"methods": _method_list, "steps": _step_schedule, "fixed_m": _at_least(1), "kmcg_m": _at_least(1),
-                 "cg_eps": _eps, "repetitions": _at_least(1), "master_seed": _at_least(0), "inducing_cap": _at_least(1)}
+                 "cg_eps": functools.partial(solvers._check_eps, name=""), "repetitions": _at_least(1),
+                 "master_seed": _at_least(0), "inducing_cap": _at_least(1)}
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,27 @@ def matern52_kernel(lam, theta_f=1.0) -> Kernel:
     return Kernel(MATERN52, np.asarray(lam, dtype=float), float(theta_f))
 
 
-def _as_points(X, dim: int) -> np.ndarray:
+def _as_points(X, dim: int, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1) if dim == 1 else X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"points have dimension {X.shape}, kernel metric has {dim} entries")
+        raise ValueError(f"{name} has shape {X.shape}, not (n, {dim})")
     return X
+
+
+def _check_training(X, y, sigma2, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Every fit's inputs, checked before any Gram work: X as N >= 1 finite points of `dim`
+    coordinates, y as N finite targets, sigma2 as :func:`_check_sigma2`'s; ValueError naming the input."""
+    X = _as_points(X, dim)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if not 0 < X.shape[0] == y.size:
+        raise ValueError(f"X has {X.shape[0]} points and y {y.size} targets, not N >= 1 of each")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    return X, y, _check_sigma2(sigma2)
 
 
 def _kernel_from_sqdist(kernel: Kernel, d2: np.ndarray) -> None:
@@ -125,7 +139,7 @@ def gram(kernel: Kernel, X, Z=None) -> np.ndarray:
     or second N x M array is ever built.
     """
     X = _as_points(X, kernel.dim)
-    Z = X if Z is None else _as_points(Z, kernel.dim)
+    Z = X if Z is None else _as_points(Z, kernel.dim, "Z")
     out = np.empty((X.shape[0], Z.shape[0]))
     rows = max(1, _BLOCK_ENTRIES // max(1, Z.shape[0]))
     for start in range(0, X.shape[0], rows):
@@ -141,26 +155,24 @@ def gram_lower(kernel: Kernel, X, column, shift: float = 0.0) -> None:
     Column j, the N - j entries k(X[j:], X_j) with shift added to the
     first, goes into the vector column(j), so one pass fills any triangular
     layout (:func:`kernelcg.linalg.rfp_columns`,
-    :func:`kernelcg.linalg.packed_columns`). Rows are computed in blocks,
-    each row j against the points from the block's first on, and row j from
-    column j on is column j from row j down: every entry is bit-equal to
+    :func:`kernelcg.linalg.packed_columns`). Each row block is one
+    :func:`gram` of its rows against the points from its first on, and row
+    j from column j on is column j from row j down: every entry is
     :func:`gram`'s, which is bit-symmetric.
 
-    Memory: one scratch block of max(_BLOCK_ENTRIES, N) floats, and for
-    Matern the three scratch blocks of its conversion; no N x N array.
+    Memory: one block of at most max(_BLOCK_ENTRIES, N) floats, freed
+    before the next, and :func:`gram`'s scratch; no N x N array.
     """
     X = _as_points(X, kernel.dim)
     n = X.shape[0]
-    scratch = np.empty(max(_BLOCK_ENTRIES, n))
     start = 0
     while start < n:
         width = n - start
         rows = min(max(1, _BLOCK_ENTRIES // width), width)
-        block = scratch[: rows * width].reshape(rows, width)
-        cdist(X[start : start + rows], X[start:], "sqeuclidean", w=kernel.lam, out=block)
-        _kernel_from_sqdist(kernel, block)
+        block = gram(kernel, X[start : start + rows], X[start:])
         for i in range(rows):
             out = column(start + i)
             out[...] = block[i, i:]
             out[0] += shift
+        del block  # freed before the next block is built
         start += rows

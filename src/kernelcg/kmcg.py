@@ -68,9 +68,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import Kernel, _as_points, _check_sigma2, gram
+from .kernels import Kernel, _as_points, _check_training, gram
 from .lowrank import _nystrom_gaps, _Projection, choose_inducing
-from .solvers import _checked, cg_reorth, stop_reason_within
+from .solvers import _check_budgets, _check_eps, cg_reorth, stop_reason_within
 from .structured import GramStructure, MvmOperator, gram_structure
 
 
@@ -103,24 +103,17 @@ def _fit_budgets(kernel, X, y, sigma2, budgets, M, eps, seed, operator) -> list[
     every budget's factors and evidence. CG direction matrices lose
     conditioning in floating point; a budget keeps only the directions
     before the first pivot that fails in either factorization.
-    A budget of None means M; no budgets or a negative one raise ValueError.
+    A budget of None means M.
 
     The models share the trace's S and Z, cut to the steps taken; S lies
     over the trace's spent residual rows, so the fit holds two blocks of
     rows, not three (see :func:`kernelcg.solvers.cg_reorth`).
     """
-    X = _as_points(X, kernel.dim)
-    y = _checked(y, eps, "y")  # all N targets, before any Gram work
+    X, y, sigma2 = _check_training(X, y, sigma2, kernel.dim)  # all N targets, before any Gram work
+    _check_eps(eps)
     n = X.shape[0]
-    if y.size != n:
-        raise ValueError(f"{n} inputs but {y.size} targets")
-    sigma2 = _check_sigma2(sigma2)
     M = n if M is None else int(M)
-    budgets = [M if p is None else int(p) for p in budgets]
-    if not budgets:
-        raise ValueError("no step budgets given")
-    if min(budgets) < 0:
-        raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
+    budgets = _check_budgets(budgets, M)
     idx = choose_inducing(n, M, seed)
     X_M = X[idx]
     y_M = y[idx]
@@ -181,9 +174,9 @@ def kmcg_fit(kernel: Kernel, X, y, sigma2: float, M: Optional[int] = None, eps=N
     grid (per-axis factors) and the Toeplitz one of a series (O(T) floats)
     allocate no M x M array.
 
-    A non-finite target among all N, not only the inducing ones, or an eps
-    that is NaN, infinite or negative raises ValueError before any Gram
-    work.
+    X, y and sigma2 (:func:`kernelcg.kernels._check_training`, all N
+    points and targets, not only the inducing ones), eps and max_steps are
+    checked before any Gram work.
     """
     (model,) = _fit_budgets(kernel, X, y, sigma2, (max_steps,), M, eps, seed, operator)
     return model
@@ -257,16 +250,14 @@ def kmcg_predictions(models, X_star) -> list[tuple[np.ndarray, np.ndarray]]:
     structure's cross-products: no k(X*, X*) and no n* x n* product.
 
     Raises:
-        ValueError: if `models` is empty, or a model's X_M, y, sigma2 or S is not the longest model's.
+        ValueError: if `models` is empty, or a model's projection or S is not the longest model's.
     """
     if not models:
         raise ValueError("no models given")
     longest = max(models, key=lambda model: model.steps)
     for model in models:
-        if not (np.array_equal(model.X_M, longest.X_M) and np.array_equal(model.y, longest.y)
-                and model.sigma2 == longest.sigma2):
-            raise ValueError("the models have different inducing points, targets or noise; "
-                             "they must come from one fit")
+        if model.projection is not longest.projection:
+            raise ValueError("the models come from different fits")
         if not np.array_equal(model.S, longest.S[:, : model.steps]):
             raise ValueError("a model's directions are not the leading columns of the longest model's")
     U = longest.structure.cross_products(X_star, longest.S).T

@@ -37,7 +37,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 
 from . import linalg
-from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, _check_sigma2, gram
+from .kernels import SQUARED_EXPONENTIAL, Kernel, _as_points, _check_training, gram
 
 
 def choose_inducing(n_total: int, m: int, seed) -> np.ndarray:
@@ -71,7 +71,7 @@ def sor_expansion(kernel: Kernel, X_U) -> FeatureExpansion:
 
     The induced kernel is k(x, X_U) K_UU^{-1} k(X_U, z).
     """
-    X_U = _as_points(X_U, kernel.dim)
+    X_U = _as_points(X_U, kernel.dim, "X_U")
     return FeatureExpansion(
         phi=lambda Xq: gram(kernel, _as_points(Xq, kernel.dim), X_U),
         Sigma=gram(kernel, X_U),
@@ -108,8 +108,7 @@ class _Projection:
     """
 
     def __init__(self, sigma_factor: linalg.CholeskyFactor, Sigma, F, y, lam, *, cut: bool = False):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        self.n = y.size
+        self.n = y.size  # y is a float vector, as every fit's check returns it
         if np.ndim(lam) == 0:
             alpha, self.b = 1.0 / lam, (F @ y) / lam
             y_quad, log_lam = (y @ y) / lam, y.size * np.log(lam)
@@ -183,8 +182,9 @@ class PbrFits:
     eigenpairs, with F = phi(X)^T, Sigma the inverse eigenvalues and
     Lam = sigma2: Sigma is diagonal, so its leading blocks are the lower
     ranks' and one projection serves every rank. The first :meth:`predict`
-    (again if it raised) evaluates phi(X) and phi(X*), factors A and
-    forward-substitutes phi(X*)^T, once.
+    (again if it raised) checks X, y, sigma2 and X*'s shape (a vector X is
+    N points; :func:`kernelcg.kernels._check_training`), evaluates phi(X)
+    and phi(X*), factors A and forward-substitutes phi(X*)^T, once.
     """
 
     def __init__(self, expansion: EigenExpansion, X, y, sigma2: float, X_star):
@@ -193,10 +193,13 @@ class PbrFits:
     @cached_property
     def _means(self) -> np.ndarray:
         """Row c - 1 is the rank-c mean at X*."""
+        dim = np.shape(self.X)[1] if np.ndim(self.X) == 2 else 1
+        X, y, sigma2 = _check_training(self.X, self.y, self.sigma2, dim)
+        X_star = _as_points(self.X_star, X.shape[1], "X_star")
         phi, inverse = self.expansion.phi, 1.0 / self.expansion.eigenvalues
         fit = _Projection(linalg.CholeskyFactor(np.diag(np.sqrt(inverse))), np.diag(inverse),
-                          np.asarray(phi(self.X), dtype=float).T, self.y, _check_sigma2(self.sigma2))
-        return fit.predict(np.asarray(phi(self.X_star), dtype=float).T)[0]
+                          np.asarray(phi(X), dtype=float).T, y, sigma2)
+        return fit.predict(np.asarray(phi(X_star), dtype=float).T)[0]
 
     def predict(self, count: int) -> np.ndarray:
         """The mean of the regressor on the leading `count` eigenpairs, 1 <= count <= rank."""
@@ -313,7 +316,8 @@ class InducingFits:
     count. fitc's Lam = gap + sigma2 depends on m: it makes one projection
     per count, on the leading block of chol(K_UU), and reads its last row.
     Each shared piece is computed by the first :meth:`predict` that needs
-    it (again if it raised).
+    it (again if it raised), the first of all after checking X, y, sigma2
+    (:func:`kernelcg.kernels._check_training`) and X*'s shape.
 
     Jitter: K_UU and the shared A each run one jitter ladder, at the full
     count, and every count carries the rung it stopped at, since the
@@ -333,13 +337,11 @@ class InducingFits:
 
     @cached_property
     def _basis(self) -> tuple[FeatureExpansion, linalg.CholeskyFactor, np.ndarray]:
-        """The expansion, chol(K_UU) and Phi = K_UN."""
+        """The expansion, chol(K_UU) and Phi = K_UN, after the input checks."""
+        self.X, self.y, self.sigma2 = _check_training(self.X, self.y, self.sigma2, self.kernel.dim)
+        self.X_star = _as_points(self.X_star, self.kernel.dim, "X_star")
         expansion = sor_expansion(self.kernel, self.X_U)
-        factor = linalg.cholesky(expansion.Sigma)
-        Phi = np.asarray(expansion.phi(self.X), dtype=float).T
-        if Phi.shape[1] != np.size(self.y):
-            raise ValueError(f"y has {np.size(self.y)} entries but X has {Phi.shape[1]} points")
-        return expansion, factor, Phi
+        return expansion, linalg.cholesky(expansion.Sigma), expansion.phi(self.X).T
 
     @cached_property
     def _phi_star(self) -> np.ndarray:
@@ -377,7 +379,6 @@ class InducingFits:
         """
         if method not in ("sor", "dtc", "fitc", "vfe"):
             raise ValueError(f"unknown inducing baseline {method!r}")
-        _check_sigma2(self.sigma2)
         size = self._basis[1].dim
         m = size if count is None else int(count)
         if not (1 <= m <= size):

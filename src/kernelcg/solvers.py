@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .kernels import Kernel, _as_points, _check_sigma2
+from .kernels import Kernel, _as_points, _check_training
 from .structured import MvmOperator, dense_operator, gram_structure  # the operators are re-exported
 
 CONVERGED = "converged"
@@ -92,15 +92,21 @@ def _orthogonalize(r: np.ndarray, basis: np.ndarray, sq: np.ndarray) -> float:
     return after
 
 
-def _checked(b, eps, name: str) -> np.ndarray:
-    """b as a float vector; ValueError naming `name` for a NaN or infinite
-    entry, and naming eps unless it is None or finite and at least 0."""
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if not np.isfinite(b).all():
-        raise ValueError(f"{name} must be finite")
+def _check_eps(eps, name: str = "eps"):
+    """eps as given; ValueError led by `name` (a config rule's by nothing) unless None or finite and at least 0."""
     if eps is not None and not 0.0 <= float(eps) < np.inf:
-        raise ValueError(f"eps must be finite and at least 0, got {float(eps)}")
-    return b
+        raise ValueError(f"{name} must be finite and at least 0, got {float(eps)}".lstrip())
+    return eps
+
+
+def _check_budgets(budgets, full: int) -> list[int]:
+    """The step budgets as ints, None meaning `full`; ValueError unless one at least is given and none is negative."""
+    budgets = [full if p is None else int(p) for p in budgets]
+    if not budgets:
+        raise ValueError("no step budgets given")
+    if min(budgets) < 0:
+        raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
+    return budgets
 
 
 def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bool) -> CgTrace:
@@ -109,13 +115,13 @@ def _run_cg(op: MvmOperator, b, eps, max_steps, reorth: bool, keep_residuals: bo
     Without `keep_residuals` the trace's residuals are None: S is built
     over the residual rows, so the trace holds two blocks of rows, not three.
     """
-    b = _checked(b, eps, "b")
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite")
     if b.size != op.dim:
         raise ValueError(f"operator dim {op.dim} does not match b ({b.size})")
-    eps = 0.01 * float(np.linalg.norm(b)) if eps is None else float(eps)
-    limit = op.dim if max_steps is None else int(max_steps)
-    if limit < 0:
-        raise ValueError(f"max_steps must be at least 0, got {limit}")
+    eps = 0.01 * float(np.linalg.norm(b)) if _check_eps(eps) is None else float(eps)
+    (limit,) = _check_budgets([max_steps], op.dim)
 
     s = b.copy()
     collapse_tol = _COLLAPSE_FACTOR * np.finfo(float).eps * np.linalg.norm(b)
@@ -286,7 +292,7 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     off U = S^T k(X, X*), one pass over k(X*, X), and one factor of S^T Z,
     whose one jitter ladder sets every budget's rung: O(P^3 + n* N P) flops.
     Returns (mean, q, :func:`stop_reason_within` p) per budget, in order. A
-    budget of None means N; none or a negative one raises ValueError first.
+    budget of None means N.
 
     Memory: a trace without residuals, its S built over their rows, which
     holds 2 max(budgets) + 1 rows of N floats at most when CG runs to the
@@ -296,17 +302,13 @@ def cg_predict_means(kernel: Kernel, X, y, sigma2: float, X_star, budgets, eps=N
     series of T = 4096 positions, N = 2048, n* = 100 and budget 40 the peak
     is below N^2 * 8 / 4 bytes. Otherwise the operator holds the Gram's
     packed lower triangle, N(N+1)/2 floats, freed as CG returns, before
-    k(X*, X) is read. A non-finite y or an eps that is NaN, infinite or
-    negative raises ValueError before any Gram work.
+    k(X*, X) is read. X, y and sigma2 (:func:`kernelcg.kernels._check_training`),
+    X_star's shape, eps and the budgets are checked before any Gram work.
     """
-    X = _as_points(X, kernel.dim)
-    y = _checked(y, eps, "y")
-    budgets = [X.shape[0] if p is None else int(p) for p in budgets]
-    if not budgets:
-        raise ValueError("no step budgets given")
-    if min(budgets) < 0:
-        raise ValueError(f"step budgets must be at least 0, got {min(budgets)}")
-    sigma2 = _check_sigma2(sigma2)
+    X, y, sigma2 = _check_training(X, y, sigma2, kernel.dim)
+    X_star = _as_points(X_star, kernel.dim, "X_star")
+    _check_eps(eps)
+    budgets = _check_budgets(budgets, X.shape[0])
     structure = gram_structure(kernel, X)
     run = cg_reorth if reorth else cg_textbook
     K = structure.operator()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dtrttf
 
-from kernelcg import exact, kernels, kmcg, linalg, lowrank, solvers
+from kernelcg import exact, kernels, kmcg, linalg, lowrank, solvers, structured
 from kernelcg.harness import ExperimentConfig
 from kernelcg.kernels import Kernel, gram, matern52_kernel, se_kernel
 from mpref import gram_reference
@@ -58,27 +58,71 @@ def test_amplitude_must_be_positive_and_finite(theta_f):
 _KERNEL = se_kernel([1.0, 1.0])
 _X = np.random.default_rng(3).uniform(0, 2, (12, 2))
 _Y = np.sin(_X[:, 0])
-_ENTRIES = {
-    "exact.fit": lambda s: exact.fit(_KERNEL, _X, _Y, s),
-    "kmcg_fit": lambda s: kmcg.kmcg_fit(_KERNEL, _X, _Y, s, max_steps=2),
-    "kmcg_models_for_steps": lambda s: kmcg.kmcg_models_for_steps(_KERNEL, _X, _Y, s, steps=(1, 2)),
-    "cg_predict_means": lambda s: solvers.cg_predict_means(_KERNEL, _X, _Y, s, _X[:3], [2]),
-    **{f"InducingFits {m}": lambda s, m=m: lowrank.InducingFits(_KERNEL, _X, _Y, s, _X[:4], _X[:3]).predict(m)
-       for m in ("sor", "dtc", "fitc", "vfe")},
-    "PbrFits": lambda s: lowrank.PbrFits(lowrank.se_eigen_expansion(_KERNEL, 1.0, 0.5, 4), _X, _Y, s, _X[:3]).predict(2),
-    "ExperimentConfig": lambda s: ExperimentConfig(_KERNEL, s),
+_GOOD = dict(X=_X, y=_Y, sigma2=0.1, X_star=_X[:3], eps=None, steps=[2], max_steps=2)
+_WORK = []  # Gram assemblies and feature-map calls, recorded by the table test
+_EIGEN = lowrank.se_eigen_expansion(_KERNEL, 1.0, 0.5, 4)
+_RECORDED_EIGEN = lowrank.EigenExpansion(lambda X: _WORK.append("phi") or _EIGEN.phi(X), _EIGEN.eigenvalues)
+# Each fit: the inputs it reads and a call on them. The kmcg fits at M = 5
+# draw the subset of seed 0, which the NaN target below lies outside of.
+_FITS = {
+    "exact.fit": ("X y sigma2", lambda a: exact.fit(_KERNEL, a["X"], a["y"], a["sigma2"])),
+    **{f"kmcg_fit M={m}": ("X y sigma2 eps max_steps", lambda a, m=m: kmcg.kmcg_fit(
+        _KERNEL, a["X"], a["y"], a["sigma2"], M=m, eps=a["eps"], max_steps=a["max_steps"], seed=0)) for m in (None, 5)},
+    **{f"kmcg_models_for_steps M={m}": ("X y sigma2 eps steps", lambda a, m=m: kmcg.kmcg_models_for_steps(
+        _KERNEL, a["X"], a["y"], a["sigma2"], a["steps"], M=m, eps=a["eps"], seed=0)) for m in (None, 5)},
+    "cg_predict_means": ("X y sigma2 X_star eps steps", lambda a: solvers.cg_predict_means(
+        _KERNEL, a["X"], a["y"], a["sigma2"], a["X_star"], a["steps"], eps=a["eps"])),
+    "cg_predict_mean": ("X y sigma2 X_star eps max_steps", lambda a: solvers.cg_predict_mean(
+        _KERNEL, a["X"], a["y"], a["sigma2"], a["X_star"], eps=a["eps"], max_steps=a["max_steps"])),
+    **{f"InducingFits {m}": ("X y sigma2 X_star", lambda a, m=m: lowrank.InducingFits(
+        _KERNEL, a["X"], a["y"], a["sigma2"], _X[:4], a["X_star"]).predict(m)) for m in ("sor", "dtc", "fitc", "vfe")},
+    "PbrFits": ("X y sigma2 X_star", lambda a: lowrank.PbrFits(
+        _RECORDED_EIGEN, a["X"], a["y"], a["sigma2"], a["X_star"]).predict(2)),
+    "ExperimentConfig": ("sigma2 eps", lambda a: ExperimentConfig(_KERNEL, a["sigma2"], cg_eps=a["eps"])),
 }
+_NAN_POINT = _X.copy()
+_NAN_POINT[7, 1] = np.nan
+_NAN_TARGET = _Y.copy()
+_NAN_TARGET[np.setdiff1d(np.arange(12), lowrank.choose_inducing(12, 5, 0))[0]] = np.nan
+# (case, input, bad value, message naming the input)
+_BAD_INPUTS = [
+    ("nan-point", "X", _NAN_POINT, "X must be finite"),
+    ("nan-target", "y", _NAN_TARGET, "y must be finite"),
+    ("short-y", "y", _Y[:-1], "X has 12 points and y 11 targets, not N >= 1 of each"),
+    ("test-points-3d", "X_star", np.zeros((3, 3)), r"X_star has shape \(3, 3\), not \(n, 2\)"),
+    *((f"sigma2-{v}", "sigma2", v, f"sigma2 must be positive and finite, got {v}")
+      for v in (0.0, -1.0, np.inf, np.nan)),
+    *((f"eps-{v}", "eps", v, f"eps must be finite and at least 0, got {v}") for v in (np.nan, np.inf, -1.0)),
+    ("no-budgets", "steps", [], "no step budgets given"),
+    ("negative-budget", "steps", [3, -2, 1], "step budgets must be at least 0, got -2"),
+    ("negative-max-steps", "max_steps", -1, "step budgets must be at least 0, got -1"),
+]
 
 
-@pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
-@pytest.mark.parametrize("entry", sorted(_ENTRIES))
-def test_every_library_entry_requires_a_positive_finite_sigma2(entry, sigma2):
-    # At sigma2 = inf kmcg_fit, cg_predict_means and the inducing baselines
-    # once returned a zero mean, and cg_predict_means at sigma2 = -1 a mean
-    # marked breakdown, each without an error.
-    with pytest.raises(ValueError, match=f"sigma2 must be positive and finite, got {sigma2}"):
-        _ENTRIES[entry](sigma2)
-    _ENTRIES[entry](0.1)
+@pytest.mark.parametrize("fit, name, value, message", [
+    pytest.param(fit, name, value, message, id=f"{fit}-{case}")
+    for fit, (inputs, _) in _FITS.items() for case, name, value, message in _BAD_INPUTS if name in inputs.split()])
+def test_every_fit_checks_its_inputs_before_any_gram_work(monkeypatch, fit, name, value, message):
+    # One contract under every fit, checked before any Gram or feature work.
+    # A NaN point once gave kmcg_fit the prior and cg_predict_means a zero
+    # mean, each without an error; sigma2 = inf gave kmcg_fit,
+    # cg_predict_means and the inducing baselines a zero mean; a NaN target
+    # outside kmcg's inducing subset surfaced from the projection without
+    # naming y; and the exact oracle factored its Gram before a NaN target
+    # failed as "array must not contain infs or NaNs".
+    for module in (kernels, exact, kmcg, lowrank, structured):
+        for assembly in ("gram", "gram_lower"):
+            if hasattr(module, assembly):
+                real = getattr(module, assembly)
+                monkeypatch.setattr(module, assembly,
+                                    lambda *args, _real=real, **kw: _WORK.append(_real.__name__) or _real(*args, **kw))
+    _WORK.clear()
+    call = _FITS[fit][1]
+    with pytest.raises(ValueError, match=message):
+        call({**_GOOD, name: value})
+    assert _WORK == []
+    call(_GOOD)  # and the recording sees the fit's work on good inputs
+    assert bool(_WORK) == (fit != "ExperimentConfig")
 
 
 def test_gram_single_point():

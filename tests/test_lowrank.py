@@ -128,7 +128,7 @@ def test_per_point_noise_matches_dense_model():
     mean, _, evidence = InducingFits(kernel, X, y, sigma2, X[:4], X_star).predict("fitc")
     assert np.allclose(mean, want, rtol=1e-10, atol=1e-12)
     assert evidence == pytest.approx(mvn_logpdf(y, cov), rel=1e-10)
-    with pytest.raises(ValueError, match="y has 5 entries but X has 12 points"):
+    with pytest.raises(ValueError, match="X has 12 points and y 5 targets"):
         InducingFits(kernel, X, y[:5], sigma2, X[:4], X_star).predict("fitc")
 
 
@@ -257,6 +257,9 @@ def test_pbr_rank_one_closed_form():
     lam1 = expansion.eigenvalues[0]
     expected = expansion.phi(X_star)[:, 0] * (f1 @ y) / (f1 @ f1 + sigma2 / lam1)
     assert np.allclose(PbrFits(expansion, X, y, sigma2, X_star).predict(1), expected, rtol=1e-10)
+    # A vector X or X* is that many points of one coordinate.
+    assert np.array_equal(PbrFits(expansion, X[:, 0], y, sigma2, X_star[:, 0]).predict(1),
+                          PbrFits(expansion, X, y, sigma2, X_star).predict(1))
 
 
 def test_pbr_every_rank_from_one_feature_pass(monkeypatch):
